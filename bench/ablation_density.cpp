@@ -1,7 +1,7 @@
 // Ablation: hosting-density trajectory (§1's "densely-multiplexed public
 // cloud" and the §2 claim that disaggregation must not limit density).
 //
-//   ablation_density [--sweep 100,1000,10000] [--max-guests N]
+//   ablation_density [--sweep 100,1000,10000,100000] [--max-guests N]
 //                    [--shards N] [--out BENCH_density.json]
 //                    [--record JOURNAL | --replay JOURNAL]
 //
@@ -51,7 +51,7 @@ namespace xoar {
 namespace {
 
 struct Options {
-  std::vector<int> sweep = {100, 1000, 10000};
+  std::vector<int> sweep = {100, 1000, 10000, 100000};
   int max_guests = 0;  // 0 = no cap beyond the sweep target
   int shards = 0;      // 0 = auto-scale with the sweep target
   std::string out = "BENCH_density.json";
@@ -95,11 +95,16 @@ SweepPoint RunPoint(int target, int shards, int max_guests,
 
   XoarPlatform::Config config;
   // Small VDI-style guests (the paper's density best practice); size the
-  // machine so memory is not the binding constraint at this sweep point.
+  // machine so neither memory nor disk is the binding constraint at this
+  // sweep point. The default 320 GB disk holds ~76k 4 MiB images, so only
+  // the 10^5 point grows it; smaller points keep the default geometry.
   constexpr std::uint64_t kGuestMb = 16;
   constexpr std::uint64_t kGuestDiskMb = 4;
   config.machine_memory_gb = 8 + (static_cast<std::uint64_t>(target) *
                                   kGuestMb * 2) / 1024;
+  config.disk.capacity_bytes =
+      std::max(config.disk.capacity_bytes,
+               static_cast<std::uint64_t>(target) * kGuestDiskMb * 2 * kMiB);
   config.xenstore_state_shards = shards;
   // Density runs pack control-plane ops, not console traffic.
   config.console_manager_enabled = false;

@@ -1,6 +1,7 @@
 #include "src/drv/blk.h"
 
 #include <algorithm>
+#include <iterator>
 #include <utility>
 #include <vector>
 
@@ -16,6 +17,55 @@ namespace {
 constexpr std::uint32_t kMaxSectorsPerRequest = 64;
 }  // namespace
 
+// --- ExtentAllocator ---------------------------------------------------------
+
+ExtentAllocator::ExtentAllocator(std::uint64_t begin, std::uint64_t end)
+    : begin_(begin), end_(end) {
+  if (begin < end) {
+    runs_.emplace(begin, end - begin);
+  }
+}
+
+std::optional<std::uint64_t> ExtentAllocator::Allocate(std::uint64_t bytes) {
+  if (bytes == 0) {
+    return begin_ <= end_ ? std::optional<std::uint64_t>(begin_)
+                          : std::nullopt;
+  }
+  for (auto it = runs_.begin(); it != runs_.end(); ++it) {
+    if (it->second < bytes) {
+      continue;
+    }
+    const std::uint64_t offset = it->first;
+    auto run = runs_.extract(it);
+    if (run.mapped() > bytes) {
+      run.key() += bytes;
+      run.mapped() -= bytes;
+      runs_.insert(std::move(run));
+    }
+    return offset;
+  }
+  return std::nullopt;
+}
+
+void ExtentAllocator::Free(std::uint64_t offset, std::uint64_t bytes) {
+  if (bytes == 0) {
+    return;
+  }
+  auto next = runs_.lower_bound(offset);
+  if (next != runs_.end() && offset + bytes == next->first) {
+    bytes += next->second;
+    next = runs_.erase(next);
+  }
+  if (next != runs_.begin()) {
+    auto prev = std::prev(next);
+    if (prev->first + prev->second == offset) {
+      prev->second += bytes;
+      return;
+    }
+  }
+  runs_.emplace_hint(next, offset, bytes);
+}
+
 // --- BlkBack -----------------------------------------------------------------
 
 BlkBack::BlkBack(Hypervisor* hv, XenStoreService* xs, Simulator* sim,
@@ -25,6 +75,7 @@ BlkBack::BlkBack(Hypervisor* hv, XenStoreService* xs, Simulator* sim,
       sim_(sim),
       self_(self),
       disk_(disk),
+      extents_(64 * kMiB, disk->geometry().capacity_bytes),
       obs_(Obs::OrGlobal(obs)),
       m_requests_(obs_->metrics().GetCounter("BlkBack.ring.requests")),
       m_bytes_(obs_->metrics().GetCounter("BlkBack.ring.bytes")),
@@ -37,38 +88,15 @@ Status BlkBack::Initialize() {
   return Status::Ok();
 }
 
-std::optional<std::uint64_t> BlkBack::AllocateExtent(
-    std::uint64_t bytes) const {
-  // First-fit over the gaps between live extents. The first 64 MiB are
-  // reserved for metadata.
-  std::vector<std::pair<std::uint64_t, std::uint64_t>> extents;
-  extents.reserve(images_.size());
-  for (const auto& [name, extent] : images_) {
-    extents.push_back(extent);
-  }
-  std::sort(extents.begin(), extents.end());
-  std::uint64_t cursor = 64 * kMiB;
-  for (const auto& [offset, size] : extents) {
-    if (offset - cursor >= bytes) {
-      return cursor;
-    }
-    cursor = offset + size;
-  }
-  if (cursor + bytes <= disk_->geometry().capacity_bytes) {
-    return cursor;
-  }
-  return std::nullopt;
-}
-
 Status BlkBack::CreateImage(const std::string& name, std::uint64_t bytes) {
   if (images_.count(name) > 0) {
     return AlreadyExistsError(StrFormat("image %s exists", name.c_str()));
   }
-  std::optional<std::uint64_t> offset = AllocateExtent(bytes);
+  std::optional<std::uint64_t> offset = extents_.Allocate(bytes);
   if (!offset.has_value()) {
     return ResourceExhaustedError("disk full");
   }
-  images_.emplace(name, std::make_pair(*offset, bytes));
+  images_.emplace(name, Image{*offset, bytes});
   return Status::Ok();
 }
 
@@ -77,13 +105,12 @@ Status BlkBack::DeleteImage(const std::string& name) {
   if (it == images_.end()) {
     return NotFoundError(StrFormat("no image %s", name.c_str()));
   }
-  for (const auto& [guest, vbd] : vbds_) {
-    if (vbd.image == name) {
-      return FailedPreconditionError(
-          StrFormat("image %s still bound to dom%u", name.c_str(),
-                    guest.value()));
-    }
+  if (it->second.bound_vbds > 0) {
+    return FailedPreconditionError(
+        StrFormat("image %s still bound to %d VBD(s)", name.c_str(),
+                  it->second.bound_vbds));
   }
+  extents_.Free(it->second.offset, it->second.size);
   images_.erase(it);
   return Status::Ok();
 }
@@ -93,7 +120,7 @@ StatusOr<std::uint64_t> BlkBack::ImageSize(const std::string& name) const {
   if (it == images_.end()) {
     return NotFoundError(StrFormat("no image %s", name.c_str()));
   }
-  return it->second.second;
+  return it->second.size;
 }
 
 Status BlkBack::BindImage(DomainId guest, const std::string& image) {
@@ -108,9 +135,10 @@ Status BlkBack::BindImage(DomainId guest, const std::string& image) {
   Vbd vbd;
   vbd.guest = guest;
   vbd.image = image;
-  vbd.base_offset = img->second.first;
-  vbd.size_bytes = img->second.second;
+  vbd.base_offset = img->second.offset;
+  vbd.size_bytes = img->second.size;
   vbds_.emplace(guest, vbd);
+  ++img->second.bound_vbds;
 
   // Advertise the backend half and let the guest read our state.
   const std::string back_dir = BackendDir(self_, guest, kVbdType);
@@ -244,6 +272,8 @@ Status BlkBack::DetachVbd(DomainId guest) {
   DisconnectVbd(it->second);
   (void)xs_->Unwatch(self_, FrontendDir(guest, kVbdType) + "/state",
                      StrFormat("blkback-%u", guest.value()));
+  // A bound image cannot be deleted, so its record is still there.
+  --images_.at(it->second.image).bound_vbds;
   vbds_.erase(it);
   return Status::Ok();
 }

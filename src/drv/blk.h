@@ -79,6 +79,28 @@ constexpr SimDuration kBlkBackPerOpOverhead = 15 * kMicrosecond;
 // follow-up drain event, so work per event stays bounded.
 constexpr std::uint32_t kBlkBackDrainBudget = BlkRing::kEntries;
 
+// First-fit extent allocator over the byte range [begin, end) of a disk.
+// Free space is kept as an offset-ordered map of maximal free runs: freeing
+// coalesces a run with its neighbours, so the runs are exactly the gaps
+// between live extents, and allocating takes the lowest run long enough.
+// The cost is O(log runs) plus one step per lower run too short for the
+// request (none when every image has the same size).
+class ExtentAllocator {
+ public:
+  ExtentAllocator(std::uint64_t begin, std::uint64_t end);
+
+  // Offset of a new extent of `bytes`; nullopt when no free run fits. A
+  // zero-byte extent occupies nothing and is placed at `begin`.
+  std::optional<std::uint64_t> Allocate(std::uint64_t bytes);
+  // Returns an extent handed out by Allocate.
+  void Free(std::uint64_t offset, std::uint64_t bytes);
+
+ private:
+  std::uint64_t begin_;
+  std::uint64_t end_;
+  std::map<std::uint64_t, std::uint64_t> runs_;  // offset -> length
+};
+
 class BlkBack {
  public:
   // Fault-injection hook (src/fault), consulted once per popped ring
@@ -106,9 +128,9 @@ class BlkBack {
   Status CreateImage(const std::string& name, std::uint64_t bytes);
   StatusOr<std::uint64_t> ImageSize(const std::string& name) const;
   // Releases an image's extent back to the disk (first-fit reuse). Fails
-  // while a VBD is still bound to it. Destroying a guest without deleting
-  // its image fills the disk after enough create/destroy churn — exactly
-  // what a migration-heavy fleet does.
+  // while a VBD is still bound to it (until DetachVbd). Destroying a guest
+  // without deleting its image fills the disk after enough create/destroy
+  // churn — exactly what a migration-heavy fleet does.
   Status DeleteImage(const std::string& name);
 
   // Binds a guest's VBD to an image. Called by the Toolstack when attaching
@@ -176,12 +198,15 @@ class BlkBack {
   ExponentialBackoff resume_backoff_;
   bool resume_retry_pending_ = false;
   std::map<DomainId, Vbd> vbds_;
-  // Finds a first-fit offset for `bytes`, scanning the gaps left by
-  // deleted images; nullopt when no gap fits.
-  std::optional<std::uint64_t> AllocateExtent(std::uint64_t bytes) const;
 
-  std::map<std::string, std::pair<std::uint64_t, std::uint64_t>>
-      images_;  // name -> (offset, size)
+  struct Image {
+    std::uint64_t offset = 0;
+    std::uint64_t size = 0;
+    int bound_vbds = 0;  // DeleteImage refuses while any VBD is bound
+  };
+  std::map<std::string, Image> images_;
+  // The first 64 MiB of the disk are reserved for metadata.
+  ExtentAllocator extents_;
   std::uint64_t requests_served_ = 0;
   std::uint64_t bytes_moved_ = 0;
   Obs* obs_;

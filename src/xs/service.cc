@@ -161,10 +161,9 @@ void XenStoreService::NoteRequestServed() {
   m_requests_->Increment();
   if (restart_policy_ == RestartPolicy::kPerRequest) {
     // Fig 5.1: XenStore-Logic rolls back to its post-boot snapshot after
-    // every request. The rollback itself is fast (copy-on-write reset);
-    // state lives in XenStore-State so nothing is renegotiated. Taking and
-    // dropping the checkpoint is O(1) with the COW store.
-    (void)store_.TakeSnapshot();
+    // every request. Logic holds no state of its own -- the contents live
+    // in XenStore-State -- so the rollback has nothing to checkpoint or
+    // restore and nothing is renegotiated; only the restart is counted.
     ++logic_restarts_;
     m_logic_restarts_->Increment();
   }

@@ -46,7 +46,7 @@ class XenStoreService {
   enum class RestartPolicy {
     kNever,       // stock xenstored
     kPerRequest,  // XenStore-Logic in Xoar (Fig 5.1: "restarted on each
-                  // request"); rollback cost is charged per request
+                  // request"); every request counts one Logic restart
   };
 
   // `obs` is forwarded to the backing XsStore and receives
@@ -186,7 +186,8 @@ class XenStoreService {
   RequestFaultHook request_fault_hook_;
   std::map<DomainId, Connection> connections_;
   // State-component checkpoint taken when Logic goes down; Logic re-attaches
-  // to it on the way back up. O(1) both ways (copy-on-write tree share).
+  // to it on the way back up. Taking it is O(1) (copy-on-write root share);
+  // re-attaching is a no-op because requests were gated meanwhile.
   XsShardedStore::Snapshot pre_restart_state_;
   // Per-State-shard availability and recovery-box checkpoints.
   std::vector<bool> shard_available_;

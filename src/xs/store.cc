@@ -70,42 +70,59 @@ XsStore::Node* XsStore::ResolveMutable(NodePtr& root, std::string_view path) {
   return node;
 }
 
-std::size_t XsStore::OwnedCount(DomainId owner, const Transaction* tx) const {
+std::size_t XsStore::OwnedCount(DomainId owner,
+                                const OwnerCounts* delta) const {
   std::int64_t count = 0;
   auto it = owner_counts_.find(owner);
   if (it != owner_counts_.end()) {
-    count = static_cast<std::int64_t>(it->second);
+    count = it->second;
   }
-  if (tx != nullptr) {
-    auto delta = tx->owner_delta.find(owner);
-    if (delta != tx->owner_delta.end()) {
-      count += delta->second;
+  if (delta != nullptr) {
+    auto pending = delta->find(owner);
+    if (pending != delta->end()) {
+      count += pending->second;
     }
   }
   return count > 0 ? static_cast<std::size_t>(count) : 0;
 }
 
+void XsStore::AddOwned(DomainId owner, std::int64_t n) {
+  auto it = owner_counts_.try_emplace(owner, 0).first;
+  it->second += n;
+  node_count_ += static_cast<std::size_t>(n);  // modular: n may be negative
+  if (it->second == 0) {
+    owner_counts_.erase(it);
+  }
+}
+
+void XsStore::RecountOwners() {
+  owner_counts_.clear();
+  node_count_ = 0;
+  for (const auto& [name, child] : root_->children) {
+    TallySubtree(*child, &owner_counts_, &node_count_);
+  }
+}
+
 StatusOr<XsStore::Node*> XsStore::ResolveOrCreate(NodePtr& root,
                                                   std::string_view path,
                                                   DomainId owner,
-                                                  Transaction* tx) {
+                                                  OwnerCounts* delta) {
   Node* node = Detach(root);
   for (const auto& segment : SplitPath(path)) {
     auto it = node->children.find(segment);
     if (it == node->children.end()) {
       if (node_quota_ != 0 && owner.valid() && !IsManager(owner) &&
-          OwnedCount(owner, tx) >= node_quota_) {
+          OwnedCount(owner, delta) >= node_quota_) {
         return ResourceExhaustedError(
             StrFormat("dom%u exceeded XenStore node quota (%zu)",
                       owner.value(), node_quota_));
       }
       auto child = std::make_shared<Node>();
       child->perms.owner = owner;
-      if (tx != nullptr) {
-        ++tx->owner_delta[owner];
+      if (delta != nullptr) {
+        ++(*delta)[owner];
       } else {
-        ++owner_counts_[owner];
-        ++node_count_;
+        AddOwned(owner, 1);
       }
       it = node->children.emplace(segment, std::move(child)).first;
       node = it->second.get();
@@ -116,8 +133,7 @@ StatusOr<XsStore::Node*> XsStore::ResolveOrCreate(NodePtr& root,
   return node;
 }
 
-void XsStore::TallySubtree(const Node& node,
-                           std::map<DomainId, std::int64_t>* owners,
+void XsStore::TallySubtree(const Node& node, OwnerCounts* owners,
                            std::size_t* nodes) {
   ++(*owners)[node.perms.owner];
   ++(*nodes);
@@ -176,7 +192,7 @@ void XsStore::CommitMutation(const std::string& norm) {
 
 Status XsStore::ApplyWrite(NodePtr& root, DomainId caller,
                            const std::string& norm, std::string_view value,
-                           Transaction* tx) {
+                           OwnerCounts* delta) {
   const Node* existing = Find(root.get(), norm);
   if (existing != nullptr) {
     XOAR_RETURN_IF_ERROR(CheckAccess(caller, *existing, XsPerm::kWrite));
@@ -186,24 +202,26 @@ Status XsStore::ApplyWrite(NodePtr& root, DomainId caller,
   // Creating below an existing node requires write access to the deepest
   // existing ancestor.
   XOAR_RETURN_IF_ERROR(CheckCreateAccess(caller, root.get(), norm));
-  XOAR_ASSIGN_OR_RETURN(Node * node, ResolveOrCreate(root, norm, caller, tx));
+  XOAR_ASSIGN_OR_RETURN(Node * node,
+                        ResolveOrCreate(root, norm, caller, delta));
   node->value = std::string(value);
   return Status::Ok();
 }
 
 Status XsStore::ApplyMkdir(NodePtr& root, DomainId caller,
-                           const std::string& norm, Transaction* tx) {
+                           const std::string& norm, OwnerCounts* delta) {
   if (Find(root.get(), norm) != nullptr) {
     return Status::Ok();  // mkdir is idempotent, as in xenstored
   }
   XOAR_RETURN_IF_ERROR(CheckCreateAccess(caller, root.get(), norm));
-  XOAR_ASSIGN_OR_RETURN(Node * node, ResolveOrCreate(root, norm, caller, tx));
+  XOAR_ASSIGN_OR_RETURN(Node * node,
+                        ResolveOrCreate(root, norm, caller, delta));
   (void)node;
   return Status::Ok();
 }
 
 Status XsStore::ApplyRemove(NodePtr& root, DomainId caller,
-                            const std::string& norm, Transaction* tx) {
+                            const std::string& norm, OwnerCounts* delta) {
   std::vector<std::string> segments = SplitPath(norm);
   if (segments.empty()) {
     return InvalidArgumentError("cannot remove the root");
@@ -222,25 +240,15 @@ Status XsStore::ApplyRemove(NodePtr& root, DomainId caller,
   XOAR_RETURN_IF_ERROR(CheckAccess(caller, *view_it->second, XsPerm::kWrite));
   Node* parent = ResolveMutable(root, parent_path);
   auto it = parent->children.find(leaf);
-  std::map<DomainId, std::int64_t> removed;
+  OwnerCounts removed;
   std::size_t removed_nodes = 0;
   TallySubtree(*it->second, &removed, &removed_nodes);
-  if (tx != nullptr) {
-    for (const auto& [owner, n] : removed) {
-      tx->owner_delta[owner] -= n;
+  for (const auto& [owner, n] : removed) {
+    if (delta != nullptr) {
+      (*delta)[owner] -= n;
+    } else {
+      AddOwned(owner, -n);
     }
-  } else {
-    for (const auto& [owner, n] : removed) {
-      auto count = owner_counts_.find(owner);
-      if (count != owner_counts_.end()) {
-        if (count->second <= static_cast<std::size_t>(n)) {
-          owner_counts_.erase(count);
-        } else {
-          count->second -= static_cast<std::size_t>(n);
-        }
-      }
-    }
-    node_count_ -= std::min(node_count_, removed_nodes);
   }
   parent->children.erase(it);
   return Status::Ok();
@@ -284,7 +292,8 @@ Status XsStore::Write(DomainId caller, std::string_view path,
   if (tx == nullptr) {
     return NotFoundError("no such transaction");
   }
-  XOAR_RETURN_IF_ERROR(ApplyWrite(tx->root, caller, norm, value, tx));
+  XOAR_RETURN_IF_ERROR(
+      ApplyWrite(tx->root, caller, norm, value, &tx->owner_delta));
   tx->write_set.insert(norm);
   tx->ops.push_back(TxOp{TxOp::Kind::kWrite, norm, std::string(value)});
   return Status::Ok();
@@ -304,7 +313,7 @@ Status XsStore::Mkdir(DomainId caller, std::string_view path, TxId tx_id) {
   if (tx == nullptr) {
     return NotFoundError("no such transaction");
   }
-  XOAR_RETURN_IF_ERROR(ApplyMkdir(tx->root, caller, norm, tx));
+  XOAR_RETURN_IF_ERROR(ApplyMkdir(tx->root, caller, norm, &tx->owner_delta));
   tx->write_set.insert(norm);
   tx->ops.push_back(TxOp{TxOp::Kind::kMkdir, norm, std::string()});
   return Status::Ok();
@@ -324,7 +333,8 @@ Status XsStore::Remove(DomainId caller, std::string_view path, TxId tx_id) {
   if (tx == nullptr) {
     return NotFoundError("no such transaction");
   }
-  XOAR_RETURN_IF_ERROR(ApplyRemove(tx->root, caller, norm, tx));
+  XOAR_RETURN_IF_ERROR(
+      ApplyRemove(tx->root, caller, norm, &tx->owner_delta));
   tx->write_set.insert(norm);
   tx->ops.push_back(TxOp{TxOp::Kind::kRemove, norm, std::string()});
   return Status::Ok();
@@ -401,16 +411,10 @@ Status XsStore::SetPerms(DomainId caller, std::string_view path,
   Node* node = ResolveMutable(root_, norm);
   const DomainId old_owner = node->perms.owner;
   node->perms = perms;
-  if (old_owner != perms.owner) {
-    auto it = owner_counts_.find(old_owner);
-    if (it != owner_counts_.end()) {
-      if (it->second <= 1) {
-        owner_counts_.erase(it);
-      } else {
-        --it->second;
-      }
-    }
-    ++owner_counts_[perms.owner];
+  // The root is not a counted node (Serialize does not ship it either).
+  if (old_owner != perms.owner && node != root_.get()) {
+    AddOwned(old_owner, -1);
+    AddOwned(perms.owner, 1);
   }
   ++generation_;
   if (!transactions_.empty()) {
@@ -592,23 +596,25 @@ Status XsStore::TransactionEnd(DomainId caller, TxId tx, bool commit) {
     return conflict;
   }
   // Replay the transaction's mutations against the live tree. The saved
-  // root makes the replay atomic: COW keeps it intact, so any failure
-  // (quota, permissions changed under us) rolls back in O(1).
+  // root makes the tree side atomic: COW keeps it intact. Owner changes
+  // accumulate in a local delta (quota checks see live + delta) and reach
+  // the live counters only once every op succeeded. A guest can force the
+  // replay to fail (quota, permissions changed under it), so the rollback
+  // touches nothing but the root: O(ops), independent of owners and nodes.
   NodePtr saved_root = root_;
-  std::map<DomainId, std::size_t> saved_counts = owner_counts_;
-  const std::size_t saved_node_count = node_count_;
+  OwnerCounts delta;
   Status status = Status::Ok();
   for (const auto& op : transaction.ops) {
     switch (op.kind) {
       case TxOp::Kind::kWrite:
         status = ApplyWrite(root_, transaction.caller, op.path, op.value,
-                            nullptr);
+                            &delta);
         break;
       case TxOp::Kind::kMkdir:
-        status = ApplyMkdir(root_, transaction.caller, op.path, nullptr);
+        status = ApplyMkdir(root_, transaction.caller, op.path, &delta);
         break;
       case TxOp::Kind::kRemove:
-        status = ApplyRemove(root_, transaction.caller, op.path, nullptr);
+        status = ApplyRemove(root_, transaction.caller, op.path, &delta);
         break;
     }
     if (!status.ok()) {
@@ -617,11 +623,12 @@ Status XsStore::TransactionEnd(DomainId caller, TxId tx, bool commit) {
   }
   if (!status.ok()) {
     root_ = std::move(saved_root);
-    owner_counts_ = std::move(saved_counts);
-    node_count_ = saved_node_count;
     m_tx_aborted_->Increment();
     return AbortedError(StrFormat("transaction replay failed: %s",
                                   status.message().c_str()));
+  }
+  for (const auto& [owner, n] : delta) {
+    AddOwned(owner, n);
   }
   m_tx_committed_->Increment();
   obs_->tracer().Op(TraceCategory::kXenStore, "xs_tx_commit", caller.value());
@@ -654,28 +661,23 @@ std::vector<XsStore::FlatNode> XsStore::Serialize() const {
 void XsStore::Restore(const std::vector<FlatNode>& nodes) {
   root_ = std::make_shared<Node>();
   root_->perms.owner = DomainId::Invalid();
-  owner_counts_.clear();
-  node_count_ = 0;
+  // Rebuild without the quota check (restoring state is not a guest
+  // request), then count once. A missing ancestor is created owned by the
+  // first node below it, as a Write would.
   for (const auto& flat : nodes) {
-    StatusOr<Node*> node =
-        ResolveOrCreate(root_, flat.path, flat.perms.owner, nullptr);
-    if (node.ok()) {
-      const DomainId created_owner = (*node)->perms.owner;
-      (*node)->value = flat.value;
-      (*node)->perms = flat.perms;
-      if (created_owner != flat.perms.owner) {
-        auto it = owner_counts_.find(created_owner);
-        if (it != owner_counts_.end()) {
-          if (it->second <= 1) {
-            owner_counts_.erase(it);
-          } else {
-            --it->second;
-          }
-        }
-        ++owner_counts_[flat.perms.owner];
+    Node* node = root_.get();
+    for (const auto& segment : SplitPath(flat.path)) {
+      NodePtr& child = node->children[segment];
+      if (child == nullptr) {
+        child = std::make_shared<Node>();
+        child->perms.owner = flat.perms.owner;
       }
+      node = child.get();
     }
+    node->value = flat.value;
+    node->perms = flat.perms;
   }
+  RecountOwners();
   ++generation_;
   if (!transactions_.empty()) {
     // A wholesale replacement invalidates every active transaction.
@@ -686,8 +688,6 @@ void XsStore::Restore(const std::vector<FlatNode>& nodes) {
 XsStore::Snapshot XsStore::TakeSnapshot() const {
   Snapshot snapshot;
   snapshot.root_ = root_;  // O(1): shares the tree copy-on-write
-  snapshot.owner_counts_ = owner_counts_;
-  snapshot.node_count_ = node_count_;
   return snapshot;
 }
 
@@ -696,8 +696,9 @@ void XsStore::RestoreSnapshot(const Snapshot& snapshot) {
     return;  // restoring the current state is a no-op
   }
   root_ = snapshot.root_;
-  owner_counts_ = snapshot.owner_counts_;
-  node_count_ = snapshot.node_count_;
+  // Only a restart completing over changed contents gets here; no guest
+  // request can, so the O(nodes) recount stays off the request path.
+  RecountOwners();
   ++generation_;
   if (!transactions_.empty()) {
     // A rollback invalidates every active transaction.
@@ -707,7 +708,7 @@ void XsStore::RestoreSnapshot(const Snapshot& snapshot) {
 
 std::size_t XsStore::NodesOwnedBy(DomainId domain) const {
   auto it = owner_counts_.find(domain);
-  return it == owner_counts_.end() ? 0 : it->second;
+  return it == owner_counts_.end() ? 0 : static_cast<std::size_t>(it->second);
 }
 
 }  // namespace xoar

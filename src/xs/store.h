@@ -14,8 +14,11 @@
 //    mutation shallow-clones only the nodes on its path when they are
 //    shared with a snapshot.
 //  - Per-owner node counts are maintained incrementally on create/remove/
-//    chown/restore, so quota checks and NodesOwnedBy are O(log #owners)
-//    instead of a full-tree flatten.
+//    chown, so quota checks and NodesOwnedBy are O(log #owners) instead of
+//    a full-tree flatten. Nothing on a request or commit path copies them:
+//    a commit replays into a local delta and folds it in only on success,
+//    and the counts are recounted from the tree only when Restore or a
+//    RestoreSnapshot actually replaces the contents (restart completion).
 //  - Watches live in a path-segment trie; dispatching a mutation visits the
 //    ancestors of the mutated path plus the watch subtree below it, so cost
 //    scales with *matching* watches, not total watches.
@@ -134,11 +137,15 @@ class XsStore {
     XsNodePerms perms;
   };
   std::vector<FlatNode> Serialize() const;
+  // Replaces the contents with `nodes`. Restoring shipped state is not a
+  // guest request, so no node quota applies: a manager chown can leave a
+  // guest owning more nodes than the quota, and all of them come back.
   void Restore(const std::vector<FlatNode>& nodes);
 
-  // O(1) checkpoint of the whole store: shares the tree copy-on-write.
-  // XenStore-Logic's microreboot rollback (§5.6) uses this instead of a
-  // full Serialize/Restore round trip.
+  // O(1) checkpoint of the whole store: it holds only the copy-on-write
+  // root, so taking one is a pointer copy whatever the number of nodes or
+  // owners. XenStore-Logic's microreboot rollback (§5.6) uses this instead
+  // of a full Serialize/Restore round trip.
   class Snapshot {
    public:
     Snapshot() = default;
@@ -147,12 +154,12 @@ class XsStore {
    private:
     friend class XsStore;
     std::shared_ptr<Node> root_;
-    std::map<DomainId, std::size_t> owner_counts_;
-    std::size_t node_count_ = 0;
   };
   Snapshot TakeSnapshot() const;
-  // Restoring the snapshot the store is already at is a no-op; otherwise the
-  // store's contents revert and the generation advances.
+  // Restoring the snapshot the store is already at is a no-op (the common
+  // case: requests are gated while a restart is in progress). Otherwise the
+  // contents revert, the owner counters are recounted from the restored
+  // tree (O(nodes)) and the generation advances.
   void RestoreSnapshot(const Snapshot& snapshot);
 
   // Drops all volatile per-client state: active transactions (and the
@@ -176,6 +183,9 @@ class XsStore {
 
  private:
   using NodePtr = std::shared_ptr<Node>;
+  // Nodes per owning domain: the live counters, or a signed delta against
+  // them (a transaction's view, a commit replay).
+  using OwnerCounts = std::map<DomainId, std::int64_t>;
 
   struct Node {
     std::string value;
@@ -215,7 +225,7 @@ class XsStore {
     std::vector<TxOp> ops;
     // Nodes created minus removed per owner inside this transaction, so
     // quota checks see the transaction's own view.
-    std::map<DomainId, std::int64_t> owner_delta;
+    OwnerCounts owner_delta;
   };
 
   // Makes `slot` exclusively owned (shallow-cloning if shared with a
@@ -225,14 +235,17 @@ class XsStore {
   // COW walk to an existing node; nullptr if the path does not exist.
   static Node* ResolveMutable(NodePtr& root, std::string_view path);
   // COW walk that creates missing intermediate nodes owned by `owner`,
-  // charging them to the live counters (tx == nullptr) or the transaction's
-  // delta.
+  // charging them to the live counters (delta == nullptr) or to `delta`.
   StatusOr<Node*> ResolveOrCreate(NodePtr& root, std::string_view path,
-                                  DomainId owner, Transaction* tx);
-  static void TallySubtree(const Node& node,
-                           std::map<DomainId, std::int64_t>* owners,
+                                  DomainId owner, OwnerCounts* delta);
+  static void TallySubtree(const Node& node, OwnerCounts* owners,
                            std::size_t* nodes);
-  std::size_t OwnedCount(DomainId owner, const Transaction* tx) const;
+  // Live count plus `delta` (if any): what a quota check sees.
+  std::size_t OwnedCount(DomainId owner, const OwnerCounts* delta) const;
+  // Adds `n` nodes to `owner`'s live count and to the total.
+  void AddOwned(DomainId owner, std::int64_t n);
+  // Recomputes the live counters from the tree: O(nodes).
+  void RecountOwners();
 
   Status CheckAccess(DomainId caller, const Node& node, XsPerm needed) const;
   // Access check used when creating below existing nodes: write permission
@@ -240,14 +253,15 @@ class XsStore {
   Status CheckCreateAccess(DomainId caller, const Node* root,
                            std::string_view path) const;
 
-  // Mutation bodies shared by the direct path and commit replay. They do
-  // not bump the generation or fire watches; callers do.
+  // Mutation bodies shared by the direct path, transactions and commit
+  // replay. Owner changes go to the live counters (delta == nullptr) or to
+  // `delta`. They do not bump the generation or fire watches; callers do.
   Status ApplyWrite(NodePtr& root, DomainId caller, const std::string& norm,
-                    std::string_view value, Transaction* tx);
+                    std::string_view value, OwnerCounts* delta);
   Status ApplyMkdir(NodePtr& root, DomainId caller, const std::string& norm,
-                    Transaction* tx);
+                    OwnerCounts* delta);
   Status ApplyRemove(NodePtr& root, DomainId caller, const std::string& norm,
-                     Transaction* tx);
+                     OwnerCounts* delta);
 
   Transaction* FindTransaction(TxId tx);
   // Post-mutation bookkeeping for the live tree: generation bump, mutation
@@ -279,9 +293,11 @@ class XsStore {
   std::uint64_t generation_ = 0;
   std::uint64_t op_count_ = 0;
   std::size_t node_quota_ = 0;
-  // Incrementally maintained: #nodes per owning domain and total (root
-  // excluded), kept in sync by create/remove/chown/restore/commit.
-  std::map<DomainId, std::size_t> owner_counts_;
+  // Incrementally maintained: #nodes per owning domain (no zero entries)
+  // and their sum, the node total (root excluded). Kept in sync by create/
+  // remove/chown/commit; recounted when Restore/RestoreSnapshot replace
+  // the tree.
+  OwnerCounts owner_counts_;
   std::size_t node_count_ = 0;
   // (generation, path) of committed mutations, recorded only while
   // transactions are active; cleared when the last transaction ends.

@@ -194,6 +194,28 @@ TEST_F(XsShardTest, ReshardPreservesContentsQuotaAndManagers) {
   EXPECT_EQ(store_.WatchCount(), 0u);
 }
 
+TEST_F(XsShardTest, ReshardKeepsNodesChownedAboveTheQuota) {
+  // A manager chown is not quota-checked, so a guest can own more nodes
+  // than the quota. A reshard restores state rather than serving a guest
+  // request: every one of those nodes must survive it.
+  store_.set_node_quota(2);
+  const DomainId guest{5};
+  XsNodePerms perms;
+  perms.owner = guest;
+  for (const char* path : {"/g/a", "/g/b", "/g/c"}) {
+    ASSERT_TRUE(store_.Write(manager_, path, "v").ok());
+    ASSERT_TRUE(store_.SetPerms(manager_, path, perms).ok());
+  }
+  ASSERT_EQ(store_.NodeCount(), 4u);
+  ASSERT_EQ(store_.NodesOwnedBy(guest), 3u);
+
+  store_.Reshard(4);
+
+  EXPECT_EQ(store_.NodeCount(), 4u);
+  EXPECT_EQ(store_.NodesOwnedBy(guest), 3u);
+  EXPECT_TRUE(store_.Exists(guest, "/g/c"));
+}
+
 class XsSingleShardTest : public XsShardTest {
  protected:
   XsSingleShardTest() : XsShardTest(1) {}

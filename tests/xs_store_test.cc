@@ -462,6 +462,44 @@ TEST_F(XsStoreTest, TransactionQuotaEnforcedAndRolledBackOnAbort) {
   EXPECT_EQ(store_.NodesOwnedBy(guest_), owned_before);
 }
 
+TEST_F(XsStoreTest, CommitFailingQuotaOnReplayLeavesTreeAndCountersAsBefore) {
+  store_.set_node_quota(5);
+  XsNodePerms perms;
+  perms.owner = guest_;
+  for (const char* dir : {"/g/tx", "/g/fill"}) {
+    ASSERT_TRUE(store_.Mkdir(manager_, dir).ok());
+    ASSERT_TRUE(store_.SetPerms(manager_, dir, perms).ok());
+  }
+  auto tx = store_.TransactionStart(guest_);
+  ASSERT_TRUE(tx.ok());
+  ASSERT_TRUE(store_.Write(guest_, "/g/tx/one", "v", *tx).ok());
+  ASSERT_TRUE(store_.Write(guest_, "/g/tx/two", "v", *tx).ok());
+  // Fill the quota outside the transaction, on a disjoint path: no
+  // conflict, but the commit's replay creates its first node and then
+  // hits the quota on the second.
+  ASSERT_TRUE(store_.Write(guest_, "/g/fill/a", "v").ok());
+  ASSERT_TRUE(store_.Write(guest_, "/g/fill/b", "v").ok());
+  ASSERT_EQ(store_.NodesOwnedBy(guest_), 4u);
+  const std::vector<XsStore::FlatNode> before = store_.Serialize();
+  const std::size_t nodes = store_.NodeCount();
+  const std::size_t manager_owned = store_.NodesOwnedBy(manager_);
+
+  EXPECT_EQ(store_.TransactionEnd(guest_, *tx, true).code(),
+            StatusCode::kAborted);
+
+  const std::vector<XsStore::FlatNode> after = store_.Serialize();
+  ASSERT_EQ(after.size(), before.size());
+  for (std::size_t i = 0; i < before.size(); ++i) {
+    EXPECT_EQ(after[i].path, before[i].path);
+    EXPECT_EQ(after[i].value, before[i].value);
+    EXPECT_EQ(after[i].perms.owner, before[i].perms.owner);
+  }
+  EXPECT_FALSE(store_.Exists(guest_, "/g/tx/one"));
+  EXPECT_EQ(store_.NodeCount(), nodes);
+  EXPECT_EQ(store_.NodesOwnedBy(guest_), 4u);
+  EXPECT_EQ(store_.NodesOwnedBy(manager_), manager_owned);
+}
+
 TEST_F(XsStoreTest, TransactionReadsSeeSnapshot) {
   ASSERT_TRUE(store_.Write(manager_, "/k", "old").ok());
   auto tx = store_.TransactionStart(manager_);
@@ -545,6 +583,34 @@ TEST_F(XsStoreTest, SerializeRestoreRoundTripUnderCowSharing) {
   (void)snapshot;
 }
 
+TEST_F(XsStoreTest, RestoreKeepsNodesChownedAboveTheQuota) {
+  // A manager chown is not quota-checked, so a guest can own more nodes
+  // than the quota. Restoring shipped state is not a guest request: every
+  // one of those nodes must come back.
+  store_.set_node_quota(2);
+  XsNodePerms perms;
+  perms.owner = guest_;
+  for (const char* path : {"/g/a", "/g/b", "/g/c"}) {
+    ASSERT_TRUE(store_.Write(manager_, path, "v").ok());
+    ASSERT_TRUE(store_.SetPerms(manager_, path, perms).ok());
+  }
+  ASSERT_EQ(store_.NodeCount(), 4u);
+  ASSERT_EQ(store_.NodesOwnedBy(guest_), 3u);
+
+  XsStore fresh;
+  fresh.AddManagerDomain(manager_);
+  fresh.set_node_quota(2);
+  fresh.Restore(store_.Serialize());
+  EXPECT_EQ(fresh.NodeCount(), 4u);
+  EXPECT_EQ(fresh.NodesOwnedBy(guest_), 3u);
+  EXPECT_TRUE(fresh.Exists(guest_, "/g/c"));
+
+  store_.Restore(store_.Serialize());
+  EXPECT_EQ(store_.NodeCount(), 4u);
+  EXPECT_EQ(store_.NodesOwnedBy(guest_), 3u);
+  EXPECT_TRUE(store_.Exists(guest_, "/g/c"));
+}
+
 TEST_F(XsStoreTest, SnapshotRollbackRestoresContentsAndCounters) {
   ASSERT_TRUE(store_.Mkdir(manager_, "/g").ok());
   XsNodePerms perms;
@@ -574,14 +640,41 @@ TEST_F(XsStoreTest, RestoringCurrentSnapshotIsNoOp) {
   EXPECT_EQ(*store_.Read(manager_, "/k"), "v");
 }
 
+// The incremental owner counters must equal a fresh tally of the contents.
+::testing::AssertionResult CountersMatchContents(
+    const XsStore& store, const std::vector<DomainId>& owners) {
+  const std::vector<XsStore::FlatNode> flat = store.Serialize();
+  std::map<DomainId, std::size_t> tally;
+  for (const auto& node : flat) {
+    ++tally[node.perms.owner];
+  }
+  if (store.NodeCount() != flat.size()) {
+    return ::testing::AssertionFailure()
+           << "NodeCount " << store.NodeCount() << ", tally " << flat.size();
+  }
+  for (DomainId owner : owners) {
+    if (store.NodesOwnedBy(owner) != tally[owner]) {
+      return ::testing::AssertionFailure()
+             << "dom" << owner.value() << " owns "
+             << store.NodesOwnedBy(owner) << ", tally " << tally[owner];
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
 // Property: a random operation sequence applied to both XsStore and a flat
-// reference map must agree on every readable value.
+// reference map must agree on every readable value, and after every step
+// the owner counters must match a fresh tally -- through manager chowns,
+// subtree removes, snapshot rollbacks, and guest commits whose replay fails
+// on the node quota.
 class XsStoreModelTest : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(XsStoreModelTest, AgreesWithReferenceModel) {
   XsStore store;
   const DomainId mgr(0);
+  const std::vector<DomainId> owners = {mgr, DomainId(7), DomainId(8)};
   store.AddManagerDomain(mgr);
+  store.set_node_quota(4);
   std::map<std::string, std::string> model;
   std::uint64_t state = GetParam() * 0x9E3779B97F4A7C15ULL + 3;
   auto next = [&state] {
@@ -590,22 +683,49 @@ TEST_P(XsStoreModelTest, AgreesWithReferenceModel) {
   };
   const std::vector<std::string> paths = {"/a", "/a/b", "/a/b/c", "/d",
                                           "/d/e", "/f/g/h"};
+  auto model_write = [&model](const std::string& path,
+                              const std::string& value) {
+    model[path] = value;
+    // Intermediate nodes materialize with empty values.
+    std::vector<std::string> segments = SplitPath(path);
+    std::string prefix;
+    for (std::size_t s = 0; s + 1 < segments.size(); ++s) {
+      prefix += "/" + segments[s];
+      if (model.count(prefix) == 0) {
+        model[prefix] = "";
+      }
+    }
+  };
+  auto model_remove = [&model](const std::string& path) {
+    for (auto it = model.begin(); it != model.end();) {
+      if (PathHasPrefix(it->first, path)) {
+        it = model.erase(it);
+      } else {
+        ++it;
+      }
+    }
+  };
+  // Each guest owns a home directory, disjoint from `paths`, where its
+  // transactions create and remove keys.
+  const std::vector<std::string> homes = {"/h7", "/h8"};
+  for (std::size_t g = 0; g < homes.size(); ++g) {
+    XsNodePerms perms;
+    perms.owner = owners[g + 1];
+    ASSERT_TRUE(store.Mkdir(mgr, homes[g]).ok());
+    ASSERT_TRUE(store.SetPerms(mgr, homes[g], perms).ok());
+    model_write(homes[g], "");
+  }
+  XsStore::Snapshot snapshot;
+  std::map<std::string, std::string> snapshot_model;
+  int replay_failures = 0;
   for (int i = 0; i < 2000; ++i) {
     const std::string& path = paths[next() % paths.size()];
-    switch (next() % 3) {
+    switch (next() % 6) {
       case 0: {
-        const std::string value = StrFormat("v%u", next() % 100);
+        const std::string value =
+            StrFormat("v%u", static_cast<unsigned>(next() % 100));
         if (store.Write(mgr, path, value).ok()) {
-          model[path] = value;
-          // Intermediate nodes materialize with empty values.
-          std::vector<std::string> segments = SplitPath(path);
-          std::string prefix;
-          for (std::size_t s = 0; s + 1 < segments.size(); ++s) {
-            prefix += "/" + segments[s];
-            if (model.count(prefix) == 0) {
-              model[prefix] = "";
-            }
-          }
+          model_write(path, value);
         }
         break;
       }
@@ -621,18 +741,75 @@ TEST_P(XsStoreModelTest, AgreesWithReferenceModel) {
       }
       case 2: {
         if (store.Remove(mgr, path).ok()) {
-          for (auto it = model.begin(); it != model.end();) {
-            if (PathHasPrefix(it->first, path)) {
-              it = model.erase(it);
+          model_remove(path);
+        }
+        break;
+      }
+      case 3: {  // manager chown (not quota-checked)
+        XsNodePerms perms;
+        perms.owner = owners[next() % owners.size()];
+        (void)store.SetPerms(mgr, path, perms);
+        break;
+      }
+      case 4: {  // take a snapshot, or roll back to the one held
+        if (!snapshot.valid()) {
+          snapshot = store.TakeSnapshot();
+          snapshot_model = model;
+        } else {
+          store.RestoreSnapshot(snapshot);
+          model = snapshot_model;
+          snapshot = XsStore::Snapshot();
+        }
+        break;
+      }
+      case 5: {  // guest commit; a manager chown may fill its quota first
+        const std::size_t g = next() % homes.size();
+        const DomainId guest = owners[g + 1];
+        auto tx = store.TransactionStart(guest);
+        ASSERT_TRUE(tx.ok());
+        // Stage one or two key updates in the guest's home: remove a key
+        // the transaction sees, or write one.
+        struct Staged {
+          std::string key;
+          std::string value;
+          bool remove;
+        };
+        std::vector<Staged> staged;
+        bool ok = true;
+        for (std::uint64_t n = 1 + next() % 2; n > 0 && ok; --n) {
+          Staged op{StrFormat("%s/k%u", homes[g].c_str(),
+                              static_cast<unsigned>(next() % 3)),
+                    StrFormat("t%u", static_cast<unsigned>(next() % 100)),
+                    false};
+          op.remove = store.Exists(guest, op.key, *tx) && next() % 2 == 0;
+          ok = op.remove ? store.Remove(guest, op.key, *tx).ok()
+                         : store.Write(guest, op.key, op.value, *tx).ok();
+          staged.push_back(op);
+        }
+        if (next() % 2 == 0) {
+          XsNodePerms perms;
+          perms.owner = guest;
+          (void)store.SetPerms(mgr, path, perms);
+        }
+        const Status end = store.TransactionEnd(guest, *tx, ok);
+        if (end.ok() && ok) {
+          for (const Staged& op : staged) {
+            if (op.remove) {
+              model_remove(op.key);
             } else {
-              ++it;
+              model_write(op.key, op.value);
             }
           }
+        }
+        if (end.message().find("replay failed") != std::string::npos) {
+          ++replay_failures;
         }
         break;
       }
     }
+    ASSERT_TRUE(CountersMatchContents(store, owners)) << "step " << i;
   }
+  EXPECT_GT(replay_failures, 0);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, XsStoreModelTest,
