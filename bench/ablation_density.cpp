@@ -39,6 +39,7 @@
 #include <vector>
 
 #include "bench/report.h"
+#include "src/base/json.h"
 #include "src/base/log.h"
 #include "src/base/strings.h"
 #include "src/base/units.h"
@@ -157,70 +158,38 @@ SweepPoint RunPoint(int target, int shards, int max_guests,
   return point;
 }
 
-bool WriteReport(const std::string& path, const std::vector<SweepPoint>& sweep,
-                 bool scan_free) {
-  // Same hand-authored shape as the lint report: the BENCH context +
-  // benchmarks skeleton plus one extra top-level array ("sweep") for the
-  // trajectory itself.
+Status WriteReport(const std::string& path,
+                   const std::vector<SweepPoint>& sweep, bool scan_free) {
+  // The BENCH context + benchmarks skeleton plus one extra top-level array
+  // ("sweep") for the trajectory itself.
   int max_domains = 0;
   int total_created = 0;
   for (const SweepPoint& p : sweep) {
     max_domains = std::max(max_domains, p.created);
     total_created += p.created;
   }
-  std::string out;
-  out += "{\n";
-  out += "  \"context\": {\n";
-  out += "    \"executable\": \"ablation_density\",\n";
-  out += "    \"sim_time_ns\": 0\n";
-  out += "  },\n";
-  out += "  \"benchmarks\": [\n";
-  out += StrFormat(
-      "    {\"name\": \"density.sweep_points\", \"run_type\": \"gauge\", "
-      "\"value\": %zu},\n",
-      sweep.size());
-  out += StrFormat(
-      "    {\"name\": \"density.max_domains\", \"run_type\": \"gauge\", "
-      "\"value\": %d},\n",
-      max_domains);
-  out += StrFormat(
-      "    {\"name\": \"density.total_created\", \"run_type\": \"counter\", "
-      "\"value\": %d},\n",
-      total_created);
-  out += StrFormat(
-      "    {\"name\": \"density.scan_free_create_path\", \"run_type\": "
-      "\"gauge\", \"value\": %d},\n",
-      scan_free ? 1 : 0);
-  out += StrFormat(
-      "    {\"name\": \"xs.shard.count\", \"run_type\": \"gauge\", "
-      "\"value\": %d}\n",
-      sweep.empty() ? 1 : sweep.back().shard_count);
-  out += "  ],\n";
-  out += "  \"sweep\": [\n";
-  for (std::size_t i = 0; i < sweep.size(); ++i) {
-    const SweepPoint& p = sweep[i];
-    out += StrFormat(
-        "    {\"domains\": %d, \"created\": %d, \"shard_count\": %d, "
-        "\"create_ops_per_sec\": %.3f, \"per_domain_control_bytes\": %.1f, "
-        "\"create_path_scans\": %llu, \"xenstore_nodes\": %zu, "
-        "\"control_plane_mb\": %llu}%s\n",
-        p.domains_target, p.created, p.shard_count, p.create_ops_per_sec,
-        p.per_domain_control_bytes,
-        static_cast<unsigned long long>(p.create_path_scans),
-        p.xenstore_nodes, static_cast<unsigned long long>(p.control_mb),
-        i + 1 == sweep.size() ? "" : ",");
+  JsonReport report("ablation_density", {"sweep"});
+  report.AddMetric("density.sweep_points", "gauge", sweep.size());
+  report.AddMetric("density.max_domains", "gauge", max_domains);
+  report.AddMetric("density.total_created", "counter", total_created);
+  report.AddMetric("density.scan_free_create_path", "gauge",
+                   scan_free ? 1 : 0);
+  report.AddMetric("xs.shard.count", "gauge",
+                   sweep.empty() ? 1 : sweep.back().shard_count);
+  for (const SweepPoint& p : sweep) {
+    report.AddRow("sweep",
+                  JsonObject()
+                      .Num("domains", p.domains_target)
+                      .Num("created", p.created)
+                      .Num("shard_count", p.shard_count)
+                      .Num("create_ops_per_sec", p.create_ops_per_sec, 3)
+                      .Num("per_domain_control_bytes",
+                           p.per_domain_control_bytes, 1)
+                      .Num("create_path_scans", p.create_path_scans)
+                      .Num("xenstore_nodes", p.xenstore_nodes)
+                      .Num("control_plane_mb", p.control_mb));
   }
-  out += "  ]\n";
-  out += "}\n";
-
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot open %s for writing\n", path.c_str());
-    return false;
-  }
-  const std::size_t written = std::fwrite(out.data(), 1, out.size(), f);
-  std::fclose(f);
-  return written == out.size();
+  return WriteStringToFile(path, report.ToString());
 }
 
 int Run(const Options& options, TraceSink* sink) {
@@ -278,7 +247,9 @@ int Run(const Options& options, TraceSink* sink) {
   }
 
   if (!options.out.empty()) {  // a replay verification run writes no report
-    if (!WriteReport(options.out, sweep, scan_free)) {
+    const Status written = WriteReport(options.out, sweep, scan_free);
+    if (!written.ok()) {
+      std::fprintf(stderr, "%s\n", written.ToString().c_str());
       return 2;
     }
     std::printf("\ndensity report -> %s\n", options.out.c_str());

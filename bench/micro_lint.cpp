@@ -16,8 +16,6 @@
 // cannot hide behind the bench.
 #include <chrono>
 #include <cstdio>
-#include <cstring>
-#include <fstream>
 #include <string>
 #include <vector>
 
@@ -25,6 +23,7 @@
 #include "src/analysis/report.h"
 #include "src/analysis/rules.h"
 #include "src/analysis/source_tree.h"
+#include "src/base/json.h"
 #include "src/security/interface_graph.h"
 
 namespace xoar {
@@ -129,12 +128,11 @@ int Run(const std::string& root, const std::string& out_path) {
       {{"lint_cost.full_tree_us", pass.total_us},
        {"lint_cost.lint_us", pass.lint_us},
        {"lint_cost.flow_us", pass.flow_us}});
-  std::ofstream out(out_path, std::ios::binary | std::ios::trunc);
-  if (!out) {
-    std::fprintf(stderr, "micro_lint: cannot write %s\n", out_path.c_str());
+  const Status written = WriteStringToFile(out_path, json);
+  if (!written.ok()) {
+    std::fprintf(stderr, "micro_lint: %s\n", written.ToString().c_str());
     return 2;
   }
-  out << json;
 
   std::size_t lint_blocking = 0;
   for (const analysis::Finding& finding : pass.lint_findings) {

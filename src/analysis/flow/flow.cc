@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <set>
 
-#include "src/base/strings.h"
+#include "src/base/json.h"
 
 namespace xoar {
 namespace analysis {
@@ -121,12 +121,12 @@ FlowConfig DefaultFlowConfig() {
   };
 
   // Deterministic-output sinks for the taint rule (DESIGN.md §5c): the
-  // replay journal, the audit log, and the byte-stable JSON exporters.
+  // replay journal, the audit log, and the report writer every byte-stable
+  // JSON export goes through.
   config.sinks = {
       {"Journal", "Append", "journal"},
       {"AuditLog", "Record", "audit"},
-      {"MetricRegistry", "WriteJsonFile", "bench export"},
-      {"TraceSink", "WriteJsonFile", "bench export"},
+      {"JsonReport", "Add", "bench export"},
   };
   return config;
 }
@@ -187,96 +187,39 @@ std::string FormatFlowJson(
     const FlowResult& result, const LintSummary& summary,
     const std::vector<GraphStats>& containment,
     const std::vector<std::pair<std::string, std::size_t>>& extra_gauges) {
-  // Assemble the metric list first so the trailing-comma logic stays in
-  // one place regardless of how many containment/extra entries exist.
-  std::vector<std::pair<std::string, std::size_t>> counters;
-  std::map<std::string, std::size_t> per_rule;
-  for (const std::string& rule : FlowSuppressibleRules()) {
-    per_rule[rule] = 0;
-  }
-  per_rule["suppression"] = 0;
-  for (const Finding& finding : result.findings) {
-    if (!finding.suppressed && !finding.warning) {
-      ++per_rule[finding.rule];
-    }
-  }
-  std::vector<std::pair<std::string, std::size_t>> gauges = {
-      {"flow.files_scanned", result.files_scanned},
-      {"flow.functions", result.functions},
-      {"flow.call_edges", result.call_edges},
-      {"flow.widened_functions", result.widened_functions},
-      {"flow.comm.derived_edges", result.derived_comm.size()},
-  };
+  JsonReport report("xoar_flow", {"findings", "comm_graph"});
+  report.AddMetric("flow.files_scanned", "gauge", result.files_scanned);
+  report.AddMetric("flow.functions", "gauge", result.functions);
+  report.AddMetric("flow.call_edges", "gauge", result.call_edges);
+  report.AddMetric("flow.widened_functions", "gauge",
+                   result.widened_functions);
+  report.AddMetric("flow.comm.derived_edges", "gauge",
+                   result.derived_comm.size());
   for (const GraphStats& stats : containment) {
     const std::string prefix = "flow.containment." + stats.label;
-    gauges.push_back({prefix + ".nodes", stats.nodes});
-    gauges.push_back({prefix + ".edges", stats.edges});
-    gauges.push_back({prefix + ".attack_surface", stats.attack_surface});
-    gauges.push_back({prefix + ".max_reach", stats.max_reach});
-    gauges.push_back({prefix + ".mean_reach_milli", stats.mean_reach_milli});
+    report.AddMetric(prefix + ".nodes", "gauge", stats.nodes);
+    report.AddMetric(prefix + ".edges", "gauge", stats.edges);
+    report.AddMetric(prefix + ".attack_surface", "gauge",
+                     stats.attack_surface);
+    report.AddMetric(prefix + ".max_reach", "gauge", stats.max_reach);
+    report.AddMetric(prefix + ".mean_reach_milli", "gauge",
+                     stats.mean_reach_milli);
   }
-  for (const auto& extra : extra_gauges) {
-    gauges.push_back(extra);
+  for (const auto& [name, value] : extra_gauges) {
+    report.AddMetric(name, "gauge", value);
   }
-  for (const auto& [rule, count] : per_rule) {
-    counters.push_back({"flow.findings." + rule, count});
+  AddFindings(&report, "flow", FlowSuppressibleRules(), result.findings,
+              summary);
+  for (const CommEdge& e : result.derived_comm) {
+    report.AddRow("comm_graph", JsonObject()
+                                    .Str("from", e.from)
+                                    .Str("to", e.to)
+                                    .Str("kind", e.kind)
+                                    .Str("witness_file", e.witness_file)
+                                    .Num("witness_line", e.witness_line)
+                                    .Str("detail", e.detail));
   }
-  counters.push_back({"flow.findings.total", summary.unsuppressed});
-  counters.push_back({"flow.suppressed.total", summary.suppressed});
-  counters.push_back({"flow.warnings.total", summary.warnings});
-
-  std::string out;
-  out += "{\n";
-  out += "  \"context\": {\n";
-  out += "    \"executable\": \"xoar_flow\",\n";
-  out += "    \"sim_time_ns\": 0\n";
-  out += "  },\n";
-  out += "  \"benchmarks\": [\n";
-  const std::size_t total = gauges.size() + counters.size();
-  std::size_t emitted = 0;
-  auto metric = [&out, &emitted, total](const std::string& name,
-                                        const char* run_type,
-                                        std::size_t value) {
-    ++emitted;
-    out += StrFormat(
-        "    {\"name\": \"%s\", \"run_type\": \"%s\", \"value\": %zu}%s\n",
-        name.c_str(), run_type, value, emitted == total ? "" : ",");
-  };
-  for (const auto& [name, value] : gauges) {
-    metric(name, "gauge", value);
-  }
-  for (const auto& [name, value] : counters) {
-    metric(name, "counter", value);
-  }
-  out += "  ],\n";
-  out += "  \"findings\": [\n";
-  for (std::size_t i = 0; i < result.findings.size(); ++i) {
-    const Finding& f = result.findings[i];
-    out += StrFormat(
-        "    {\"rule\": \"%s\", \"file\": \"%s\", \"line\": %d, "
-        "\"message\": \"%s\", \"suppressed\": %s, \"warning\": %s, "
-        "\"justification\": \"%s\"}%s\n",
-        JsonEscape(f.rule).c_str(), JsonEscape(f.file).c_str(), f.line,
-        JsonEscape(f.message).c_str(), f.suppressed ? "true" : "false",
-        f.warning ? "true" : "false", JsonEscape(f.justification).c_str(),
-        i + 1 == result.findings.size() ? "" : ",");
-  }
-  out += "  ],\n";
-  out += "  \"comm_graph\": [\n";
-  for (std::size_t i = 0; i < result.derived_comm.size(); ++i) {
-    const CommEdge& e = result.derived_comm[i];
-    out += StrFormat(
-        "    {\"from\": \"%s\", \"to\": \"%s\", \"kind\": \"%s\", "
-        "\"witness_file\": \"%s\", \"witness_line\": %d, "
-        "\"detail\": \"%s\"}%s\n",
-        JsonEscape(e.from).c_str(), JsonEscape(e.to).c_str(),
-        JsonEscape(e.kind).c_str(), JsonEscape(e.witness_file).c_str(),
-        e.witness_line, JsonEscape(e.detail).c_str(),
-        i + 1 == result.derived_comm.size() ? "" : ",");
-  }
-  out += "  ]\n";
-  out += "}\n";
-  return out;
+  return report.ToString();
 }
 
 }  // namespace flow

@@ -7,34 +7,6 @@
 namespace xoar {
 namespace analysis {
 
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 8);
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          out += StrFormat("\\u%04x", c);
-        } else {
-          out.push_back(c);
-        }
-    }
-  }
-  return out;
-}
-
 LintSummary Summarize(const std::vector<Finding>& findings,
                       std::size_t files_scanned) {
   LintSummary summary;
@@ -52,7 +24,8 @@ LintSummary Summarize(const std::vector<Finding>& findings,
   return summary;
 }
 
-std::string FormatText(const std::vector<Finding>& findings,
+std::string FormatText(const std::string& tool,
+                       const std::vector<Finding>& findings,
                        const LintSummary& summary) {
   std::string out;
   for (const Finding& finding : findings) {
@@ -67,19 +40,19 @@ std::string FormatText(const std::vector<Finding>& findings,
     out += "\n";
   }
   out += StrFormat(
-      "xoar_lint: %zu file(s) scanned, %zu finding(s) (%zu suppressed, "
+      "%s: %zu file(s) scanned, %zu finding(s) (%zu suppressed, "
       "%zu warning(s), %zu blocking)\n",
-      summary.files_scanned, summary.total, summary.suppressed,
+      tool.c_str(), summary.files_scanned, summary.total, summary.suppressed,
       summary.warnings, summary.unsuppressed);
   return out;
 }
 
-std::string FormatJson(const std::vector<Finding>& findings,
-                       const LintSummary& summary) {
-  // Per-rule counts cover every suppressible rule plus "suppression", even
-  // when zero, so the schema checker can rely on their presence.
+void AddFindings(JsonReport* report, const std::string& prefix,
+                 const std::vector<std::string>& rules,
+                 const std::vector<Finding>& findings,
+                 const LintSummary& summary) {
   std::map<std::string, std::size_t> per_rule;
-  for (const std::string& rule : SuppressibleRules()) {
+  for (const std::string& rule : rules) {
     per_rule[rule] = 0;
   }
   per_rule["suppression"] = 0;
@@ -88,44 +61,32 @@ std::string FormatJson(const std::vector<Finding>& findings,
       ++per_rule[finding.rule];
     }
   }
-
-  std::string out;
-  out += "{\n";
-  out += "  \"context\": {\n";
-  out += "    \"executable\": \"xoar_lint\",\n";
-  out += "    \"sim_time_ns\": 0\n";
-  out += "  },\n";
-  out += "  \"benchmarks\": [\n";
-  auto metric = [&out](const std::string& name, const char* run_type,
-                       std::size_t value, bool last) {
-    out += StrFormat(
-        "    {\"name\": \"%s\", \"run_type\": \"%s\", \"value\": %zu}%s\n",
-        name.c_str(), run_type, value, last ? "" : ",");
-  };
-  metric("lint.files_scanned", "gauge", summary.files_scanned, false);
   for (const auto& [rule, count] : per_rule) {
-    metric("lint.findings." + rule, "counter", count, false);
+    report->AddMetric(prefix + ".findings." + rule, "counter", count);
   }
-  metric("lint.findings.total", "counter", summary.unsuppressed, false);
-  metric("lint.suppressed.total", "counter", summary.suppressed, false);
-  metric("lint.warnings.total", "counter", summary.warnings, true);
-  out += "  ],\n";
-  out += "  \"findings\": [\n";
-  for (std::size_t i = 0; i < findings.size(); ++i) {
-    const Finding& f = findings[i];
-    out += StrFormat(
-        "    {\"rule\": \"%s\", \"file\": \"%s\", \"line\": %d, "
-        "\"message\": \"%s\", \"suppressed\": %s, \"warning\": %s, "
-        "\"justification\": \"%s\"}%s\n",
-        JsonEscape(f.rule).c_str(), JsonEscape(f.file).c_str(), f.line,
-        JsonEscape(f.message).c_str(), f.suppressed ? "true" : "false",
-        f.warning ? "true" : "false",
-        JsonEscape(f.justification).c_str(),
-        i + 1 == findings.size() ? "" : ",");
+  report->AddMetric(prefix + ".findings.total", "counter",
+                    summary.unsuppressed);
+  report->AddMetric(prefix + ".suppressed.total", "counter",
+                    summary.suppressed);
+  report->AddMetric(prefix + ".warnings.total", "counter", summary.warnings);
+  for (const Finding& f : findings) {
+    report->AddRow("findings", JsonObject()
+                                   .Str("rule", f.rule)
+                                   .Str("file", f.file)
+                                   .Num("line", f.line)
+                                   .Str("message", f.message)
+                                   .Bool("suppressed", f.suppressed)
+                                   .Bool("warning", f.warning)
+                                   .Str("justification", f.justification));
   }
-  out += "  ]\n";
-  out += "}\n";
-  return out;
+}
+
+std::string FormatJson(const std::vector<Finding>& findings,
+                       const LintSummary& summary) {
+  JsonReport report("xoar_lint", {"findings"});
+  report.AddMetric("lint.files_scanned", "gauge", summary.files_scanned);
+  AddFindings(&report, "lint", SuppressibleRules(), findings, summary);
+  return report.ToString();
 }
 
 }  // namespace analysis

@@ -29,6 +29,7 @@
 #include <vector>
 
 #include "src/analysis/rules.h"
+#include "src/base/json.h"
 
 namespace xoar {
 namespace analysis {
@@ -44,16 +45,23 @@ struct LintSummary {
 LintSummary Summarize(const std::vector<Finding>& findings,
                       std::size_t files_scanned);
 
-// One line per finding plus a trailing summary line.
-std::string FormatText(const std::vector<Finding>& findings,
+// One line per finding plus a trailing summary line headed by `tool`.
+std::string FormatText(const std::string& tool,
+                       const std::vector<Finding>& findings,
                        const LintSummary& summary);
 
 // The BENCH-style JSON document described above.
 std::string FormatJson(const std::vector<Finding>& findings,
                        const LintSummary& summary);
 
-// JSON string-escaping helper, shared with the flow report formatter.
-std::string JsonEscape(const std::string& s);
+// Adds the `<prefix>.findings.<rule>` counters (every rule in `rules` plus
+// "suppression", zeros included, so the schema checker can rely on them),
+// the blocking/suppressed/warning totals, and one "findings" row per
+// finding. Shared by the lint and flow reports.
+void AddFindings(JsonReport* report, const std::string& prefix,
+                 const std::vector<std::string>& rules,
+                 const std::vector<Finding>& findings,
+                 const LintSummary& summary);
 
 }  // namespace analysis
 }  // namespace xoar

@@ -1,8 +1,11 @@
-#include "src/obs/json.h"
+#include "src/base/json.h"
 
+#include <algorithm>
 #include <cctype>
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <utility>
 
 #include "src/base/strings.h"
@@ -303,6 +306,146 @@ StatusOr<JsonValue> ParseJsonFile(const std::string& path) {
   }
   std::fclose(f);
   return ParseJson(contents);
+}
+
+void AppendJsonString(std::string* out, std::string_view s) {
+  out->push_back('"');
+  for (char c : s) {
+    switch (c) {
+      case '"':
+        out->append("\\\"");
+        break;
+      case '\\':
+        out->append("\\\\");
+        break;
+      case '\n':
+        out->append("\\n");
+        break;
+      case '\t':
+        out->append("\\t");
+        break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          out->append(StrFormat(
+              "\\u%04x", static_cast<unsigned>(static_cast<unsigned char>(c))));
+        } else {
+          out->push_back(c);
+        }
+    }
+  }
+  out->push_back('"');
+}
+
+namespace {
+
+std::string JsonNumber(double value, int decimals) {
+  if (decimals >= 0) {
+    return StrFormat("%.*f", decimals, value);
+  }
+  // Range-check before the int64 cast: casting a double outside int64
+  // range is undefined behaviour.
+  if (value < 1e15 && value > -1e15 &&
+      value == static_cast<double>(static_cast<std::int64_t>(value))) {
+    return StrFormat("%lld", static_cast<long long>(value));
+  }
+  return StrFormat("%.17g", value);
+}
+
+}  // namespace
+
+Status WriteStringToFile(const std::string& path, std::string_view contents) {
+  std::FILE* f = std::fopen(path.c_str(), "wb");
+  if (f == nullptr) {
+    return InternalError(StrFormat("cannot open %s for writing: %s",
+                                   path.c_str(), std::strerror(errno)));
+  }
+  const std::size_t written =
+      std::fwrite(contents.data(), 1, contents.size(), f);
+  const bool closed = std::fclose(f) == 0;
+  if (written != contents.size() || !closed) {
+    return InternalError(StrFormat("write to %s failed: %s", path.c_str(),
+                                   std::strerror(errno)));
+  }
+  return Status::Ok();
+}
+
+void JsonObject::Key(std::string_view key) {
+  if (text_.size() > 1) {
+    text_.append(", ");
+  }
+  AppendJsonString(&text_, key);
+  text_.append(": ");
+}
+
+JsonObject& JsonObject::Str(std::string_view key, std::string_view value) {
+  Key(key);
+  AppendJsonString(&text_, value);
+  return *this;
+}
+
+JsonObject& JsonObject::Num(std::string_view key, double value,
+                            int decimals) {
+  Key(key);
+  text_.append(JsonNumber(value, decimals));
+  return *this;
+}
+
+JsonObject& JsonObject::Bool(std::string_view key, bool value) {
+  Key(key);
+  text_.append(value ? "true" : "false");
+  return *this;
+}
+
+JsonObject& JsonObject::Raw(std::string_view key, std::string_view json) {
+  Key(key);
+  text_.append(json);
+  return *this;
+}
+
+JsonReport::JsonReport(std::string_view executable,
+                       std::vector<std::string> arrays,
+                       std::uint64_t sim_time_ns)
+    : executable_(executable), sim_time_ns_(sim_time_ns) {
+  arrays_.emplace_back("benchmarks", std::vector<std::string>{});
+  for (std::string& name : arrays) {
+    arrays_.emplace_back(std::move(name), std::vector<std::string>{});
+  }
+}
+
+void JsonReport::AddMetric(std::string_view name, std::string_view run_type,
+                           double value) {
+  AddRow("benchmarks",
+         JsonObject().Str("name", name).Str("run_type", run_type).Num(
+             "value", value));
+}
+
+void JsonReport::AddRow(std::string_view array, const JsonObject& row) {
+  auto it = std::find_if(arrays_.begin(), arrays_.end(),
+                         [&](const auto& a) { return a.first == array; });
+  if (it == arrays_.end()) {
+    it = arrays_.emplace(arrays_.end(), std::string(array),
+                         std::vector<std::string>{});
+  }
+  it->second.push_back(row.ToString());
+}
+
+std::string JsonReport::ToString() const {
+  std::string out = "{\n  \"context\": {\n    \"executable\": ";
+  AppendJsonString(&out, executable_);
+  out.append(StrFormat(",\n    \"sim_time_ns\": %llu\n  }",
+                       static_cast<unsigned long long>(sim_time_ns_)));
+  for (const auto& [name, rows] : arrays_) {
+    out.append(",\n  ");
+    AppendJsonString(&out, name);
+    out.append(": [");
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+      out.append(i == 0 ? "\n    " : ",\n    ");
+      out.append(rows[i]);
+    }
+    out.append("\n  ]");
+  }
+  out.append("\n}\n");
+  return out;
 }
 
 }  // namespace xoar

@@ -1,9 +1,9 @@
 #include "src/obs/trace.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <utility>
 
+#include "src/base/json.h"
 #include "src/base/strings.h"
 
 namespace xoar {
@@ -147,34 +147,6 @@ void Tracer::Clear() {
 
 namespace {
 
-void AppendJsonString(std::string* out, std::string_view s) {
-  out->push_back('"');
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out->append("\\\"");
-        break;
-      case '\\':
-        out->append("\\\\");
-        break;
-      case '\n':
-        out->append("\\n");
-        break;
-      case '\t':
-        out->append("\\t");
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          out->append(StrFormat(
-              "\\u%04x", static_cast<unsigned>(static_cast<unsigned char>(c))));
-        } else {
-          out->push_back(c);
-        }
-    }
-  }
-  out->push_back('"');
-}
-
 // trace_event timestamps are microseconds; print ns-resolution fractions
 // without float formatting so output is deterministic and exact.
 std::string MicrosFromNanos(std::uint64_t ns) {
@@ -232,17 +204,7 @@ std::string Tracer::ToChromeJson() const {
 }
 
 Status Tracer::WriteJsonFile(const std::string& path) const {
-  const std::string json = ToChromeJson();
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    return InternalError(StrFormat("cannot open %s for writing", path.c_str()));
-  }
-  const std::size_t written = std::fwrite(json.data(), 1, json.size(), f);
-  std::fclose(f);
-  if (written != json.size()) {
-    return InternalError(StrFormat("short write to %s", path.c_str()));
-  }
-  return Status::Ok();
+  return WriteStringToFile(path, ToChromeJson());
 }
 
 }  // namespace xoar

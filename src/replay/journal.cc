@@ -9,6 +9,7 @@
 #endif
 
 #include "src/base/hash_chain.h"
+#include "src/base/json.h"
 #include "src/base/strings.h"
 
 namespace xoar {
@@ -168,16 +169,7 @@ Status Journal::WriteFile(const std::string& path) const {
     (*this)[i].SerializeTo(wire);
     out.append(wire, sizeof(wire));
   }
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  if (f == nullptr) {
-    return InternalError(StrFormat("cannot open %s for writing", path.c_str()));
-  }
-  const std::size_t written = std::fwrite(out.data(), 1, out.size(), f);
-  std::fclose(f);
-  if (written != out.size()) {
-    return InternalError(StrFormat("short write to %s", path.c_str()));
-  }
-  return Status::Ok();
+  return WriteStringToFile(path, out);
 }
 
 StatusOr<Journal> Journal::ReadFile(const std::string& path) {

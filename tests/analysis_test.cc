@@ -417,6 +417,17 @@ TEST(FlowFixtureTest, UnorderedIterationIntoJournalIsBlocking) {
   EXPECT_NE(blocking[0].message.find("Journal::Append"), std::string::npos);
 }
 
+TEST(FlowFixtureTest, UnorderedIterationIntoReportWriterIsBlocking) {
+  const flow::FlowResult result = FlowFixture("flow_report_taint");
+  const std::vector<Finding> blocking = Blocking(result.findings);
+  ASSERT_EQ(blocking.size(), 1u);
+  EXPECT_EQ(blocking[0].rule, "nondet_flow");
+  EXPECT_NE(blocking[0].message.find("gauges_"), std::string::npos);
+  EXPECT_NE(blocking[0].message.find("JsonReport::AddMetric"),
+            std::string::npos);
+  EXPECT_NE(blocking[0].message.find("bench export"), std::string::npos);
+}
+
 TEST(FlowFixtureTest, StaleSuppressionWarnsAndStrictPromotes) {
   // A justified comment that silences nothing is a warning by default;
   // --strict turns the same comment into a blocking finding. The lexical

@@ -2,6 +2,7 @@
 
 #include "src/base/hash_chain.h"
 #include "src/base/ids.h"
+#include "src/base/json.h"
 #include "src/base/rng.h"
 #include "src/base/status.h"
 #include "src/base/strings.h"
@@ -225,6 +226,45 @@ TEST(HashChainTest, OrderMatters) {
   ba.Append("b");
   ba.Append("a");
   EXPECT_NE(ab.head(), ba.head());
+}
+
+// --- JSON writer ---
+
+TEST(JsonWriterTest, ReportLayoutIsByteStable) {
+  JsonReport report("tool", {"rows", "empty"}, 42);
+  report.AddMetric("a.count", "counter", 7);
+  report.AddMetric("a.ratio", "gauge", 0.1);
+  report.AddRow("rows", JsonObject()
+                            .Str("s", "q\"\\\n\x01")
+                            .Num("fixed", 2.5, 3)
+                            .Bool("b", true)
+                            .Raw("raw", "[1]"));
+  EXPECT_EQ(report.ToString(),
+            "{\n"
+            "  \"context\": {\n"
+            "    \"executable\": \"tool\",\n"
+            "    \"sim_time_ns\": 42\n"
+            "  },\n"
+            "  \"benchmarks\": [\n"
+            "    {\"name\": \"a.count\", \"run_type\": \"counter\", "
+            "\"value\": 7},\n"
+            "    {\"name\": \"a.ratio\", \"run_type\": \"gauge\", "
+            "\"value\": 0.10000000000000001}\n"
+            "  ],\n"
+            "  \"rows\": [\n"
+            "    {\"s\": \"q\\\"\\\\\\n\\u0001\", \"fixed\": 2.500, "
+            "\"b\": true, \"raw\": [1]}\n"
+            "  ],\n"
+            "  \"empty\": [\n"
+            "  ]\n"
+            "}\n");
+}
+
+TEST(JsonWriterTest, WriteFailsWhenBytesDoNotReachTheFile) {
+  // A small write sits in the stdio buffer until fclose, which is where a
+  // full device reports ENOSPC.
+  EXPECT_FALSE(WriteStringToFile("/dev/full", "{}\n").ok());
+  EXPECT_FALSE(WriteStringToFile("/nonexistent-dir/report.json", "{}").ok());
 }
 
 }  // namespace

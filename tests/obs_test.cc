@@ -10,7 +10,7 @@
 
 #include "src/base/log.h"
 #include "src/core/xoar_platform.h"
-#include "src/obs/json.h"
+#include "src/base/json.h"
 #include "src/obs/metrics.h"
 #include "src/obs/obs.h"
 #include "src/obs/trace.h"

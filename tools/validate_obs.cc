@@ -1,930 +1,534 @@
-// Schema checker for the observability exports, run by CTest after the
-// quickstart example (see examples/CMakeLists.txt):
+// validate_obs — schema checks for the observability exports. Each mode is
+// paired with the CTest that writes its file:
 //
-//   validate_obs <metrics.json> <trace.json>
-//   validate_obs --campaign <BENCH_fault_campaign.json>
-//   validate_obs --lint <xoar_lint_report.json>
-//   validate_obs --flow <BENCH_analysis.json>
-//   validate_obs --sim <BENCH_sim_core.json>
-//   validate_obs --density <BENCH_density.json>
-//   validate_obs --replay <BENCH_replay.json>
-//   validate_obs --fleet <BENCH_fleet.json>
+//   validate_obs <metrics.json> <trace.json>   examples/quickstart
+//   validate_obs --campaign <report.json>      bench/fault_campaign
+//   validate_obs --sim <report.json>           bench/micro_sim_core
+//   validate_obs --density <report.json>       bench/ablation_density
+//   validate_obs --replay <report.json>        tools/xoar_replay selftest
+//   validate_obs --fleet <report.json>         bench/fleet_campaign
+//   validate_obs --lint <report.json>          tools/xoar_lint
+//   validate_obs --flow <report.json>          tools/xoar_flow, micro_lint
 //
-// The --fleet mode checks a fleet-resilience campaign report
-// (bench/fleet_campaign, RESILIENCE.md "Fleet") beyond the generic BENCH
-// shape: the fleet.* summary metrics must be present with sane values —
-// at least two hosts, zero invariant violations, at least one completed
-// migration and evacuation, at least one injected migration stream drop —
-// plus the scenario cross-checks: the clean upgrade wave must have
-// completed without aborting, the storm wave's health gate must have
-// tripped and the fleet must have converged after the storm, rebalancing
-// must not have widened the load spread, per-step wave gauges must be
-// present, and p999 must dominate p99.
+// Every report must first be a BENCH export: a "context" object with a
+// string "executable" and a numeric "sim_time_ns", and a non-empty
+// "benchmarks" array of named entries whose run_type is counter, gauge or
+// histogram. A mode's table then names the metrics that must be present
+// and in bounds, the relations between them, the metric families that must
+// be non-empty, and the checks on each entry of its top-level arrays; the
+// tables below say why each bound holds. The trace must be Chrome
+// trace_event JSON with only X/i/M phases and at least 5 span categories.
 //
-// The --replay mode checks a record/replay selftest report
-// (tools/xoar_replay selftest, DEBUGGING.md) beyond the generic BENCH
-// shape: the replay.* gauges must be present, the journal's hash chain
-// must have verified on load, the re-executed run must have matched every
-// journaled event (zero divergences, verified count == record count), the
-// two-seed structural diff must have found a divergence at an index inside
-// the journal, and the injected single-event perturbation must have been
-// caught at exactly the index where it was planted.
-//
-// The --density mode checks a density-trajectory report
-// (bench/ablation_density, SCALING.md) beyond the generic BENCH shape: the
-// density.* summary metrics must be present, the create path must have
-// performed zero O(n) domain-table scans, the top-level "sweep" array must
-// be well-formed with strictly ascending domain targets, and per-domain
-// control-plane bytes must stay flat — no more than 10% growth from one
-// sweep point to the next (the §2.3.1 hosting-density requirement).
-//
-// The --sim mode checks a simulator-core bench report (bench/micro_sim_core,
-// DESIGN.md §5f) beyond the generic BENCH shape: every sim_core.* gauge
-// must be present and positive, and the simulator-deterministic
-// ring-drain cost (sim events per block request) must stay within the
-// batched-drain budget. Wall-clock throughputs are host-dependent and get
-// no upper bound here.
-//
-// The --lint mode checks an xoar_lint JSON report (ANALYSIS.md) beyond the
-// generic BENCH shape: the lint.* summary metrics must be present, every
-// entry in the "findings" array must be well-formed (rule/file/line/
-// message/suppressed), the blocking, warning, and suppressed counts must
-// agree with the exported totals, and every suppressed finding must carry
-// a non-empty justification (the suppression contract).
-//
-// The --flow mode checks an xoar_flow report (ANALYSIS.md "Whole-program
-// flow analysis") the same way — flow.* summary metrics, well-formed
-// findings with consistent blocking/warning/suppressed totals, justified
-// suppressions — plus the flow-specific surface: the call-graph gauges
-// must show a non-trivial graph, the side-by-side containment metrics
-// (flow.containment.declared.* / .derived.*) must both be present, the
-// "comm_graph" array must be well-formed, and when the report carries the
-// bench timing gauge (lint_cost.full_tree_us, written only by
-// bench/micro_lint) it must be positive.
-//
-// The --campaign mode checks a fault-campaign report (bench/fault_campaign,
-// RESILIENCE.md) beyond the generic BENCH shape: the campaign.* summary
-// metrics must be present with sane values — availability in [0,1], zero
-// invariant violations, at least one fault injected and at least one
-// absorbed by retry/backoff — and at least one per-type fault.injected.*
-// counter must be non-zero. Supervision fields (RESILIENCE.md
-// "Supervision") are checked too: the watchdog counters must be present,
-// every corrupted recovery box must have been rejected, and the worst
-// hang-detection latency must not exceed the heartbeat timeout.
-//
-// Checks the metrics file against the BENCH_*.json family shape (top-level
-// "context" + "benchmarks" array) and the trace file against the Chrome
-// trace_event format chrome://tracing actually accepts: a "traceEvents"
-// array of {"name","cat","ph","ts","pid","tid"} records with ph one of
-// "X" (complete span, requires "dur"), "i" (instant), or "M" (metadata).
-// Also enforces the measurement-story acceptance bar: a boot trace must
-// carry at least 5 distinct span categories. Exits non-zero with a message
-// on the first violation.
+// Exits 0 when valid, 1 with a message at the first violation, 2 on a
+// usage error.
 #include <cstdio>
+#include <limits>
 #include <set>
 #include <string>
+#include <string_view>
+#include <vector>
 
-#include "src/obs/json.h"
+#include "src/base/json.h"
 
 namespace xoar {
 namespace {
 
-#define CHECK_OR_FAIL(cond, ...)          \
-  do {                                    \
-    if (!(cond)) {                        \
-      std::fprintf(stderr, __VA_ARGS__);  \
-      std::fprintf(stderr, "\n");         \
-      return false;                       \
-    }                                     \
+#define CHECK_OR_FAIL(cond, ...)                     \
+  do {                                               \
+    if (!(cond)) {                                   \
+      std::fprintf(stderr, "%s: ", path.c_str());    \
+      std::fprintf(stderr, __VA_ARGS__);             \
+      std::fprintf(stderr, "\n");                    \
+      return false;                                  \
+    }                                                \
   } while (0)
 
-bool ValidateMetrics(const std::string& path) {
-  StatusOr<JsonValue> doc = ParseJsonFile(path);
-  CHECK_OR_FAIL(doc.ok(), "%s: parse failed: %s", path.c_str(),
-                doc.status().ToString().c_str());
-  CHECK_OR_FAIL(doc->is_object(), "%s: top level is not an object",
-                path.c_str());
+constexpr double kInf = std::numeric_limits<double>::infinity();
+// The least positive double: as a minimum it means "strictly above 0".
+constexpr double kPositive = std::numeric_limits<double>::denorm_min();
 
-  const JsonValue* context = doc->Find("context");
+// A number that must lie in [min, max]: a benchmark's "value" in a mode's
+// metric table, an entry's member in an array table.
+struct Rule {
+  const char* name;
+  double min = 0;
+  double max = kInf;
+};
+
+// a (+ b) op c over benchmark values, op one of "==", "<=", ">=".
+struct Relation {
+  const char* a;
+  const char* b;  // nullptr: no second term
+  const char* op;
+  const char* c;
+};
+
+// Benchmarks whose name starts with `prefix` and contains `infix`: at
+// least one must exist. With `positive_sum` each needs a numeric value and
+// the values must not all be zero.
+struct Family {
+  const char* prefix;
+  const char* infix;
+  bool positive_sum;
+};
+
+// Checks on every entry of a top-level array.
+struct ArrayCheck {
+  const char* array;
+  bool non_empty;
+  std::vector<const char*> strings;  // must be non-empty strings
+  std::vector<Rule> numbers;
+};
+
+using ExtraCheck = bool (*)(const std::string& path, const JsonValue& doc);
+
+struct Mode {
+  const char* flag;
+  std::vector<Rule> required = {};  // present, numeric and in bounds
+  std::vector<Rule> optional = {};  // in bounds when present and numeric
+  std::vector<Relation> relations = {};
+  std::vector<Family> families = {};
+  std::vector<ArrayCheck> arrays = {};
+  ExtraCheck extra = nullptr;  // what no table row expresses
+};
+
+// The "value" of the first benchmark named `name`; nullptr when absent.
+// Only called once CheckBenchShape has passed.
+const JsonValue* Metric(const JsonValue& doc, std::string_view name) {
+  for (const JsonValue& entry : doc.Find("benchmarks")->array()) {
+    if (entry.Find("name")->string() == name) {
+      return entry.Find("value");
+    }
+  }
+  return nullptr;
+}
+
+// A relation operand: a missing or non-numeric metric counts as 0.
+double Value(const JsonValue& doc, const char* name) {
+  const JsonValue* value = name == nullptr ? nullptr : Metric(doc, name);
+  return value != nullptr && value->is_number() ? value->number() : 0;
+}
+
+bool CheckNumber(const std::string& path, const char* where, const Rule& rule,
+                 const JsonValue* value) {
+  CHECK_OR_FAIL(value != nullptr && value->is_number(),
+                "%s: missing numeric \"%s\"", where, rule.name);
+  const double v = value->number();
+  const bool strict = rule.min == kPositive;
+  CHECK_OR_FAIL(v >= rule.min && v <= rule.max,
+                "%s: %s = %g outside %s%g, %g]", where, rule.name, v,
+                strict ? "(" : "[", strict ? 0.0 : rule.min, rule.max);
+  return true;
+}
+
+bool CheckBenchShape(const std::string& path, const JsonValue& doc) {
+  CHECK_OR_FAIL(doc.is_object(), "top level is not an object");
+  const JsonValue* context = doc.Find("context");
   CHECK_OR_FAIL(context != nullptr && context->is_object(),
-                "%s: missing \"context\" object", path.c_str());
+                "missing \"context\" object");
   const JsonValue* executable = context->Find("executable");
   CHECK_OR_FAIL(executable != nullptr && executable->is_string(),
-                "%s: context.executable missing or not a string",
-                path.c_str());
+                "context.executable missing or not a string");
   const JsonValue* sim_time = context->Find("sim_time_ns");
   CHECK_OR_FAIL(sim_time != nullptr && sim_time->is_number(),
-                "%s: context.sim_time_ns missing or not a number",
-                path.c_str());
-
-  const JsonValue* benchmarks = doc->Find("benchmarks");
+                "context.sim_time_ns missing or not a number");
+  const JsonValue* benchmarks = doc.Find("benchmarks");
   CHECK_OR_FAIL(benchmarks != nullptr && benchmarks->is_array(),
-                "%s: missing \"benchmarks\" array", path.c_str());
+                "missing \"benchmarks\" array");
   CHECK_OR_FAIL(!benchmarks->array().empty(),
-                "%s: \"benchmarks\" array is empty — nothing was recorded",
-                path.c_str());
+                "\"benchmarks\" array is empty — nothing was recorded");
   for (const JsonValue& entry : benchmarks->array()) {
-    CHECK_OR_FAIL(entry.is_object(), "%s: benchmark entry is not an object",
-                  path.c_str());
+    CHECK_OR_FAIL(entry.is_object(), "benchmark entry is not an object");
     const JsonValue* name = entry.Find("name");
     CHECK_OR_FAIL(name != nullptr && name->is_string() &&
                       !name->string().empty(),
-                  "%s: benchmark entry without a \"name\"", path.c_str());
+                  "benchmark entry without a \"name\"");
     const JsonValue* run_type = entry.Find("run_type");
     CHECK_OR_FAIL(run_type != nullptr && run_type->is_string(),
-                  "%s: %s: missing \"run_type\"", path.c_str(),
-                  name->string().c_str());
+                  "%s: missing \"run_type\"", name->string().c_str());
     const std::string& rt = run_type->string();
     CHECK_OR_FAIL(rt == "counter" || rt == "gauge" || rt == "histogram",
-                  "%s: %s: unknown run_type \"%s\"", path.c_str(),
-                  name->string().c_str(), rt.c_str());
+                  "%s: unknown run_type \"%s\"", name->string().c_str(),
+                  rt.c_str());
   }
-  std::printf("%s: OK (%zu metrics)\n", path.c_str(),
-              benchmarks->array().size());
   return true;
 }
 
-bool ValidateTrace(const std::string& path) {
-  StatusOr<JsonValue> doc = ParseJsonFile(path);
-  CHECK_OR_FAIL(doc.ok(), "%s: parse failed: %s", path.c_str(),
-                doc.status().ToString().c_str());
-  CHECK_OR_FAIL(doc->is_object(), "%s: top level is not an object",
-                path.c_str());
-  const JsonValue* events = doc->Find("traceEvents");
-  CHECK_OR_FAIL(events != nullptr && events->is_array(),
-                "%s: missing \"traceEvents\" array", path.c_str());
-
-  std::set<std::string> span_categories;
-  std::size_t spans = 0;
-  for (const JsonValue& event : events->array()) {
-    CHECK_OR_FAIL(event.is_object(), "%s: trace event is not an object",
-                  path.c_str());
-    const JsonValue* name = event.Find("name");
-    CHECK_OR_FAIL(name != nullptr && name->is_string(),
-                  "%s: trace event without a \"name\"", path.c_str());
-    const JsonValue* ph = event.Find("ph");
-    CHECK_OR_FAIL(ph != nullptr && ph->is_string(),
-                  "%s: event \"%s\": missing \"ph\"", path.c_str(),
-                  name->string().c_str());
-    const std::string& phase = ph->string();
-    CHECK_OR_FAIL(phase == "X" || phase == "i" || phase == "M",
-                  "%s: event \"%s\": unsupported phase \"%s\"", path.c_str(),
-                  name->string().c_str(), phase.c_str());
-    const JsonValue* pid = event.Find("pid");
-    CHECK_OR_FAIL(pid != nullptr && pid->is_number(),
-                  "%s: event \"%s\": missing \"pid\"", path.c_str(),
-                  name->string().c_str());
-    if (phase == "M") {
-      continue;  // metadata records carry "args", not timestamps
-    }
-    const JsonValue* ts = event.Find("ts");
-    CHECK_OR_FAIL(ts != nullptr && ts->is_number() && ts->number() >= 0,
-                  "%s: event \"%s\": missing or negative \"ts\"",
-                  path.c_str(), name->string().c_str());
-    const JsonValue* cat = event.Find("cat");
-    CHECK_OR_FAIL(cat != nullptr && cat->is_string(),
-                  "%s: event \"%s\": missing \"cat\"", path.c_str(),
-                  name->string().c_str());
-    if (phase == "X") {
-      const JsonValue* dur = event.Find("dur");
-      CHECK_OR_FAIL(dur != nullptr && dur->is_number() && dur->number() >= 0,
-                    "%s: span \"%s\": missing or negative \"dur\"",
-                    path.c_str(), name->string().c_str());
-      ++spans;
-      span_categories.insert(cat->string());
-    }
-  }
-  CHECK_OR_FAIL(spans > 0, "%s: no \"X\" span events recorded", path.c_str());
-  CHECK_OR_FAIL(span_categories.size() >= 5,
-                "%s: only %zu distinct span categories (need >= 5)",
-                path.c_str(), span_categories.size());
-  std::printf("%s: OK (%zu events, %zu spans, %zu span categories)\n",
-              path.c_str(), events->array().size(), spans,
-              span_categories.size());
-  return true;
-}
-
-// One row of the campaign schema table: a metric that must be present,
-// with bounds on its value. max < 0 means unbounded above.
-struct CampaignRule {
-  const char* name;
-  double min;
-  double max;
-};
-
-constexpr CampaignRule kCampaignRules[] = {
-    {"campaign.availability", 0.0, 1.0},
-    {"campaign.invariant_violations", 0.0, 0.0},
-    {"campaign.faults_injected", 1.0, -1.0},
-    {"campaign.absorbed_by_retry", 1.0, -1.0},
-    {"campaign.mean_recovery_ms", 0.0, -1.0},
-    {"campaign.probes_issued", 1.0, -1.0},
-    // Supervision summary (watchdog + recovery-box validation). Counts can
-    // legitimately be zero for a campaign that injects no hangs/corruption,
-    // but the fields themselves must always be exported.
-    {"campaign.hangs_injected", 0.0, -1.0},
-    {"campaign.box_corrupts_injected", 0.0, -1.0},
-    {"campaign.boxes_rejected", 0.0, -1.0},
-    {"campaign.heartbeat_timeout_ms", 0.0, -1.0},
-    {"campaign.hang_detection_max_ms", 0.0, -1.0},
-    {"campaign.watchdog_hangs_detected", 0.0, -1.0},
-    {"campaign.watchdog_hangs_absorbed", 0.0, -1.0},
-    {"campaign.watchdog_deaths_detected", 0.0, -1.0},
-    {"campaign.watchdog_auto_restarts", 0.0, -1.0},
-    {"campaign.watchdog_quarantines", 0.0, -1.0},
-};
-
-bool ValidateCampaign(const std::string& path) {
-  // The report must be a well-formed BENCH export first.
-  if (!ValidateMetrics(path)) {
-    return false;
-  }
-  StatusOr<JsonValue> doc = ParseJsonFile(path);
-  CHECK_OR_FAIL(doc.ok(), "%s: parse failed: %s", path.c_str(),
-                doc.status().ToString().c_str());
-  const JsonValue* benchmarks = doc->Find("benchmarks");
-
-  auto find_value = [&](const std::string& name) -> const JsonValue* {
-    for (const JsonValue& entry : benchmarks->array()) {
-      const JsonValue* n = entry.Find("name");
-      if (n != nullptr && n->is_string() && n->string() == name) {
-        return entry.Find("value");
-      }
-    }
-    return nullptr;
-  };
-
-  for (const CampaignRule& rule : kCampaignRules) {
-    const JsonValue* value = find_value(rule.name);
-    CHECK_OR_FAIL(value != nullptr && value->is_number(),
-                  "%s: missing campaign metric \"%s\"", path.c_str(),
-                  rule.name);
-    CHECK_OR_FAIL(value->number() >= rule.min,
-                  "%s: %s = %g below minimum %g", path.c_str(), rule.name,
-                  value->number(), rule.min);
-    CHECK_OR_FAIL(rule.max < 0 || value->number() <= rule.max,
-                  "%s: %s = %g above maximum %g", path.c_str(), rule.name,
-                  value->number(), rule.max);
-  }
-
-  // At least one per-type injection counter must have fired, or the
-  // campaign exercised nothing.
-  double injected = 0;
-  std::size_t injected_counters = 0;
-  for (const JsonValue& entry : benchmarks->array()) {
-    const JsonValue* n = entry.Find("name");
-    if (n == nullptr || !n->is_string() ||
-        n->string().rfind("fault.injected.", 0) != 0) {
-      continue;
-    }
-    ++injected_counters;
-    const JsonValue* value = entry.Find("value");
-    CHECK_OR_FAIL(value != nullptr && value->is_number(),
-                  "%s: %s has no numeric \"value\"", path.c_str(),
-                  n->string().c_str());
-    injected += value->number();
-  }
-  CHECK_OR_FAIL(injected_counters > 0,
-                "%s: no fault.injected.* counters exported", path.c_str());
-  CHECK_OR_FAIL(injected > 0,
-                "%s: every fault.injected.* counter is zero", path.c_str());
-
-  // Cross-field supervision invariants. Single-field bounds live in
-  // kCampaignRules; these relate two exported values.
-  auto number_of = [&](const char* name) {
-    const JsonValue* value = find_value(name);
-    return value != nullptr && value->is_number() ? value->number() : 0.0;
-  };
-  const double hangs_injected = number_of("campaign.hangs_injected");
-  const double hangs_handled =
-      number_of("campaign.watchdog_hangs_detected") +
-      number_of("campaign.watchdog_hangs_absorbed");
-  CHECK_OR_FAIL(hangs_handled == hangs_injected,
-                "%s: %g hangs injected but %g detected+absorbed",
-                path.c_str(), hangs_injected, hangs_handled);
-  CHECK_OR_FAIL(number_of("campaign.hang_detection_max_ms") <=
-                    number_of("campaign.heartbeat_timeout_ms"),
-                "%s: hang detection latency %g ms exceeds heartbeat "
-                "timeout %g ms",
-                path.c_str(), number_of("campaign.hang_detection_max_ms"),
-                number_of("campaign.heartbeat_timeout_ms"));
-  CHECK_OR_FAIL(number_of("campaign.boxes_rejected") ==
-                    number_of("campaign.box_corrupts_injected"),
-                "%s: %g recovery boxes corrupted but %g rejected",
-                path.c_str(), number_of("campaign.box_corrupts_injected"),
-                number_of("campaign.boxes_rejected"));
-
-  std::printf("%s: campaign OK (%zu fault types tracked, %g injections)\n",
-              path.c_str(), injected_counters, injected);
-  return true;
-}
-
-// One row of the sim-core schema table, same shape as CampaignRule.
-struct SimRule {
-  const char* name;
-  double min;
-  double max;
-};
-
-// Wall-clock throughput gauges and speedup ratios vary with the host and
-// with iteration count (the smoke test runs tiny workloads), so they are
-// only required to be present and positive; the ≥5x acceptance evidence is
-// the committed BENCH_sim_core.json from a full run. The events-per-request
-// cost of the batched ring-drain path is simulator-deterministic, so it
-// gets a real upper bound: the pre-batching design paid one event per
-// request on the backend alone (plus frontend timers and delivery hops);
-// the drain-batched path must stay under 12 total events per request even
-// with a 16-deep pipeline of 4 KiB writes.
-constexpr SimRule kSimRules[] = {
-    {"sim_core.schedule_fire.events_per_sec", 0.0, -1.0},
-    {"sim_core.schedule_fire.baseline_events_per_sec", 0.0, -1.0},
-    {"sim_core.schedule_fire.speedup", 0.0, -1.0},
-    {"sim_core.schedule_cancel.ops_per_sec", 0.0, -1.0},
-    {"sim_core.schedule_cancel.baseline_ops_per_sec", 0.0, -1.0},
-    {"sim_core.schedule_cancel.speedup", 0.0, -1.0},
-    {"sim_core.timer_churn.ops_per_sec", 0.0, -1.0},
-    {"sim_core.timer_churn.baseline_ops_per_sec", 0.0, -1.0},
-    {"sim_core.timer_churn.speedup", 0.0, -1.0},
-    {"sim_core.ring_drain.requests_per_sec", 0.0, -1.0},
-    {"sim_core.ring_drain.sim_events_per_request", 0.0, 12.0},
-};
-
-bool ValidateSimCore(const std::string& path) {
-  // The report must be a well-formed BENCH export first.
-  if (!ValidateMetrics(path)) {
-    return false;
-  }
-  StatusOr<JsonValue> doc = ParseJsonFile(path);
-  CHECK_OR_FAIL(doc.ok(), "%s: parse failed: %s", path.c_str(),
-                doc.status().ToString().c_str());
-  const JsonValue* benchmarks = doc->Find("benchmarks");
-
-  auto find_value = [&](const std::string& name) -> const JsonValue* {
-    for (const JsonValue& entry : benchmarks->array()) {
-      const JsonValue* n = entry.Find("name");
-      if (n != nullptr && n->is_string() && n->string() == name) {
-        return entry.Find("value");
-      }
-    }
-    return nullptr;
-  };
-
-  for (const SimRule& rule : kSimRules) {
-    const JsonValue* value = find_value(rule.name);
-    CHECK_OR_FAIL(value != nullptr && value->is_number(),
-                  "%s: missing sim-core metric \"%s\"", path.c_str(),
-                  rule.name);
-    CHECK_OR_FAIL(value->number() > rule.min,
-                  "%s: %s = %g not above %g", path.c_str(), rule.name,
-                  value->number(), rule.min);
-    CHECK_OR_FAIL(rule.max < 0 || value->number() <= rule.max,
-                  "%s: %s = %g above maximum %g", path.c_str(), rule.name,
-                  value->number(), rule.max);
-  }
-
-  std::printf("%s: sim-core OK (%zu gauges checked)\n", path.c_str(),
-              std::size(kSimRules));
-  return true;
-}
-
-bool ValidateDensity(const std::string& path) {
-  // The report must be a well-formed BENCH export first.
-  if (!ValidateMetrics(path)) {
-    return false;
-  }
-  StatusOr<JsonValue> doc = ParseJsonFile(path);
-  CHECK_OR_FAIL(doc.ok(), "%s: parse failed: %s", path.c_str(),
-                doc.status().ToString().c_str());
-  const JsonValue* benchmarks = doc->Find("benchmarks");
-
-  auto find_value = [&](const std::string& name) -> const JsonValue* {
-    for (const JsonValue& entry : benchmarks->array()) {
-      const JsonValue* n = entry.Find("name");
-      if (n != nullptr && n->is_string() && n->string() == name) {
-        return entry.Find("value");
-      }
-    }
-    return nullptr;
-  };
-  auto require = [&](const char* name, double min) -> bool {
-    const JsonValue* value = find_value(name);
-    if (value == nullptr || !value->is_number() || value->number() < min) {
-      std::fprintf(stderr, "%s: missing density metric \"%s\" (>= %g)\n",
-                   path.c_str(), name, min);
+bool CheckMode(const std::string& path, const JsonValue& doc,
+               const Mode& mode) {
+  for (const Rule& rule : mode.required) {
+    if (!CheckNumber(path, "benchmarks", rule, Metric(doc, rule.name))) {
       return false;
     }
-    return true;
-  };
-  if (!require("density.sweep_points", 1) ||
-      !require("density.max_domains", 1) ||
-      !require("density.total_created", 1) ||
-      !require("xs.shard.count", 1)) {
-    return false;
   }
-  const JsonValue* scan_free = find_value("density.scan_free_create_path");
-  CHECK_OR_FAIL(scan_free != nullptr && scan_free->is_number() &&
-                    scan_free->number() == 1,
-                "%s: create path performed O(n) domain-table scans "
-                "(density.scan_free_create_path != 1)",
-                path.c_str());
-
-  const JsonValue* sweep = doc->Find("sweep");
-  CHECK_OR_FAIL(sweep != nullptr && sweep->is_array(),
-                "%s: missing \"sweep\" array", path.c_str());
-  CHECK_OR_FAIL(!sweep->array().empty(), "%s: \"sweep\" array is empty",
-                path.c_str());
-
-  double prev_domains = 0;
-  double prev_bytes = -1;
-  for (const JsonValue& entry : sweep->array()) {
-    CHECK_OR_FAIL(entry.is_object(), "%s: sweep entry is not an object",
-                  path.c_str());
-    auto field = [&](const char* name) -> const JsonValue* {
-      const JsonValue* v = entry.Find(name);
-      return v != nullptr && v->is_number() ? v : nullptr;
-    };
-    const JsonValue* domains = field("domains");
-    CHECK_OR_FAIL(domains != nullptr && domains->number() >= 1,
-                  "%s: sweep entry without a positive \"domains\"",
-                  path.c_str());
-    CHECK_OR_FAIL(domains->number() > prev_domains,
-                  "%s: sweep domains not strictly ascending (%g after %g)",
-                  path.c_str(), domains->number(), prev_domains);
-    prev_domains = domains->number();
-    const JsonValue* created = field("created");
-    CHECK_OR_FAIL(created != nullptr && created->number() >= 1,
-                  "%s: sweep@%g: nothing created", path.c_str(),
-                  domains->number());
-    const JsonValue* shard_count = field("shard_count");
-    CHECK_OR_FAIL(shard_count != nullptr && shard_count->number() >= 1,
-                  "%s: sweep@%g: missing \"shard_count\"", path.c_str(),
-                  domains->number());
-    const JsonValue* ops = field("create_ops_per_sec");
-    CHECK_OR_FAIL(ops != nullptr && ops->number() > 0,
-                  "%s: sweep@%g: missing \"create_ops_per_sec\"",
-                  path.c_str(), domains->number());
-    const JsonValue* scans = field("create_path_scans");
-    CHECK_OR_FAIL(scans != nullptr && scans->number() == 0,
-                  "%s: sweep@%g: %g O(n) domain-table scans on the create "
-                  "path",
-                  path.c_str(), domains->number(),
-                  scans == nullptr ? -1 : scans->number());
-    const JsonValue* bytes = field("per_domain_control_bytes");
-    CHECK_OR_FAIL(bytes != nullptr && bytes->number() > 0,
-                  "%s: sweep@%g: missing \"per_domain_control_bytes\"",
-                  path.c_str(), domains->number());
-    // Flatness: <= 10% growth per sweep step (§2.3.1 via SCALING.md).
-    CHECK_OR_FAIL(prev_bytes < 0 || bytes->number() <= prev_bytes * 1.10,
-                  "%s: per-domain control bytes grew %g -> %g (> 10%%)",
-                  path.c_str(), prev_bytes, bytes->number());
-    prev_bytes = bytes->number();
-  }
-
-  std::printf("%s: density OK (%zu sweep points, scan-free create path)\n",
-              path.c_str(), sweep->array().size());
-  return true;
-}
-
-// One row of the replay-selftest schema table, same shape as CampaignRule.
-struct ReplayRule {
-  const char* name;
-  double min;
-  double max;
-};
-
-constexpr ReplayRule kReplayRules[] = {
-    {"replay.seed", 0.0, -1.0},
-    {"replay.records", 1.0, -1.0},
-    {"replay.journal_bytes", 1.0, -1.0},
-    // Hard invariants of a passing selftest: the chain verified, the
-    // replay matched everything, the diff and the planted perturbation
-    // were both caught.
-    {"replay.chain_verified", 1.0, 1.0},
-    {"replay.replay_divergences", 0.0, 0.0},
-    {"replay.replay_verified", 1.0, -1.0},
-    {"replay.diff_seed_b", 0.0, -1.0},
-    {"replay.diff_diverged", 1.0, 1.0},
-    {"replay.diff_index", 0.0, -1.0},
-    {"replay.perturb_index", 0.0, -1.0},
-    {"replay.perturb_caught", 1.0, 1.0},
-    {"replay.perturb_caught_index", 0.0, -1.0},
-};
-
-bool ValidateReplay(const std::string& path) {
-  // The report must be a well-formed BENCH export first.
-  if (!ValidateMetrics(path)) {
-    return false;
-  }
-  StatusOr<JsonValue> doc = ParseJsonFile(path);
-  CHECK_OR_FAIL(doc.ok(), "%s: parse failed: %s", path.c_str(),
-                doc.status().ToString().c_str());
-  const JsonValue* benchmarks = doc->Find("benchmarks");
-
-  auto find_value = [&](const std::string& name) -> const JsonValue* {
-    for (const JsonValue& entry : benchmarks->array()) {
-      const JsonValue* n = entry.Find("name");
-      if (n != nullptr && n->is_string() && n->string() == name) {
-        return entry.Find("value");
-      }
-    }
-    return nullptr;
-  };
-
-  for (const ReplayRule& rule : kReplayRules) {
-    const JsonValue* value = find_value(rule.name);
-    CHECK_OR_FAIL(value != nullptr && value->is_number(),
-                  "%s: missing replay metric \"%s\"", path.c_str(),
-                  rule.name);
-    CHECK_OR_FAIL(value->number() >= rule.min,
-                  "%s: %s = %g below minimum %g", path.c_str(), rule.name,
-                  value->number(), rule.min);
-    CHECK_OR_FAIL(rule.max < 0 || value->number() <= rule.max,
-                  "%s: %s = %g above maximum %g", path.c_str(), rule.name,
-                  value->number(), rule.max);
-  }
-
-  // Cross-field invariants: the replay verified the whole journal, the
-  // perturbation was caught exactly where it was planted, and the diff
-  // divergence lies inside the journal.
-  auto number_of = [&](const char* name) {
-    const JsonValue* value = find_value(name);
-    return value != nullptr && value->is_number() ? value->number() : 0.0;
-  };
-  CHECK_OR_FAIL(number_of("replay.replay_verified") ==
-                    number_of("replay.records"),
-                "%s: replay verified %g of %g journaled events",
-                path.c_str(), number_of("replay.replay_verified"),
-                number_of("replay.records"));
-  CHECK_OR_FAIL(number_of("replay.perturb_caught_index") ==
-                    number_of("replay.perturb_index"),
-                "%s: perturbation planted at %g but caught at %g",
-                path.c_str(), number_of("replay.perturb_index"),
-                number_of("replay.perturb_caught_index"));
-  CHECK_OR_FAIL(number_of("replay.diff_index") <=
-                    number_of("replay.records"),
-                "%s: diff divergence index %g past journal end %g",
-                path.c_str(), number_of("replay.diff_index"),
-                number_of("replay.records"));
-
-  std::printf("%s: replay OK (%g records, chain verified, perturbation "
-              "caught at %g)\n",
-              path.c_str(), number_of("replay.records"),
-              number_of("replay.perturb_caught_index"));
-  return true;
-}
-
-// One row of the fleet schema table, same shape as CampaignRule.
-struct FleetRule {
-  const char* name;
-  double min;
-  double max;
-};
-
-constexpr FleetRule kFleetRules[] = {
-    {"fleet.seed", 0.0, -1.0},
-    {"fleet.hosts", 2.0, -1.0},
-    {"fleet.guests_placed", 1.0, -1.0},
-    {"fleet.invariant_violations", 0.0, 0.0},
-    {"fleet.admission.accepted", 1.0, -1.0},
-    {"fleet.admission.shed", 1.0, -1.0},  // the whale probe must shed
-    {"fleet.migrations.attempted", 1.0, -1.0},
-    {"fleet.migrations.completed", 1.0, -1.0},
-    {"fleet.evacuations.started", 1.0, -1.0},
-    {"fleet.evac.moved", 1.0, -1.0},
-    {"fleet.evac.failed", 0.0, 0.0},
-    {"fleet.faults.migration_stream_drops", 1.0, -1.0},
-    {"fleet.controller.supervised", 1.0, 1.0},
-    {"fleet.workload.p99_ms", 0.001, -1.0},
-    {"fleet.workload.p999_ms", 0.001, -1.0},
-    {"fleet.wave.clean.steps", 1.0, -1.0},
-    {"fleet.wave.clean.aborted", 0.0, 0.0},
-    {"fleet.wave.storm.aborted", 1.0, 1.0},
-    {"fleet.wave.storm.converged", 1.0, 1.0},
-    {"fleet.rebalance.spread_before", 0.0, -1.0},
-    {"fleet.rebalance.spread_after", 0.0, -1.0},
-};
-
-bool ValidateFleet(const std::string& path) {
-  // The report must be a well-formed BENCH export first.
-  if (!ValidateMetrics(path)) {
-    return false;
-  }
-  StatusOr<JsonValue> doc = ParseJsonFile(path);
-  CHECK_OR_FAIL(doc.ok(), "%s: parse failed: %s", path.c_str(),
-                doc.status().ToString().c_str());
-  const JsonValue* benchmarks = doc->Find("benchmarks");
-
-  auto find_value = [&](const std::string& name) -> const JsonValue* {
-    for (const JsonValue& entry : benchmarks->array()) {
-      const JsonValue* n = entry.Find("name");
-      if (n != nullptr && n->is_string() && n->string() == name) {
-        return entry.Find("value");
-      }
-    }
-    return nullptr;
-  };
-
-  for (const FleetRule& rule : kFleetRules) {
-    const JsonValue* value = find_value(rule.name);
-    CHECK_OR_FAIL(value != nullptr && value->is_number(),
-                  "%s: missing fleet metric \"%s\"", path.c_str(), rule.name);
-    CHECK_OR_FAIL(value->number() >= rule.min,
-                  "%s: %s = %g below minimum %g", path.c_str(), rule.name,
-                  value->number(), rule.min);
-    CHECK_OR_FAIL(rule.max < 0 || value->number() <= rule.max,
-                  "%s: %s = %g above maximum %g", path.c_str(), rule.name,
-                  value->number(), rule.max);
-  }
-
-  auto number_of = [&](const char* name) {
-    const JsonValue* value = find_value(name);
-    return value != nullptr && value->is_number() ? value->number() : 0.0;
-  };
-
-  // Cross-field scenario invariants.
-  CHECK_OR_FAIL(number_of("fleet.rebalance.spread_after") <=
-                    number_of("fleet.rebalance.spread_before"),
-                "%s: rebalance widened the spread (%g -> %g)", path.c_str(),
-                number_of("fleet.rebalance.spread_before"),
-                number_of("fleet.rebalance.spread_after"));
-  CHECK_OR_FAIL(number_of("fleet.workload.p999_ms") >=
-                    number_of("fleet.workload.p99_ms"),
-                "%s: p999 %g ms below p99 %g ms", path.c_str(),
-                number_of("fleet.workload.p999_ms"),
-                number_of("fleet.workload.p99_ms"));
-  CHECK_OR_FAIL(number_of("fleet.migrations.completed") <=
-                    number_of("fleet.migrations.attempted"),
-                "%s: %g migrations completed but only %g attempted",
-                path.c_str(), number_of("fleet.migrations.completed"),
-                number_of("fleet.migrations.attempted"));
-
-  // Per-step wave health gauges: the waves must have exported at least one
-  // per-step p99 reading each.
-  std::size_t wave_step_gauges = 0;
-  for (const JsonValue& entry : benchmarks->array()) {
-    const JsonValue* n = entry.Find("name");
-    if (n != nullptr && n->is_string() &&
-        n->string().rfind("fleet.wave.", 0) == 0 &&
-        n->string().find(".step.") != std::string::npos) {
-      ++wave_step_gauges;
+  for (const Rule& rule : mode.optional) {
+    const JsonValue* value = Metric(doc, rule.name);
+    if (value != nullptr && value->is_number() &&
+        !CheckNumber(path, "benchmarks", rule, value)) {
+      return false;
     }
   }
-  CHECK_OR_FAIL(wave_step_gauges > 0,
-                "%s: no per-step fleet.wave.*.step.* gauges exported",
-                path.c_str());
-
-  std::printf("%s: fleet OK (%g hosts, %g guests, %g migrations, %zu "
-              "wave-step gauges)\n",
-              path.c_str(), number_of("fleet.hosts"),
-              number_of("fleet.guests_placed"),
-              number_of("fleet.migrations.completed"), wave_step_gauges);
-  return true;
-}
-
-// Shared finding-array checker for the --lint and --flow modes: every
-// entry must be well-formed, suppressed findings must carry a
-// justification, and the blocking/suppressed/warning counts must agree
-// with the exported `<prefix>.findings.total` / `.suppressed.total` /
-// `.warnings.total` metrics. The "warning" bool is optional per finding
-// (absent means blocking), so older reports stay valid.
-bool ValidateFindingsArray(const std::string& path, const JsonValue& doc,
-                           const JsonValue* benchmarks,
-                           const std::string& prefix, std::size_t* blocking,
-                           std::size_t* suppressed_out) {
-  auto number_of = [&](const std::string& name, double* out) -> bool {
-    for (const JsonValue& entry : benchmarks->array()) {
-      const JsonValue* n = entry.Find("name");
-      if (n == nullptr || !n->is_string() || n->string() != name) {
+  for (const Relation& r : mode.relations) {
+    const double lhs = Value(doc, r.a) + Value(doc, r.b);
+    const double rhs = Value(doc, r.c);
+    const std::string_view op = r.op;
+    const bool holds =
+        op == "==" ? lhs == rhs : op == "<=" ? lhs <= rhs : lhs >= rhs;
+    CHECK_OR_FAIL(holds, "%s%s%s %s %s fails: %g vs %g", r.a,
+                  r.b == nullptr ? "" : " + ", r.b == nullptr ? "" : r.b,
+                  r.op, r.c, lhs, rhs);
+  }
+  for (const Family& family : mode.families) {
+    std::size_t members = 0;
+    double sum = 0;
+    for (const JsonValue& entry : doc.Find("benchmarks")->array()) {
+      const std::string& name = entry.Find("name")->string();
+      if (name.rfind(family.prefix, 0) != 0 ||
+          name.find(family.infix) == std::string::npos) {
         continue;
       }
-      const JsonValue* value = entry.Find("value");
-      if (value == nullptr || !value->is_number()) {
-        return false;
+      ++members;
+      if (family.positive_sum) {
+        const JsonValue* value = entry.Find("value");
+        CHECK_OR_FAIL(value != nullptr && value->is_number(),
+                      "%s has no numeric \"value\"", name.c_str());
+        sum += value->number();
       }
-      *out = value->number();
-      return true;
     }
-    return false;
-  };
+    CHECK_OR_FAIL(members > 0, "no %s*%s metrics exported", family.prefix,
+                  family.infix);
+    CHECK_OR_FAIL(!family.positive_sum || sum > 0,
+                  "every %s* metric is zero", family.prefix);
+  }
+  for (const ArrayCheck& check : mode.arrays) {
+    const JsonValue* array = doc.Find(check.array);
+    CHECK_OR_FAIL(array != nullptr && array->is_array(),
+                  "missing \"%s\" array", check.array);
+    CHECK_OR_FAIL(!check.non_empty || !array->array().empty(),
+                  "\"%s\" array is empty", check.array);
+    for (const JsonValue& entry : array->array()) {
+      CHECK_OR_FAIL(entry.is_object(), "%s entry is not an object",
+                    check.array);
+      for (const char* key : check.strings) {
+        const JsonValue* value = entry.Find(key);
+        CHECK_OR_FAIL(value != nullptr && value->is_string() &&
+                          !value->string().empty(),
+                      "%s entry without \"%s\"", check.array, key);
+      }
+      for (const Rule& number : check.numbers) {
+        if (!CheckNumber(path, check.array, number,
+                         entry.Find(number.name))) {
+          return false;
+        }
+      }
+    }
+  }
+  return mode.extra == nullptr || mode.extra(path, doc);
+}
 
-  double findings_total = 0;
-  double suppressed_total = 0;
-  double warnings_total = 0;
-  CHECK_OR_FAIL(number_of(prefix + ".findings.total", &findings_total),
-                "%s: missing %s.findings.total counter", path.c_str(),
-                prefix.c_str());
-  CHECK_OR_FAIL(number_of(prefix + ".suppressed.total", &suppressed_total),
-                "%s: missing %s.suppressed.total counter", path.c_str(),
-                prefix.c_str());
-  CHECK_OR_FAIL(number_of(prefix + ".warnings.total", &warnings_total),
-                "%s: missing %s.warnings.total counter", path.c_str(),
-                prefix.c_str());
-
-  const JsonValue* findings = doc.Find("findings");
-  CHECK_OR_FAIL(findings != nullptr && findings->is_array(),
-                "%s: missing \"findings\" array", path.c_str());
-  std::size_t unsuppressed = 0;
-  std::size_t suppressed = 0;
-  std::size_t warnings = 0;
-  for (const JsonValue& finding : findings->array()) {
-    CHECK_OR_FAIL(finding.is_object(), "%s: finding is not an object",
-                  path.c_str());
-    const JsonValue* rule = finding.Find("rule");
-    CHECK_OR_FAIL(rule != nullptr && rule->is_string() &&
-                      !rule->string().empty(),
-                  "%s: finding without a \"rule\"", path.c_str());
-    const JsonValue* file = finding.Find("file");
-    CHECK_OR_FAIL(file != nullptr && file->is_string() &&
-                      !file->string().empty(),
-                  "%s: [%s] finding without a \"file\"", path.c_str(),
-                  rule->string().c_str());
-    const JsonValue* line = finding.Find("line");
-    CHECK_OR_FAIL(line != nullptr && line->is_number() &&
-                      line->number() >= 0,
-                  "%s: %s: missing or negative \"line\"", path.c_str(),
-                  file->string().c_str());
-    const JsonValue* message = finding.Find("message");
-    CHECK_OR_FAIL(message != nullptr && message->is_string() &&
-                      !message->string().empty(),
-                  "%s: %s: finding without a \"message\"", path.c_str(),
-                  file->string().c_str());
+// The findings array of a lint or flow report: "suppressed" is a bool,
+// "warning" an optional bool (absent means blocking), a suppressed finding
+// carries a justification, and the blocking, suppressed and warning counts
+// equal the exported <prefix>.findings/suppressed/warnings.total.
+bool CheckFindings(const std::string& path, const JsonValue& doc,
+                   const std::string& prefix) {
+  double blocking = 0;
+  double suppressed = 0;
+  double warnings = 0;
+  for (const JsonValue& finding : doc.Find("findings")->array()) {
+    const char* file = finding.Find("file")->string().c_str();
     const JsonValue* is_suppressed = finding.Find("suppressed");
     CHECK_OR_FAIL(is_suppressed != nullptr && is_suppressed->is_bool(),
-                  "%s: %s: missing \"suppressed\" bool", path.c_str(),
-                  file->string().c_str());
+                  "%s: missing \"suppressed\" bool", file);
     const JsonValue* is_warning = finding.Find("warning");
     CHECK_OR_FAIL(is_warning == nullptr || is_warning->is_bool(),
-                  "%s: %s: \"warning\" is not a bool", path.c_str(),
-                  file->string().c_str());
+                  "%s: \"warning\" is not a bool", file);
     if (is_suppressed->bool_value()) {
       ++suppressed;
       const JsonValue* justification = finding.Find("justification");
       CHECK_OR_FAIL(justification != nullptr && justification->is_string() &&
                         !justification->string().empty(),
-                    "%s: %s:%g: suppressed finding without a justification",
-                    path.c_str(), file->string().c_str(), line->number());
+                    "%s: suppressed finding without a justification", file);
     } else if (is_warning != nullptr && is_warning->bool_value()) {
       ++warnings;
     } else {
-      ++unsuppressed;
+      ++blocking;
     }
   }
-  CHECK_OR_FAIL(static_cast<double>(unsuppressed) == findings_total,
-                "%s: %zu blocking findings but %s.findings.total = %g",
-                path.c_str(), unsuppressed, prefix.c_str(), findings_total);
-  CHECK_OR_FAIL(static_cast<double>(suppressed) == suppressed_total,
-                "%s: %zu suppressed findings but %s.suppressed.total = %g",
-                path.c_str(), suppressed, prefix.c_str(), suppressed_total);
-  CHECK_OR_FAIL(static_cast<double>(warnings) == warnings_total,
-                "%s: %zu warning findings but %s.warnings.total = %g",
-                path.c_str(), warnings, prefix.c_str(), warnings_total);
-  *blocking = unsuppressed;
-  *suppressed_out = suppressed;
+  const struct {
+    const char* kind;
+    double count;
+  } tallies[] = {{".findings.total", blocking},
+                 {".suppressed.total", suppressed},
+                 {".warnings.total", warnings}};
+  for (const auto& tally : tallies) {
+    const std::string total = prefix + tally.kind;
+    CHECK_OR_FAIL(tally.count == Value(doc, total.c_str()),
+                  "%g findings counted but %s = %g", tally.count,
+                  total.c_str(), Value(doc, total.c_str()));
+  }
   return true;
 }
 
-bool ValidateLint(const std::string& path) {
-  // The report must be a well-formed BENCH export first (context +
-  // benchmarks with known run_types).
-  if (!ValidateMetrics(path)) {
-    return false;
-  }
-  StatusOr<JsonValue> doc = ParseJsonFile(path);
-  CHECK_OR_FAIL(doc.ok(), "%s: parse failed: %s", path.c_str(),
-                doc.status().ToString().c_str());
-  const JsonValue* benchmarks = doc->Find("benchmarks");
-
-  auto number_of = [&](const std::string& name,
-                       double* out) -> bool {
-    for (const JsonValue& entry : benchmarks->array()) {
-      const JsonValue* n = entry.Find("name");
-      if (n == nullptr || !n->is_string() || n->string() != name) {
-        continue;
-      }
-      const JsonValue* value = entry.Find("value");
-      if (value == nullptr || !value->is_number()) {
-        return false;
-      }
-      *out = value->number();
-      return true;
+// Density sweep points ascend strictly in domain target, and per-domain
+// control-plane bytes grow at most 10% per step (§2.3.1 via SCALING.md).
+bool CheckSweepTrend(const std::string& path, const JsonValue& doc) {
+  const JsonValue* prev = nullptr;
+  for (const JsonValue& point : doc.Find("sweep")->array()) {
+    if (prev != nullptr) {
+      const double domains = point.Find("domains")->number();
+      const double bytes = point.Find("per_domain_control_bytes")->number();
+      const double prev_bytes =
+          prev->Find("per_domain_control_bytes")->number();
+      CHECK_OR_FAIL(domains > prev->Find("domains")->number(),
+                    "sweep domains not strictly ascending at %g", domains);
+      CHECK_OR_FAIL(bytes <= prev_bytes * 1.10,
+                    "per-domain control bytes grew %g -> %g (> 10%%)",
+                    prev_bytes, bytes);
     }
-    return false;
-  };
-
-  double files_scanned = 0;
-  CHECK_OR_FAIL(number_of("lint.files_scanned", &files_scanned),
-                "%s: missing lint.files_scanned gauge", path.c_str());
-  CHECK_OR_FAIL(files_scanned > 0,
-                "%s: lint.files_scanned is zero — the scan saw no sources",
-                path.c_str());
-  std::size_t unsuppressed = 0;
-  std::size_t suppressed = 0;
-  if (!ValidateFindingsArray(path, *doc, benchmarks, "lint", &unsuppressed,
-                             &suppressed)) {
-    return false;
+    prev = &point;
   }
-
-  std::printf("%s: lint OK (%g files, %zu blocking, %zu suppressed)\n",
-              path.c_str(), files_scanned, unsuppressed, suppressed);
   return true;
 }
 
-bool ValidateFlow(const std::string& path) {
-  if (!ValidateMetrics(path)) {
-    return false;
-  }
-  StatusOr<JsonValue> doc = ParseJsonFile(path);
-  CHECK_OR_FAIL(doc.ok(), "%s: parse failed: %s", path.c_str(),
-                doc.status().ToString().c_str());
-  const JsonValue* benchmarks = doc->Find("benchmarks");
-
-  auto find_number = [&](const std::string& name, double* out) -> bool {
-    for (const JsonValue& entry : benchmarks->array()) {
-      const JsonValue* n = entry.Find("name");
-      if (n == nullptr || !n->is_string() || n->string() != name) {
-        continue;
-      }
-      const JsonValue* value = entry.Find("value");
-      if (value == nullptr || !value->is_number()) {
-        return false;
-      }
-      *out = value->number();
-      return true;
-    }
-    return false;
+const std::vector<Mode>& Modes() {
+  static const std::vector<Mode> modes = {
+      // Fault campaign (RESILIENCE.md). Supervision counts may be zero for
+      // a campaign without hangs or corruption, but must be exported.
+      {.flag = "--campaign",
+       .required = {{"campaign.availability", 0, 1},
+                    {"campaign.invariant_violations", 0, 0},
+                    {"campaign.faults_injected", 1},
+                    {"campaign.absorbed_by_retry", 1},
+                    {"campaign.mean_recovery_ms"},
+                    {"campaign.probes_issued", 1},
+                    {"campaign.hangs_injected"},
+                    {"campaign.box_corrupts_injected"},
+                    {"campaign.boxes_rejected"},
+                    {"campaign.heartbeat_timeout_ms"},
+                    {"campaign.hang_detection_max_ms"},
+                    {"campaign.watchdog_hangs_detected"},
+                    {"campaign.watchdog_hangs_absorbed"},
+                    {"campaign.watchdog_deaths_detected"},
+                    {"campaign.watchdog_auto_restarts"},
+                    {"campaign.watchdog_quarantines"}},
+       // Every hang is detected or absorbed, detection beats the
+       // heartbeat timeout, and every corrupted box is rejected.
+       .relations = {{"campaign.watchdog_hangs_detected",
+                      "campaign.watchdog_hangs_absorbed", "==",
+                      "campaign.hangs_injected"},
+                     {"campaign.hang_detection_max_ms", nullptr, "<=",
+                      "campaign.heartbeat_timeout_ms"},
+                     {"campaign.boxes_rejected", nullptr, "==",
+                      "campaign.box_corrupts_injected"}},
+       // A campaign whose per-type injection counters are all zero
+       // exercised nothing.
+       .families = {{"fault.injected.", "", true}}},
+      // Simulator core (DESIGN.md §5f). Wall-clock rates and speedups vary
+      // with the host and the iteration count, so they need only be
+      // positive; the committed full run is the speedup evidence. Events
+      // per block request is simulator-deterministic: the batched drain
+      // stays under 12 even with a 16-deep pipeline of 4 KiB writes.
+      {.flag = "--sim",
+       .required = {{"sim_core.schedule_fire.events_per_sec", kPositive},
+                    {"sim_core.schedule_fire.baseline_events_per_sec",
+                     kPositive},
+                    {"sim_core.schedule_fire.speedup", kPositive},
+                    {"sim_core.schedule_cancel.ops_per_sec", kPositive},
+                    {"sim_core.schedule_cancel.baseline_ops_per_sec",
+                     kPositive},
+                    {"sim_core.schedule_cancel.speedup", kPositive},
+                    {"sim_core.timer_churn.ops_per_sec", kPositive},
+                    {"sim_core.timer_churn.baseline_ops_per_sec", kPositive},
+                    {"sim_core.timer_churn.speedup", kPositive},
+                    {"sim_core.ring_drain.requests_per_sec", kPositive},
+                    {"sim_core.ring_drain.sim_events_per_request", kPositive,
+                     12}}},
+      // Density trajectory (SCALING.md): a scan-free create path and a
+      // well-formed sweep; create_ops_per_sec is wall-clock.
+      {.flag = "--density",
+       .required = {{"density.sweep_points", 1},
+                    {"density.max_domains", 1},
+                    {"density.total_created", 1},
+                    {"xs.shard.count", 1},
+                    {"density.scan_free_create_path", 1, 1}},
+       .arrays = {{"sweep",
+                   true,
+                   {},
+                   {{"domains", 1},
+                    {"created", 1},
+                    {"shard_count", 1},
+                    {"create_ops_per_sec", kPositive},
+                    {"create_path_scans", 0, 0},
+                    {"per_domain_control_bytes", kPositive}}}},
+       .extra = CheckSweepTrend},
+      // Record/replay selftest (DEBUGGING.md): the chain verified, the
+      // replay matched every record, the two-seed diff diverged inside the
+      // journal, and the planted perturbation was caught where planted.
+      {.flag = "--replay",
+       .required = {{"replay.seed"},
+                    {"replay.records", 1},
+                    {"replay.journal_bytes", 1},
+                    {"replay.chain_verified", 1, 1},
+                    {"replay.replay_divergences", 0, 0},
+                    {"replay.replay_verified", 1},
+                    {"replay.diff_seed_b"},
+                    {"replay.diff_diverged", 1, 1},
+                    {"replay.diff_index"},
+                    {"replay.perturb_index"},
+                    {"replay.perturb_caught", 1, 1},
+                    {"replay.perturb_caught_index"}},
+       .relations = {{"replay.replay_verified", nullptr, "==",
+                      "replay.records"},
+                     {"replay.perturb_caught_index", nullptr, "==",
+                      "replay.perturb_index"},
+                     {"replay.diff_index", nullptr, "<=", "replay.records"}}},
+      // Fleet campaign (RESILIENCE.md "Fleet"): the whale probe sheds, the
+      // clean wave completes, the storm wave trips its health gate and
+      // converges, and rebalancing never widens the load spread.
+      {.flag = "--fleet",
+       .required = {{"fleet.seed"},
+                    {"fleet.hosts", 2},
+                    {"fleet.guests_placed", 1},
+                    {"fleet.invariant_violations", 0, 0},
+                    {"fleet.admission.accepted", 1},
+                    {"fleet.admission.shed", 1},
+                    {"fleet.migrations.attempted", 1},
+                    {"fleet.migrations.completed", 1},
+                    {"fleet.evacuations.started", 1},
+                    {"fleet.evac.moved", 1},
+                    {"fleet.evac.failed", 0, 0},
+                    {"fleet.faults.migration_stream_drops", 1},
+                    {"fleet.controller.supervised", 1, 1},
+                    {"fleet.workload.p99_ms", 0.001},
+                    {"fleet.workload.p999_ms", 0.001},
+                    {"fleet.wave.clean.steps", 1},
+                    {"fleet.wave.clean.aborted", 0, 0},
+                    {"fleet.wave.storm.aborted", 1, 1},
+                    {"fleet.wave.storm.converged", 1, 1},
+                    {"fleet.rebalance.spread_before"},
+                    {"fleet.rebalance.spread_after"}},
+       .relations = {{"fleet.rebalance.spread_after", nullptr, "<=",
+                      "fleet.rebalance.spread_before"},
+                     {"fleet.workload.p999_ms", nullptr, ">=",
+                      "fleet.workload.p99_ms"},
+                     {"fleet.migrations.completed", nullptr, "<=",
+                      "fleet.migrations.attempted"}},
+       .families = {{"fleet.wave.", ".step.", false}}},
+      // xoar_lint report (ANALYSIS.md): the scan saw sources, and every
+      // finding is well-formed and counted in the totals.
+      {.flag = "--lint",
+       .required = {{"lint.files_scanned", kPositive},
+                    {"lint.findings.total", -kInf},
+                    {"lint.suppressed.total", -kInf},
+                    {"lint.warnings.total", -kInf}},
+       .arrays = {{"findings",
+                   false,
+                   {"rule", "file", "message"},
+                   {{"line"}}}},
+       .extra = [](const std::string& path, const JsonValue& doc) {
+         return CheckFindings(path, doc, "lint");
+       }},
+      // xoar_flow report (ANALYSIS.md "Whole-program flow analysis"): a
+      // non-trivial call graph, both containment recomputations side by
+      // side, the derived communication graph, and the findings as for
+      // --lint. Only bench/micro_lint writes the timing gauge.
+      {.flag = "--flow",
+       .required = {{"flow.files_scanned", kPositive},
+                    {"flow.functions", kPositive},
+                    {"flow.call_edges", -kInf},
+                    {"flow.widened_functions", -kInf},
+                    {"flow.containment.declared.nodes", -kInf},
+                    {"flow.containment.declared.edges", -kInf},
+                    {"flow.containment.declared.attack_surface", -kInf},
+                    {"flow.containment.declared.max_reach", -kInf},
+                    {"flow.containment.declared.mean_reach_milli", -kInf},
+                    {"flow.containment.derived.nodes", -kInf},
+                    {"flow.containment.derived.edges", -kInf},
+                    {"flow.containment.derived.attack_surface", -kInf},
+                    {"flow.containment.derived.max_reach", -kInf},
+                    {"flow.containment.derived.mean_reach_milli", -kInf},
+                    {"flow.findings.total", -kInf},
+                    {"flow.suppressed.total", -kInf},
+                    {"flow.warnings.total", -kInf}},
+       .optional = {{"lint_cost.full_tree_us", kPositive}},
+       .arrays = {{"findings",
+                   false,
+                   {"rule", "file", "message"},
+                   {{"line"}}},
+                  {"comm_graph",
+                   false,
+                   {"from", "to", "kind"},
+                   {{"witness_line"}}}},
+       .extra = [](const std::string& path, const JsonValue& doc) {
+         return CheckFindings(path, doc, "flow");
+       }},
   };
+  return modes;
+}
 
-  double files_scanned = 0;
-  double functions = 0;
-  double call_edges = 0;
-  double widened = 0;
-  CHECK_OR_FAIL(find_number("flow.files_scanned", &files_scanned),
-                "%s: missing flow.files_scanned gauge", path.c_str());
-  CHECK_OR_FAIL(files_scanned > 0,
-                "%s: flow.files_scanned is zero — the scan saw no sources",
-                path.c_str());
-  CHECK_OR_FAIL(find_number("flow.functions", &functions),
-                "%s: missing flow.functions gauge", path.c_str());
-  CHECK_OR_FAIL(functions > 0,
-                "%s: flow.functions is zero — no definitions recognized",
-                path.c_str());
-  CHECK_OR_FAIL(find_number("flow.call_edges", &call_edges),
-                "%s: missing flow.call_edges gauge", path.c_str());
-  CHECK_OR_FAIL(find_number("flow.widened_functions", &widened),
-                "%s: missing flow.widened_functions gauge", path.c_str());
-
-  // Side-by-side containment: both recomputations must be exported.
-  for (const char* label : {"declared", "derived"}) {
-    for (const char* field :
-         {"nodes", "edges", "attack_surface", "max_reach",
-          "mean_reach_milli"}) {
-      const std::string name =
-          std::string("flow.containment.") + label + "." + field;
-      double value = 0;
-      CHECK_OR_FAIL(find_number(name, &value), "%s: missing %s gauge",
-                    path.c_str(), name.c_str());
-    }
-  }
-
-  // The bench timing gauge is optional (only bench/micro_lint writes it),
-  // but when present it must be a real measurement.
-  double full_tree_us = 0;
-  if (find_number("lint_cost.full_tree_us", &full_tree_us)) {
-    CHECK_OR_FAIL(full_tree_us > 0,
-                  "%s: lint_cost.full_tree_us present but not positive",
-                  path.c_str());
-  }
-
-  std::size_t unsuppressed = 0;
-  std::size_t suppressed = 0;
-  if (!ValidateFindingsArray(path, *doc, benchmarks, "flow", &unsuppressed,
-                             &suppressed)) {
+bool ValidateReport(const std::string& path, const Mode* mode) {
+  StatusOr<JsonValue> doc = ParseJsonFile(path);
+  CHECK_OR_FAIL(doc.ok(), "parse failed: %s", doc.status().ToString().c_str());
+  if (!CheckBenchShape(path, *doc) ||
+      (mode != nullptr && !CheckMode(path, *doc, *mode))) {
     return false;
   }
+  std::printf("%s: %s OK (%zu metrics)\n", path.c_str(),
+              mode == nullptr ? "metrics" : mode->flag + 2,
+              doc->Find("benchmarks")->array().size());
+  return true;
+}
 
-  const JsonValue* comm = doc->Find("comm_graph");
-  CHECK_OR_FAIL(comm != nullptr && comm->is_array(),
-                "%s: missing \"comm_graph\" array", path.c_str());
-  for (const JsonValue& edge : comm->array()) {
-    CHECK_OR_FAIL(edge.is_object(), "%s: comm_graph entry is not an object",
-                  path.c_str());
-    for (const char* field : {"from", "to", "kind"}) {
-      const JsonValue* value = edge.Find(field);
-      CHECK_OR_FAIL(value != nullptr && value->is_string() &&
-                        !value->string().empty(),
-                    "%s: comm_graph entry without \"%s\"", path.c_str(),
-                    field);
+bool ValidateTrace(const std::string& path) {
+  StatusOr<JsonValue> doc = ParseJsonFile(path);
+  CHECK_OR_FAIL(doc.ok(), "parse failed: %s", doc.status().ToString().c_str());
+  CHECK_OR_FAIL(doc->is_object(), "top level is not an object");
+  const JsonValue* events = doc->Find("traceEvents");
+  CHECK_OR_FAIL(events != nullptr && events->is_array(),
+                "missing \"traceEvents\" array");
+
+  std::set<std::string> span_categories;
+  std::size_t spans = 0;
+  for (const JsonValue& event : events->array()) {
+    CHECK_OR_FAIL(event.is_object(), "trace event is not an object");
+    const JsonValue* name = event.Find("name");
+    CHECK_OR_FAIL(name != nullptr && name->is_string(),
+                  "trace event without a \"name\"");
+    const char* n = name->string().c_str();
+    const JsonValue* ph = event.Find("ph");
+    CHECK_OR_FAIL(ph != nullptr && ph->is_string(),
+                  "event \"%s\": missing \"ph\"", n);
+    const std::string& phase = ph->string();
+    CHECK_OR_FAIL(phase == "X" || phase == "i" || phase == "M",
+                  "event \"%s\": unsupported phase \"%s\"", n, phase.c_str());
+    const JsonValue* pid = event.Find("pid");
+    CHECK_OR_FAIL(pid != nullptr && pid->is_number(),
+                  "event \"%s\": missing \"pid\"", n);
+    if (phase == "M") {
+      continue;  // metadata records carry "args", not timestamps
     }
-    const JsonValue* line = edge.Find("witness_line");
-    CHECK_OR_FAIL(line != nullptr && line->is_number() && line->number() >= 0,
-                  "%s: comm_graph entry with bad witness_line", path.c_str());
+    const JsonValue* ts = event.Find("ts");
+    CHECK_OR_FAIL(ts != nullptr && ts->is_number() && ts->number() >= 0,
+                  "event \"%s\": missing or negative \"ts\"", n);
+    const JsonValue* cat = event.Find("cat");
+    CHECK_OR_FAIL(cat != nullptr && cat->is_string(),
+                  "event \"%s\": missing \"cat\"", n);
+    if (phase == "X") {
+      const JsonValue* dur = event.Find("dur");
+      CHECK_OR_FAIL(dur != nullptr && dur->is_number() && dur->number() >= 0,
+                    "span \"%s\": missing or negative \"dur\"", n);
+      ++spans;
+      span_categories.insert(cat->string());
+    }
   }
-
-  std::printf(
-      "%s: flow OK (%g files, %g functions, %g edges, %zu comm edges, "
-      "%zu blocking, %zu suppressed)\n",
-      path.c_str(), files_scanned, functions, call_edges,
-      comm->array().size(), unsuppressed, suppressed);
+  CHECK_OR_FAIL(spans > 0, "no \"X\" span events recorded");
+  CHECK_OR_FAIL(span_categories.size() >= 5,
+                "only %zu distinct span categories (need >= 5)",
+                span_categories.size());
+  std::printf("%s: OK (%zu events, %zu spans, %zu span categories)\n",
+              path.c_str(), events->array().size(), spans,
+              span_categories.size());
   return true;
 }
 
@@ -932,46 +536,21 @@ bool ValidateFlow(const std::string& path) {
 }  // namespace xoar
 
 int main(int argc, char** argv) {
-  if (argc == 3 && std::string(argv[1]) == "--campaign") {
-    return xoar::ValidateCampaign(argv[2]) ? 0 : 1;
-  }
-  if (argc == 3 && std::string(argv[1]) == "--lint") {
-    return xoar::ValidateLint(argv[2]) ? 0 : 1;
-  }
-  if (argc == 3 && std::string(argv[1]) == "--flow") {
-    return xoar::ValidateFlow(argv[2]) ? 0 : 1;
-  }
-  if (argc == 3 && std::string(argv[1]) == "--sim") {
-    return xoar::ValidateSimCore(argv[2]) ? 0 : 1;
-  }
-  if (argc == 3 && std::string(argv[1]) == "--density") {
-    return xoar::ValidateDensity(argv[2]) ? 0 : 1;
-  }
-  if (argc == 3 && std::string(argv[1]) == "--replay") {
-    return xoar::ValidateReplay(argv[2]) ? 0 : 1;
-  }
-  if (argc == 3 && std::string(argv[1]) == "--fleet") {
-    return xoar::ValidateFleet(argv[2]) ? 0 : 1;
-  }
   if (argc != 3) {
-    std::fprintf(stderr,
-                 "usage: %s <metrics.json> <trace.json>\n"
-                 "       %s --campaign <BENCH_fault_campaign.json>\n"
-                 "       %s --lint <xoar_lint_report.json>\n"
-                 "       %s --flow <BENCH_analysis.json>\n"
-                 "       %s --sim <BENCH_sim_core.json>\n"
-                 "       %s --density <BENCH_density.json>\n"
-                 "       %s --replay <BENCH_replay.json>\n"
-                 "       %s --fleet <BENCH_fleet.json>\n",
-                 argv[0], argv[0], argv[0], argv[0], argv[0], argv[0],
-                 argv[0], argv[0]);
+    std::fprintf(stderr, "usage: %s <metrics.json> <trace.json>\n", argv[0]);
+    for (const xoar::Mode& mode : xoar::Modes()) {
+      std::fprintf(stderr, "       %s %s <report.json>\n", argv[0],
+                   mode.flag);
+    }
     return 2;
   }
-  if (!xoar::ValidateMetrics(argv[1])) {
-    return 1;
+  for (const xoar::Mode& mode : xoar::Modes()) {
+    if (std::string_view(argv[1]) == mode.flag) {
+      return xoar::ValidateReport(argv[2], &mode) ? 0 : 1;
+    }
   }
-  if (!xoar::ValidateTrace(argv[2])) {
-    return 1;
-  }
-  return 0;
+  return xoar::ValidateReport(argv[1], nullptr) &&
+                 xoar::ValidateTrace(argv[2])
+             ? 0
+             : 1;
 }

@@ -20,14 +20,13 @@
 // --strict promotes warnings (declared-but-dead communication edges,
 // stale xoar-flow suppressions) to blocking findings.
 #include <cstdio>
-#include <fstream>
 #include <string>
 #include <vector>
 
 #include "src/analysis/flow/flow.h"
 #include "src/analysis/report.h"
 #include "src/analysis/source_tree.h"
-#include "src/base/strings.h"
+#include "src/base/json.h"
 #include "src/security/interface_graph.h"
 
 namespace xoar {
@@ -64,27 +63,6 @@ std::vector<flow::GraphStats> ContainmentSideBySide(
   return {Containment("declared", declared), Containment("derived", derived)};
 }
 
-std::string FormatFlowText(const std::vector<Finding>& findings,
-                           const LintSummary& summary) {
-  std::string out;
-  for (const Finding& finding : findings) {
-    out += StrFormat("%s:%d: [%s%s] %s", finding.file.c_str(), finding.line,
-                     finding.rule.c_str(),
-                     finding.warning && !finding.suppressed ? " warning" : "",
-                     finding.message.c_str());
-    if (finding.suppressed) {
-      out += StrFormat("  [suppressed: %s]", finding.justification.c_str());
-    }
-    out += "\n";
-  }
-  out += StrFormat(
-      "xoar_flow: %zu file(s) scanned, %zu finding(s) (%zu suppressed, "
-      "%zu warning(s), %zu blocking)\n",
-      summary.files_scanned, summary.total, summary.suppressed,
-      summary.warnings, summary.unsuppressed);
-  return out;
-}
-
 int Run(const std::string& root, const std::string& json_path, bool quiet,
         bool strict) {
   StatusOr<std::vector<SourceFile>> files = LoadTree(root, DefaultScanDirs());
@@ -104,18 +82,18 @@ int Run(const std::string& root, const std::string& json_path, bool quiet,
   const LintSummary summary = Summarize(result.findings, files->size());
 
   if (!quiet || summary.unsuppressed > 0) {
-    std::fputs(FormatFlowText(result.findings, summary).c_str(),
+    std::fputs(FormatText("xoar_flow", result.findings, summary).c_str(),
                summary.unsuppressed > 0 ? stderr : stdout);
   }
   if (!json_path.empty()) {
-    std::ofstream out(json_path, std::ios::binary | std::ios::trunc);
-    if (!out) {
-      std::fprintf(stderr, "xoar_flow: cannot write %s\n", json_path.c_str());
+    const Status written = WriteStringToFile(
+        json_path, FormatFlowJson(result, summary,
+                                  ContainmentSideBySide(config, result),
+                                  /*extra_gauges=*/{}));
+    if (!written.ok()) {
+      std::fprintf(stderr, "xoar_flow: %s\n", written.ToString().c_str());
       return 2;
     }
-    out << FormatFlowJson(result, summary,
-                          ContainmentSideBySide(config, result),
-                          /*extra_gauges=*/{});
   }
   return summary.unsuppressed > 0 ? 1 : 0;
 }

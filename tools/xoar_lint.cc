@@ -16,13 +16,12 @@
 // for fixture trees that only contain a slice of the platform. --strict
 // promotes warnings (stale suppression comments) to blocking findings.
 #include <cstdio>
-#include <cstring>
-#include <fstream>
 #include <string>
 
 #include "src/analysis/report.h"
 #include "src/analysis/rules.h"
 #include "src/analysis/source_tree.h"
+#include "src/base/json.h"
 
 namespace xoar {
 namespace analysis {
@@ -50,17 +49,16 @@ int Run(const std::string& root, const std::string& json_path, bool quiet,
   const LintSummary summary = Summarize(findings, files->size());
 
   if (!quiet || summary.unsuppressed > 0) {
-    std::fputs(FormatText(findings, summary).c_str(),
+    std::fputs(FormatText("xoar_lint", findings, summary).c_str(),
                summary.unsuppressed > 0 ? stderr : stdout);
   }
   if (!json_path.empty()) {
-    std::ofstream out(json_path, std::ios::binary | std::ios::trunc);
-    if (!out) {
-      std::fprintf(stderr, "xoar_lint: cannot write %s\n",
-                   json_path.c_str());
+    const Status written =
+        WriteStringToFile(json_path, FormatJson(findings, summary));
+    if (!written.ok()) {
+      std::fprintf(stderr, "xoar_lint: %s\n", written.ToString().c_str());
       return 2;
     }
-    out << FormatJson(findings, summary);
   }
   return summary.unsuppressed > 0 ? 1 : 0;
 }
