@@ -306,6 +306,47 @@ std::size_t FindBodyBrace(const Tokens& t, std::size_t close) {
   return kNpos;
 }
 
+// Leading qualifier chain `A::B<...>::` ending just before token `i`: the
+// class and namespace names outermost first, template-argument lists
+// skipped, so an out-of-line `Foo<R>::Bar` or a call `Foo<int>::Bar(...)`
+// is qualified by Foo. `*start`, when given, receives the index of the
+// chain's first token (`i` when there is none).
+std::vector<std::string> QualifierChain(const Tokens& t, std::size_t i,
+                                        std::size_t* start) {
+  std::vector<std::string> chain;
+  std::size_t k = i;
+  while (k >= 2 && IsPunct(t[k - 1], "::")) {
+    std::size_t name = k - 2;
+    if (IsPunct(t[name], ">")) {
+      // Back up over the template-argument list to the template's name.
+      int depth = 0;
+      std::size_t j = name;
+      for (; j > 0 && name - j < 64; --j) {
+        if (IsPunct(t[j], ">")) {
+          ++depth;
+        } else if ((IsPunct(t[j], "<") && --depth == 0) ||
+                   IsPunct(t[j], ";") || IsPunct(t[j], "{") ||
+                   IsPunct(t[j], "}")) {
+          break;
+        }
+      }
+      if (depth != 0 || j == 0) {
+        break;
+      }
+      name = j - 1;
+    }
+    if (t[name].kind != TokenKind::kIdentifier) {
+      break;
+    }
+    chain.insert(chain.begin(), t[name].text);
+    k = name;
+  }
+  if (start != nullptr) {
+    *start = k;
+  }
+  return chain;
+}
+
 // Nearest preceding identifier that looks like a return type (skipping
 // cv/storage keywords and type punctuation).
 std::string ReturnHint(const Tokens& t, std::size_t name_start,
@@ -412,13 +453,8 @@ void ScanDefinitions(const std::vector<SourceFile>& files,
           IsPunct(t[i + 1], "(") &&
           !(i > 0 && (IsPunct(t[i - 1], ".") || IsPunct(t[i - 1], "->") ||
                       IsPunct(t[i - 1], "~")))) {
-        std::vector<std::string> chain;  // leading A::B:: qualifiers
         std::size_t k = i;
-        while (k >= 2 && IsPunct(t[k - 1], "::") &&
-               t[k - 2].kind == TokenKind::kIdentifier) {
-          chain.insert(chain.begin(), t[k - 2].text);
-          k -= 2;
-        }
+        const std::vector<std::string> chain = QualifierChain(t, i, &k);
         const std::size_t close = MatchingClose(t, i + 1, "(", ")");
         if (close != kNpos) {
           const std::size_t body = FindBodyBrace(t, close);
@@ -662,13 +698,7 @@ class EdgeExtractor {
   void ResolveQualified(int caller_idx, const Tokens& t, std::size_t p,
                         const std::string& name, int line,
                         std::set<int>* seen) {
-    std::vector<std::string> chain;
-    std::size_t k = p;
-    while (k >= 2 && IsPunct(t[k - 1], "::") &&
-           t[k - 2].kind == TokenKind::kIdentifier) {
-      chain.insert(chain.begin(), t[k - 2].text);
-      k -= 2;
-    }
+    const std::vector<std::string> chain = QualifierChain(t, p, nullptr);
     if (chain.empty()) {
       return;
     }

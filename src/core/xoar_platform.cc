@@ -240,7 +240,7 @@ Status XoarPlatform::Boot() {
       }
       netback_doms_.push_back(*dom);
       netbacks_.push_back(std::make_unique<NetBack>(hv_.get(), xs_.get(),
-                                                    &sim_, *dom, nic, &obs_));
+                                                    *dom, nic));
       netback_index_[*dom] = netbacks_.back().get();
       control_plane_doms_.insert(*dom);
       udev_status = netbacks_.back()->Initialize();
@@ -253,7 +253,7 @@ Status XoarPlatform::Boot() {
       }
       blkback_doms_.push_back(*dom);
       blkbacks_.push_back(std::make_unique<BlkBack>(hv_.get(), xs_.get(),
-                                                    &sim_, *dom, disk, &obs_));
+                                                    *dom, disk));
       blkback_index_[*dom] = blkbacks_.back().get();
       control_plane_doms_.insert(*dom);
       udev_status = blkbacks_.back()->Initialize();

@@ -64,11 +64,9 @@ Status MonolithicPlatform::Boot() {
   builder_ = std::make_unique<Builder>(hv_.get(), xs_.get(), dom0_);
   builder_->set_console(console_.get(), /*console_uses_foreign_map=*/true);
   xs_->store().AddManagerDomain(dom0_);
-  netback_ = std::make_unique<NetBack>(hv_.get(), xs_.get(), &sim_, dom0_,
-                                       nic_.get(), &obs_);
+  netback_ = std::make_unique<NetBack>(hv_.get(), xs_.get(), dom0_, nic_.get());
   XOAR_RETURN_IF_ERROR(netback_->Initialize());
-  blkback_ = std::make_unique<BlkBack>(hv_.get(), xs_.get(), &sim_, dom0_,
-                                       disk_.get(), &obs_);
+  blkback_ = std::make_unique<BlkBack>(hv_.get(), xs_.get(), dom0_, disk_.get());
   XOAR_RETURN_IF_ERROR(blkback_->Initialize());
   toolstack_ = std::make_unique<Toolstack>(hv_.get(), xs_.get(), &sim_, dom0_,
                                            builder_.get());

@@ -115,8 +115,7 @@ StatusOr<DomainId> Toolstack::CreateGuest(const GuestSpec& spec) {
     }
     if (Status s = netback->AttachVif(guest); !s.ok()) return unwind(s);
     record.netback = netback;
-    record.netfront = std::make_unique<NetFront>(hv_, xs_, sim_, guest,
-                                                 netback->self());
+    record.netfront = std::make_unique<NetFront>(hv_, xs_, guest, netback->self());
     if (Status s = record.netfront->Connect(); !s.ok()) return unwind(s);
   }
   if (spec.with_disk) {
@@ -135,8 +134,7 @@ StatusOr<DomainId> Toolstack::CreateGuest(const GuestSpec& spec) {
       return unwind(s);
     }
     record.blkback = blkback;
-    record.blkfront = std::make_unique<BlkFront>(hv_, xs_, sim_, guest,
-                                                 blkback->self());
+    record.blkfront = std::make_unique<BlkFront>(hv_, xs_, guest, blkback->self());
     if (Status s = record.blkfront->Connect(); !s.ok()) return unwind(s);
   }
   if (spec.hvm) {

@@ -2,45 +2,33 @@
 //
 // BlkFront runs in a guest and exposes an asynchronous sector-I/O API; it
 // communicates with BlkBack over a grant-mapped I/O ring plus an event
-// channel, negotiated via XenStore per the XenBus protocol. BlkBack hosts
-// the physical disk driver: it virtualizes one disk controller into
-// per-guest virtual block devices (VBDs), each backed by a byte range of
-// the disk (a disk image). BlkBack also runs the small proxy daemon the
-// Toolstack uses to create/inspect images after the Toolstack was split
-// out of the driver domain (§5.4).
+// channel, negotiated via XenStore per the XenBus protocol (xenbus.h, which
+// also holds the retry ladders). BlkBack hosts the physical disk driver: it
+// virtualizes one disk controller into per-guest virtual block devices
+// (VBDs), each backed by a byte range of the disk (a disk image). BlkBack
+// also runs the small proxy daemon the Toolstack uses to create/inspect
+// images after the Toolstack was split out of the driver domain (§5.4).
 //
 // BlkBack is restartable: Suspend() drops its device state and mappings
-// (frames in flight are lost); Resume() re-advertises the backend, and
+// (requests in flight are lost); Resume() re-advertises the backend, and
 // frontends renegotiate through XenStore, retransmitting outstanding
 // requests — the crash-only recovery loop of §3.3.
-//
-// Resilience (RESILIENCE.md): every request the frontend puts on the ring
-// carries a simulated-time response deadline. A timed-out or transiently
-// failed request is retried with bounded exponential backoff; exhaustion
-// surfaces UNAVAILABLE to the caller. XenStore reads/writes on the
-// handshake path are retried the same way, so an injected XenStore timeout
-// delays reconnection instead of wedging it.
 #ifndef XOAR_SRC_DRV_BLK_H_
 #define XOAR_SRC_DRV_BLK_H_
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <map>
-#include <memory>
 #include <optional>
 #include <string>
-#include <vector>
 
-#include "src/base/backoff.h"
 #include "src/base/ids.h"
 #include "src/base/status.h"
 #include "src/base/units.h"
 #include "src/dev/disk.h"
+#include "src/drv/xenbus.h"
 #include "src/hv/hypervisor.h"
 #include "src/hv/io_ring.h"
-#include "src/obs/obs.h"
-#include "src/sim/simulator.h"
 #include "src/xs/service.h"
 
 namespace xoar {
@@ -55,17 +43,31 @@ struct BlkRingRequest {
 
 struct BlkRingResponse {
   std::uint64_t id;
-  std::int8_t status;  // 0 = OK, else kBlkStatus*
+  std::int8_t status;  // 0 = OK, kBlkStatusFailed or kRingStatusTransient
 };
 
-// Ring response status codes. kBlkStatusFailed is permanent (the request
-// itself is bad — out of range for the VBD); kBlkStatusTransient marks a
-// retryable backend-side fault (an injected EIO): the frontend retries it
-// with backoff instead of failing the caller.
+// Permanent failure: the request itself is bad (out of range for the VBD).
+// Retryable faults answer kRingStatusTransient (xenbus.h).
 constexpr std::int8_t kBlkStatusFailed = -1;
-constexpr std::int8_t kBlkStatusTransient = -2;
 
 using BlkRing = IoRing<BlkRingRequest, BlkRingResponse, 32>;
+
+// The request_timeout default must comfortably exceed worst-case queueing +
+// disk service time — a full 32-deep ring of random-offset requests queues
+// ~430 ms behind seek costs — or healthy requests get retransmitted as
+// duplicate disk writes.
+inline constexpr XenbusDevice kVbdDevice = {
+    .type = "vbd",
+    .noun = "VBD",
+    .ring_keys = {"ring-ref", nullptr},
+    .rings = 1,
+    .backend = "BlkBack",
+    .frontend = "BlkFront",
+    .back_tag = "blkback",
+    .front_tag = "blkfront",
+    .io = "block I/O",
+    .request_timeout = 2 * kSecond,
+};
 
 constexpr std::uint32_t kSectorSize = 512;
 
@@ -104,22 +106,22 @@ class ExtentAllocator {
 class BlkBack {
  public:
   // Fault-injection hook (src/fault), consulted once per popped ring
-  // request. Returning true makes the backend answer kBlkStatusTransient
+  // request. Returning true makes the backend answer kRingStatusTransient
   // without touching the disk — a transient EIO the frontend absorbs via
   // retry/backoff.
   using IoFaultHook =
       std::function<bool(DomainId guest, const BlkRingRequest& request)>;
 
-  // `obs` receives `BlkBack.ring.*` / `BlkBack.vbd.*` counters and kDriver
-  // trace events; nullptr falls back to Obs::Global().
-  BlkBack(Hypervisor* hv, XenStoreService* xs, Simulator* sim, DomainId self,
-          DiskDevice* disk, Obs* obs = nullptr);
+  // `BlkBack.ring.*` / `BlkBack.vbd.*` counters and kDriver trace events go
+  // to the hypervisor's Obs.
+  BlkBack(Hypervisor* hv, XenStoreService* xs, DomainId self,
+          DiskDevice* disk);
 
-  // Registers the backend root and its XenStore watch.
-  Status Initialize();
+  // Registers the backend root in XenStore.
+  Status Initialize() { return xenbus_.Initialize(); }
 
-  DomainId self() const { return self_; }
-  bool available() const { return available_; }
+  DomainId self() const { return xenbus_.self(); }
+  bool available() const { return xenbus_.available(); }
 
   // --- Disk image proxy (the §5.4 daemon) ---
 
@@ -139,14 +141,16 @@ class BlkBack {
   // Tears down a guest's VBD completely: disconnect the ring, drop the
   // frontend-state watch, forget the guest. The destroy-side counterpart
   // of BindImage (Suspend/Resume keep VBDs, this does not).
-  Status DetachVbd(DomainId guest);
+  Status DetachVbd(DomainId guest) { return xenbus_.Detach(guest); }
 
   // --- Microreboot hooks (driven by the restart engine in src/core) ---
 
-  void Suspend();
-  void Resume();
+  void Suspend() { xenbus_.Suspend(); }
+  void Resume() { xenbus_.Resume(); }
 
-  bool IsVbdConnected(DomainId guest) const;
+  bool IsVbdConnected(DomainId guest) const {
+    return xenbus_.IsConnected(guest);
+  }
 
   // Slowdown multiplier applied to per-op overhead (control-VM co-location
   // interference; 1.0 = isolated driver domain).
@@ -158,87 +162,57 @@ class BlkBack {
   std::uint64_t bytes_moved() const { return bytes_moved_; }
 
  private:
-  struct Vbd {
-    DomainId guest;
-    std::string image;
-    std::uint64_t base_offset = 0;
-    std::uint64_t size_bytes = 0;
-    bool connected = false;
-    GrantRef ring_gref;
-    std::byte* ring_page = nullptr;
-    EvtchnPort port;
-    // Reconnect retry state: a transiently failed ConnectVbd (XenStore down
-    // mid-handshake, injected grant-map failure) is retried on this ladder
-    // because nothing else re-fires the frontend-state watch.
-    ExponentialBackoff connect_backoff;
-    bool retry_pending = false;
-    // Coalesces ring notifications: while a drain event is in flight,
-    // further kicks are absorbed by the pending drain's final re-check.
-    bool drain_scheduled = false;
-  };
-
-  void OnFrontendStateChange(DomainId guest);
-  Status ConnectVbd(Vbd& vbd);
-  void ScheduleConnectRetry(DomainId guest);
-  void DisconnectVbd(Vbd& vbd);
-  void ServiceRing(DomainId guest);
-  void DrainRing(DomainId guest);
-
-  Hypervisor* hv_;
-  XenStoreService* xs_;
-  Simulator* sim_;
-  DomainId self_;
-  DiskDevice* disk_;
-  bool available_ = false;
-  double overhead_multiplier_ = 1.0;
-  IoFaultHook io_fault_hook_;
-  // Resume() must eventually get its InitWait re-advertisement into
-  // XenStore or no frontend ever renegotiates; retried unbounded at capped
-  // delay when XenStore itself is down (RESILIENCE.md).
-  ExponentialBackoff resume_backoff_;
-  bool resume_retry_pending_ = false;
-  std::map<DomainId, Vbd> vbds_;
-
   struct Image {
     std::uint64_t offset = 0;
     std::uint64_t size = 0;
     int bound_vbds = 0;  // DeleteImage refuses while any VBD is bound
   };
+
+  // A VBD is the XenBus channel plus the image it serves; it holds one
+  // binding of that image for as long as it exists.
+  struct Vbd : XenbusBackend::Channel {
+    explicit Vbd(Image* bound) : image(bound) { ++image->bound_vbds; }
+    ~Vbd() override { --image->bound_vbds; }
+    Image* image;
+  };
+
+  void ServiceRing(DomainId guest);
+  void DrainRing(DomainId guest);
+
+  DiskDevice* disk_;
+  double overhead_multiplier_ = 1.0;
+  IoFaultHook io_fault_hook_;
   std::map<std::string, Image> images_;
   // The first 64 MiB of the disk are reserved for metadata.
   ExtentAllocator extents_;
   std::uint64_t requests_served_ = 0;
   std::uint64_t bytes_moved_ = 0;
-  Obs* obs_;
-  Counter* m_requests_;      // BlkBack.ring.requests
-  Counter* m_bytes_;         // BlkBack.ring.bytes
-  Counter* m_vbd_connects_;  // BlkBack.vbd.connects
+  Counter* m_requests_;  // BlkBack.ring.requests
+  Counter* m_bytes_;     // BlkBack.ring.bytes
+  // Declared after images_: destroying it destroys the VBDs, which release
+  // their image bindings.
+  XenbusBackend xenbus_;
 };
 
 class BlkFront {
+  using Xenbus = XenbusFrontend<BlkRing, kVbdDevice>;
+
  public:
   using IoDone = std::function<void(Status)>;
+  // Retry/backoff tuning (RESILIENCE.md "Tuning knobs"); request_timeout is
+  // the on-ring response deadline per attempt, 2 s by default.
+  using RetryConfig = Xenbus::RetryConfig;
 
-  // Retry/backoff tuning (RESILIENCE.md "Tuning knobs"). request_timeout is
-  // the on-ring response deadline per attempt; it must comfortably exceed
-  // worst-case queueing + disk service time — a full 32-deep ring of
-  // random-offset requests queues ~430 ms behind seek costs — or healthy
-  // requests get retransmitted as duplicate disk writes.
-  struct RetryConfig {
-    BackoffPolicy backoff;
-    SimDuration request_timeout = 2 * kSecond;
-  };
-
-  BlkFront(Hypervisor* hv, XenStoreService* xs, Simulator* sim, DomainId self,
-           DomainId backend);
-  ~BlkFront();
+  BlkFront(Hypervisor* hv, XenStoreService* xs, DomainId self,
+           DomainId backend)
+      : xenbus_(hv, xs, self, backend) {}
 
   // Runs the frontend side of the XenBus handshake. Also watches the
   // backend state so a microrebooted backend triggers renegotiation.
   Status Connect();
 
-  bool connected() const { return connected_; }
-  DomainId backend() const { return backend_; }
+  bool connected() const { return xenbus_.connected(); }
+  DomainId backend() const { return xenbus_.backend(); }
 
   // Asynchronous sector I/O. While disconnected (backend rebooting),
   // requests queue and are retransmitted after reconnection. Transient
@@ -251,65 +225,20 @@ class BlkFront {
   void ReadBytes(std::uint64_t offset, std::uint64_t bytes, IoDone done);
   void WriteBytes(std::uint64_t offset, std::uint64_t bytes, IoDone done);
 
-  void set_retry_config(const RetryConfig& config);
-  const RetryConfig& retry_config() const { return retry_; }
+  void set_retry_config(const RetryConfig& config) {
+    xenbus_.set_retry_config(config);
+  }
+  const RetryConfig& retry_config() const { return xenbus_.retry_config(); }
 
-  std::uint64_t completed_ios() const { return completed_ios_; }
-  std::uint64_t retransmitted_ios() const { return retransmits_; }
-  std::size_t outstanding_ios() const { return outstanding_.size(); }
-  std::uint64_t retry_attempts() const { return retry_attempts_; }
-  std::uint64_t retry_recovered() const { return retry_recovered_; }
-  std::uint64_t retry_exhausted() const { return retry_exhausted_; }
+  std::uint64_t completed_ios() const { return xenbus_.completed(); }
+  std::uint64_t retransmitted_ios() const { return xenbus_.retransmits(); }
+  std::size_t outstanding_ios() const { return xenbus_.outstanding(); }
+  std::uint64_t retry_attempts() const { return xenbus_.retry_attempts(); }
+  std::uint64_t retry_recovered() const { return xenbus_.retry_recovered(); }
+  std::uint64_t retry_exhausted() const { return xenbus_.retry_exhausted(); }
 
  private:
-  struct PendingIo {
-    BlkRingRequest request;
-    IoDone done;
-    int attempts = 0;  // backoff retries so far (reconnects not counted)
-    EventId timeout_event = EventId::Invalid();
-  };
-
-  void Republish();
-  Status DoRepublish();
-  void OnBackendStateChange();
-  void ScheduleXsRetry(bool republish);
-  void PumpQueue();
-  void OnResponse();
-  void OnRequestTimeout(std::uint64_t id);
-  void RetryIo(PendingIo io);
-
-  Hypervisor* hv_;
-  XenStoreService* xs_;
-  Simulator* sim_;
-  DomainId self_;
-  DomainId backend_;
-  bool connected_ = false;
-  bool handshake_started_ = false;
-  bool awaiting_connect_ = false;
-  Pfn ring_pfn_;
-  std::byte* ring_page_ = nullptr;
-  GrantRef ring_gref_;
-  EvtchnPort port_;
-  std::uint64_t next_id_ = 1;
-  RetryConfig retry_;
-  ExponentialBackoff xs_backoff_;
-  bool xs_retry_pending_ = false;
-  bool xs_retry_republish_ = false;
-  std::deque<PendingIo> queue_;                  // not yet on the ring
-  std::map<std::uint64_t, PendingIo> outstanding_;  // on the ring, unanswered
-  std::uint64_t completed_ios_ = 0;
-  std::uint64_t retransmits_ = 0;
-  std::uint64_t retry_attempts_ = 0;
-  std::uint64_t retry_recovered_ = 0;
-  std::uint64_t retry_exhausted_ = 0;
-  Counter* m_retry_attempts_;   // BlkFront.retry.attempts
-  Counter* m_retry_recovered_;  // BlkFront.retry.recovered
-  Counter* m_retry_exhausted_;  // BlkFront.retry.exhausted
-  Histogram* m_backoff_ms_;     // BlkFront.retry.backoff_ms
-  // Frontends die with their guest while the simulation keeps running;
-  // every scheduled callback checks this guard so late timers and watch
-  // events can't touch a destroyed frontend.
-  std::shared_ptr<bool> alive_ = std::make_shared<bool>(true);
+  Xenbus xenbus_;
 };
 
 }  // namespace xoar

@@ -34,6 +34,8 @@ template <typename Req, typename Rsp, std::size_t kEntriesParam = 32>
 class IoRing {
  public:
   static constexpr std::size_t kEntries = kEntriesParam;
+  using Request = Req;
+  using Response = Rsp;
 
   static_assert(std::is_trivially_copyable_v<Req>);
   static_assert(std::is_trivially_copyable_v<Rsp>);

@@ -392,6 +392,24 @@ TEST(FlowFixtureTest, HiddenHelperPrivilegeLeakNamesTheWitnessChain) {
             std::string::npos);
 }
 
+TEST(FlowFixtureTest, TemplateMemberPrivilegeLeakNamesTheWitnessChain) {
+  // Ring<R>::Drain is defined out of line; the call graph must qualify it
+  // by Ring (not record a free function Drain) for Ring<int>::Drain(...) to
+  // resolve and the leak to show.
+  const flow::CallGraph graph =
+      flow::BuildCallGraph(LoadFixtureTree("flow_template"));
+  EXPECT_EQ(CalleesOf(graph, "NetBack::Flush"),
+            (std::vector<std::string>{"Ring::Drain"}));
+  const flow::FlowResult result = FlowFixture("flow_template");
+  const std::vector<Finding> blocking = Blocking(result.findings);
+  ASSERT_EQ(blocking.size(), 1u);
+  EXPECT_EQ(blocking[0].rule, "privilege_flow");
+  EXPECT_NE(blocking[0].message.find("NetBack::Flush [src/drv/net.cc:24] -> "
+                                     "Ring::Drain [src/drv/net.cc:18] -> "
+                                     "Hypervisor::SnapshotDomain"),
+            std::string::npos);
+}
+
 TEST(FlowFixtureTest, UndeclaredCommEdgeIsDerivedAndBlocking) {
   const flow::FlowResult result = FlowFixture("flow_comm");
   const std::vector<Finding> blocking = Blocking(result.findings);

@@ -1,7 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
+
+#include "src/base/hash_chain.h"
 #include "src/core/xoar_platform.h"
 #include "src/ctl/monolithic_platform.h"
+#include "src/drv/xenbus.h"
+#include "src/fault/fault.h"
 
 namespace xoar {
 namespace {
@@ -229,6 +234,221 @@ TEST_F(XoarDriverTest, RepeatedRestartCyclesStayHealthy) {
   EXPECT_TRUE(netback.InjectRx(guest_, 1000));
   platform_.Settle();
   EXPECT_EQ(received, 1000u);
+}
+
+GuestSpec NamedGuest(const std::string& name, bool devices = true) {
+  GuestSpec spec;
+  spec.name = name;
+  spec.with_net = devices;
+  spec.with_disk = devices;
+  return spec;
+}
+
+// --- Protocol pin ---
+//
+// Folds every trace event (category, name, ts, dur, track) into FNV-1a.
+// The trace carries each XenStore op, hypercall, grant and event-channel
+// operation and driver step with its simulated time, so the digest pins
+// the order of the whole split-driver protocol, not just its totals.
+class TraceDigest : public TraceSink {
+ public:
+  void OnTraceEvent(const TraceEvent& event) override {
+    std::string record(1, static_cast<char>(event.cat));
+    record += event.name;
+    for (std::uint64_t v : {static_cast<std::uint64_t>(event.ts),
+                            static_cast<std::uint64_t>(event.dur),
+                            static_cast<std::uint64_t>(event.track)}) {
+      char bytes[sizeof(v)];
+      std::memcpy(bytes, &v, sizeof(v));
+      record.append(bytes, sizeof(v));
+    }
+    digest = HashBytes(record, digest);
+  }
+
+  std::uint64_t digest = 0xcbf29ce484222325ULL;
+};
+
+// Two guests doing block and network I/O through a NetBack and a BlkBack
+// microreboot, a guest-side XenStore timeout window over the BlkBack
+// reconnect, and one guest destroy. Any change to what the drivers send to
+// XenStore, the hypervisor or the simulator, or in what order, moves the
+// digest.
+TEST(DriverProtocolTest, FixedScenarioTraceIsPinned) {
+  XoarPlatform platform;
+  TraceDigest sink;
+  platform.obs().tracer().set_enabled(true);
+  platform.obs().tracer().set_sink(&sink);
+  ASSERT_TRUE(platform.Boot().ok());
+  auto a = platform.CreateGuest(NamedGuest("a"));
+  auto b = platform.CreateGuest(NamedGuest("b"));
+  ASSERT_TRUE(a.ok());
+  ASSERT_TRUE(b.ok());
+
+  int ok = 0;
+  int issued = 0;
+  auto count = [&](Status s) { ok += s.ok() ? 1 : 0; };
+  auto io = [&](DomainId guest, std::uint64_t offset) {
+    platform.blkfront(guest)->WriteBytes(offset, 64 * kKiB, count);
+    platform.blkfront(guest)->ReadBytes(offset, 16 * kKiB, count);
+    platform.netfront(guest)->SendFrame(1500, count);
+    (void)platform.netback_of(guest)->InjectRx(guest, 900);
+    issued += 3;
+  };
+  io(*a, 0);
+  io(*b, kMiB);
+  platform.Settle();
+
+  ASSERT_TRUE(platform.restarts().RestartNow("NetBack", /*fast=*/true).ok());
+  io(*a, 2 * kMiB);
+  platform.Settle(kSecond);
+
+  FaultInjector injector(&platform);
+  FaultSpec window;
+  window.type = FaultType::kXsTimeout;
+  window.at = platform.sim().Now() + 100 * kMillisecond;
+  window.duration = 100 * kMillisecond;
+  FaultPlan plan;
+  plan.Add(window);
+  injector.Arm(plan);
+  ASSERT_TRUE(platform.restarts().RestartNow("BlkBack", /*fast=*/true).ok());
+  io(*b, 3 * kMiB);
+  platform.Settle(kSecond);
+  EXPECT_GE(injector.injected_count(FaultType::kXsTimeout), 1u);
+
+  ASSERT_TRUE(platform.DestroyGuest(*b).ok());
+  io(*a, 4 * kMiB);
+  platform.Settle(kSecond);
+
+  EXPECT_EQ(ok, issued);
+  EXPECT_EQ(sink.digest, 11897295721580716855u);
+  EXPECT_EQ(platform.sim().EventsExecuted(), 2818u);
+  platform.obs().tracer().set_sink(nullptr);
+}
+
+// --- Hostile frontends and failed connects ---
+
+TEST(XenbusParseTest, AcceptsOnlyWhole32BitDecimals) {
+  EXPECT_EQ(ParseXenbusU32("0"), 0u);
+  EXPECT_EQ(ParseXenbusU32("8"), 8u);
+  EXPECT_EQ(ParseXenbusU32("4294967295"), 4294967295u);
+  for (const char* bad : {"", "junk", "-1", "+1", " 1", "1 ", "0x10", "1e3",
+                          "4294967296", "4294967297", "99999999999999999999"}) {
+    EXPECT_FALSE(ParseXenbusU32(bad).has_value()) << '"' << bad << '"';
+  }
+}
+
+// A guest that writes its own XenBus nodes is §6.2's attacker. The backend
+// must refuse ring-ref values that are not whole decimal 32-bit numbers,
+// leave that channel down, and keep serving the other guests.
+TEST(HostileFrontendTest, MalformedRingRefIsRefused) {
+  XoarPlatform platform;
+  ASSERT_TRUE(platform.Boot().ok());
+  auto good = platform.CreateGuest(NamedGuest("good"));
+  auto bad = platform.CreateGuest(NamedGuest("bad", /*devices=*/false));
+  ASSERT_TRUE(good.ok());
+  ASSERT_TRUE(bad.ok());
+  BlkBack& blkback = *platform.blkback_of(*good);
+  Hypervisor& hv = platform.hv();
+  const DomainId toolstack = platform.shard_domain(ShardClass::kToolstack);
+  ASSERT_TRUE(hv.AuthorizeShardUse(toolstack, *bad, blkback.self()).ok());
+  ASSERT_TRUE(blkback.CreateImage("bad-disk", 4 * kMiB).ok());
+  ASSERT_TRUE(blkback.BindImage(*bad, "bad-disk").ok());
+
+  const std::string dir = FrontendDir(*bad, kVbdType) + "/";
+  auto publish = [&](const std::string& key, const std::string& value) {
+    ASSERT_TRUE(platform.xenstore().Write(*bad, dir + key, value).ok());
+    XsNodePerms perms;
+    perms.owner = *bad;
+    perms.acl[blkback.self()] = XsPerm::kRead;
+    ASSERT_TRUE(platform.xenstore().SetPerms(*bad, dir + key, perms).ok());
+  };
+  publish("ring-ref", "junk");
+  publish("event-channel", "1");
+  publish("state", "3");
+  platform.Settle();
+  EXPECT_FALSE(blkback.IsVbdConnected(*bad));
+
+  // A real grant and port, but a ring-ref 2^32 past the grant: truncated
+  // to 32 bits it would name the grant and connect.
+  StatusOr<Pfn> pfn = hv.memory().AllocatePages(*bad, 1);
+  ASSERT_TRUE(pfn.ok());
+  StatusOr<GrantRef> gref =
+      hv.GrantAccess(*bad, blkback.self(), *pfn, /*writable=*/true);
+  ASSERT_TRUE(gref.ok());
+  StatusOr<EvtchnPort> port = hv.EvtchnAllocUnbound(*bad, blkback.self());
+  ASSERT_TRUE(port.ok());
+  publish("ring-ref", std::to_string((1ull << 32) + gref->value()));
+  publish("event-channel", std::to_string(port->value()));
+  publish("state", "3");
+  platform.Settle();
+  EXPECT_FALSE(blkback.IsVbdConnected(*bad));
+  EXPECT_EQ(hv.domain(*bad)->grant_table().Lookup(*gref)->map_count, 0);
+
+  Status result = InternalError("never completed");
+  platform.blkfront(*good)->WriteBytes(0, 4096,
+                                       [&](Status s) { result = s; });
+  platform.Settle();
+  EXPECT_TRUE(result.ok()) << result;
+}
+
+// The backend may call a channel connected only once its Connected state
+// write has landed: a State shard restart that swallows that write must not
+// leave the backend claiming a connection the frontend never saw.
+TEST(BackendConnectTest, LostConnectedWriteLeavesTheChannelDown) {
+  XoarPlatform::Config config;
+  config.xenstore_state_shards = 2;
+  XoarPlatform platform(config);
+  ASSERT_TRUE(platform.Boot().ok());
+  BlkBack& blkback = platform.blkback();
+  XsShardedStore& store = platform.xenstore().store();
+  const int back_shard = store.ShardIndexForDomain(blkback.self());
+  DomainId guest;
+  for (int i = 0; i < 4 && !guest.valid(); ++i) {
+    auto created = platform.CreateGuest(NamedGuest(StrFormat("g%d", i)));
+    ASSERT_TRUE(created.ok());
+    if (store.ShardIndexForDomain(*created) != back_shard) {
+      guest = *created;
+    }
+  }
+  ASSERT_TRUE(guest.valid());
+  BlkFront* blk = platform.blkfront(guest);
+  ASSERT_TRUE(blk->connected());
+
+  blkback.Suspend();
+  platform.Settle(50 * kMillisecond);
+  blkback.Resume();
+  platform.sim().RunFor(45 * kMicrosecond);
+  ASSERT_TRUE(platform.xenstore().BeginStateShardRestart(back_shard).ok());
+  platform.Settle(10 * kSecond);
+
+  EXPECT_FALSE(blk->connected());
+  EXPECT_FALSE(blkback.IsVbdConnected(guest));
+}
+
+// A connect attempt that maps the tx ring and then fails to map the rx ring
+// must release the tx mapping; a leaked mapping keeps the guest's grant
+// entry alive after the frontend retires it.
+TEST(BackendConnectTest, FailedRxMapReleasesTheTxMap) {
+  XoarPlatform platform;
+  ASSERT_TRUE(platform.Boot().ok());
+  auto guest = platform.CreateGuest(GuestSpec{});
+  ASSERT_TRUE(guest.ok());
+  NetBack& netback = *platform.netback_of(*guest);
+  const GrantTable& grants = platform.hv().domain(*guest)->grant_table();
+  const std::size_t baseline = grants.ActiveEntries();
+  int maps = 0;
+  platform.hv().set_grant_map_fault_hook([&](DomainId caller, DomainId owner) {
+    // The second map of the first reconnect is its rx ring.
+    return caller == netback.self() && owner == *guest && ++maps == 2;
+  });
+  for (int restart = 0; restart < 4; ++restart) {
+    ASSERT_TRUE(platform.restarts().RestartNow("NetBack", /*fast=*/true).ok());
+    platform.Settle(2 * kSecond);
+    ASSERT_TRUE(netback.IsVifConnected(*guest)) << "restart " << restart;
+  }
+  EXPECT_GT(maps, 2);
+  EXPECT_EQ(grants.ActiveEntries(), baseline);
+  platform.hv().set_grant_map_fault_hook(nullptr);
 }
 
 }  // namespace
