@@ -242,4 +242,13 @@ StatusOr<DomainId> RestartEngine::DomainOf(const std::string& name) const {
   return it->second.domain;
 }
 
+StatusOr<RestartEngine::Component> RestartEngine::Find(
+    const std::string& name) const {
+  auto it = components_.find(name);
+  if (it == components_.end()) {
+    return NotFoundError(StrFormat("no component %s", name.c_str()));
+  }
+  return Component(&it->second);
+}
+
 }  // namespace xoar

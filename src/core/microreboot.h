@@ -47,6 +47,8 @@ constexpr SimDuration kFastRestartDowntime = FromMilliseconds(140);
 // 1 -> 0 -> 1 around each cycle precisely because the registry entries
 // outlive the reboot (see RESILIENCE.md "Observing recovery").
 class RestartEngine {
+  struct Entry;
+
  public:
   // Callbacks a restartable component hands to Register. The engine calls
   // `suspend` synchronously at the start of a cycle, while the component's
@@ -116,6 +118,21 @@ class RestartEngine {
   int TotalBoxesRejected() const;
   // Domain a registered component runs in (NOT_FOUND for unknown names).
   StatusOr<DomainId> DomainOf(const std::string& name) const;
+
+  // A registered component resolved once, for callers that ask about it on
+  // every heartbeat. Entries are never erased, so the handle stays valid
+  // for the engine's lifetime.
+  class Component {
+   public:
+    bool restarting() const { return entry_->in_progress; }
+
+   private:
+    friend class RestartEngine;
+    explicit Component(const Entry* entry) : entry_(entry) {}
+    const Entry* entry_;
+  };
+  // NOT_FOUND for unknown names.
+  StatusOr<Component> Find(const std::string& name) const;
   bool IsRegistered(const std::string& name) const {
     return components_.count(name) > 0;
   }

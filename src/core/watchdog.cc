@@ -22,11 +22,13 @@ Status Watchdog::Supervise(const std::string& name,
     return AlreadyExistsError(
         StrFormat("%s is already supervised", name.c_str()));
   }
-  StatusOr<DomainId> domain = engine_->DomainOf(name);
-  XOAR_RETURN_IF_ERROR(domain.status());
-
-  Entry entry;
-  entry.domain = *domain;
+  XOAR_ASSIGN_OR_RETURN(DomainId domain, engine_->DomainOf(name));
+  XOAR_ASSIGN_OR_RETURN(RestartEngine::Component component,
+                        engine_->Find(name));
+  const auto it = entries_.try_emplace(name, component).first;
+  Entry& entry = it->second;
+  entry.name = &it->first;
+  entry.domain = domain;
   entry.on_quarantine = std::move(on_quarantine);
   entry.last_beat = sim_->Now();
   entry.m_beats =
@@ -52,26 +54,17 @@ Status Watchdog::Supervise(const std::string& name,
       Histogram::ExponentialBounds(1.0, 2.0, 12));
   // The supervised component's service loop, beating while it can serve.
   entry.emitter = std::make_unique<PeriodicTimer>(
-      sim_, config_.heartbeat_interval,
-      [this, name] {
-        auto it = entries_.find(name);
-        if (it != entries_.end()) {
-          RecordBeat(name, it->second);
-        }
-      });
+      sim_, config_.heartbeat_interval, [this, &entry] { RecordBeat(entry); });
   entry.emitter->Start();
-
-  auto [it, inserted] = entries_.emplace(name, std::move(entry));
-  ScheduleDeadline(name, it->second,
-                   sim_->Now() + config_.heartbeat_timeout);
+  ScheduleDeadline(entry, sim_->Now() + config_.heartbeat_timeout);
   return Status::Ok();
 }
 
-void Watchdog::RecordBeat(const std::string& name, Entry& entry) {
+void Watchdog::RecordBeat(Entry& entry) {
   if (entry.quarantined) {
     return;
   }
-  if (engine_->IsRestarting(name)) {
+  if (entry.component.restarting()) {
     if (entry.hang_pending) {
       // A restart someone else initiated (e.g. a fault-injected crash of
       // this shard) resets the stalled service loop before the deadline
@@ -107,21 +100,14 @@ void Watchdog::RecordBeat(const std::string& name, Entry& entry) {
   }
 }
 
-void Watchdog::ScheduleDeadline(const std::string& name, Entry& entry,
-                                SimTime at) {
+void Watchdog::ScheduleDeadline(Entry& entry, SimTime at) {
   const std::uint64_t generation = entry.deadline_generation;
-  sim_->ScheduleAt(at, [this, name, generation] {
-    CheckDeadline(name, generation);
+  sim_->ScheduleAt(at, [this, &entry, generation] {
+    CheckDeadline(entry, generation);
   });
 }
 
-void Watchdog::CheckDeadline(const std::string& name,
-                             std::uint64_t generation) {
-  auto it = entries_.find(name);
-  if (it == entries_.end()) {
-    return;
-  }
-  Entry& entry = it->second;
+void Watchdog::CheckDeadline(Entry& entry, std::uint64_t generation) {
   if (entry.quarantined || generation != entry.deadline_generation) {
     return;  // this chain was invalidated; a newer one (if any) owns it
   }
@@ -129,19 +115,20 @@ void Watchdog::CheckDeadline(const std::string& name,
   const SimTime deadline = entry.last_beat + config_.heartbeat_timeout;
   if (now < deadline) {
     // Beats are fresh; sleep until the current beat would go stale.
-    ScheduleDeadline(name, entry, deadline);
+    ScheduleDeadline(entry, deadline);
     return;
   }
-  if (engine_->IsRestarting(name)) {
+  if (entry.component.restarting()) {
     // A restart (ours or a fault-injected crash cycle) legitimately
     // silences heartbeats; grace-extend rather than double-trigger.
-    ScheduleDeadline(name, entry, now + config_.heartbeat_timeout);
+    ScheduleDeadline(entry, now + config_.heartbeat_timeout);
     return;
   }
-  HandleFailure(name, entry);
+  HandleFailure(entry);
 }
 
-void Watchdog::HandleFailure(const std::string& name, Entry& entry) {
+void Watchdog::HandleFailure(Entry& entry) {
+  const std::string& name = *entry.name;
   const SimTime now = sim_->Now();
   const Domain* dom = hv_->domain(entry.domain);
   const bool dead = dom == nullptr || dom->state() == DomainState::kDead;
@@ -174,7 +161,7 @@ void Watchdog::HandleFailure(const std::string& name, Entry& entry) {
     }
     entry.hang_until = 0;
     entry.hang_pending = false;
-    Quarantine(name, entry, cause);
+    Quarantine(entry, cause);
     return;
   }
 
@@ -185,7 +172,7 @@ void Watchdog::HandleFailure(const std::string& name, Entry& entry) {
     // Transient refusal (e.g. the domain is paused); keep watching.
     XLOG(kWarning) << "[watchdog] restart of " << name
                    << " refused, retrying next deadline: " << status;
-    ScheduleDeadline(name, entry, now + config_.heartbeat_timeout);
+    ScheduleDeadline(entry, now + config_.heartbeat_timeout);
     return;
   }
 
@@ -228,11 +215,11 @@ void Watchdog::HandleFailure(const std::string& name, Entry& entry) {
                                    name.c_str(), fast ? "fast" : "slow",
                                    cause),
                          entry.domain.value());
-  ScheduleDeadline(name, entry, now + config_.heartbeat_timeout);
+  ScheduleDeadline(entry, now + config_.heartbeat_timeout);
 }
 
-void Watchdog::Quarantine(const std::string& name, Entry& entry,
-                          const std::string& cause) {
+void Watchdog::Quarantine(Entry& entry, const std::string& cause) {
+  const std::string& name = *entry.name;
   entry.quarantined = true;
   ++entry.deadline_generation;  // kill the live deadline chain
   if (entry.emitter != nullptr) {
@@ -269,7 +256,7 @@ Status Watchdog::InjectHang(const std::string& name, SimDuration duration) {
     return FailedPreconditionError(
         StrFormat("%s is quarantined", name.c_str()));
   }
-  if (engine_->IsRestarting(name)) {
+  if (entry.component.restarting()) {
     return FailedPreconditionError(
         StrFormat("%s is mid-restart", name.c_str()));
   }
@@ -314,7 +301,7 @@ Status Watchdog::Unquarantine(const std::string& name) {
               StrFormat("%s cause=unquarantine grade=slow", name.c_str()));
   entry.last_beat = sim_->Now();
   entry.emitter->Start();
-  ScheduleDeadline(name, entry, sim_->Now() + config_.heartbeat_timeout);
+  ScheduleDeadline(entry, sim_->Now() + config_.heartbeat_timeout);
   return Status::Ok();
 }
 

@@ -112,7 +112,12 @@ class Watchdog {
   const WatchdogConfig& config() const { return config_; }
 
  private:
+  // The heartbeat and deadline callbacks hold the Entry itself: entries_
+  // never erases, so neither an Entry nor its key ever moves.
   struct Entry {
+    explicit Entry(RestartEngine::Component c) : component(c) {}
+    const std::string* name = nullptr;  // this entry's key in entries_
+    RestartEngine::Component component;
     DomainId domain;
     std::function<void()> on_quarantine;
     std::unique_ptr<PeriodicTimer> emitter;  // the shard's heartbeat loop
@@ -140,12 +145,11 @@ class Watchdog {
     Histogram* m_recovery_ms = nullptr;   // <name>.watchdog.recovery_ms
   };
 
-  void RecordBeat(const std::string& name, Entry& entry);
-  void ScheduleDeadline(const std::string& name, Entry& entry, SimTime at);
-  void CheckDeadline(const std::string& name, std::uint64_t generation);
-  void HandleFailure(const std::string& name, Entry& entry);
-  void Quarantine(const std::string& name, Entry& entry,
-                  const std::string& cause);
+  void RecordBeat(Entry& entry);
+  void ScheduleDeadline(Entry& entry, SimTime at);
+  void CheckDeadline(Entry& entry, std::uint64_t generation);
+  void HandleFailure(Entry& entry);
+  void Quarantine(Entry& entry, const std::string& cause);
   void RecordAudit(AuditEventKind kind, const Entry& entry,
                    const std::string& detail);
 

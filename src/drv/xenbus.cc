@@ -44,14 +44,20 @@ std::string XenbusBackend::WatchToken(DomainId guest) const {
 
 Status XenbusBackend::Attach(DomainId guest, std::unique_ptr<Channel> channel,
                              std::function<void()> kick) {
-  if (channels_.count(guest) > 0) {
+  if (!guest.valid()) {
+    return InvalidArgumentError("invalid guest domain");
+  }
+  if (Find(guest) != nullptr) {
     return AlreadyExistsError(
         StrFormat("dom%u already has a %s on this backend", guest.value(),
                   device_.noun));
   }
   channel->guest = guest;
   channel->kick = std::move(kick);
-  channels_.emplace(guest, std::move(channel));
+  if (guest.value() >= channels_.size()) {
+    channels_.resize(std::size_t{guest.value()} + 1);
+  }
+  channels_[guest.value()] = std::move(channel);
 
   // Advertise the backend half and let the guest read our state.
   XOAR_RETURN_IF_ERROR(
@@ -200,15 +206,15 @@ void XenbusBackend::Disconnect(Channel& channel) {
 }
 
 Status XenbusBackend::Detach(DomainId guest) {
-  auto it = channels_.find(guest);
-  if (it == channels_.end()) {
+  Channel* channel = Find(guest);
+  if (channel == nullptr) {
     return NotFoundError(StrFormat("dom%u has no %s on this backend",
                                    guest.value(), device_.noun));
   }
-  Disconnect(*it->second);
+  Disconnect(*channel);
   (void)xs_->Unwatch(self_, FrontendDir(guest, device_.type) + "/state",
                      WatchToken(guest));
-  channels_.erase(it);
+  channels_[guest.value()].reset();
   return Status::Ok();
 }
 
@@ -216,10 +222,12 @@ void XenbusBackend::Suspend() {
   obs_->tracer().Op(TraceCategory::kDriver,
                     StrFormat("%s_suspend", device_.back_tag), self_.value());
   available_ = false;
-  for (auto& [guest, channel] : channels_) {
-    Disconnect(*channel);
-    (void)xs_->Write(self_, StatePath(guest),
-                     XenbusStateString(XenbusState::kClosing));
+  for (const auto& channel : channels_) {
+    if (channel != nullptr) {
+      Disconnect(*channel);
+      (void)xs_->Write(self_, StatePath(channel->guest),
+                       XenbusStateString(XenbusState::kClosing));
+    }
   }
 }
 
@@ -234,8 +242,11 @@ void XenbusBackend::Resume() {
   // every device permanently. Unbounded retry at capped delay
   // (RESILIENCE.md).
   bool transient_failure = false;
-  for (const auto& [guest, channel] : channels_) {
-    const Status status = xs_->Write(self_, StatePath(guest),
+  for (const auto& channel : channels_) {
+    if (channel == nullptr) {
+      continue;
+    }
+    const Status status = xs_->Write(self_, StatePath(channel->guest),
                                      XenbusStateString(XenbusState::kInitWait));
     if (status.code() == StatusCode::kUnavailable) {
       transient_failure = true;
@@ -264,13 +275,13 @@ bool XenbusBackend::IsConnected(DomainId guest) const {
   if (self == nullptr || self->state() != DomainState::kRunning) {
     return false;
   }
-  auto it = channels_.find(guest);
-  return it != channels_.end() && it->second->connected && available_;
+  const Channel* channel = Find(guest);
+  return channel != nullptr && channel->connected && available_;
 }
 
-XenbusBackend::Channel* XenbusBackend::Find(DomainId guest) {
-  auto it = channels_.find(guest);
-  return it == channels_.end() ? nullptr : it->second.get();
+XenbusBackend::Channel* XenbusBackend::Find(DomainId guest) const {
+  return guest.value() < channels_.size() ? channels_[guest.value()].get()
+                                          : nullptr;
 }
 
 XenbusBackend::Channel* XenbusBackend::Live(DomainId guest) {

@@ -160,7 +160,7 @@ class XenbusBackend {
 
   // Connected, backend available and its domain running.
   bool IsConnected(DomainId guest) const;
-  Channel* Find(DomainId guest);
+  Channel* Find(DomainId guest) const;
   // The guest's channel while it is connected and the backend available.
   Channel* Live(DomainId guest);
 
@@ -190,7 +190,9 @@ class XenbusBackend {
   // delay when XenStore itself is down (RESILIENCE.md).
   ExponentialBackoff resume_backoff_;
   bool resume_retry_pending_ = false;
-  std::map<DomainId, std::unique_ptr<Channel>> channels_;
+  // Indexed by guest id (Find never grows it); Attach fills a slot, Detach
+  // empties it.
+  std::vector<std::unique_ptr<Channel>> channels_;
   const std::string connect_op_;  // trace op "<back_tag>_<type>_connect"
   Counter* m_connects_;           // <backend>.<type>.connects
 };

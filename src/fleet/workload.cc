@@ -92,13 +92,14 @@ Status FleetWorkload::Attach(FleetGuestId guest) {
   GuestLoop& loop = it->second;
   if (inserted) {
     loop.id = guest;
-    loop.tenant = record->spec.tenant;
     // Per-tenant latency series share bounds so they stay comparable.
-    if (tenant_hists_.find(loop.tenant) == tenant_hists_.end()) {
-      tenant_hists_[loop.tenant] = fleet_->metrics().GetHistogram(
-          "fleet.workload.latency_ms.tenant." + loop.tenant,
+    Histogram*& hist = tenant_hists_[record->spec.tenant];
+    if (hist == nullptr) {
+      hist = fleet_->metrics().GetHistogram(
+          "fleet.workload.latency_ms.tenant." + record->spec.tenant,
           LatencyBoundsMs());
     }
+    loop.tenant_hist = hist;
     // Deterministic stagger: spreads loop phases so a thousand guests do
     // not all hit their backends on the same instant.
     loop.stagger = (guest % 7) * kMillisecond;
@@ -221,7 +222,7 @@ void FleetWorkload::Tick(FleetGuestId id, std::uint64_t epoch) {
   }
   XoarPlatform& host = fleet_->host(record->host);
   const int host_index = record->host;
-  const std::string tenant = loop.tenant;
+  Histogram* const tenant_hist = loop.tenant_hist;
   ++loop.ticks;
 
   NetFront* netfront = host.netfront(record->domain);
@@ -232,8 +233,8 @@ void FleetWorkload::Tick(FleetGuestId id, std::uint64_t epoch) {
     ++loop.pending;
     netfront->SendFrame(
         config_.frame_bytes,
-        [this, id, tenant, issued_at, host_index](Status status) {
-          Complete(id, tenant, issued_at, host_index, status);
+        [this, id, tenant_hist, issued_at, host_index](Status status) {
+          Complete(id, tenant_hist, issued_at, host_index, status);
         });
   }
   // A traffic spike multiplies the tick rate; stretch the block period by
@@ -253,8 +254,8 @@ void FleetWorkload::Tick(FleetGuestId id, std::uint64_t epoch) {
       ++loop.pending;
       blkfront->WriteBytes(
           (loop.ticks * 4096) % (1 * kMiB), 4096,
-          [this, id, tenant, issued_at, host_index](Status status) {
-            Complete(id, tenant, issued_at, host_index, status);
+          [this, id, tenant_hist, issued_at, host_index](Status status) {
+            Complete(id, tenant_hist, issued_at, host_index, status);
           });
     }
   }
@@ -265,7 +266,7 @@ void FleetWorkload::Tick(FleetGuestId id, std::uint64_t epoch) {
   ScheduleTick(loop, interval);
 }
 
-void FleetWorkload::Complete(FleetGuestId id, const std::string& tenant,
+void FleetWorkload::Complete(FleetGuestId id, Histogram* tenant_hist,
                              SimTime issued_at, int host, Status status) {
   auto it = loops_.find(id);
   if (it != loops_.end() && it->second.pending > 0) {
@@ -275,10 +276,7 @@ void FleetWorkload::Complete(FleetGuestId id, const std::string& tenant,
       static_cast<double>(fleet_->host(host).sim().Now() - issued_at) /
       static_cast<double>(kMillisecond);
   latency_->Observe(latency_ms);
-  auto hist = tenant_hists_.find(tenant);
-  if (hist != tenant_hists_.end()) {
-    hist->second->Observe(latency_ms);
-  }
+  tenant_hist->Observe(latency_ms);
   if (status.ok()) {
     ++ok_;
     m_ok_->Increment();

@@ -97,7 +97,7 @@ class FleetWorkload : public MigrationQuiescer {
  private:
   struct GuestLoop {
     FleetGuestId id = 0;
-    std::string tenant;
+    Histogram* tenant_hist = nullptr;  // the latency series of its tenant
     bool running = false;
     std::uint64_t epoch = 0;  // bumped on quiesce/resume/detach
     std::uint64_t ticks = 0;
@@ -108,7 +108,7 @@ class FleetWorkload : public MigrationQuiescer {
 
   void ScheduleTick(GuestLoop& loop, SimDuration delay);
   void Tick(FleetGuestId id, std::uint64_t epoch);
-  void Complete(FleetGuestId id, const std::string& tenant, SimTime issued_at,
+  void Complete(FleetGuestId id, Histogram* tenant_hist, SimTime issued_at,
                 int host, Status status);
 
   Fleet* fleet_;

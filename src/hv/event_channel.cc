@@ -22,20 +22,24 @@ std::string_view VirqName(Virq virq) {
 }
 
 EventChannelManager::Channel* EventChannelManager::Find(DomainId domain,
-                                                        EvtchnPort port) {
-  auto it = channels_.find(Key(domain.value(), port.value()));
-  return it == channels_.end() ? nullptr : &it->second;
+                                                        EvtchnPort port) const {
+  if (domain.value() >= domains_.size()) {
+    return nullptr;
+  }
+  const auto& channels = domains_[domain.value()].channels;
+  return port.value() < channels.size() ? channels[port.value()].get()
+                                        : nullptr;
 }
 
-const EventChannelManager::Channel* EventChannelManager::Find(
-    DomainId domain, EvtchnPort port) const {
-  auto it = channels_.find(Key(domain.value(), port.value()));
-  return it == channels_.end() ? nullptr : &it->second;
-}
-
-EvtchnPort EventChannelManager::NextPort(DomainId domain) {
-  std::uint32_t& next = next_port_[domain.value()];
-  return EvtchnPort(next++);
+EvtchnPort EventChannelManager::Add(DomainId domain, Channel channel) {
+  if (domain.value() >= domains_.size()) {
+    domains_.resize(std::size_t{domain.value()} + 1);
+  }
+  DomainPorts& ports = domains_[domain.value()];
+  const EvtchnPort port(ports.next_port++);
+  ports.channels.resize(std::size_t{port.value()} + 1);
+  ports.channels[port.value()] = std::make_unique<Channel>(std::move(channel));
+  return port;
 }
 
 StatusOr<EvtchnPort> EventChannelManager::AllocUnbound(DomainId owner,
@@ -43,12 +47,10 @@ StatusOr<EvtchnPort> EventChannelManager::AllocUnbound(DomainId owner,
   if (!owner.valid() || !remote.valid()) {
     return InvalidArgumentError("invalid domain for alloc_unbound");
   }
-  EvtchnPort port = NextPort(owner);
   Channel channel;
   channel.state = ChannelState::kUnbound;
   channel.remote = remote;
-  channels_[Key(owner.value(), port.value())] = std::move(channel);
-  return port;
+  return Add(owner, std::move(channel));
 }
 
 StatusOr<EvtchnPort> EventChannelManager::BindInterdomain(
@@ -67,14 +69,12 @@ StatusOr<EvtchnPort> EventChannelManager::BindInterdomain(
                   remote_port.value(), remote.value(),
                   remote_channel->remote.value(), caller.value()));
   }
-  EvtchnPort local_port = NextPort(caller);
   Channel local;
   local.state = ChannelState::kConnected;
   local.remote = remote;
   local.remote_port = remote_port;
-  channels_[Key(caller.value(), local_port.value())] = std::move(local);
-
-  remote_channel = Find(remote, remote_port);  // map may have rehashed
+  const EvtchnPort local_port = Add(caller, std::move(local));
+  // Channels never move, so remote_channel survives the growth of the rows.
   remote_channel->state = ChannelState::kConnected;
   remote_channel->remote = caller;
   remote_channel->remote_port = local_port;
@@ -82,19 +82,20 @@ StatusOr<EvtchnPort> EventChannelManager::BindInterdomain(
 }
 
 StatusOr<EvtchnPort> EventChannelManager::BindVirq(DomainId domain, Virq virq) {
+  if (!domain.valid() || virq >= Virq::kCount) {
+    return InvalidArgumentError("invalid domain or virq for bind_virq");
+  }
   // One binding per VIRQ per domain.
-  const Key vkey(domain.value(), static_cast<std::uint32_t>(virq));
-  if (virq_ports_.count(vkey) > 0) {
+  if (VirqPort(domain, virq).valid()) {
     return AlreadyExistsError(StrFormat("virq %d already bound on dom%u",
                                         static_cast<int>(virq),
                                         domain.value()));
   }
-  EvtchnPort port = NextPort(domain);
   Channel channel;
   channel.state = ChannelState::kVirq;
   channel.virq = virq;
-  channels_[Key(domain.value(), port.value())] = std::move(channel);
-  virq_ports_[vkey] = port.value();
+  const EvtchnPort port = Add(domain, std::move(channel));
+  domains_[domain.value()].virq_ports[static_cast<std::size_t>(virq)] = port;
   return port;
 }
 
@@ -151,14 +152,21 @@ Status EventChannelManager::Send(DomainId caller, EvtchnPort port) {
   return Status::Ok();
 }
 
+EvtchnPort EventChannelManager::VirqPort(DomainId domain, Virq virq) const {
+  return domain.value() < domains_.size() && virq < Virq::kCount
+             ? domains_[domain.value()]
+                   .virq_ports[static_cast<std::size_t>(virq)]
+             : EvtchnPort::Invalid();
+}
+
 Status EventChannelManager::RaiseVirq(DomainId domain, Virq virq) {
-  auto it = virq_ports_.find(Key(domain.value(), static_cast<std::uint32_t>(virq)));
-  if (it == virq_ports_.end()) {
+  const EvtchnPort port = VirqPort(domain, virq);
+  if (!port.valid()) {
     return NotFoundError(StrFormat("dom%u has no binding for virq %s",
                                    domain.value(),
                                    std::string(VirqName(virq)).c_str()));
   }
-  Channel* channel = Find(domain, EvtchnPort(it->second));
+  Channel* channel = Find(domain, port);
   if (channel != nullptr && channel->handler) {
     // Copy the handler: the channel may be closed before delivery fires.
     Handler handler = channel->handler;
@@ -170,40 +178,42 @@ Status EventChannelManager::RaiseVirq(DomainId domain, Virq virq) {
   return Status::Ok();
 }
 
-Status EventChannelManager::Close(DomainId domain, EvtchnPort port) {
-  auto it = channels_.find(Key(domain.value(), port.value()));
-  if (it == channels_.end()) {
-    return NotFoundError("no such event channel");
-  }
-  if (it->second.state == ChannelState::kConnected) {
-    Channel* peer = Find(it->second.remote, it->second.remote_port);
+void EventChannelManager::Release(DomainPorts& ports, EvtchnPort port) {
+  std::unique_ptr<Channel>& channel = ports.channels[port.value()];
+  if (channel->state == ChannelState::kConnected) {
+    Channel* peer = Find(channel->remote, channel->remote_port);
     if (peer != nullptr) {
       peer->state = ChannelState::kBroken;
     }
-  } else if (it->second.state == ChannelState::kVirq) {
-    virq_ports_.erase(
-        Key(domain.value(), static_cast<std::uint32_t>(it->second.virq)));
+  } else if (channel->state == ChannelState::kVirq) {
+    ports.virq_ports[static_cast<std::size_t>(channel->virq)] =
+        EvtchnPort::Invalid();
   }
-  channels_.erase(it);
+  channel.reset();
+}
+
+Status EventChannelManager::Close(DomainId domain, EvtchnPort port) {
+  if (Find(domain, port) == nullptr) {
+    return NotFoundError("no such event channel");
+  }
+  Release(domains_[domain.value()], port);
   return Status::Ok();
 }
 
 int EventChannelManager::CloseAll(DomainId domain) {
-  int closed = 0;
-  auto it = channels_.lower_bound(Key(domain.value(), 0));
-  while (it != channels_.end() && it->first.first == domain.value()) {
-    if (it->second.state == ChannelState::kConnected) {
-      Channel* peer = Find(it->second.remote, it->second.remote_port);
-      if (peer != nullptr) {
-        peer->state = ChannelState::kBroken;
-      }
-    } else if (it->second.state == ChannelState::kVirq) {
-      virq_ports_.erase(
-          Key(domain.value(), static_cast<std::uint32_t>(it->second.virq)));
-    }
-    it = channels_.erase(it);
-    ++closed;
+  if (domain.value() >= domains_.size()) {
+    return 0;
   }
+  DomainPorts& ports = domains_[domain.value()];
+  int closed = 0;
+  for (std::uint32_t port = 0; port < ports.channels.size(); ++port) {
+    if (ports.channels[port] != nullptr) {
+      Release(ports, EvtchnPort(port));
+      ++closed;
+    }
+  }
+  // Free the row; next_port stays, so no port number is ever reused.
+  std::vector<std::unique_ptr<Channel>>().swap(ports.channels);
   return closed;
 }
 

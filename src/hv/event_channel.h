@@ -8,10 +8,12 @@
 #ifndef XOAR_SRC_HV_EVENT_CHANNEL_H_
 #define XOAR_SRC_HV_EVENT_CHANNEL_H_
 
+#include <array>
 #include <cstdint>
 #include <functional>
-#include <map>
+#include <memory>
 #include <string_view>
+#include <vector>
 
 #include "src/base/ids.h"
 #include "src/base/status.h"
@@ -113,23 +115,34 @@ class EventChannelManager {
     Handler handler;
   };
 
-  using Key = std::pair<std::uint32_t, std::uint32_t>;  // (domain, port)
+  // One domain's ports, like Xen's per-domain evtchn bucket array: `channels`
+  // is indexed by port number and ports are never reused. Each Channel is
+  // allocated on its own, so a handler that opens ports while it runs never
+  // moves itself.
+  struct DomainPorts {
+    std::uint32_t next_port = 0;
+    std::array<EvtchnPort, static_cast<std::size_t>(Virq::kCount)> virq_ports;
+    std::vector<std::unique_ptr<Channel>> channels;
+  };
 
-  Channel* Find(DomainId domain, EvtchnPort port);
-  const Channel* Find(DomainId domain, EvtchnPort port) const;
-  EvtchnPort NextPort(DomainId domain);
+  // Bounds-checked: an id or port nobody allocated is nullptr, never a new
+  // slot, so guest-supplied numbers cannot grow the tables.
+  Channel* Find(DomainId domain, EvtchnPort port) const;
+  // The only way the tables grow: gives `channel` the next port of `domain`,
+  // a caller the hypervisor has checked alive, never a number a guest wrote.
+  EvtchnPort Add(DomainId domain, Channel channel);
+  // The port bound to `virq` on `domain`; invalid when there is none.
+  EvtchnPort VirqPort(DomainId domain, Virq virq) const;
+  // Closes one channel: breaks its peer and releases its VIRQ binding.
+  void Release(DomainPorts& ports, EvtchnPort port);
 
   Simulator* sim_;
   Obs* obs_;
   Counter* m_sends_;       // hv.evtchn.sends
   Counter* m_deliveries_;  // hv.evtchn.deliveries
   SendFaultHook send_fault_hook_;
-  // Keyed (domain, port): one domain's channels are contiguous, so per-domain
-  // teardown is a range erase, not a walk of every channel on the host.
-  std::map<Key, Channel> channels_;
-  // (domain, virq) -> bound port, so VIRQ raise/duplicate checks are lookups.
-  std::map<Key, std::uint32_t> virq_ports_;
-  std::map<std::uint32_t, std::uint32_t> next_port_;
+  // Indexed by domain id, covering every domain that has opened a port.
+  std::vector<DomainPorts> domains_;
   std::uint64_t sends_ = 0;
   std::uint64_t deliveries_ = 0;
 };

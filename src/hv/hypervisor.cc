@@ -49,23 +49,36 @@ void Hypervisor::Audit(const std::string& event) {
 
 DomainId Hypervisor::NextDomainId() { return DomainId(next_domid_++); }
 
+DomainId Hypervisor::AddDomain(std::unique_ptr<Domain> dom) {
+  const DomainId id = dom->id();
+  if (id.value() >= domains_.size()) {
+    domains_.resize(std::size_t{id.value()} + 1);
+  }
+  const Domain& added = *dom;
+  domains_[id.value()] = std::move(dom);
+  ++live_count_;
+  m_domain_creates_->Increment();
+  m_domains_live_->Set(static_cast<double>(live_count_));
+  obs_->tracer().SetTrackName(
+      id.value(), StrFormat("dom%u %s", id.value(), added.name().c_str()));
+  return id;
+}
+
 Domain* Hypervisor::domain(DomainId id) {
-  auto it = domains_.find(id.value());
-  return it == domains_.end() ? nullptr : it->second.get();
+  return id.value() < domains_.size() ? domains_[id.value()].get() : nullptr;
 }
 
 const Domain* Hypervisor::domain(DomainId id) const {
-  auto it = domains_.find(id.value());
-  return it == domains_.end() ? nullptr : it->second.get();
+  return id.value() < domains_.size() ? domains_[id.value()].get() : nullptr;
 }
 
 std::vector<DomainId> Hypervisor::AllDomains() const {
   ++domain_table_scans_;
   std::vector<DomainId> out;
   out.reserve(live_count_);
-  for (const auto& [raw, dom] : domains_) {
-    if (dom->alive()) {
-      out.push_back(DomainId(raw));
+  for (const auto& dom : domains_) {
+    if (dom != nullptr && dom->alive()) {
+      out.push_back(dom->id());
     }
   }
   return out;
@@ -198,14 +211,7 @@ StatusOr<DomainId> Hypervisor::CreateInitialDomain(const DomainConfig& config,
   dom->set_state(DomainState::kRunning);
   Audit(StrFormat("create-initial dom%u name=%s control=%d", id.value(),
                   config.name.c_str(), as_control_domain ? 1 : 0));
-  domains_.emplace(id.value(), std::move(dom));
-  ++live_count_;
-  m_domain_creates_->Increment();
-  m_domains_live_->Set(static_cast<double>(live_count_));
-  obs_->tracer().SetTrackName(id.value(),
-                              StrFormat("dom%u %s", id.value(),
-                                        config.name.c_str()));
-  return id;
+  return AddDomain(std::move(dom));
 }
 
 StatusOr<DomainId> Hypervisor::CreateDomain(DomainId caller,
@@ -230,14 +236,7 @@ StatusOr<DomainId> Hypervisor::CreateDomain(DomainId caller,
   Audit(StrFormat("create dom%u name=%s by=dom%u parent=dom%u shard=%d",
                   id.value(), config.name.c_str(), caller.value(),
                   dom->parent_toolstack().value(), config.is_shard ? 1 : 0));
-  domains_.emplace(id.value(), std::move(dom));
-  ++live_count_;
-  m_domain_creates_->Increment();
-  m_domains_live_->Set(static_cast<double>(live_count_));
-  obs_->tracer().SetTrackName(id.value(),
-                              StrFormat("dom%u %s", id.value(),
-                                        config.name.c_str()));
-  return id;
+  return AddDomain(std::move(dom));
 }
 
 Status Hypervisor::FinishBuild(DomainId caller, DomainId target) {

@@ -221,6 +221,8 @@ class Hypervisor {
   Status CheckCallerAlive(DomainId caller) const;
   void Audit(const std::string& event);
   DomainId NextDomainId();
+  // Enters a new live domain into the table; returns its id.
+  DomainId AddDomain(std::unique_ptr<Domain> dom);
 
   Simulator* sim_;
   Options options_;
@@ -237,7 +239,10 @@ class Hypervisor {
   Gauge* m_domains_live_;       // hv.domain.live
   MemoryManager memory_;
   EventChannelManager evtchn_;
-  std::map<std::uint32_t, std::unique_ptr<Domain>> domains_;
+  // Indexed by domain id. Ids are never reused and dead domains are never
+  // dropped, so an id resolves for the life of the host; an id that was
+  // never created (a failed create leaves a gap) resolves to nullptr.
+  std::vector<std::unique_ptr<Domain>> domains_;
   std::size_t live_count_ = 0;
   // PCI assignment index: slot -> owning domain, so assign_pci_device's
   // already-assigned check (§3.1) is a lookup, not a domain-table scan.

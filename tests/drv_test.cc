@@ -384,6 +384,19 @@ TEST(HostileFrontendTest, MalformedRingRefIsRefused) {
   EXPECT_FALSE(blkback.IsVbdConnected(*bad));
   EXPECT_EQ(hv.domain(*bad)->grant_table().Lookup(*gref)->map_count, 0);
 
+  // The real grant, but a port number the hypervisor never allocated (the
+  // last one is EvtchnPort's invalid value): the bind is NOT_FOUND without
+  // the port table growing to the guest's number, and the map is released.
+  for (const char* bad_port : {"4294967294", "4294967295"}) {
+    publish("ring-ref", std::to_string(gref->value()));
+    publish("event-channel", bad_port);
+    publish("state", "3");
+    platform.Settle();
+    EXPECT_FALSE(blkback.IsVbdConnected(*bad)) << bad_port;
+    EXPECT_EQ(hv.domain(*bad)->grant_table().Lookup(*gref)->map_count, 0)
+        << bad_port;
+  }
+
   Status result = InternalError("never completed");
   platform.blkfront(*good)->WriteBytes(0, 4096,
                                        [&](Status s) { result = s; });

@@ -97,6 +97,43 @@ TEST_F(StockHvTest, GuestLifecycle) {
   EXPECT_EQ(hv_->memory().PagesOwnedBy(guest), 0u);
 }
 
+// The domain table is indexed by id: ids nobody created (including the
+// gap a failed create leaves) resolve to nullptr without growing the table,
+// dead domains stay resolvable, and AllDomains walks ids in order.
+TEST_F(StockHvTest, DomainLookupByIdNeverAllocates) {
+  const Hypervisor& const_hv = *hv_;
+  EXPECT_EQ(hv_->domain(DomainId::Invalid()), nullptr);
+  EXPECT_EQ(hv_->domain(DomainId(1u << 31)), nullptr);
+  EXPECT_EQ(const_hv.domain(DomainId::Invalid()), nullptr);
+  EXPECT_EQ(const_hv.domain(DomainId(1u << 31)), nullptr);
+
+  const DomainId first = NewGuest("first");
+  DomainConfig too_big;
+  too_big.name = "too-big";
+  too_big.memory_mb = 4096;  // more than the 1 GiB host has
+  EXPECT_FALSE(hv_->CreateDomain(dom0_, too_big).ok());
+  const DomainId gap(first.value() + 1);
+  const DomainId last = NewGuest("last");
+  EXPECT_EQ(last.value(), gap.value() + 1);
+  EXPECT_EQ(hv_->domain(gap), nullptr);
+  EXPECT_EQ(hv_->DestroyDomain(dom0_, gap).code(), StatusCode::kNotFound);
+
+  ASSERT_TRUE(hv_->DestroyDomain(dom0_, first).ok());
+  ASSERT_NE(hv_->domain(first), nullptr);
+  EXPECT_EQ(hv_->domain(first)->state(), DomainState::kDead);
+  EXPECT_EQ(hv_->AllDomains(), (std::vector<DomainId>{dom0_, last}));
+  EXPECT_EQ(hv_->LiveDomainCount(), 2u);
+
+  EvtchnPort port = *hv_->EvtchnAllocUnbound(last, dom0_);
+  EXPECT_EQ(hv_->EvtchnSend(last, EvtchnPort(1u << 30)).code(),
+            StatusCode::kNotFound);
+  EXPECT_EQ(hv_->EvtchnBindInterdomain(dom0_, last, EvtchnPort(4294967294u))
+                .status()
+                .code(),
+            StatusCode::kNotFound);
+  EXPECT_TRUE(hv_->EvtchnBindInterdomain(dom0_, last, port).ok());
+}
+
 TEST_F(StockHvTest, DomainMemorySizedFromConfig) {
   DomainId guest = NewGuest("g1", 64);
   EXPECT_EQ(hv_->domain(guest)->memory_bytes(), 64 * kMiB);
