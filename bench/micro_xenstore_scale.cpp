@@ -14,6 +14,11 @@
 //  - many owners: a committing transaction and a snapshot checkpoint each
 //    used to copy the whole per-owner count map, O(owners); both are swept
 //    over 1..10^4 owners and must stay flat
+//  - wide directories: a transactional write and its commit copy the
+//    shared children map of every directory on the path; with the
+//    persistent AVL children map that is O(log fan-out) entries (was a
+//    whole std::map per directory, O(fan-out)), swept over 10..10^4
+//    siblings with the copy count reported beside the time
 //
 // Results are written to BENCH_xenstore.json (override with
 // --benchmark_out=...) so future PRs can track the trajectory.
@@ -91,6 +96,32 @@ void BM_TransactionWriteCommit(benchmark::State& state) {
 }
 BENCHMARK(BM_TransactionWriteCommit)
     ->ArgName("owners")->Arg(1)->Arg(1000)->Arg(10000);
+
+// A transaction writing one new node below a directory of `siblings`
+// children, committed, then removed again by a direct write. Both the
+// transaction's view and the commit replay share the directory with
+// another version, so each copies a path through its children map.
+void BM_TransactionWriteCommitFanOut(benchmark::State& state) {
+  XsStore store;
+  store.AddManagerDomain(kManager);
+  const int siblings = static_cast<int>(state.range(0));
+  for (int i = 0; i < siblings; ++i) {
+    (void)store.Mkdir(kManager, StrFormat("/local/domain/%d", i));
+  }
+  const std::string key = StrFormat("/local/domain/%d/txkey", siblings / 2);
+  const std::uint64_t copies_before = store.cow_copies();
+  for (auto _ : state) {
+    auto tx = store.TransactionStart(kManager);
+    (void)store.Write(kManager, key, "v", *tx);
+    benchmark::DoNotOptimize(store.TransactionEnd(kManager, *tx, true));
+    (void)store.Remove(kManager, key);
+  }
+  state.counters["cow_copies"] = benchmark::Counter(
+      static_cast<double>(store.cow_copies() - copies_before),
+      benchmark::Counter::kAvgIterations);
+}
+BENCHMARK(BM_TransactionWriteCommitFanOut)
+    ->ArgName("siblings")->Arg(10)->Arg(100)->Arg(1000)->Arg(10000);
 
 // Two transactions writing disjoint paths, both committing — the case the
 // whole-store generation check used to turn into spurious EAGAIN retries.

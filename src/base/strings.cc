@@ -5,30 +5,26 @@
 
 namespace xoar {
 
-std::vector<std::string> SplitPath(std::string_view input, char sep) {
-  std::vector<std::string> out;
-  std::size_t start = 0;
-  while (start <= input.size()) {
-    std::size_t end = input.find(sep, start);
-    if (end == std::string_view::npos) {
-      end = input.size();
-    }
-    if (end > start) {
-      out.emplace_back(input.substr(start, end - start));
-    }
-    start = end + 1;
+void PathSegments::Iterator::Advance() {
+  const std::size_t start = rest_.find_first_not_of('/');
+  if (start == std::string_view::npos) {
+    rest_ = segment_ = std::string_view();
+    return;
   }
-  return out;
+  rest_.remove_prefix(start);
+  segment_ = rest_.substr(0, rest_.find('/'));
+  rest_.remove_prefix(segment_.size());
 }
 
-std::string JoinPath(const std::vector<std::string>& segments, char sep) {
-  if (segments.empty()) {
-    return std::string(1, sep);
-  }
+std::string NormalizePath(std::string_view path) {
   std::string out;
-  for (const auto& segment : segments) {
-    out += sep;
+  out.reserve(path.size() + 1);
+  for (std::string_view segment : PathSegments(path)) {
+    out += '/';
     out += segment;
+  }
+  if (out.empty()) {
+    out = "/";
   }
   return out;
 }

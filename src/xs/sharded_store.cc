@@ -20,26 +20,23 @@ struct RouteInfo {
 
 RouteInfo RoutePath(std::string_view path) {
   RouteInfo info;
-  const std::vector<std::string> segments = SplitPath(path);
-  if (segments.empty()) {
+  const PathSegments segments(path);
+  auto segment = segments.begin();
+  for (std::string_view prefix : {"local", "domain"}) {
+    if (segment == segments.end()) {
+      info.spanning = true;
+      return info;
+    }
+    if (*segment != prefix) {
+      return info;
+    }
+    ++segment;
+  }
+  if (segment == segments.end()) {
     info.spanning = true;
     return info;
   }
-  if (segments[0] != "local") {
-    return info;
-  }
-  if (segments.size() == 1) {
-    info.spanning = true;
-    return info;
-  }
-  if (segments[1] != "domain") {
-    return info;
-  }
-  if (segments.size() == 2) {
-    info.spanning = true;
-    return info;
-  }
-  const std::string& id = segments[2];
+  const std::string_view id = *segment;
   std::uint32_t value = 0;
   for (char c : id) {
     if (!std::isdigit(static_cast<unsigned char>(c))) {
@@ -480,6 +477,14 @@ std::size_t XsShardedStore::NodesOwnedBy(DomainId domain) const {
   std::size_t total = 0;
   for (const auto& shard : shards_) {
     total += shard->NodesOwnedBy(domain);
+  }
+  return total;
+}
+
+std::uint64_t XsShardedStore::cow_copies() const {
+  std::uint64_t total = 0;
+  for (const auto& shard : shards_) {
+    total += shard->cow_copies();
   }
   return total;
 }

@@ -142,6 +142,7 @@ class XsShardedStore {
   std::uint64_t op_count() const;
   std::size_t NodeCount() const;
   std::size_t NodesOwnedBy(DomainId domain) const;
+  std::uint64_t cow_copies() const;
 
  private:
   struct TxHandle {

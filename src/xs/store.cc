@@ -8,8 +8,19 @@
 namespace xoar {
 
 namespace {
-std::string Normalize(std::string_view path) {
-  return JoinPath(SplitPath(path));
+// xenstored's XENSTORE_ABS_PATH_MAX. Bounding the path bounds the tree's
+// depth, and with it every recursion over the tree (Serialize, removal,
+// destruction), whatever path a guest sends.
+constexpr std::size_t kMaxPathBytes = 3072;
+
+StatusOr<std::string> Normalize(std::string_view path) {
+  std::string norm = NormalizePath(path);
+  if (norm.size() > kMaxPathBytes) {
+    return InvalidArgumentError(
+        StrFormat("path of %zu bytes exceeds the %zu-byte limit", norm.size(),
+                  kMaxPathBytes));
+  }
+  return norm;
 }
 
 // True if a mutation at `mutated` is visible to an access at `accessed`:
@@ -38,34 +49,35 @@ void XsStore::set_obs(Obs* obs) {
 
 XsStore::Node* XsStore::Detach(NodePtr& slot) {
   if (slot.use_count() > 1) {
-    // Shared with a snapshot or transaction: shallow-clone. The children
-    // map copies shared_ptrs only, so the subtree stays shared until a
-    // deeper mutation detaches it too.
+    // Shared with a snapshot or transaction: shallow-clone. Copying the
+    // children map is a root pointer copy, so the entries and the subtree
+    // stay shared until a deeper mutation detaches them too.
     slot = std::make_shared<Node>(*slot);
+    ++cow_copies_;
   }
   return slot.get();
 }
 
 const XsStore::Node* XsStore::Find(const Node* root, std::string_view path) {
   const Node* node = root;
-  for (const auto& segment : SplitPath(path)) {
-    auto it = node->children.find(segment);
-    if (it == node->children.end()) {
+  for (std::string_view segment : PathSegments(path)) {
+    const NodePtr* child = node->children.Find(segment);
+    if (child == nullptr) {
       return nullptr;
     }
-    node = it->second.get();
+    node = child->get();
   }
   return node;
 }
 
 XsStore::Node* XsStore::ResolveMutable(NodePtr& root, std::string_view path) {
   Node* node = Detach(root);
-  for (const auto& segment : SplitPath(path)) {
-    auto it = node->children.find(segment);
-    if (it == node->children.end()) {
+  for (std::string_view segment : PathSegments(path)) {
+    NodePtr* child = node->children.FindMutable(segment, &cow_copies_);
+    if (child == nullptr) {
       return nullptr;
     }
-    node = Detach(it->second);
+    node = Detach(*child);
   }
   return node;
 }
@@ -98,9 +110,9 @@ void XsStore::AddOwned(DomainId owner, std::int64_t n) {
 void XsStore::RecountOwners() {
   owner_counts_.clear();
   node_count_ = 0;
-  for (const auto& [name, child] : root_->children) {
+  root_->children.ForEach([this](const std::string&, const NodePtr& child) {
     TallySubtree(*child, &owner_counts_, &node_count_);
-  }
+  });
 }
 
 StatusOr<XsStore::Node*> XsStore::ResolveOrCreate(NodePtr& root,
@@ -108,27 +120,27 @@ StatusOr<XsStore::Node*> XsStore::ResolveOrCreate(NodePtr& root,
                                                   DomainId owner,
                                                   OwnerCounts* delta) {
   Node* node = Detach(root);
-  for (const auto& segment : SplitPath(path)) {
-    auto it = node->children.find(segment);
-    if (it == node->children.end()) {
-      if (node_quota_ != 0 && owner.valid() && !IsManager(owner) &&
-          OwnedCount(owner, delta) >= node_quota_) {
-        return ResourceExhaustedError(
-            StrFormat("dom%u exceeded XenStore node quota (%zu)",
-                      owner.value(), node_quota_));
-      }
-      auto child = std::make_shared<Node>();
-      child->perms.owner = owner;
-      if (delta != nullptr) {
-        ++(*delta)[owner];
-      } else {
-        AddOwned(owner, 1);
-      }
-      it = node->children.emplace(segment, std::move(child)).first;
-      node = it->second.get();
-    } else {
-      node = Detach(it->second);
+  for (std::string_view segment : PathSegments(path)) {
+    NodePtr* child = node->children.FindMutable(segment, &cow_copies_);
+    if (child != nullptr) {
+      node = Detach(*child);
+      continue;
     }
+    if (node_quota_ != 0 && owner.valid() && !IsManager(owner) &&
+        OwnedCount(owner, delta) >= node_quota_) {
+      return ResourceExhaustedError(
+          StrFormat("dom%u exceeded XenStore node quota (%zu)",
+                    owner.value(), node_quota_));
+    }
+    auto created = std::make_shared<Node>();
+    created->perms.owner = owner;
+    if (delta != nullptr) {
+      ++(*delta)[owner];
+    } else {
+      AddOwned(owner, 1);
+    }
+    node = node->children.Insert(segment, std::move(created), &cow_copies_)
+               .get();
   }
   return node;
 }
@@ -137,9 +149,10 @@ void XsStore::TallySubtree(const Node& node, OwnerCounts* owners,
                            std::size_t* nodes) {
   ++(*owners)[node.perms.owner];
   ++(*nodes);
-  for (const auto& [name, child] : node.children) {
+  node.children.ForEach([owners, nodes](const std::string&,
+                                        const NodePtr& child) {
     TallySubtree(*child, owners, nodes);
-  }
+  });
 }
 
 Status XsStore::CheckAccess(DomainId caller, const Node& node,
@@ -167,12 +180,12 @@ Status XsStore::CheckAccess(DomainId caller, const Node& node,
 Status XsStore::CheckCreateAccess(DomainId caller, const Node* root,
                                   std::string_view path) const {
   const Node* ancestor = root;
-  for (const auto& segment : SplitPath(path)) {
-    auto it = ancestor->children.find(segment);
-    if (it == ancestor->children.end()) {
+  for (std::string_view segment : PathSegments(path)) {
+    const NodePtr* child = ancestor->children.Find(segment);
+    if (child == nullptr) {
       break;
     }
-    ancestor = it->second.get();
+    ancestor = child->get();
   }
   return CheckAccess(caller, *ancestor, XsPerm::kWrite);
 }
@@ -222,27 +235,23 @@ Status XsStore::ApplyMkdir(NodePtr& root, DomainId caller,
 
 Status XsStore::ApplyRemove(NodePtr& root, DomainId caller,
                             const std::string& norm, OwnerCounts* delta) {
-  std::vector<std::string> segments = SplitPath(norm);
-  if (segments.empty()) {
+  // `norm` is normalized: its leaf follows the last '/'.
+  const std::size_t slash = norm.rfind('/');
+  const std::string_view parent_path = std::string_view(norm).substr(0, slash);
+  const std::string_view leaf = std::string_view(norm).substr(slash + 1);
+  if (leaf.empty()) {
     return InvalidArgumentError("cannot remove the root");
   }
-  const std::string leaf = segments.back();
-  segments.pop_back();
-  const std::string parent_path = JoinPath(segments);
   const Node* parent_view = Find(root.get(), parent_path);
-  if (parent_view == nullptr) {
+  const NodePtr* view =
+      parent_view == nullptr ? nullptr : parent_view->children.Find(leaf);
+  if (view == nullptr) {
     return NotFoundError(StrFormat("no node %s", norm.c_str()));
   }
-  auto view_it = parent_view->children.find(leaf);
-  if (view_it == parent_view->children.end()) {
-    return NotFoundError(StrFormat("no node %s", norm.c_str()));
-  }
-  XOAR_RETURN_IF_ERROR(CheckAccess(caller, *view_it->second, XsPerm::kWrite));
-  Node* parent = ResolveMutable(root, parent_path);
-  auto it = parent->children.find(leaf);
+  XOAR_RETURN_IF_ERROR(CheckAccess(caller, **view, XsPerm::kWrite));
   OwnerCounts removed;
   std::size_t removed_nodes = 0;
-  TallySubtree(*it->second, &removed, &removed_nodes);
+  TallySubtree(**view, &removed, &removed_nodes);
   for (const auto& [owner, n] : removed) {
     if (delta != nullptr) {
       (*delta)[owner] -= n;
@@ -250,7 +259,7 @@ Status XsStore::ApplyRemove(NodePtr& root, DomainId caller,
       AddOwned(owner, -n);
     }
   }
-  parent->children.erase(it);
+  ResolveMutable(root, parent_path)->children.Erase(leaf, &cow_copies_);
   return Status::Ok();
 }
 
@@ -259,7 +268,7 @@ StatusOr<std::string> XsStore::Read(DomainId caller, std::string_view path,
   ++op_count_;
   m_reads_->Increment();
   obs_->tracer().Op(TraceCategory::kXenStore, "xs_read", caller.value());
-  const std::string norm = Normalize(path);
+  XOAR_ASSIGN_OR_RETURN(const std::string norm, Normalize(path));
   const Node* root = root_.get();
   if (tx_id != kNoTransaction) {
     Transaction* tx = FindTransaction(tx_id);
@@ -282,7 +291,7 @@ Status XsStore::Write(DomainId caller, std::string_view path,
   ++op_count_;
   m_writes_->Increment();
   obs_->tracer().Op(TraceCategory::kXenStore, "xs_write", caller.value());
-  const std::string norm = Normalize(path);
+  XOAR_ASSIGN_OR_RETURN(const std::string norm, Normalize(path));
   if (tx_id == kNoTransaction) {
     XOAR_RETURN_IF_ERROR(ApplyWrite(root_, caller, norm, value, nullptr));
     CommitMutation(norm);
@@ -303,7 +312,7 @@ Status XsStore::Mkdir(DomainId caller, std::string_view path, TxId tx_id) {
   ++op_count_;
   m_writes_->Increment();
   obs_->tracer().Op(TraceCategory::kXenStore, "xs_mkdir", caller.value());
-  const std::string norm = Normalize(path);
+  XOAR_ASSIGN_OR_RETURN(const std::string norm, Normalize(path));
   if (tx_id == kNoTransaction) {
     XOAR_RETURN_IF_ERROR(ApplyMkdir(root_, caller, norm, nullptr));
     CommitMutation(norm);
@@ -323,7 +332,7 @@ Status XsStore::Remove(DomainId caller, std::string_view path, TxId tx_id) {
   ++op_count_;
   m_writes_->Increment();
   obs_->tracer().Op(TraceCategory::kXenStore, "xs_remove", caller.value());
-  const std::string norm = Normalize(path);
+  XOAR_ASSIGN_OR_RETURN(const std::string norm, Normalize(path));
   if (tx_id == kNoTransaction) {
     XOAR_RETURN_IF_ERROR(ApplyRemove(root_, caller, norm, nullptr));
     CommitMutation(norm);
@@ -346,7 +355,7 @@ StatusOr<std::vector<std::string>> XsStore::List(DomainId caller,
   ++op_count_;
   m_lists_->Increment();
   obs_->tracer().Op(TraceCategory::kXenStore, "xs_list", caller.value());
-  const std::string norm = Normalize(path);
+  XOAR_ASSIGN_OR_RETURN(const std::string norm, Normalize(path));
   const Node* root = root_.get();
   if (tx_id != kNoTransaction) {
     Transaction* tx = FindTransaction(tx_id);
@@ -365,15 +374,19 @@ StatusOr<std::vector<std::string>> XsStore::List(DomainId caller,
   XOAR_RETURN_IF_ERROR(CheckAccess(caller, *node, XsPerm::kRead));
   std::vector<std::string> names;
   names.reserve(node->children.size());
-  for (const auto& [name, child] : node->children) {
+  node->children.ForEach([&names](const std::string& name, const NodePtr&) {
     names.push_back(name);
-  }
+  });
   return names;
 }
 
 bool XsStore::Exists(DomainId caller, std::string_view path, TxId tx_id) {
   (void)caller;  // Existence probes are not ACL-gated, as in xenstored.
-  const std::string norm = Normalize(path);
+  const StatusOr<std::string> normalized = Normalize(path);
+  if (!normalized.ok()) {
+    return false;  // no node has an overlong path
+  }
+  const std::string& norm = *normalized;
   const Node* root = root_.get();
   if (tx_id != kNoTransaction) {
     Transaction* tx = FindTransaction(tx_id);
@@ -388,9 +401,10 @@ bool XsStore::Exists(DomainId caller, std::string_view path, TxId tx_id) {
 
 StatusOr<XsNodePerms> XsStore::GetPerms(DomainId caller,
                                         std::string_view path) {
-  const Node* node = Find(root_.get(), path);
+  XOAR_ASSIGN_OR_RETURN(const std::string norm, Normalize(path));
+  const Node* node = Find(root_.get(), norm);
   if (node == nullptr) {
-    return NotFoundError(StrFormat("no node %s", Normalize(path).c_str()));
+    return NotFoundError(StrFormat("no node %s", norm.c_str()));
   }
   XOAR_RETURN_IF_ERROR(CheckAccess(caller, *node, XsPerm::kRead));
   return node->perms;
@@ -398,7 +412,7 @@ StatusOr<XsNodePerms> XsStore::GetPerms(DomainId caller,
 
 Status XsStore::SetPerms(DomainId caller, std::string_view path,
                          const XsNodePerms& perms) {
-  const std::string norm = Normalize(path);
+  XOAR_ASSIGN_OR_RETURN(const std::string norm, Normalize(path));
   const Node* view = Find(root_.get(), norm);
   if (view == nullptr) {
     return NotFoundError(StrFormat("no node %s", norm.c_str()));
@@ -425,12 +439,13 @@ Status XsStore::SetPerms(DomainId caller, std::string_view path,
 
 Status XsStore::Watch(DomainId caller, std::string_view path,
                       std::string_view token, WatchCallback cb) {
-  const std::string norm = Normalize(path);
+  XOAR_ASSIGN_OR_RETURN(const std::string norm, Normalize(path));
   WatchNode* node = &watch_root_;
-  for (const auto& segment : SplitPath(norm)) {
+  for (std::string_view segment : PathSegments(norm)) {
     auto it = node->children.find(segment);
     if (it == node->children.end()) {
-      it = node->children.emplace(segment, std::make_unique<WatchNode>())
+      it = node->children
+               .emplace(std::string(segment), std::make_unique<WatchNode>())
                .first;
     }
     node = it->second.get();
@@ -455,11 +470,11 @@ Status XsStore::Watch(DomainId caller, std::string_view path,
 
 Status XsStore::Unwatch(DomainId caller, std::string_view path,
                         std::string_view token) {
-  const std::string norm = Normalize(path);
+  XOAR_ASSIGN_OR_RETURN(const std::string norm, Normalize(path));
   // Remember the descent so empty trie nodes can be pruned afterwards.
-  std::vector<std::pair<WatchNode*, std::string>> trail;
+  std::vector<std::pair<WatchNode*, std::string_view>> trail;
   WatchNode* node = &watch_root_;
-  for (const auto& segment : SplitPath(norm)) {
+  for (std::string_view segment : PathSegments(norm)) {
     auto it = node->children.find(segment);
     if (it == node->children.end()) {
       return NotFoundError("no such watch");
@@ -477,11 +492,11 @@ Status XsStore::Unwatch(DomainId caller, std::string_view path,
   node->watches.erase(it);
   --watch_count_;
   for (auto rit = trail.rbegin(); rit != trail.rend(); ++rit) {
-    WatchNode* child = rit->first->children.at(rit->second).get();
-    if (!child->watches.empty() || !child->children.empty()) {
+    auto child = rit->first->children.find(rit->second);
+    if (!child->second->watches.empty() || !child->second->children.empty()) {
       break;
     }
-    rit->first->children.erase(rit->second);
+    rit->first->children.erase(child);
   }
   return Status::Ok();
 }
@@ -511,7 +526,7 @@ void XsStore::FireWatches(std::string_view path) {
                          XsWatchEvent{std::string(path), watch.token});
   }
   bool full_path = true;
-  for (const auto& segment : SplitPath(path)) {
+  for (std::string_view segment : PathSegments(path)) {
     auto it = node->children.find(segment);
     if (it == node->children.end()) {
       full_path = false;
@@ -644,11 +659,11 @@ Status XsStore::TransactionEnd(DomainId caller, TxId tx, bool commit) {
 
 void XsStore::FlattenTree(const Node& node, const std::string& path,
                           std::vector<FlatNode>* out) const {
-  for (const auto& [name, child] : node.children) {
+  node.children.ForEach([&](const std::string& name, const NodePtr& child) {
     const std::string child_path = path + "/" + name;
     out->push_back(FlatNode{child_path, child->value, child->perms});
     FlattenTree(*child, child_path, out);
-  }
+  });
 }
 
 std::vector<XsStore::FlatNode> XsStore::Serialize() const {
@@ -666,13 +681,15 @@ void XsStore::Restore(const std::vector<FlatNode>& nodes) {
   // first node below it, as a Write would.
   for (const auto& flat : nodes) {
     Node* node = root_.get();
-    for (const auto& segment : SplitPath(flat.path)) {
-      NodePtr& child = node->children[segment];
+    for (std::string_view segment : PathSegments(flat.path)) {
+      NodePtr* child = node->children.FindMutable(segment, &cow_copies_);
       if (child == nullptr) {
-        child = std::make_shared<Node>();
-        child->perms.owner = flat.perms.owner;
+        auto created = std::make_shared<Node>();
+        created->perms.owner = flat.perms.owner;
+        child = &node->children.Insert(segment, std::move(created),
+                                       &cow_copies_);
       }
-      node = child.get();
+      node = child->get();
     }
     node->value = flat.value;
     node->perms = flat.perms;

@@ -9,10 +9,15 @@
 //
 // Hot-path design (§5.1 argues primitive costs must stay small for
 // disaggregation to be viable):
-//  - Nodes are held by shared_ptr and treated as copy-on-write: starting a
-//    transaction (or taking a Snapshot) is an O(1) pointer copy, and a
-//    mutation shallow-clones only the nodes on its path when they are
-//    shared with a snapshot.
+//  - Nodes, and the entries of each directory's children map (a persistent
+//    AVL tree, src/xs/cow_map.h), are held by shared_ptr under one
+//    copy-on-write rule: whatever another version still holds is copied,
+//    anything unshared is mutated in place. Starting a transaction (or
+//    taking a Snapshot) is an O(1) pointer copy; a later mutation copies
+//    O(depth x log fan-out) nodes and entries on its path, and one with
+//    nothing shared copies none (cow_copies() counts them). Paths are
+//    walked as string_view segments, without allocating, and are capped at
+//    xenstored's 3072 bytes.
 //  - Per-owner node counts are maintained incrementally on create/remove/
 //    chown, so quota checks and NodesOwnedBy are O(log #owners) instead of
 //    a full-tree flatten. Nothing on a request or commit path copies them:
@@ -40,6 +45,7 @@
 #include "src/base/ids.h"
 #include "src/base/status.h"
 #include "src/obs/obs.h"
+#include "src/xs/cow_map.h"
 
 namespace xoar {
 
@@ -180,6 +186,9 @@ class XsStore {
   std::uint64_t op_count() const { return op_count_; }
   std::size_t NodeCount() const { return node_count_; }
   std::size_t NodesOwnedBy(DomainId domain) const;
+  // Copy-on-write work so far: nodes cloned plus children-map entries
+  // copied because another version (transaction, snapshot) shared them.
+  std::uint64_t cow_copies() const { return cow_copies_; }
 
  private:
   using NodePtr = std::shared_ptr<Node>;
@@ -190,7 +199,7 @@ class XsStore {
   struct Node {
     std::string value;
     XsNodePerms perms;
-    std::map<std::string, NodePtr> children;
+    CowMap<NodePtr> children;
   };
 
   struct WatchEntry {
@@ -205,7 +214,7 @@ class XsStore {
   // watch in the trie subtree below /a/b/c.
   struct WatchNode {
     std::vector<WatchEntry> watches;
-    std::map<std::string, std::unique_ptr<WatchNode>> children;
+    std::map<std::string, std::unique_ptr<WatchNode>, std::less<>> children;
   };
 
   // A transactional mutation, replayed against the live tree at commit.
@@ -230,10 +239,10 @@ class XsStore {
 
   // Makes `slot` exclusively owned (shallow-cloning if shared with a
   // snapshot or transaction) and returns the now-mutable node.
-  static Node* Detach(NodePtr& slot);
+  Node* Detach(NodePtr& slot);
   static const Node* Find(const Node* root, std::string_view path);
   // COW walk to an existing node; nullptr if the path does not exist.
-  static Node* ResolveMutable(NodePtr& root, std::string_view path);
+  Node* ResolveMutable(NodePtr& root, std::string_view path);
   // COW walk that creates missing intermediate nodes owned by `owner`,
   // charging them to the live counters (delta == nullptr) or to `delta`.
   StatusOr<Node*> ResolveOrCreate(NodePtr& root, std::string_view path,
@@ -299,6 +308,7 @@ class XsStore {
   // the tree.
   OwnerCounts owner_counts_;
   std::size_t node_count_ = 0;
+  std::uint64_t cow_copies_ = 0;
   // (generation, path) of committed mutations, recorded only while
   // transactions are active; cleared when the last transaction ends.
   std::vector<std::pair<std::uint64_t, std::string>> mutation_log_;

@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <string>
+#include <string_view>
+#include <vector>
+
 #include "src/base/hash_chain.h"
 #include "src/base/ids.h"
 #include "src/base/json.h"
@@ -98,16 +102,33 @@ TEST(IdsTest, Dom0ConstantIsZero) { EXPECT_EQ(kDom0.value(), 0u); }
 
 // --- Strings ---
 
-TEST(StringsTest, SplitPathDropsEmptySegments) {
-  EXPECT_EQ(SplitPath("/a//b/"), (std::vector<std::string>{"a", "b"}));
-  EXPECT_TRUE(SplitPath("").empty());
-  EXPECT_TRUE(SplitPath("///").empty());
+std::vector<std::string> Segments(std::string_view path) {
+  std::vector<std::string> out;
+  for (std::string_view segment : PathSegments(path)) {
+    out.emplace_back(segment);
+  }
+  return out;
 }
 
-TEST(StringsTest, JoinPathRoundTrips) {
-  EXPECT_EQ(JoinPath({"a", "b", "c"}), "/a/b/c");
-  EXPECT_EQ(JoinPath({}), "/");
-  EXPECT_EQ(JoinPath(SplitPath("/local/domain/3")), "/local/domain/3");
+TEST(StringsTest, PathSegmentsDropEmptySegments) {
+  EXPECT_EQ(Segments("/a//b/"), (std::vector<std::string>{"a", "b"}));
+  EXPECT_TRUE(Segments("").empty());
+  EXPECT_TRUE(Segments("///").empty());
+  EXPECT_EQ(Segments("a"), (std::vector<std::string>{"a"}));
+  // Segments longer than the small-string buffer come back whole.
+  EXPECT_EQ(Segments("//backend-vbd-frontend-id/x///ring-ref-of-the-guest"),
+            (std::vector<std::string>{"backend-vbd-frontend-id", "x",
+                                      "ring-ref-of-the-guest"}));
+}
+
+TEST(StringsTest, NormalizePathRoundTrips) {
+  EXPECT_EQ(NormalizePath("a/b/c"), "/a/b/c");
+  EXPECT_EQ(NormalizePath(""), "/");
+  EXPECT_EQ(NormalizePath("///"), "/");
+  EXPECT_EQ(NormalizePath("/a//b/"), "/a/b");
+  EXPECT_EQ(NormalizePath("/local/domain/3"), "/local/domain/3");
+  EXPECT_EQ(NormalizePath("local//backend-vbd-frontend-id/"),
+            "/local/backend-vbd-frontend-id");
 }
 
 TEST(StringsTest, PathHasPrefixRespectsBoundaries) {

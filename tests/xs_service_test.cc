@@ -238,6 +238,20 @@ TEST_F(XsServiceTest, TransactionsThroughService) {
   EXPECT_EQ(*xs_->Read(guest_, "/g/a"), "1");
 }
 
+TEST_F(XsServiceTest, OverlongGuestPathRefusedNeighbourStillServed) {
+  SetUpSharded();
+  std::string hostile = TenantDir(guest_);
+  for (int i = 0; i < 100000; ++i) {
+    hostile += "/x";
+  }
+  EXPECT_EQ(xs_->Write(guest_, hostile, "v").code(),
+            StatusCode::kInvalidArgument);
+  ASSERT_TRUE(xs_->Write(guest_b_, TenantDir(guest_b_) + "/k", "1").ok());
+  EXPECT_EQ(*xs_->Read(guest_b_, TenantDir(guest_b_) + "/k"), "1");
+  ASSERT_TRUE(xs_->Write(guest_, TenantDir(guest_) + "/k", "2").ok());
+  EXPECT_EQ(xs_->store().NodesOwnedBy(guest_), 2u);
+}
+
 // --- XenStore-State shard microreboots (SCALING.md) ---
 
 TEST_F(XsServiceTest, StateShardRestartStallsOnlyItsTenants) {

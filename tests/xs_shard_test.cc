@@ -58,6 +58,30 @@ TEST_F(XsShardTest, TenantPathsRouteByDomainIdModuloShards) {
   EXPECT_EQ(*store_.Read(manager_, "/local/domain/5/name"), "web");
 }
 
+// Routing reads at most the first three segments of a path. Edge cases:
+// doubled separators, a zero-padded id, a non-numeric id, a lookalike
+// prefix.
+TEST_F(XsShardTest, RoutingAnswersAreUnchanged) {
+  struct Case {
+    const char* path;
+    int shard;
+    bool spanning;
+  };
+  const Case cases[] = {
+      {"/", 0, true},
+      {"/local", 0, true},
+      {"/local/domain", 0, true},
+      {"/local//domain/7/x", 3, false},
+      {"/local/domain/007", 3, false},
+      {"/local/domain/x1", 0, false},
+      {"/localx/domain/7", 0, false},
+  };
+  for (const Case& c : cases) {
+    EXPECT_EQ(store_.ShardIndexForPath(c.path), c.shard) << c.path;
+    EXPECT_EQ(XsShardedStore::IsSpanningPath(c.path), c.spanning) << c.path;
+  }
+}
+
 TEST_F(XsShardTest, SpanningPrefixesExistOnEveryShard) {
   EXPECT_TRUE(XsShardedStore::IsSpanningPath("/"));
   EXPECT_TRUE(XsShardedStore::IsSpanningPath("/local"));
@@ -113,6 +137,9 @@ TEST_F(XsShardTest, TransactionsPinToCallersHomeShard) {
   ASSERT_TRUE(store_.TransactionEnd(guest, *tx, true).ok());
   EXPECT_EQ(*store_.Read(manager_, "/local/domain/5/k"), "txv");
   EXPECT_EQ(store_.ShardOfTransaction(*tx), -1);  // handle retired
+  // Only the home shard did copy-on-write work, and the facade sums it.
+  EXPECT_GT(store_.shard(1).cow_copies(), 0u);
+  EXPECT_EQ(store_.cow_copies(), store_.shard(1).cow_copies());
 }
 
 TEST_F(XsShardTest, ShardSnapshotRestoreIsolatesPartitions) {

@@ -1,8 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <map>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "src/base/strings.h"
+#include "src/xs/cow_map.h"
 #include "src/xs/store.h"
 
 namespace xoar {
@@ -41,6 +47,57 @@ TEST_F(XsStoreTest, WriteCreatesIntermediateNodes) {
 TEST_F(XsStoreTest, PathsAreNormalized) {
   ASSERT_TRUE(store_.Write(manager_, "a//b/", "v").ok());
   EXPECT_EQ(*store_.Read(manager_, "/a/b"), "v");
+}
+
+// A guest picks its own paths (§6.2). Paths are capped at xenstored's
+// 3072 bytes after normalization, which bounds the tree's depth and so
+// every recursion over it: without the cap this write is accepted and a
+// later Serialize overflows the stack.
+TEST_F(XsStoreTest, OverlongPathIsRefused) {
+  XsNodePerms perms;
+  perms.owner = guest_;
+  ASSERT_TRUE(store_.Mkdir(manager_, "/local/domain/5").ok());
+  ASSERT_TRUE(store_.SetPerms(manager_, "/local/domain/5", perms).ok());
+  std::string hostile = "/local/domain/5";
+  for (int i = 0; i < 100000; ++i) {
+    hostile += "/x";
+  }
+  ASSERT_EQ(store_.Write(guest_, hostile, "v").code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(store_.NodeCount(), 3u);
+  EXPECT_EQ(store_.Mkdir(guest_, hostile).code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(store_.Read(guest_, hostile).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_FALSE(store_.Exists(guest_, hostile));
+  EXPECT_EQ(store_.Watch(guest_, hostile, "t", [](const XsWatchEvent&) {})
+                .code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(store_.WatchCount(), 0u);
+
+  // The limit itself: 1536 segments, 3072 bytes. Redundant separators do
+  // not count against it.
+  std::string longest;
+  for (int i = 0; i < 1536; ++i) {
+    longest += "/x";
+  }
+  ASSERT_EQ(longest.size(), 3072u);
+  EXPECT_EQ(store_.Write(manager_, longest + "y", "v").code(),
+            StatusCode::kInvalidArgument);
+  ASSERT_TRUE(store_.Write(manager_, "/" + longest + "/", "deep").ok());
+  EXPECT_EQ(*store_.Read(manager_, longest), "deep");
+  EXPECT_EQ(*store_.List(manager_, longest.substr(0, 3070)),
+            (std::vector<std::string>{"x"}));
+  const std::vector<XsStore::FlatNode> flat = store_.Serialize();
+  ASSERT_EQ(flat.size(), 3u + 1536u);
+  EXPECT_EQ(flat.back().path, longest);
+  XsStore copy;
+  copy.AddManagerDomain(manager_);
+  copy.Restore(flat);
+  EXPECT_EQ(*copy.Read(manager_, longest), "deep");
+  ASSERT_TRUE(store_.Remove(manager_, "/x").ok());
+  EXPECT_EQ(store_.NodeCount(), 3u);
+  // Leave a full-depth chain for the destructor to free.
+  ASSERT_TRUE(store_.Write(manager_, longest, "deep").ok());
 }
 
 TEST_F(XsStoreTest, ListReturnsChildren) {
@@ -640,6 +697,157 @@ TEST_F(XsStoreTest, RestoringCurrentSnapshotIsNoOp) {
   EXPECT_EQ(*store_.Read(manager_, "/k"), "v");
 }
 
+// Copy-on-write work of one transactional write and its commit, below a
+// directory of `siblings` children.
+std::uint64_t TransactionalWriteCopies(int siblings) {
+  XsStore store;
+  const DomainId mgr(0);
+  store.AddManagerDomain(mgr);
+  for (int i = 0; i < siblings; ++i) {
+    EXPECT_TRUE(store.Mkdir(mgr, StrFormat("/local/domain/%d", i)).ok());
+  }
+  const std::uint64_t before = store.cow_copies();
+  auto tx = store.TransactionStart(mgr);
+  const std::string key = StrFormat("/local/domain/%d/txkey", siblings / 2);
+  EXPECT_TRUE(store.Write(mgr, key, "v", *tx).ok());
+  EXPECT_TRUE(store.TransactionEnd(mgr, *tx, /*commit=*/true).ok());
+  EXPECT_EQ(*store.Read(mgr, key), "v");
+  return store.cow_copies() - before;
+}
+
+// A shared directory is copied one search path at a time, O(log fan-out)
+// entries, not one entry per sibling: 10^3 times the siblings may cost at
+// most 3 times the copies.
+TEST(XsStoreCopyTest, TransactionalWriteCopiesLogFanOut) {
+  const std::uint64_t narrow = TransactionalWriteCopies(10);
+  const std::uint64_t wide = TransactionalWriteCopies(10000);
+  EXPECT_GT(narrow, 0u);
+  EXPECT_LE(wide, 3 * narrow) << "10 siblings: " << narrow
+                              << " copies; 10^4 siblings: " << wide;
+}
+
+TEST(XsStoreCopyTest, WriteWithNothingSharedCopiesNothing) {
+  XsStore store;
+  const DomainId mgr(0);
+  store.AddManagerDomain(mgr);
+  for (int i = 0; i < 1000; ++i) {
+    ASSERT_TRUE(store.Write(mgr, StrFormat("/local/domain/%d/k", i), "v").ok());
+  }
+  ASSERT_TRUE(store.Write(mgr, "/local/domain/500/k", "w").ok());
+  ASSERT_TRUE(store.Remove(mgr, "/local/domain/7").ok());
+  XsNodePerms perms;
+  perms.owner = DomainId(9);
+  ASSERT_TRUE(store.SetPerms(mgr, "/local/domain/9", perms).ok());
+  EXPECT_EQ(store.cow_copies(), 0u);
+  // Once a snapshot shares the tree, the next write copies its path, and
+  // the write after that, with the path exclusive again, copies nothing.
+  XsStore::Snapshot snapshot = store.TakeSnapshot();
+  ASSERT_TRUE(store.Write(mgr, "/local/domain/500/k", "x").ok());
+  const std::uint64_t after_snapshot = store.cow_copies();
+  EXPECT_GT(after_snapshot, 0u);
+  ASSERT_TRUE(store.Write(mgr, "/local/domain/500/k", "y").ok());
+  EXPECT_EQ(store.cow_copies(), after_snapshot);
+  store.RestoreSnapshot(snapshot);
+  EXPECT_EQ(*store.Read(mgr, "/local/domain/500/k"), "w");
+}
+
+// CowMap against std::map. Several live versions are kept: a version is
+// copied, then each copy is mutated on its own, and after every step each
+// version must still equal its own std::map twin, with AVL height.
+class CowMapTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(CowMapTest, VersionsMatchStdMap) {
+  std::uint64_t state = 0x9E3779B97F4A7C15ULL + GetParam();
+  auto next = [&state] {
+    state = state * 6364136223846793005ULL + 1442695040888963407ULL;
+    return state >> 33;
+  };
+  std::vector<std::string> keys;
+  for (int i = 0; i < 300; ++i) {
+    // Some keys outgrow the small-string buffer.
+    keys.push_back(StrFormat(i % 3 == 0 ? "node-name-past-sso-%03d" : "k%03d",
+                             i));
+  }
+  std::sort(keys.begin(), keys.end());
+  if (GetParam() == 1) {
+    std::reverse(keys.begin(), keys.end());
+  } else if (GetParam() == 2) {
+    for (std::size_t i = keys.size() - 1; i > 0; --i) {
+      std::swap(keys[i], keys[next() % (i + 1)]);
+    }
+  }
+  struct Version {
+    CowMap<int> tree;
+    std::map<std::string, int> twin;
+  };
+  std::vector<Version> versions(1);
+  std::uint64_t copies = 0;
+  std::size_t inserted = 0;  // keys inserted in order, into some version
+  for (int step = 0; step < 2000; ++step) {
+    Version& v = versions[next() % versions.size()];
+    const std::string& key = keys[next() % keys.size()];
+    const int value = static_cast<int>(next() % 1000);
+    switch (next() % 8) {
+      case 0:
+      case 1:
+      case 2: {  // insert the next key in the chosen order
+        const std::string& in_order = keys[inserted++ % keys.size()];
+        if (v.twin.count(in_order) == 0) {
+          v.tree.Insert(in_order, value, &copies);
+          v.twin[in_order] = value;
+        }
+        break;
+      }
+      case 3:
+      case 4:
+        EXPECT_EQ(v.tree.Erase(key, &copies), v.twin.erase(key) == 1);
+        break;
+      case 5: {
+        int* found = v.tree.FindMutable(key, &copies);
+        ASSERT_EQ(found != nullptr, v.twin.count(key) == 1) << key;
+        if (found != nullptr) {
+          *found = value;
+          v.twin[key] = value;
+        }
+        break;
+      }
+      case 6: {
+        const int* found = v.tree.Find(key);
+        ASSERT_EQ(found != nullptr, v.twin.count(key) == 1) << key;
+        if (found != nullptr) {
+          EXPECT_EQ(*found, v.twin[key]);
+        }
+        break;
+      }
+      case 7:  // fork: copy a version over another slot, or add one
+        if (versions.size() < 5) {
+          versions.push_back(v);
+        } else {
+          versions[next() % versions.size()] = Version(v);
+        }
+        break;
+    }
+    for (const Version& each : versions) {
+      auto twin = each.twin.begin();
+      bool same = true;
+      each.tree.ForEach([&](const std::string& k, int val) {
+        same = same && twin != each.twin.end() && twin->first == k &&
+               twin->second == val;
+        ++twin;
+      });
+      ASSERT_TRUE(same && twin == each.twin.end()) << "step " << step;
+      ASSERT_EQ(each.tree.size(), each.twin.size());
+      ASSERT_LE(each.tree.height(),
+                1.4405 * std::log2(each.tree.size() + 2.0) - 0.3277)
+          << "step " << step;
+    }
+  }
+  EXPECT_GT(copies, 0u);
+}
+
+// Keys arrive in sorted (0), reverse-sorted (1) or seeded random (2) order.
+INSTANTIATE_TEST_SUITE_P(KeyOrders, CowMapTest, ::testing::Values(0, 1, 2));
+
 // The incremental owner counters must equal a fresh tally of the contents.
 ::testing::AssertionResult CountersMatchContents(
     const XsStore& store, const std::vector<DomainId>& owners) {
@@ -687,13 +895,12 @@ TEST_P(XsStoreModelTest, AgreesWithReferenceModel) {
                               const std::string& value) {
     model[path] = value;
     // Intermediate nodes materialize with empty values.
-    std::vector<std::string> segments = SplitPath(path);
     std::string prefix;
-    for (std::size_t s = 0; s + 1 < segments.size(); ++s) {
-      prefix += "/" + segments[s];
-      if (model.count(prefix) == 0) {
-        model[prefix] = "";
+    for (std::string_view segment : PathSegments(path)) {
+      if (!prefix.empty()) {
+        model.try_emplace(prefix, "");
       }
+      prefix.append("/").append(segment);
     }
   };
   auto model_remove = [&model](const std::string& path) {
@@ -810,6 +1017,104 @@ TEST_P(XsStoreModelTest, AgreesWithReferenceModel) {
     ASSERT_TRUE(CountersMatchContents(store, owners)) << "step " << i;
   }
   EXPECT_GT(replay_failures, 0);
+}
+
+std::map<std::string, std::string> ContentsOf(const XsStore& store) {
+  std::map<std::string, std::string> contents;
+  for (const XsStore::FlatNode& node : store.Serialize()) {
+    contents.emplace(node.path, node.value);
+  }
+  return contents;
+}
+
+// The model check on one directory of hundreds of siblings, so its
+// children tree rebalances while other versions share it: a snapshot and
+// up to two open transactions are held while live writes and removes land,
+// and each must still read as the model copy taken when it began.
+TEST_P(XsStoreModelTest, WideDirectoryVersionsStayIsolated) {
+  XsStore store;
+  const DomainId mgr(0);
+  store.AddManagerDomain(mgr);
+  std::uint64_t state = GetParam() * 0x9E3779B97F4A7C15ULL + 5;
+  auto next = [&state] {
+    state = state * 6364136223846793005ULL + 1442695040888963407ULL;
+    return state >> 32;
+  };
+  auto key = [&next] {
+    const unsigned i = static_cast<unsigned>(next() % 600);
+    return StrFormat(i % 2 == 0 ? "/wide/sibling-past-sso-%u" : "/wide/s%u", i);
+  };
+  ASSERT_TRUE(store.Mkdir(mgr, "/wide").ok());
+  std::map<std::string, std::string> model = {{"/wide", ""}};
+  struct OpenTx {
+    XsStore::TxId id;
+    std::map<std::string, std::string> view;    // model at start + own writes
+    std::map<std::string, std::string> writes;  // to apply if it commits
+  };
+  std::vector<OpenTx> txs;
+  XsStore::Snapshot snapshot;
+  std::map<std::string, std::string> snapshot_model;
+  int commits = 0;
+  for (int i = 0; i < 2000; ++i) {
+    const std::string path = key();
+    const std::string value = StrFormat("v%d", i);
+    const std::uint64_t pick = next() % 20;
+    if (pick < 8) {
+      ASSERT_TRUE(store.Write(mgr, path, value).ok());
+      model[path] = value;
+    } else if (pick < 12) {
+      EXPECT_EQ(store.Remove(mgr, path).ok(), model.erase(path) == 1);
+    } else if (pick < 14 && txs.size() < 2) {
+      auto tx = store.TransactionStart(mgr);
+      ASSERT_TRUE(tx.ok());
+      txs.push_back(OpenTx{*tx, model, {}});
+    } else if (pick < 17 && !txs.empty()) {
+      OpenTx& tx = txs[next() % txs.size()];
+      if (pick == 14) {
+        ASSERT_TRUE(store.Write(mgr, path, value, tx.id).ok());
+        tx.view[path] = tx.writes[path] = value;
+      } else {
+        auto read = store.Read(mgr, path, tx.id);
+        ASSERT_EQ(read.ok(), tx.view.count(path) == 1) << path;
+        if (read.ok()) {
+          EXPECT_EQ(*read, tx.view[path]) << path;
+        }
+      }
+    } else if (pick == 17 && !txs.empty()) {
+      const std::size_t t = next() % txs.size();
+      if (store.TransactionEnd(mgr, txs[t].id, /*commit=*/true).ok()) {
+        ++commits;
+        for (const auto& [written, val] : txs[t].writes) {
+          model[written] = val;
+        }
+      }
+      txs.erase(txs.begin() + static_cast<std::ptrdiff_t>(t));
+    } else if (pick == 18) {
+      if (!snapshot.valid()) {
+        snapshot = store.TakeSnapshot();
+        snapshot_model = model;
+      } else {
+        store.RestoreSnapshot(snapshot);
+        model = snapshot_model;
+        snapshot = XsStore::Snapshot();
+      }
+    }
+    auto read = store.Read(mgr, path);
+    ASSERT_EQ(read.ok(), model.count(path) == 1) << path;
+    if (read.ok()) {
+      EXPECT_EQ(*read, model[path]) << path;
+    }
+    if (i % 20 == 0 || pick == 18) {
+      ASSERT_EQ(ContentsOf(store), model) << "step " << i;
+    }
+  }
+  for (const OpenTx& tx : txs) {
+    for (const auto& [path, value] : tx.view) {
+      EXPECT_EQ(*store.Read(mgr, path, tx.id), value) << path;
+    }
+  }
+  EXPECT_GT(commits, 0);
+  EXPECT_GT(model.size(), 150u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, XsStoreModelTest,
