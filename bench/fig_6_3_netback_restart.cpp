@@ -12,7 +12,7 @@
 #include "src/base/log.h"
 #include "src/base/strings.h"
 #include "src/core/xoar_platform.h"
-#include "src/obs/obs.h"
+#include "src/obs/metrics.h"
 #include "src/workloads/wget.h"
 
 namespace xoar {
@@ -37,10 +37,10 @@ void Run() {
   PrintHeading(
       "Fig 6.3: Throughput with a restarting NetBack (2GB wget, MB/s)");
 
-  // Record every measured point into the process-global registry; the table
-  // below and BENCH_netback_restart.json both render from the same
-  // snapshot (see OBSERVABILITY.md for the export shape).
-  MetricRegistry& metrics = Obs::Global().metrics();
+  // Record every measured point into one registry; the table below and
+  // BENCH_netback_restart.json both render from the same snapshot (see
+  // OBSERVABILITY.md for the export shape).
+  MetricRegistry metrics;
   metrics.GetGauge("bench.fig63.baseline_mbps")
       ->Set(MeasureThroughput(0, false));
   for (int interval = 1; interval <= 10; ++interval) {

@@ -5,17 +5,19 @@
 // disaggregation to be viable.
 //
 // Besides the google-benchmark console output, every primitive records its
-// per-op wall latency into the process-global metrics registry
-// (`bench.micro.<primitive>_ns` histograms), and main() exports the
-// registry as BENCH_micro_primitives.json — the same JSON family the
-// platform itself emits (see OBSERVABILITY.md). The in-loop sampling costs
-// two steady_clock reads per iteration, so the reported numbers carry a
-// small constant inflation; the histogram shape is what matters here.
+// per-op wall latency into the Obs main() owns (`bench.micro.<primitive>_ns`
+// histograms, beside the counters of the components under test), and main()
+// exports that registry as BENCH_micro_primitives.json — the same JSON
+// family the platform itself emits (see OBSERVABILITY.md). The in-loop
+// sampling costs two steady_clock reads per iteration, so the reported
+// numbers carry a small constant inflation; the histogram shape is what
+// matters here.
 #include <benchmark/benchmark.h>
 
 #include <array>
 #include <chrono>
 #include <cstdio>
+#include <utility>
 
 #include "src/base/log.h"
 #include "src/hv/hypervisor.h"
@@ -26,10 +28,10 @@
 namespace xoar {
 namespace {
 
-// Per-op latency histogram in the process-global registry, 100ns..~100ms
-// buckets. Stable pointer: resolve once per benchmark, observe per op.
-Histogram* LatencyHist(const char* primitive) {
-  return Obs::Global().metrics().GetHistogram(
+// Per-op latency histogram in the bench's registry, 100ns..~100ms buckets.
+// Stable pointer: resolve once per benchmark, observe per op.
+Histogram* LatencyHist(Obs* obs, const char* primitive) {
+  return obs->metrics().GetHistogram(
       MetricName("bench", "micro", primitive),
       Histogram::DefaultLatencyBoundsNs());
 }
@@ -50,11 +52,11 @@ class OpTimer {
 };
 
 struct HvFixture {
-  HvFixture() {
+  explicit HvFixture(Obs* obs) {
     Logger::Get().set_level(LogLevel::kNone);
     Hypervisor::Options options;
     options.enforce_shard_sharing_policy = true;
-    hv = std::make_unique<Hypervisor>(&sim, options);
+    hv = std::make_unique<Hypervisor>(&sim, options, obs);
     DomainConfig boot_config;
     boot_config.name = "boot";
     boot_config.memory_mb = 32;
@@ -89,32 +91,30 @@ struct HvFixture {
   DomainId boot, shard, guest;
 };
 
-void BM_HypercallPolicyCheck(benchmark::State& state) {
-  HvFixture fixture;
-  Histogram* hist = LatencyHist("hypercall_check_ns");
+void BM_HypercallPolicyCheck(benchmark::State& state, Obs* obs) {
+  HvFixture fixture(obs);
+  Histogram* hist = LatencyHist(obs, "hypercall_check_ns");
   for (auto _ : state) {
     OpTimer timer(hist);
     benchmark::DoNotOptimize(
         fixture.hv->CheckHypercall(fixture.guest, Hypercall::kGrantTableOp));
   }
 }
-BENCHMARK(BM_HypercallPolicyCheck);
 
-void BM_IvcPolicyCheck(benchmark::State& state) {
-  HvFixture fixture;
-  Histogram* hist = LatencyHist("ivc_check_ns");
+void BM_IvcPolicyCheck(benchmark::State& state, Obs* obs) {
+  HvFixture fixture(obs);
+  Histogram* hist = LatencyHist(obs, "ivc_check_ns");
   for (auto _ : state) {
     OpTimer timer(hist);
     benchmark::DoNotOptimize(
         fixture.hv->CheckIvcAllowed(fixture.guest, fixture.shard));
   }
 }
-BENCHMARK(BM_IvcPolicyCheck);
 
-void BM_GrantCreateMapUnmapEnd(benchmark::State& state) {
-  HvFixture fixture;
+void BM_GrantCreateMapUnmapEnd(benchmark::State& state, Obs* obs) {
+  HvFixture fixture(obs);
   Pfn pfn = *fixture.hv->memory().AllocatePages(fixture.guest, 1);
-  Histogram* hist = LatencyHist("grant_cycle_ns");
+  Histogram* hist = LatencyHist(obs, "grant_cycle_ns");
   for (auto _ : state) {
     OpTimer timer(hist);
     GrantRef ref =
@@ -125,10 +125,9 @@ void BM_GrantCreateMapUnmapEnd(benchmark::State& state) {
     (void)fixture.hv->EndGrantAccess(fixture.guest, ref);
   }
 }
-BENCHMARK(BM_GrantCreateMapUnmapEnd);
 
-void BM_EventChannelSendDeliver(benchmark::State& state) {
-  HvFixture fixture;
+void BM_EventChannelSendDeliver(benchmark::State& state, Obs* obs) {
+  HvFixture fixture(obs);
   EvtchnPort unbound =
       *fixture.hv->EvtchnAllocUnbound(fixture.guest, fixture.shard);
   EvtchnPort bound =
@@ -137,7 +136,7 @@ void BM_EventChannelSendDeliver(benchmark::State& state) {
   int delivered = 0;
   (void)fixture.hv->EvtchnSetHandler(fixture.guest, unbound,
                                      [&] { ++delivered; });
-  Histogram* hist = LatencyHist("evtchn_send_deliver_ns");
+  Histogram* hist = LatencyHist(obs, "evtchn_send_deliver_ns");
   for (auto _ : state) {
     OpTimer timer(hist);
     (void)fixture.hv->EvtchnSend(fixture.shard, bound);
@@ -145,7 +144,6 @@ void BM_EventChannelSendDeliver(benchmark::State& state) {
   }
   benchmark::DoNotOptimize(delivered);
 }
-BENCHMARK(BM_EventChannelSendDeliver);
 
 struct RingReq {
   std::uint64_t id;
@@ -156,12 +154,12 @@ struct RingRsp {
   std::int32_t status;
 };
 
-void BM_IoRingRoundTrip(benchmark::State& state) {
+void BM_IoRingRoundTrip(benchmark::State& state, Obs* obs) {
   alignas(64) std::array<std::byte, kPageSize> page{};
   auto front = IoRing<RingReq, RingRsp>::Create(page.data());
   auto back = IoRing<RingReq, RingRsp>::Attach(page.data());
   std::uint64_t id = 0;
-  Histogram* hist = LatencyHist("io_ring_round_trip_ns");
+  Histogram* hist = LatencyHist(obs, "io_ring_round_trip_ns");
   for (auto _ : state) {
     OpTimer timer(hist);
     front.PushRequest({id, 42});
@@ -171,54 +169,50 @@ void BM_IoRingRoundTrip(benchmark::State& state) {
     ++id;
   }
 }
-BENCHMARK(BM_IoRingRoundTrip);
 
-void BM_XenStoreWrite(benchmark::State& state) {
-  XsStore store;
+void BM_XenStoreWrite(benchmark::State& state, Obs* obs) {
+  XsStore store(obs);
   store.AddManagerDomain(DomainId(0));
   std::uint64_t counter = 0;
-  Histogram* hist = LatencyHist("xs_write_ns");
+  Histogram* hist = LatencyHist(obs, "xs_write_ns");
   for (auto _ : state) {
     OpTimer timer(hist);
     (void)store.Write(DomainId(0), "/bench/key",
                       std::to_string(counter++));
   }
 }
-BENCHMARK(BM_XenStoreWrite);
 
-void BM_XenStoreReadDeepPath(benchmark::State& state) {
-  XsStore store;
+void BM_XenStoreReadDeepPath(benchmark::State& state, Obs* obs) {
+  XsStore store(obs);
   store.AddManagerDomain(DomainId(0));
   (void)store.Write(DomainId(0), "/local/domain/7/device/vif/0/state", "4");
-  Histogram* hist = LatencyHist("xs_read_deep_ns");
+  Histogram* hist = LatencyHist(obs, "xs_read_deep_ns");
   for (auto _ : state) {
     OpTimer timer(hist);
     benchmark::DoNotOptimize(
         store.Read(DomainId(0), "/local/domain/7/device/vif/0/state"));
   }
 }
-BENCHMARK(BM_XenStoreReadDeepPath);
 
-void BM_XenStoreWatchFire(benchmark::State& state) {
-  XsStore store;
+void BM_XenStoreWatchFire(benchmark::State& state, Obs* obs) {
+  XsStore store(obs);
   store.AddManagerDomain(DomainId(0));
   int fires = 0;
   (void)store.Watch(DomainId(0), "/w", "tok",
                     [&](const XsWatchEvent&) { ++fires; });
   std::uint64_t counter = 0;
-  Histogram* hist = LatencyHist("xs_watch_fire_ns");
+  Histogram* hist = LatencyHist(obs, "xs_watch_fire_ns");
   for (auto _ : state) {
     OpTimer timer(hist);
     (void)store.Write(DomainId(0), "/w/key", std::to_string(counter++));
   }
   benchmark::DoNotOptimize(fires);
 }
-BENCHMARK(BM_XenStoreWatchFire);
 
-void BM_XenStoreTransaction(benchmark::State& state) {
-  XsStore store;
+void BM_XenStoreTransaction(benchmark::State& state, Obs* obs) {
+  XsStore store(obs);
   store.AddManagerDomain(DomainId(0));
-  Histogram* hist = LatencyHist("xs_transaction_ns");
+  Histogram* hist = LatencyHist(obs, "xs_transaction_ns");
   for (auto _ : state) {
     OpTimer timer(hist);
     auto tx = store.TransactionStart(DomainId(0));
@@ -226,30 +220,54 @@ void BM_XenStoreTransaction(benchmark::State& state) {
     (void)store.TransactionEnd(DomainId(0), *tx, true);
   }
 }
-BENCHMARK(BM_XenStoreTransaction);
 
-void BM_SimulatorScheduleRun(benchmark::State& state) {
+void BM_SimulatorScheduleRun(benchmark::State& state, Obs* obs) {
   Simulator sim;
-  Histogram* hist = LatencyHist("sim_schedule_run_ns");
+  Histogram* hist = LatencyHist(obs, "sim_schedule_run_ns");
   for (auto _ : state) {
     OpTimer timer(hist);
     sim.ScheduleAfter(1, [] {});
     sim.Run();
   }
 }
-BENCHMARK(BM_SimulatorScheduleRun);
+
+// Registers every primitive under its function's name. All of them report
+// into `obs`.
+void RegisterPrimitives(Obs* obs) {
+  using Primitive = void (*)(benchmark::State&, Obs*);
+  const std::pair<const char*, Primitive> primitives[] = {
+      {"BM_HypercallPolicyCheck", BM_HypercallPolicyCheck},
+      {"BM_IvcPolicyCheck", BM_IvcPolicyCheck},
+      {"BM_GrantCreateMapUnmapEnd", BM_GrantCreateMapUnmapEnd},
+      {"BM_EventChannelSendDeliver", BM_EventChannelSendDeliver},
+      {"BM_IoRingRoundTrip", BM_IoRingRoundTrip},
+      {"BM_XenStoreWrite", BM_XenStoreWrite},
+      {"BM_XenStoreReadDeepPath", BM_XenStoreReadDeepPath},
+      {"BM_XenStoreWatchFire", BM_XenStoreWatchFire},
+      {"BM_XenStoreTransaction", BM_XenStoreTransaction},
+      {"BM_SimulatorScheduleRun", BM_SimulatorScheduleRun},
+  };
+  for (const auto& [name, primitive] : primitives) {
+    benchmark::RegisterBenchmark(
+        name, [primitive, obs](benchmark::State& state) {
+          primitive(state, obs);
+        });
+  }
+}
 
 }  // namespace
 }  // namespace xoar
 
 int main(int argc, char** argv) {
+  xoar::Obs obs;
+  xoar::RegisterPrimitives(&obs);
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) {
     return 1;
   }
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
-  xoar::Status status = xoar::Obs::Global().metrics().WriteJsonFile(
+  xoar::Status status = obs.metrics().WriteJsonFile(
       "BENCH_micro_primitives.json", "micro_primitives");
   if (!status.ok()) {
     std::fprintf(stderr, "failed to write BENCH_micro_primitives.json: %s\n",

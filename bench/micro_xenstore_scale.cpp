@@ -29,6 +29,7 @@
 #include <vector>
 
 #include "src/base/strings.h"
+#include "src/obs/obs.h"
 #include "src/xs/store.h"
 
 namespace xoar {
@@ -65,7 +66,8 @@ void PopulateOwners(XsStore& store, int nodes, int owners) {
 }
 
 void BM_TransactionStartAbort(benchmark::State& state) {
-  XsStore store;
+  Obs obs;
+  XsStore store(&obs);
   store.AddManagerDomain(kManager);
   Populate(store, static_cast<int>(state.range(0)), kManager);
   for (auto _ : state) {
@@ -83,7 +85,8 @@ BENCHMARK(BM_TransactionStartAbort)
 // commit's replay accumulates owner changes in a delta instead of copying
 // the owner-count map as its undo record, so the cost is flat in owners.
 void BM_TransactionWriteCommit(benchmark::State& state) {
-  XsStore store;
+  Obs obs;
+  XsStore store(&obs);
   store.AddManagerDomain(kManager);
   PopulateOwners(store, kOwnerSweepNodes, static_cast<int>(state.range(0)));
   for (auto _ : state) {
@@ -102,7 +105,8 @@ BENCHMARK(BM_TransactionWriteCommit)
 // transaction's view and the commit replay share the directory with
 // another version, so each copies a path through its children map.
 void BM_TransactionWriteCommitFanOut(benchmark::State& state) {
-  XsStore store;
+  Obs obs;
+  XsStore store(&obs);
   store.AddManagerDomain(kManager);
   const int siblings = static_cast<int>(state.range(0));
   for (int i = 0; i < siblings; ++i) {
@@ -126,7 +130,8 @@ BENCHMARK(BM_TransactionWriteCommitFanOut)
 // Two transactions writing disjoint paths, both committing — the case the
 // whole-store generation check used to turn into spurious EAGAIN retries.
 void BM_DisjointTransactionsCommit(benchmark::State& state) {
-  XsStore store;
+  Obs obs;
+  XsStore store(&obs);
   store.AddManagerDomain(kManager);
   Populate(store, static_cast<int>(state.range(0)), kManager);
   std::uint64_t aborted = 0;
@@ -145,7 +150,8 @@ BENCHMARK(BM_DisjointTransactionsCommit)->Arg(1000)->Arg(10000);
 // Node creation with a quota configured: the quota check used to flatten
 // the whole tree (copying every path and value) on *every* creation.
 void BM_QuotaNodeCreate(benchmark::State& state) {
-  XsStore store;
+  Obs obs;
+  XsStore store(&obs);
   store.AddManagerDomain(kManager);
   (void)store.Mkdir(kManager, "/g");
   XsNodePerms perms;
@@ -170,7 +176,8 @@ BENCHMARK(BM_QuotaNodeCreate)->Arg(100)->Arg(1000)->Arg(10000)->Arg(100000);
 // Dispatching one mutation with W registered watches on disjoint paths:
 // with the path-segment trie only the matching watch is visited.
 void BM_WatchDispatch(benchmark::State& state) {
-  XsStore store;
+  Obs obs;
+  XsStore store(&obs);
   store.AddManagerDomain(kManager);
   const int watches = static_cast<int>(state.range(0));
   std::uint64_t fires = 0;
@@ -191,7 +198,8 @@ BENCHMARK(BM_WatchDispatch)->Arg(10)->Arg(100)->Arg(1000)->Arg(10000);
 // are unchanged and the restore is a no-op; the snapshot holds only the
 // copy-on-write root, so the pair is flat in the number of owners.
 void BM_SnapshotTakeRestore(benchmark::State& state) {
-  XsStore store;
+  Obs obs;
+  XsStore store(&obs);
   store.AddManagerDomain(kManager);
   PopulateOwners(store, kOwnerSweepNodes, static_cast<int>(state.range(0)));
   for (auto _ : state) {
@@ -207,7 +215,8 @@ BENCHMARK(BM_SnapshotTakeRestore)
 // counters from the tree, O(nodes). Only a restart completing over a
 // store that changed underneath it pays this; no guest request can.
 void BM_SnapshotRollback(benchmark::State& state) {
-  XsStore store;
+  Obs obs;
+  XsStore store(&obs);
   store.AddManagerDomain(kManager);
   Populate(store, static_cast<int>(state.range(0)), kManager);
   for (auto _ : state) {

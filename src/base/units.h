@@ -45,10 +45,6 @@ constexpr std::uint64_t kGiB = 1024 * kMiB;
 // operate on pages of this size, mirroring x86 Xen.
 constexpr std::uint64_t kPageSize = 4 * kKiB;
 
-constexpr double ToMiB(std::uint64_t bytes) {
-  return static_cast<double>(bytes) / static_cast<double>(kMiB);
-}
-
 // Converts a rate in bits/second and a payload size to a transfer duration.
 constexpr SimDuration TransferTime(std::uint64_t bytes, double bits_per_second) {
   return static_cast<SimDuration>(static_cast<double>(bytes) * 8.0 /

@@ -13,7 +13,7 @@ RestartEngine::RestartEngine(Hypervisor* hv, Simulator* sim,
       snapshots_(snapshots),
       controller_(controller),
       audit_(audit),
-      obs_(Obs::OrGlobal(obs)) {}
+      obs_(obs) {}
 
 Status RestartEngine::Register(const std::string& name, DomainId domain,
                                ComponentHooks hooks) {
@@ -73,14 +73,12 @@ Status RestartEngine::DoRestart(Entry& entry, const std::string& name,
       fast = false;
       ++entry.boxes_rejected;
       entry.m_box_rejected->Increment();
-      if (audit_ != nullptr) {
-        AuditEvent event;
-        event.time = sim_->Now();
-        event.kind = AuditEventKind::kRecoveryBoxRejected;
-        event.object = entry.domain;
-        event.detail = StrFormat("%s cause=corrupt-box", name.c_str());
-        audit_->Record(std::move(event));
-      }
+      AuditEvent event;
+      event.time = sim_->Now();
+      event.kind = AuditEventKind::kRecoveryBoxRejected;
+      event.object = entry.domain;
+      event.detail = StrFormat("%s cause=corrupt-box", name.c_str());
+      audit_->Record(std::move(event));
       // Journal the downgrade decision (fast -> slow) so replay catches a
       // run whose box validation decided differently, at the decision
       // itself rather than in the longer restart window that follows.
@@ -146,14 +144,12 @@ Status RestartEngine::DoRestart(Entry& entry, const std::string& name,
                              static_cast<double>(kMillisecond));
     obs_->tracer().EndSpan(e.span);
     e.span = Tracer::kInvalidSpan;
-    if (audit_ != nullptr) {
-      AuditEvent event;
-      event.time = sim_->Now();
-      event.kind = AuditEventKind::kShardRestarted;
-      event.object = e.domain;
-      event.detail = name;
-      audit_->Record(std::move(event));
-    }
+    AuditEvent event;
+    event.time = sim_->Now();
+    event.kind = AuditEventKind::kShardRestarted;
+    event.object = e.domain;
+    event.detail = name;
+    audit_->Record(std::move(event));
   });
   return Status::Ok();
 }

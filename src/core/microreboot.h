@@ -68,10 +68,10 @@ class RestartEngine {
   // `controller` is the privileged domain issuing the kSnapshotOp
   // hypercalls (the Builder in Xoar). `obs` receives per-component
   // `<name>.microreboot.*` metrics and kMicroreboot trace spans covering
-  // each suspend->resume window; nullptr falls back to Obs::Global().
+  // each suspend->resume window; `audit` records every restart and every
+  // rejected recovery box.
   RestartEngine(Hypervisor* hv, Simulator* sim, SnapshotManager* snapshots,
-                DomainId controller, AuditLog* audit = nullptr,
-                Obs* obs = nullptr);
+                DomainId controller, AuditLog* audit, Obs* obs);
 
   // Registers a restartable component. Takes the §3.3 snapshot immediately
   // if `hooks.state` is provided — callers register at the ready-to-serve
@@ -133,9 +133,6 @@ class RestartEngine {
   };
   // NOT_FOUND for unknown names.
   StatusOr<Component> Find(const std::string& name) const;
-  bool IsRegistered(const std::string& name) const {
-    return components_.count(name) > 0;
-  }
 
  private:
   struct Entry {

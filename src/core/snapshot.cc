@@ -81,12 +81,4 @@ StatusOr<SimDuration> SnapshotManager::Rollback(DomainId domain) {
   return cost;
 }
 
-StatusOr<std::uint64_t> SnapshotManager::SnapshotBytes(DomainId domain) const {
-  auto it = snapshots_.find(domain);
-  if (it == snapshots_.end()) {
-    return NotFoundError(StrFormat("dom%u has no snapshot", domain.value()));
-  }
-  return static_cast<std::uint64_t>(it->second.image.size());
-}
-
 }  // namespace xoar

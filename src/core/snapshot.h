@@ -104,17 +104,7 @@ class SnapshotManager {
   // Returns the modeled rollback duration.
   StatusOr<SimDuration> Rollback(DomainId domain);
 
-  bool HasSnapshot(DomainId domain) const {
-    return snapshots_.count(domain) > 0;
-  }
-  StatusOr<std::uint64_t> SnapshotBytes(DomainId domain) const;
-
   RecoveryBox& recovery_box(DomainId domain) { return boxes_[domain]; }
-
-  void Forget(DomainId domain) {
-    snapshots_.erase(domain);
-    boxes_.erase(domain);
-  }
 
   std::uint64_t rollbacks() const { return rollbacks_; }
   CostModel& cost_model() { return cost_model_; }

@@ -13,7 +13,7 @@ Watchdog::Watchdog(Simulator* sim, Hypervisor* hv, RestartEngine* engine,
       hv_(hv),
       engine_(engine),
       audit_(audit),
-      obs_(Obs::OrGlobal(obs)),
+      obs_(obs),
       config_(config) {}
 
 Status Watchdog::Supervise(const std::string& name,
@@ -316,9 +316,6 @@ bool Watchdog::IsQuarantined(const std::string& name) const {
 
 void Watchdog::RecordAudit(AuditEventKind kind, const Entry& entry,
                            const std::string& detail) {
-  if (audit_ == nullptr) {
-    return;
-  }
   AuditEvent event;
   event.time = sim_->Now();
   event.kind = kind;

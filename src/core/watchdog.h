@@ -69,8 +69,7 @@ struct WatchdogConfig {
 class Watchdog {
  public:
   Watchdog(Simulator* sim, Hypervisor* hv, RestartEngine* engine,
-           AuditLog* audit = nullptr, Obs* obs = nullptr,
-           WatchdogConfig config = {});
+           AuditLog* audit, Obs* obs, WatchdogConfig config = {});
 
   // Starts supervising a component registered with the RestartEngine
   // (NOT_FOUND otherwise). `on_quarantine`, if set, moves the component

@@ -57,7 +57,6 @@ StatusOr<DomainId> XoarPlatform::CreateShardDomainDirect(
   XOAR_ASSIGN_OR_RETURN(DomainId id, hv_->CreateDomain(bootstrapper_, config));
   XOAR_RETURN_IF_ERROR(hv_->FinishBuild(bootstrapper_, id));
   XOAR_RETURN_IF_ERROR(hv_->UnpauseDomain(bootstrapper_, id));
-  XOAR_RETURN_IF_ERROR(scheduler_.AddDomain(id, /*vcpus=*/1));
   return id;
 }
 
@@ -130,9 +129,8 @@ Status XoarPlatform::Boot() {
                         CreateShardDomainDirect(ShardClass::kXenStoreLogic));
   control_plane_doms_.insert(xenstore_logic_dom_);
   xs_->DeploySplit(xenstore_logic_dom_, xenstore_state_doms_);
-  if (c.xenstore_per_request_restarts) {
-    xs_->set_restart_policy(XenStoreService::RestartPolicy::kPerRequest);
-  }
+  // Fig 5.1: XenStore-Logic is restarted on each request.
+  xs_->set_restart_policy(XenStoreService::RestartPolicy::kPerRequest);
   sim_.RunUntil(t_xenstore);
 
   // --- Phase 3a: Console Manager (provides consoles for later shards) ---
@@ -192,7 +190,6 @@ Status XoarPlatform::Boot() {
   XOAR_ASSIGN_OR_RETURN(pciback_dom_,
                         builder_->BuildVm(bootstrapper_, pciback_request));
   control_plane_doms_.insert(pciback_dom_);
-  XOAR_RETURN_IF_ERROR(scheduler_.AddDomain(pciback_dom_, /*vcpus=*/1));
   // kDomctlDestroy covers PCIBack's own §5.3 self-destruction.
   for (Hypercall hc : {Hypercall::kDomctlSetPrivileges, Hypercall::kPhysdevOp,
                        Hypercall::kPciConfigOp, Hypercall::kDomctlDestroy}) {
@@ -225,7 +222,6 @@ Status XoarPlatform::Boot() {
       udev_status = dom.status();
       return;
     }
-    (void)scheduler_.AddDomain(*dom, /*vcpus=*/1);
     Status pass = pci_service_->PassThrough(*dom, dev.slot);
     if (!pass.ok()) {
       udev_status = pass;
@@ -390,10 +386,8 @@ Status XoarPlatform::Boot() {
   if (c.destroy_pciback_after_boot) {
     XOAR_RETURN_IF_ERROR(pci_service_->SelfDestruct());
   }
-  if (c.destroy_bootstrapper_after_boot) {
-    // §5.2/§5.8: the Bootstrapper completes execution and quits.
-    XOAR_RETURN_IF_ERROR(hv_->DestroyDomain(bootstrapper_, bootstrapper_));
-  }
+  // §5.2/§5.8: the Bootstrapper completes execution and quits.
+  XOAR_RETURN_IF_ERROR(hv_->DestroyDomain(bootstrapper_, bootstrapper_));
 
   // --- Observability: the §5.2 schedule as kBoot spans, one per phase, on
   // the track of the shard that came up (Table 6.2's bars, as a trace) ---
@@ -460,7 +454,6 @@ StatusOr<int> XoarPlatform::AddToolstack(std::uint64_t memory_quota_mb) {
                                               ? bootstrapper_
                                               : builder_dom_,
                                           request));
-  XOAR_RETURN_IF_ERROR(scheduler_.AddDomain(ts_dom, /*vcpus=*/1));
   // §5.6: VM-management (but not creation or memory) privileges.
   for (Hypercall hc : {Hypercall::kDomctlPause, Hypercall::kDomctlUnpause,
                        Hypercall::kDomctlDestroy}) {
@@ -522,7 +515,6 @@ StatusOr<DomainId> XoarPlatform::CreateGuest(const GuestSpec& spec) {
     return FailedPreconditionError("platform not booted");
   }
   XOAR_ASSIGN_OR_RETURN(DomainId guest, toolstacks_.at(0)->CreateGuest(spec));
-  XOAR_RETURN_IF_ERROR(scheduler_.AddDomain(guest, spec.vcpus));
   guest_toolstack_[guest] = 0;
   Settle();
   const Toolstack::GuestRecord* record = toolstacks_.at(0)->guest(guest);
@@ -568,7 +560,6 @@ Status XoarPlatform::DestroyGuest(DomainId guest) {
     return NotFoundError("guest not found on any toolstack");
   }
   XOAR_RETURN_IF_ERROR(toolstack->DestroyGuest(guest));
-  (void)scheduler_.RemoveDomain(guest);
   guest_toolstack_.erase(guest);
   AuditEvent event;
   event.time = sim_.Now();

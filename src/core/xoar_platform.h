@@ -58,10 +58,6 @@ class XoarPlatform : public Platform {
     // PCIBack can self-destruct once steady state is reached (§5.3).
     bool console_manager_enabled = true;
     bool destroy_pciback_after_boot = false;
-    bool destroy_bootstrapper_after_boot = true;
-
-    // Fig 5.1: XenStore-Logic is restarted on each request.
-    bool xenstore_per_request_restarts = true;
 
     // Cloud-density scale-out (SCALING.md): partition XenStore-State into
     // this many path-prefix shards, each hosted in its own shard domain

@@ -50,8 +50,7 @@ class Builder {
   // Audit sink for kVmBuilt records (§3.2.2); optional, set by the platform.
   void set_audit_log(AuditLog* audit) { audit_ = audit; }
 
-  // Image library management (§5.2: "library of known good images").
-  void AddKnownImage(const std::string& name) { known_images_.insert(name); }
+  // Image library (§5.2: "library of known good images").
   bool HasImage(const std::string& name) const {
     return known_images_.count(name) > 0;
   }

@@ -39,9 +39,6 @@ Status MonolithicPlatform::Boot() {
   dom0_config.os = OsProfile::kLinux;
   XOAR_ASSIGN_OR_RETURN(
       dom0_, hv_->CreateInitialDomain(dom0_config, /*as_control_domain=*/true));
-  // Dom0 runs with boosted weight, as XenServer configures it.
-  XOAR_RETURN_IF_ERROR(
-      scheduler_.AddDomain(dom0_, config_.dom0_vcpus, {.weight = 512}));
   sim_.RunFor(config_.dom0_kernel_boot);
 
   // Phase 3: Dom0 takes the PCI bus, enumerates it, and claims every
@@ -69,7 +66,7 @@ Status MonolithicPlatform::Boot() {
   blkback_ = std::make_unique<BlkBack>(hv_.get(), xs_.get(), dom0_, disk_.get());
   XOAR_RETURN_IF_ERROR(blkback_->Initialize());
   toolstack_ = std::make_unique<Toolstack>(hv_.get(), xs_.get(), &sim_, dom0_,
-                                           builder_.get());
+                                           builder_.get(), &obs_);
   toolstack_->AddNetBack(netback_.get());
   toolstack_->AddBlkBack(blkback_.get());
   sim_.RunFor(config_.service_startup);
@@ -95,13 +92,11 @@ StatusOr<DomainId> MonolithicPlatform::CreateGuest(const GuestSpec& spec) {
     return FailedPreconditionError("platform not booted");
   }
   XOAR_ASSIGN_OR_RETURN(DomainId guest, toolstack_->CreateGuest(spec));
-  XOAR_RETURN_IF_ERROR(scheduler_.AddDomain(guest, spec.vcpus));
   Settle();  // let the XenBus handshakes complete
   return guest;
 }
 
 Status MonolithicPlatform::DestroyGuest(DomainId guest) {
-  (void)scheduler_.RemoveDomain(guest);
   return toolstack_->DestroyGuest(guest);
 }
 

@@ -19,7 +19,6 @@
 #include "src/drv/blk.h"
 #include "src/drv/net.h"
 #include "src/hv/hypervisor.h"
-#include "src/hv/scheduler.h"
 #include "src/obs/obs.h"
 #include "src/sim/simulator.h"
 #include "src/xs/service.h"
@@ -99,9 +98,6 @@ class Platform {
   const Obs& obs() const { return obs_; }
   Hypervisor& hv() { return *hv_; }
   XenStoreService& xenstore() { return *xs_; }
-  // Credit CPU scheduler (Chapter 4); domains register at creation with
-  // their VCPU allotment — the testbed has a quad-core Xeon.
-  CreditScheduler& scheduler() { return scheduler_; }
 
   // Boot milestones (Table 6.2).
   SimTime console_ready_at() const { return console_ready_at_; }
@@ -156,10 +152,7 @@ class Platform {
   int disk_streams() const { return disk_streams_; }
 
  protected:
-  Platform() {
-    obs_.tracer().set_sim(&sim_);
-    scheduler_.set_obs(&obs_);
-  }
+  Platform() { obs_.tracer().set_sim(&sim_); }
 
   void EndIoStream(IoKind kind) {
     (kind == IoKind::kNet ? net_streams_ : disk_streams_) -= 1;
@@ -171,7 +164,6 @@ class Platform {
 
   Simulator sim_;
   Obs obs_;
-  CreditScheduler scheduler_{4};
   std::unique_ptr<Hypervisor> hv_;
   std::unique_ptr<XenStoreService> xs_;
   SimTime console_ready_at_ = 0;

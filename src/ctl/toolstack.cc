@@ -12,7 +12,7 @@ Toolstack::Toolstack(Hypervisor* hv, XenStoreService* xs, Simulator* sim,
       sim_(sim),
       self_(self),
       builder_(builder),
-      obs_(Obs::OrGlobal(obs)),
+      obs_(obs),
       m_slice_count_(obs_->metrics().GetGauge("toolstack.slice.count")),
       m_slice_guests_(obs_->metrics().GetGauge("toolstack.slice.guests")),
       m_slice_mem_(obs_->metrics().GetGauge("toolstack.slice.mem_mb")) {}
@@ -252,11 +252,6 @@ std::vector<std::string> Toolstack::Tenants() const {
     out.push_back(tenant);
   }
   return out;
-}
-
-const std::string* Toolstack::TenantOf(DomainId guest) const {
-  auto it = guest_tenant_.find(guest);
-  return it == guest_tenant_.end() ? nullptr : &it->second;
 }
 
 }  // namespace xoar

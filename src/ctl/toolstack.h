@@ -48,10 +48,9 @@ class Toolstack {
     std::uint64_t memory_in_use_mb = 0;
   };
 
-  // `obs` receives the `toolstack.slice.*` gauges; nullptr falls back to
-  // Obs::Global().
+  // `obs` receives the `toolstack.slice.*` gauges.
   Toolstack(Hypervisor* hv, XenStoreService* xs, Simulator* sim, DomainId self,
-            Builder* builder, Obs* obs = nullptr);
+            Builder* builder, Obs* obs);
 
   DomainId self() const { return self_; }
 
@@ -84,8 +83,6 @@ class Toolstack {
   const TenantSlice* slice(const std::string& tenant) const;
   std::size_t slice_count() const { return slices_.size(); }
   std::vector<std::string> Tenants() const;
-  // Tenant a guest belongs to; nullptr if not managed here.
-  const std::string* TenantOf(DomainId guest) const;
 
  private:
   // Constraint-group selection (§3.2.1): a shard qualifies if every guest

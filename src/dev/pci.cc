@@ -4,22 +4,6 @@
 
 namespace xoar {
 
-std::string_view PciClassName(PciClass cls) {
-  switch (cls) {
-    case PciClass::kNetwork:
-      return "network";
-    case PciClass::kStorage:
-      return "storage";
-    case PciClass::kSerial:
-      return "serial";
-    case PciClass::kBridge:
-      return "bridge";
-    case PciClass::kOther:
-      return "other";
-  }
-  return "unknown";
-}
-
 Status PciBus::AddDevice(const PciDeviceInfo& info) {
   if (devices_.count(info.slot) > 0) {
     return AlreadyExistsError(StrFormat("PCI slot %s already populated",

@@ -28,8 +28,6 @@ enum class PciClass : std::uint8_t {
   kOther,
 };
 
-std::string_view PciClassName(PciClass cls);
-
 struct PciDeviceInfo {
   PciSlot slot;
   std::uint16_t vendor_id = 0;

@@ -81,9 +81,6 @@ class Domain {
 
   const std::set<PciSlot>& pci_devices() const { return pci_devices_; }
   void AddPciDevice(const PciSlot& slot) { pci_devices_.insert(slot); }
-  bool RemovePciDevice(const PciSlot& slot) {
-    return pci_devices_.erase(slot) > 0;
-  }
 
   // Toolstack that requested this VM's build; management hypercalls are
   // audited against it (§5.6).
@@ -118,7 +115,6 @@ class Domain {
   // any other shard is blocked by the hypervisor (§5.6).
   const std::set<DomainId>& usable_shards() const { return usable_shards_; }
   void AuthorizeShard(DomainId shard) { usable_shards_.insert(shard); }
-  void RevokeShard(DomainId shard) { usable_shards_.erase(shard); }
   bool MayUseShard(DomainId shard) const {
     return usable_shards_.count(shard) > 0;
   }

@@ -58,11 +58,10 @@ class EventChannelManager {
   using SendFaultHook =
       std::function<SendFaultDecision(DomainId caller, EvtchnPort port)>;
 
-  // `obs` receives `hv.evtchn.*` counters and kEvtchn trace instants;
-  // nullptr falls back to Obs::Global().
-  explicit EventChannelManager(Simulator* sim, Obs* obs = nullptr)
+  // `obs` receives `hv.evtchn.*` counters and kEvtchn trace instants.
+  EventChannelManager(Simulator* sim, Obs* obs)
       : sim_(sim),
-        obs_(Obs::OrGlobal(obs)),
+        obs_(obs),
         m_sends_(obs_->metrics().GetCounter("hv.evtchn.sends")),
         m_deliveries_(obs_->metrics().GetCounter("hv.evtchn.deliveries")) {}
 

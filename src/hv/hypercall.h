@@ -68,7 +68,6 @@ constexpr bool IsUnprivilegedHypercall(Hypercall hc) {
 class HypercallPolicy {
  public:
   void Permit(Hypercall hc) { permitted_.set(static_cast<std::size_t>(hc)); }
-  void Revoke(Hypercall hc) { permitted_.reset(static_cast<std::size_t>(hc)); }
   bool Permits(Hypercall hc) const {
     return permitted_.test(static_cast<std::size_t>(hc));
   }

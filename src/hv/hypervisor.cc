@@ -26,7 +26,7 @@ std::string_view HwCapabilityName(HwCapability cap) {
 Hypervisor::Hypervisor(Simulator* sim, Options options, Obs* obs)
     : sim_(sim),
       options_(options),
-      obs_(Obs::OrGlobal(obs)),
+      obs_(obs),
       m_hypercalls_(obs_->metrics().GetCounter("hv.hypercall.total")),
       m_denied_(obs_->metrics().GetCounter("hv.hypercall.denied")),
       m_grant_creates_(obs_->metrics().GetCounter("hv.grant.creates")),
@@ -200,6 +200,9 @@ StatusOr<DomainId> Hypervisor::CreateInitialDomain(const DomainConfig& config,
   if (!domains_.empty()) {
     return FailedPreconditionError("initial domain already exists");
   }
+  if (config.vcpus < 1) {
+    return InvalidArgumentError("domain needs at least one vcpu");
+  }
   DomainId id = NextDomainId();
   auto dom = std::make_unique<Domain>(id, config);
   dom->set_control_domain(as_control_domain);
@@ -220,6 +223,10 @@ StatusOr<DomainId> Hypervisor::CreateDomain(DomainId caller,
   XOAR_RETURN_IF_ERROR(CheckHypercall(caller, Hypercall::kDomctlCreate));
   if (config.memory_mb == 0) {
     return InvalidArgumentError("domain memory must be nonzero");
+  }
+  // Xen's XEN_DOMCTL_max_vcpus refuses zero too.
+  if (config.vcpus < 1) {
+    return InvalidArgumentError("domain needs at least one vcpu");
   }
   DomainId id = NextDomainId();
   auto dom = std::make_unique<Domain>(id, config);

@@ -74,8 +74,8 @@ class Hypervisor {
   using AuditHook = std::function<void(const std::string& event)>;
 
   // `obs` receives hypercall/grant/domain-lifecycle metrics and trace
-  // events; nullptr falls back to the process-wide Obs::Global().
-  Hypervisor(Simulator* sim, Options options, Obs* obs = nullptr);
+  // events.
+  Hypervisor(Simulator* sim, Options options, Obs* obs);
 
   Simulator* sim() { return sim_; }
   MemoryManager& memory() { return memory_; }

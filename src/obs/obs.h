@@ -3,10 +3,9 @@
 //
 // Ownership: each Platform instance owns one Obs, so metrics from two
 // platforms in one process (e.g. the baseline-vs-Xoar comparison benches)
-// never mix. Components accept an optional `Obs*`; passing nullptr routes
-// them to the process-wide `Obs::Global()` fallback, which keeps bare
-// component construction in unit tests and micro-benches working without
-// plumbing.
+// never mix. Every component takes the `Obs*` its caller owns, and there is
+// no process-wide instance: a unit test or micro-bench that builds a bare
+// component owns an Obs for it too.
 //
 // Thread-safety: none needed or provided — the simulation is
 // single-threaded (see src/obs/metrics.h for the cost model).
@@ -28,14 +27,6 @@ class Obs {
   const MetricRegistry& metrics() const { return metrics_; }
   Tracer& tracer() { return tracer_; }
   const Tracer& tracer() const { return tracer_; }
-
-  // Process-wide fallback instance for components constructed without an
-  // explicit Obs (bare unit-test fixtures, micro-bench loops).
-  static Obs& Global();
-
-  // Null-coalescing helper: the idiom for optional `Obs*` constructor
-  // parameters is `obs_(Obs::OrGlobal(obs))`.
-  static Obs* OrGlobal(Obs* obs) { return obs != nullptr ? obs : &Global(); }
 
  private:
   MetricRegistry metrics_;

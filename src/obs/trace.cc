@@ -22,8 +22,6 @@ std::string_view TraceCategoryName(TraceCategory cat) {
       return "boot";
     case TraceCategory::kMicroreboot:
       return "microreboot";
-    case TraceCategory::kSched:
-      return "sched";
     case TraceCategory::kDriver:
       return "driver";
     case TraceCategory::kWatchdog:

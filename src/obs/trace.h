@@ -43,9 +43,10 @@ enum class TraceCategory : std::uint8_t {
   kXenStore,       // store reads/writes/transactions/watch fires
   kBoot,           // §5.2 boot phases, one span per phase/shard
   kMicroreboot,    // §3.3 restart windows, suspend -> resume
-  kSched,          // credit-scheduler allocation epochs
-  kDriver,         // split-driver negotiation and ring service
-  kWatchdog,       // supervision: detection -> recovery windows
+  // Journals store the number (JournalRecord::kind) and `xoar_replay diff`
+  // decodes old journals, so a removed value stays unused (6: scheduler).
+  kDriver = 7,     // split-driver negotiation and ring service
+  kWatchdog = 8,   // supervision: detection -> recovery windows
   kCount,
 };
 

@@ -11,13 +11,13 @@
 // differ (src/replay/diff.h) explains how two journals disagree.
 //
 // What is journaled: the trace stream — hypercalls, event-channel traffic,
-// grant ops, XenStore ops, boot phases, microreboot windows, scheduler
-// epochs, driver negotiation, and every watchdog *decision* (detection,
-// escalation grade, quarantine). What is not: event names and arguments are
-// stored only as a 64-bit payload hash, which keeps records fixed-size and
-// the append path allocation-free; the journal pinpoints *where* two runs
-// diverge, and the live run being verified supplies the human-readable
-// context at that point (see ReplayVerifier).
+// grant ops, XenStore ops, boot phases, microreboot windows, driver
+// negotiation, and every watchdog *decision* (detection, escalation grade,
+// quarantine). What is not: event names and arguments are stored only as a
+// 64-bit payload hash, which keeps records fixed-size and the append path
+// allocation-free; the journal pinpoints *where* two runs diverge, and the
+// live run being verified supplies the human-readable context at that point
+// (see ReplayVerifier).
 //
 // Storage: records append into 2 MB chunks (64 Ki records each) that are
 // huge-page-aligned and madvise'd as huge-page candidates, mirroring the

@@ -8,15 +8,14 @@ namespace xoar {
 XenStoreService::XenStoreService(Hypervisor* hv, Simulator* sim, Obs* obs)
     : hv_(hv),
       sim_(sim),
-      obs_(Obs::OrGlobal(obs)),
+      obs_(obs),
       m_requests_(obs_->metrics().GetCounter("xenstore.service.requests")),
       m_logic_restarts_(
           obs_->metrics().GetCounter("xenstore.service.logic_restarts")),
       m_shard_restarts_(obs_->metrics().GetCounter("xs.shard.restarts")),
       m_shard_rejects_(
-          obs_->metrics().GetCounter("xs.shard.unavailable_rejects")) {
-  store_.set_obs(obs_);
-}
+          obs_->metrics().GetCounter("xs.shard.unavailable_rejects")),
+      store_(obs_) {}
 
 void XenStoreService::SetShardCount(int count) {
   store_.Reshard(count);
@@ -340,41 +339,6 @@ Status XenStoreService::CompleteStateShardRestart(int shard) {
   // exactly 1/N of the tenants renegotiate, the rest never notice.
   store_.DropShardVolatileState(shard);
   shard_available_[shard] = true;
-  return Status::Ok();
-}
-
-Status XenStoreService::RestartStateShard(int shard, SimDuration downtime) {
-  XOAR_RETURN_IF_ERROR(BeginStateShardRestart(shard));
-  sim_->ScheduleAfter(downtime, [this, shard] {
-    (void)CompleteStateShardRestart(shard);
-    XLOG(kDebug) << "[xs] XenStore-State shard " << shard
-                 << " back after restart #" << state_shard_restarts_;
-  });
-  return Status::Ok();
-}
-
-Status XenStoreService::RestartLogic(SimDuration downtime) {
-  if (!deployed()) {
-    return FailedPreconditionError("XenStore service not deployed");
-  }
-  if (monolithic_) {
-    return FailedPreconditionError(
-        "stock xenstored cannot be restarted independently of Dom0");
-  }
-  if (!logic_available_) {
-    return FailedPreconditionError("XenStore-Logic already restarting");
-  }
-  pre_restart_state_ = store_.TakeSnapshot();
-  logic_available_ = false;
-  ++logic_restarts_;
-  m_logic_restarts_->Increment();
-  sim_->ScheduleAfter(downtime, [this] {
-    // Connections persist in the state component, so clients resume
-    // without renegotiation.
-    FinishLogicRestart();
-    XLOG(kDebug) << "[xs] XenStore-Logic back after restart #"
-                 << logic_restarts_;
-  });
   return Status::Ok();
 }
 

@@ -50,8 +50,8 @@ class XenStoreService {
   };
 
   // `obs` is forwarded to the backing XsStore and receives
-  // `xenstore.service.*` counters; nullptr falls back to Obs::Global().
-  XenStoreService(Hypervisor* hv, Simulator* sim, Obs* obs = nullptr);
+  // `xenstore.service.*` counters.
+  XenStoreService(Hypervisor* hv, Simulator* sim, Obs* obs);
 
   // Partitions XenStore-State into `count` path-prefix shards. Call before
   // DeploySplit (resharding drops watches and live transactions, so doing
@@ -108,18 +108,14 @@ class XenStoreService {
                  std::string_view value, XsStore::TxId tx);
 
   // --- Microreboot of XenStore-Logic ---
-
-  // Takes the logic component down for `downtime`; requests meanwhile fail
-  // with UNAVAILABLE. State (the store contents and watch registrations)
-  // lives in XenStore-State and survives.
-  Status RestartLogic(SimDuration downtime);
-  bool logic_available() const { return logic_available_; }
-
-  // Split-phase variant used by the RestartEngine, which owns the timing:
-  // Begin marks the logic shard down, Complete re-attaches it to the state
-  // shard.
+  //
+  // Split-phase; the caller (the RestartEngine, the Watchdog) owns the
+  // timing. Begin takes the logic component down: requests meanwhile fail
+  // with UNAVAILABLE. Complete re-attaches it to the state component, where
+  // the store contents, watch registrations and connections survived.
   Status BeginLogicRestart();
   Status CompleteLogicRestart();
+  bool logic_available() const { return logic_available_; }
 
   // --- Microreboot of one XenStore-State shard ---
   //
@@ -128,7 +124,6 @@ class XenStoreService {
   // contents survive (recovery-box snapshot taken at Begin); its tenants'
   // watches and in-flight transactions are dropped and re-registered by
   // clients, exactly as after a Logic restart loses a connection.
-  Status RestartStateShard(int shard, SimDuration downtime);
   Status BeginStateShardRestart(int shard);
   Status CompleteStateShardRestart(int shard);
   int state_shard_count() const { return store_.shard_count(); }

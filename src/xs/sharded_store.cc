@@ -51,33 +51,24 @@ RouteInfo RoutePath(std::string_view path) {
 
 }  // namespace
 
-XsShardedStore::XsShardedStore(int shard_count) {
+XsShardedStore::XsShardedStore(Obs* obs, int shard_count)
+    : obs_(obs),
+      m_shard_count_(obs->metrics().GetGauge("xs.shard.count")),
+      m_fanouts_(obs->metrics().GetCounter("xs.shard.fanout_ops")),
+      m_reshards_(obs->metrics().GetCounter("xs.shard.reshards")) {
   if (shard_count < 1) {
     shard_count = 1;
   }
   for (int i = 0; i < shard_count; ++i) {
-    shards_.push_back(std::make_unique<XsStore>());
+    shards_.push_back(std::make_unique<XsStore>(obs_));
   }
-  set_obs(nullptr);
+  m_shard_count_->Set(static_cast<double>(shards_.size()));
 }
 
 void XsShardedStore::ApplyConfig(XsStore* store) {
-  store->set_obs(obs_);
   store->set_node_quota(node_quota_);
   for (DomainId manager : managers_) {
     store->AddManagerDomain(manager);
-  }
-}
-
-void XsShardedStore::set_obs(Obs* obs) {
-  obs_ = Obs::OrGlobal(obs);
-  MetricRegistry& metrics = obs_->metrics();
-  m_shard_count_ = metrics.GetGauge("xs.shard.count");
-  m_fanouts_ = metrics.GetCounter("xs.shard.fanout_ops");
-  m_reshards_ = metrics.GetCounter("xs.shard.reshards");
-  m_shard_count_->Set(static_cast<double>(shards_.size()));
-  for (auto& shard : shards_) {
-    shard->set_obs(obs_);
   }
 }
 
@@ -438,7 +429,7 @@ void XsShardedStore::Reshard(int new_shard_count) {
   shards_.clear();
   tx_map_.clear();
   for (int i = 0; i < new_shard_count; ++i) {
-    auto store = std::make_unique<XsStore>();
+    auto store = std::make_unique<XsStore>(obs_);
     ApplyConfig(store.get());
     shards_.push_back(std::move(store));
   }

@@ -49,7 +49,8 @@ class XsShardedStore {
   using FlatNode = XsStore::FlatNode;
   static constexpr TxId kNoTransaction = XsStore::kNoTransaction;
 
-  explicit XsShardedStore(int shard_count = 1);
+  // `obs` receives `xs.shard.*` metrics and is handed to every shard.
+  explicit XsShardedStore(Obs* obs, int shard_count = 1);
 
   int shard_count() const { return static_cast<int>(shards_.size()); }
   XsStore& shard(int index) { return *shards_[index]; }
@@ -70,7 +71,6 @@ class XsShardedStore {
   void AddManagerDomain(DomainId domain);
   bool IsManager(DomainId domain) const { return managers_.count(domain) > 0; }
   void set_node_quota(std::size_t quota);
-  void set_obs(Obs* obs);
 
   // --- Core operations (XsStore-compatible surface) ---
 
@@ -152,15 +152,15 @@ class XsShardedStore {
 
   void ApplyConfig(XsStore* store);
 
+  Obs* obs_;
+  Gauge* m_shard_count_;  // xs.shard.count
+  Counter* m_fanouts_;    // xs.shard.fanout_ops
+  Counter* m_reshards_;   // xs.shard.reshards
   std::vector<std::unique_ptr<XsStore>> shards_;
   std::map<TxId, TxHandle> tx_map_;
   TxId next_tx_ = 1;
   std::set<DomainId> managers_;
   std::size_t node_quota_ = 0;
-  Obs* obs_ = nullptr;
-  Gauge* m_shard_count_ = nullptr;  // xs.shard.count
-  Counter* m_fanouts_ = nullptr;    // xs.shard.fanout_ops
-  Counter* m_reshards_ = nullptr;   // xs.shard.reshards
 };
 
 }  // namespace xoar

@@ -30,21 +30,18 @@ bool PathsOverlap(std::string_view mutated, std::string_view accessed) {
 }
 }  // namespace
 
-XsStore::XsStore() : root_(std::make_shared<Node>()) {
+XsStore::XsStore(Obs* obs)
+    : obs_(obs),
+      m_reads_(obs->metrics().GetCounter("xenstore.store.reads")),
+      m_writes_(obs->metrics().GetCounter("xenstore.store.writes")),
+      m_lists_(obs->metrics().GetCounter("xenstore.store.lists")),
+      m_tx_started_(obs->metrics().GetCounter("xenstore.store.tx_started")),
+      m_tx_committed_(
+          obs->metrics().GetCounter("xenstore.store.tx_committed")),
+      m_tx_aborted_(obs->metrics().GetCounter("xenstore.store.tx_aborted")),
+      m_watch_fires_(obs->metrics().GetCounter("xenstore.store.watch_fires")),
+      root_(std::make_shared<Node>()) {
   root_->perms.owner = DomainId::Invalid();
-  set_obs(nullptr);
-}
-
-void XsStore::set_obs(Obs* obs) {
-  obs_ = Obs::OrGlobal(obs);
-  MetricRegistry& metrics = obs_->metrics();
-  m_reads_ = metrics.GetCounter("xenstore.store.reads");
-  m_writes_ = metrics.GetCounter("xenstore.store.writes");
-  m_lists_ = metrics.GetCounter("xenstore.store.lists");
-  m_tx_started_ = metrics.GetCounter("xenstore.store.tx_started");
-  m_tx_committed_ = metrics.GetCounter("xenstore.store.tx_committed");
-  m_tx_aborted_ = metrics.GetCounter("xenstore.store.tx_aborted");
-  m_watch_fires_ = metrics.GetCounter("xenstore.store.watch_fires");
 }
 
 XsStore::Node* XsStore::Detach(NodePtr& slot) {

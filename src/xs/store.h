@@ -76,7 +76,8 @@ class XsStore {
   using TxId = std::uint32_t;
   static constexpr TxId kNoTransaction = 0;
 
-  XsStore();
+  // `obs` receives `xenstore.store.*` counters and kXenStore trace events.
+  explicit XsStore(Obs* obs);
 
   // Domains that bypass ACL checks (the store service itself, stock Dom0).
   void AddManagerDomain(DomainId domain) { managers_.insert(domain); }
@@ -85,10 +86,6 @@ class XsStore {
   // Per-owner node quota; guards against a guest monopolizing the store
   // (the DoS vector the paper cites in §4.4). 0 disables the quota.
   void set_node_quota(std::size_t quota) { node_quota_ = quota; }
-
-  // Rebinds `xenstore.store.*` metrics and kXenStore trace events to a
-  // platform's Obs (the constructor starts on Obs::Global()).
-  void set_obs(Obs* obs);
 
   // --- Core operations. `tx` of kNoTransaction applies immediately. ---
 
@@ -284,14 +281,14 @@ class XsStore {
   void FlattenTree(const Node& node, const std::string& path,
                    std::vector<FlatNode>* out) const;
 
-  Obs* obs_ = nullptr;
-  Counter* m_reads_ = nullptr;        // xenstore.store.reads
-  Counter* m_writes_ = nullptr;       // xenstore.store.writes (+mkdir/remove)
-  Counter* m_lists_ = nullptr;        // xenstore.store.lists
-  Counter* m_tx_started_ = nullptr;   // xenstore.store.tx_started
-  Counter* m_tx_committed_ = nullptr; // xenstore.store.tx_committed
-  Counter* m_tx_aborted_ = nullptr;   // xenstore.store.tx_aborted
-  Counter* m_watch_fires_ = nullptr;  // xenstore.store.watch_fires
+  Obs* obs_;
+  Counter* m_reads_;         // xenstore.store.reads
+  Counter* m_writes_;        // xenstore.store.writes (+mkdir/remove)
+  Counter* m_lists_;         // xenstore.store.lists
+  Counter* m_tx_started_;    // xenstore.store.tx_started
+  Counter* m_tx_committed_;  // xenstore.store.tx_committed
+  Counter* m_tx_aborted_;    // xenstore.store.tx_aborted
+  Counter* m_watch_fires_;   // xenstore.store.watch_fires
 
   NodePtr root_;
   std::set<DomainId> managers_;

@@ -11,6 +11,7 @@
 #include "src/base/rng.h"
 #include "src/base/strings.h"
 #include "src/hv/event_channel.h"
+#include "src/obs/obs.h"
 #include "src/sim/simulator.h"
 
 namespace xoar {
@@ -19,7 +20,8 @@ namespace {
 class EvtchnTest : public ::testing::Test {
  protected:
   Simulator sim_;
-  EventChannelManager evtchn_{&sim_};
+  Obs obs_;
+  EventChannelManager evtchn_{&sim_, &obs_};
   DomainId a_{1};
   DomainId b_{2};
   DomainId c_{3};
@@ -441,7 +443,8 @@ TEST_P(EvtchnModelTest, AgreesWithReferenceModel) {
   constexpr std::uint32_t kDomains = 6;        // the op sequence uses 1..6
   constexpr std::uint32_t kFirstFresh = 100;   // handlers' new domains
   Simulator sim;
-  EventChannelManager real(&sim);
+  Obs obs;
+  EventChannelManager real(&sim, &obs);
   Log real_log;
   Log model_log;
   ReferenceEvtchn model(&model_log, kFirstFresh);

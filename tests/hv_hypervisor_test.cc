@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "src/hv/hypervisor.h"
+#include "src/obs/obs.h"
 #include "src/sim/simulator.h"
 
 namespace xoar {
@@ -13,7 +14,7 @@ class StockHvTest : public ::testing::Test {
     Hypervisor::Options options;
     options.enforce_shard_sharing_policy = false;
     options.total_memory_bytes = 1 * kGiB;
-    hv_ = std::make_unique<Hypervisor>(&sim_, options);
+    hv_ = std::make_unique<Hypervisor>(&sim_, options, &obs_);
     DomainConfig dom0_config;
     dom0_config.name = "Domain-0";
     dom0_config.memory_mb = 128;
@@ -31,6 +32,7 @@ class StockHvTest : public ::testing::Test {
   }
 
   Simulator sim_;
+  Obs obs_;
   std::unique_ptr<Hypervisor> hv_;
   DomainId dom0_;
 };
@@ -43,7 +45,7 @@ class XoarHvTest : public ::testing::Test {
     options.enforce_shard_sharing_policy = true;
     options.control_domain_crash_reboots_host = false;
     options.total_memory_bytes = 1 * kGiB;
-    hv_ = std::make_unique<Hypervisor>(&sim_, options);
+    hv_ = std::make_unique<Hypervisor>(&sim_, options, &obs_);
     DomainConfig boot;
     boot.name = "Bootstrapper";
     boot.memory_mb = 32;
@@ -65,6 +67,7 @@ class XoarHvTest : public ::testing::Test {
   }
 
   Simulator sim_;
+  Obs obs_;
   std::unique_ptr<Hypervisor> hv_;
   DomainId boot_;
 };
@@ -145,6 +148,30 @@ TEST_F(StockHvTest, ZeroMemoryDomainRejected) {
   config.memory_mb = 0;
   EXPECT_EQ(hv_->CreateDomain(dom0_, config).status().code(),
             StatusCode::kInvalidArgument);
+}
+
+// Xen's XEN_DOMCTL_max_vcpus refuses zero: a domain without a vcpu is
+// refused before it takes an id or a page, on both create paths.
+TEST_F(StockHvTest, DomainWithoutVcpusRejected) {
+  for (int vcpus : {0, -3}) {
+    DomainConfig config;
+    config.name = "no-vcpus";
+    config.vcpus = vcpus;
+    EXPECT_EQ(hv_->CreateDomain(dom0_, config).status().code(),
+              StatusCode::kInvalidArgument);
+  }
+  EXPECT_EQ(hv_->LiveDomainCount(), 1u);
+  EXPECT_EQ(hv_->memory().PagesOwnedBy(DomainId(dom0_.value() + 1)), 0u);
+  EXPECT_EQ(NewGuest("next").value(), dom0_.value() + 1);
+
+  Obs obs;
+  Hypervisor fresh(&sim_, Hypervisor::Options(), &obs);
+  DomainConfig initial;
+  initial.name = "initial";
+  initial.vcpus = 0;
+  EXPECT_EQ(fresh.CreateInitialDomain(initial, true).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(fresh.LiveDomainCount(), 0u);
 }
 
 TEST_F(StockHvTest, DoubleDestroyFails) {

@@ -244,12 +244,6 @@ TEST(TracerTest, ChromeJsonHasTrackNamesAndValidPhases) {
   EXPECT_EQ(instant.Find("cat")->string(), "xenstore");
 }
 
-TEST(ObsTest, OrGlobalFallsBackToProcessGlobal) {
-  Obs local;
-  EXPECT_EQ(Obs::OrGlobal(&local), &local);
-  EXPECT_EQ(Obs::OrGlobal(nullptr), &Obs::Global());
-}
-
 // End-to-end: a traced XoarPlatform boot yields a loadable Chrome trace
 // with at least 5 distinct span categories, and the instrumented hot paths
 // leave nonzero counters behind — the ISSUE's acceptance bar.

@@ -6,6 +6,22 @@
 namespace xoar {
 namespace {
 
+// A guest without a vcpu is refused before anything is built for it: no
+// domain and no XenStore node is left behind, on either platform.
+void ExpectGuestWithoutVcpusRefused(Platform& platform) {
+  ASSERT_TRUE(platform.Boot().ok());
+  const std::size_t live = platform.hv().LiveDomainCount();
+  const std::size_t nodes = platform.xenstore().store().NodeCount();
+  for (int vcpus : {0, -3}) {
+    GuestSpec spec;
+    spec.vcpus = vcpus;
+    EXPECT_EQ(platform.CreateGuest(spec).status().code(),
+              StatusCode::kInvalidArgument);
+    EXPECT_EQ(platform.hv().LiveDomainCount(), live);
+    EXPECT_EQ(platform.xenstore().store().NodeCount(), nodes);
+  }
+}
+
 // --- Stock platform ---
 
 TEST(MonolithicPlatformTest, BootMilestonesMatchTable62) {
@@ -35,6 +51,28 @@ TEST(MonolithicPlatformTest, CreateGuestBeforeBootFails) {
   MonolithicPlatform platform;
   EXPECT_EQ(platform.CreateGuest(GuestSpec{}).status().code(),
             StatusCode::kFailedPrecondition);
+}
+
+TEST(MonolithicPlatformTest, GuestWithoutVcpusRefused) {
+  MonolithicPlatform platform;
+  ExpectGuestWithoutVcpusRefused(platform);
+}
+
+// Every component reports to its own platform's Obs, so two platforms in
+// one process never add into each other's gauges.
+TEST(MonolithicPlatformTest, TwoPlatformsKeepSeparateToolstackGauges) {
+  MonolithicPlatform first;
+  MonolithicPlatform second;
+  for (MonolithicPlatform* platform : {&first, &second}) {
+    ASSERT_TRUE(platform->Boot().ok());
+    ASSERT_TRUE(platform->CreateGuest(GuestSpec{}).ok());
+  }
+  for (MonolithicPlatform* platform : {&first, &second}) {
+    const MetricsSnapshot snap = platform->obs().metrics().Snapshot();
+    const auto* guests = snap.FindGauge("toolstack.slice.guests");
+    ASSERT_NE(guests, nullptr);
+    EXPECT_EQ(guests->value, 1.0);
+  }
 }
 
 TEST(MonolithicPlatformTest, GuestDestroyCleansUp) {
@@ -93,6 +131,11 @@ TEST(XoarPlatformTest, BootIsFasterThanDom0) {
                               ToSeconds(xoar.network_ready_at());
   EXPECT_NEAR(console_speedup, 1.5, 0.1);   // Table 6.2
   EXPECT_NEAR(ping_speedup, 1.15, 0.05);    // Table 6.2
+}
+
+TEST(XoarPlatformTest, GuestWithoutVcpusRefused) {
+  XoarPlatform platform;
+  ExpectGuestWithoutVcpusRefused(platform);
 }
 
 TEST(XoarPlatformTest, NoControlDomainExists) {
@@ -327,39 +370,6 @@ TEST(XoarPlatformTest, SecondaryDriverDomainsRestartIndependently) {
   EXPECT_TRUE(platform.netback(0).IsVifConnected(guest));
   platform.Settle(kSecond);
   EXPECT_EQ(platform.restarts().RestartCount("NetBack-1"), 1);
-}
-
-TEST(XoarPlatformTest, AllDomainsRegisteredWithScheduler) {
-  XoarPlatform platform;
-  ASSERT_TRUE(platform.Boot().ok());
-  DomainId guest = *platform.CreateGuest(GuestSpec{.vcpus = 2});
-  // Every shard runs one VCPU; the guest got its two.
-  auto shard_params = platform.scheduler().GetParams(
-      platform.shard_domain(ShardClass::kNetBack));
-  ASSERT_TRUE(shard_params.ok());
-  auto guest_params = platform.scheduler().GetParams(guest);
-  ASSERT_TRUE(guest_params.ok());
-  // A saturated host shares the 4 PCPUs proportionally; the single-VCPU
-  // NetBack can never exceed 1 CPU no matter its demand.
-  ASSERT_TRUE(platform.scheduler()
-                  .SetDemand(platform.shard_domain(ShardClass::kNetBack), 4.0)
-                  .ok());
-  ASSERT_TRUE(platform.scheduler().SetDemand(guest, 4.0).ok());
-  auto allocation = platform.scheduler().ComputeAllocation();
-  EXPECT_LE(allocation[platform.shard_domain(ShardClass::kNetBack)],
-            1.0 + 1e-9);
-  EXPECT_GE(allocation[guest], 1.0);
-  // Destroying the guest deregisters it.
-  ASSERT_TRUE(platform.DestroyGuest(guest).ok());
-  EXPECT_FALSE(platform.scheduler().GetParams(guest).ok());
-}
-
-TEST(MonolithicPlatformTest, Dom0ScheduledWithBoostedWeight) {
-  MonolithicPlatform platform;
-  ASSERT_TRUE(platform.Boot().ok());
-  auto params = platform.scheduler().GetParams(platform.dom0());
-  ASSERT_TRUE(params.ok());
-  EXPECT_EQ(params->weight, 512u);
 }
 
 TEST(XoarPlatformTest, GuestConsoleTranscriptWorks) {

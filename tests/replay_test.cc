@@ -2,6 +2,8 @@
 // DEBUGGING.md): record->replay identity, exact-index divergence capture,
 // hash-chain rejection of corrupt and truncated files, and the structural
 // first-divergence differ.
+#include <unistd.h>
+
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -43,8 +45,10 @@ Journal MakeJournal(std::size_t n) {
   return journal;
 }
 
+// The plain, ASan and TSan builds of this test run in parallel under ctest,
+// so each process gets its own file names.
 std::string TempPath(const char* name) {
-  return testing::TempDir() + "/" + name;
+  return testing::TempDir() + "/" + std::to_string(getpid()) + "_" + name;
 }
 
 // ---------------------------------------------------------------------------

@@ -211,7 +211,7 @@ TEST(ValidateObsTest, MetricsAndTraceShape) {
 
   std::string one_category = trace;
   for (const char* cat : {"hypercall", "evtchn", "grant", "xenstore",
-                          "microreboot", "sched", "driver", "watchdog"}) {
+                          "microreboot", "driver", "watchdog"}) {
     if (one_category.find(std::string("\"cat\": \"") + cat + "\"") !=
         std::string::npos) {
       one_category = ReplaceAll(one_category,

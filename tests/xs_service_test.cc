@@ -16,8 +16,8 @@ class XsServiceTest : public ::testing::Test {
     Hypervisor::Options options;
     options.enforce_shard_sharing_policy = true;
     options.total_memory_bytes = 1 * kGiB;
-    hv_ = std::make_unique<Hypervisor>(&sim_, options);
-    xs_ = std::make_unique<XenStoreService>(hv_.get(), &sim_);
+    hv_ = std::make_unique<Hypervisor>(&sim_, options, &obs_);
+    xs_ = std::make_unique<XenStoreService>(hv_.get(), &sim_, &obs_);
     DomainConfig boot;
     boot.name = "boot";
     boot.memory_mb = 32;
@@ -39,8 +39,8 @@ class XsServiceTest : public ::testing::Test {
     Hypervisor::Options options;
     options.enforce_shard_sharing_policy = true;
     options.total_memory_bytes = 1 * kGiB;
-    hv_ = std::make_unique<Hypervisor>(&sim_, options);
-    xs_ = std::make_unique<XenStoreService>(hv_.get(), &sim_);
+    hv_ = std::make_unique<Hypervisor>(&sim_, options, &obs_);
+    xs_ = std::make_unique<XenStoreService>(hv_.get(), &sim_, &obs_);
     DomainConfig boot;
     boot.name = "boot";
     boot.memory_mb = 32;
@@ -83,8 +83,8 @@ class XsServiceTest : public ::testing::Test {
     Hypervisor::Options options;
     options.enforce_shard_sharing_policy = false;
     options.total_memory_bytes = 1 * kGiB;
-    hv_ = std::make_unique<Hypervisor>(&sim_, options);
-    xs_ = std::make_unique<XenStoreService>(hv_.get(), &sim_);
+    hv_ = std::make_unique<Hypervisor>(&sim_, options, &obs_);
+    xs_ = std::make_unique<XenStoreService>(hv_.get(), &sim_, &obs_);
     DomainConfig dom0;
     dom0.name = "dom0";
     dom0.memory_mb = 128;
@@ -106,6 +106,7 @@ class XsServiceTest : public ::testing::Test {
   }
 
   Simulator sim_;
+  Obs obs_;
   std::unique_ptr<Hypervisor> hv_;
   std::unique_ptr<XenStoreService> xs_;
   DomainId boot_, logic_, state_, state_b_, guest_, guest_b_;
@@ -158,11 +159,12 @@ TEST_F(XsServiceTest, LogicRestartMakesServiceUnavailableThenRecovers) {
   ASSERT_TRUE(xs_->store().SetPerms(logic_, "/g", perms).ok());
   ASSERT_TRUE(xs_->Write(guest_, "/g/k", "before").ok());
 
-  ASSERT_TRUE(xs_->RestartLogic(FromMilliseconds(20)).ok());
+  ASSERT_TRUE(xs_->BeginLogicRestart().ok());
   EXPECT_FALSE(xs_->logic_available());
   EXPECT_EQ(xs_->Read(guest_, "/g/k").status().code(),
             StatusCode::kUnavailable);
-  sim_.RunFor(FromMilliseconds(30));
+  sim_.RunFor(FromMilliseconds(20));
+  ASSERT_TRUE(xs_->CompleteLogicRestart().ok());
   EXPECT_TRUE(xs_->logic_available());
   // State lives in XenStore-State: contents survived the Logic restart.
   EXPECT_EQ(*xs_->Read(guest_, "/g/k"), "before");
@@ -181,8 +183,9 @@ TEST_F(XsServiceTest, WatchesSurviveLogicRestart) {
           .ok());
   sim_.RunFor(kMillisecond);
   const int after_registration = fires;
-  ASSERT_TRUE(xs_->RestartLogic(FromMilliseconds(20)).ok());
-  sim_.RunFor(FromMilliseconds(30));
+  ASSERT_TRUE(xs_->BeginLogicRestart().ok());
+  sim_.RunFor(FromMilliseconds(20));
+  ASSERT_TRUE(xs_->CompleteLogicRestart().ok());
   ASSERT_TRUE(xs_->Write(guest_, "/g/k", "v").ok());
   sim_.RunFor(kMillisecond);
   EXPECT_EQ(fires, after_registration + 1);
@@ -190,8 +193,7 @@ TEST_F(XsServiceTest, WatchesSurviveLogicRestart) {
 
 TEST_F(XsServiceTest, MonolithicXenstoredCannotRestartIndependently) {
   SetUpMonolithic();
-  EXPECT_EQ(xs_->RestartLogic(FromMilliseconds(20)).code(),
-            StatusCode::kFailedPrecondition);
+  EXPECT_EQ(xs_->BeginLogicRestart().code(), StatusCode::kFailedPrecondition);
 }
 
 TEST_F(XsServiceTest, PerRequestRestartPolicyCountsRollbacks) {
@@ -297,8 +299,9 @@ TEST_F(XsServiceTest, StateShardRestartDropsOnlyItsTenantsVolatileState) {
   ASSERT_TRUE(tx_b.ok());
 
   const int shard_b = xs_->store().ShardIndexForDomain(guest_b_);
-  ASSERT_TRUE(xs_->RestartStateShard(shard_b, FromMilliseconds(20)).ok());
-  sim_.RunFor(FromMilliseconds(30));
+  ASSERT_TRUE(xs_->BeginStateShardRestart(shard_b).ok());
+  sim_.RunFor(FromMilliseconds(20));
+  ASSERT_TRUE(xs_->CompleteStateShardRestart(shard_b).ok());
 
   // Tenant A's watch and transaction live on the untouched shard.
   const int before_a = fires_a;

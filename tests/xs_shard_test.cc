@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "src/base/strings.h"
+#include "src/obs/obs.h"
 #include "src/xs/sharded_store.h"
 
 namespace xoar {
@@ -14,7 +15,7 @@ namespace {
 
 class XsShardTest : public ::testing::Test {
  protected:
-  explicit XsShardTest(int shard_count = 4) : store_(shard_count) {
+  explicit XsShardTest(int shard_count = 4) : store_(&obs_, shard_count) {
     store_.AddManagerDomain(manager_);
   }
 
@@ -33,6 +34,7 @@ class XsShardTest : public ::testing::Test {
     return StrFormat("/local/domain/%u", guest.value());
   }
 
+  Obs obs_;
   XsShardedStore store_;
   DomainId manager_{0};
 };

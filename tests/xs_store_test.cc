@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "src/base/strings.h"
+#include "src/obs/obs.h"
 #include "src/xs/cow_map.h"
 #include "src/xs/store.h"
 
@@ -20,7 +21,8 @@ class XsStoreTest : public ::testing::Test {
     store_.AddManagerDomain(manager_);
   }
 
-  XsStore store_;
+  Obs obs_;
+  XsStore store_{&obs_};
   DomainId manager_{0};
   DomainId guest_{5};
   DomainId other_{6};
@@ -90,7 +92,7 @@ TEST_F(XsStoreTest, OverlongPathIsRefused) {
   const std::vector<XsStore::FlatNode> flat = store_.Serialize();
   ASSERT_EQ(flat.size(), 3u + 1536u);
   EXPECT_EQ(flat.back().path, longest);
-  XsStore copy;
+  XsStore copy(&obs_);
   copy.AddManagerDomain(manager_);
   copy.Restore(flat);
   EXPECT_EQ(*copy.Read(manager_, longest), "deep");
@@ -594,7 +596,7 @@ TEST_F(XsStoreTest, SerializeRestoreRoundTrip) {
   ASSERT_TRUE(store_.SetPerms(manager_, "/a/b", perms).ok());
 
   auto dump = store_.Serialize();
-  XsStore fresh;
+  XsStore fresh(&obs_);
   fresh.AddManagerDomain(manager_);
   fresh.Restore(dump);
   EXPECT_EQ(*fresh.Read(manager_, "/a/b"), "1");
@@ -617,7 +619,7 @@ TEST_F(XsStoreTest, SerializeRestoreRoundTripUnderCowSharing) {
   ASSERT_TRUE(store_.Write(manager_, "/live", "yes").ok());
 
   auto dump = store_.Serialize();
-  XsStore fresh;
+  XsStore fresh(&obs_);
   fresh.AddManagerDomain(manager_);
   fresh.Restore(dump);
   EXPECT_EQ(*fresh.Read(manager_, "/a/b"), "1");
@@ -654,7 +656,7 @@ TEST_F(XsStoreTest, RestoreKeepsNodesChownedAboveTheQuota) {
   ASSERT_EQ(store_.NodeCount(), 4u);
   ASSERT_EQ(store_.NodesOwnedBy(guest_), 3u);
 
-  XsStore fresh;
+  XsStore fresh(&obs_);
   fresh.AddManagerDomain(manager_);
   fresh.set_node_quota(2);
   fresh.Restore(store_.Serialize());
@@ -700,7 +702,8 @@ TEST_F(XsStoreTest, RestoringCurrentSnapshotIsNoOp) {
 // Copy-on-write work of one transactional write and its commit, below a
 // directory of `siblings` children.
 std::uint64_t TransactionalWriteCopies(int siblings) {
-  XsStore store;
+  Obs obs;
+  XsStore store(&obs);
   const DomainId mgr(0);
   store.AddManagerDomain(mgr);
   for (int i = 0; i < siblings; ++i) {
@@ -727,7 +730,8 @@ TEST(XsStoreCopyTest, TransactionalWriteCopiesLogFanOut) {
 }
 
 TEST(XsStoreCopyTest, WriteWithNothingSharedCopiesNothing) {
-  XsStore store;
+  Obs obs;
+  XsStore store(&obs);
   const DomainId mgr(0);
   store.AddManagerDomain(mgr);
   for (int i = 0; i < 1000; ++i) {
@@ -878,7 +882,8 @@ INSTANTIATE_TEST_SUITE_P(KeyOrders, CowMapTest, ::testing::Values(0, 1, 2));
 class XsStoreModelTest : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(XsStoreModelTest, AgreesWithReferenceModel) {
-  XsStore store;
+  Obs obs;
+  XsStore store(&obs);
   const DomainId mgr(0);
   const std::vector<DomainId> owners = {mgr, DomainId(7), DomainId(8)};
   store.AddManagerDomain(mgr);
@@ -1032,7 +1037,8 @@ std::map<std::string, std::string> ContentsOf(const XsStore& store) {
 // up to two open transactions are held while live writes and removes land,
 // and each must still read as the model copy taken when it began.
 TEST_P(XsStoreModelTest, WideDirectoryVersionsStayIsolated) {
-  XsStore store;
+  Obs obs;
+  XsStore store(&obs);
   const DomainId mgr(0);
   store.AddManagerDomain(mgr);
   std::uint64_t state = GetParam() * 0x9E3779B97F4A7C15ULL + 5;
