@@ -11,7 +11,8 @@ namespace xoar {
 
 namespace {
 // Largest single ring request, in sectors (matches blkif's 11-page segment
-// limit closely enough: 64 sectors = 32 KiB).
+// limit closely enough: 64 sectors = 32 KiB). The frontend chunks to it and
+// the backend refuses anything larger.
 constexpr std::uint32_t kMaxSectorsPerRequest = 64;
 }  // namespace
 
@@ -143,7 +144,7 @@ void BlkBack::DrainRing(DomainId guest) {
     return;  // disconnected while the drain was in flight
   }
   const std::uint64_t base_offset = vbd->image->offset;
-  const std::uint64_t size_bytes = vbd->image->size;
+  const std::uint64_t image_sectors = vbd->image->size / kSectorSize;
   BlkRing ring = BlkRing::Attach(vbd->rings[0]);
   bool pushed_response = false;
   std::uint32_t budget = kBlkBackDrainBudget;
@@ -154,13 +155,14 @@ void BlkBack::DrainRing(DomainId guest) {
     }
     --budget;
     const BlkRingRequest request = *req;
-    const std::uint64_t byte_offset =
-        base_offset + request.sector * kSectorSize;
-    const std::uint64_t byte_len =
-        static_cast<std::uint64_t>(request.sector_count) * kSectorSize;
+    // Every field is guest-written, so the range check does no arithmetic
+    // on them: a byte offset computed from a far-away sector could wrap
+    // back into the image.
     std::int8_t status = 0;
-    if (request.sector * kSectorSize + byte_len > size_bytes) {
-      status = kBlkStatusFailed;  // out of range for this VBD
+    if (request.sector_count > kMaxSectorsPerRequest ||
+        request.sector_count > image_sectors ||
+        request.sector > image_sectors - request.sector_count) {
+      status = kBlkStatusFailed;  // malformed or out of range for this VBD
     } else if (io_fault_hook_ && io_fault_hook_(guest, request)) {
       status = kRingStatusTransient;  // injected EIO; frontend retries
     }
@@ -173,12 +175,13 @@ void BlkBack::DrainRing(DomainId guest) {
       pushed_response = true;
       continue;
     }
+    const std::uint32_t byte_len = request.sector_count * kSectorSize;
     bytes_moved_ += byte_len;
     m_bytes_->Increment(byte_len);
     // The disk serializes per-request service times internally (seek +
     // transfer, in submission order), so submitting the whole batch at
     // drain time preserves each request's completion offset.
-    disk_->SubmitIo(byte_offset, static_cast<std::uint32_t>(byte_len),
+    disk_->SubmitIo(base_offset + request.sector * kSectorSize, byte_len,
                     request.is_write != 0, [this, guest, request] {
                       XenbusBackend::Channel* live = xenbus_.Live(guest);
                       if (live == nullptr) {

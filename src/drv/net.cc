@@ -55,6 +55,7 @@ void NetBack::DrainTxRing(DomainId guest) {
     return;  // vif torn down while the drain was in flight
   }
   NetRing ring = NetRing::Attach(vif->rings[0]);
+  bool pushed_response = false;
   std::uint32_t budget = kNetBackDrainBudget;
   while (budget > 0) {
     auto req = ring.PopRequest();
@@ -63,6 +64,15 @@ void NetBack::DrainTxRing(DomainId guest) {
     }
     --budget;
     const NetRingRequest request = *req;
+    if (request.bytes > kMaxFrameBytes) {
+      // The size is guest-written: a "frame" of gigabytes would hold the
+      // shared NIC for seconds. Refuse it without touching the NIC; one
+      // notification covers every refusal in this drain.
+      Drop();
+      ring.PushResponse(NetRingResponse{request.id, kNetStatusFailed});
+      pushed_response = true;
+      continue;
+    }
     if (tx_fault_hook_ && tx_fault_hook_(guest, request)) {
       // Injected drop: the frame vanishes with no response, exactly like a
       // frame lost mid-reboot. The frontend's deadline handles it.
@@ -83,6 +93,9 @@ void NetBack::DrainTxRing(DomainId guest) {
         (void)xenbus_.hv()->EvtchnSend(xenbus_.self(), live->port);
       }
     });
+  }
+  if (pushed_response) {
+    (void)xenbus_.hv()->EvtchnSend(xenbus_.self(), vif->port);
   }
   // Final re-check: frames pushed while we drained, or left by the budget,
   // get their own drain event (RING_FINAL_CHECK_FOR_REQUESTS idiom).

@@ -34,8 +34,15 @@ struct NetRingRequest {
 
 struct NetRingResponse {
   std::uint64_t id;
-  std::int8_t status;  // 0 = OK
+  std::int8_t status;  // 0 = OK or kNetStatusFailed
 };
+
+// Permanent failure: the request itself is bad (larger than one frame).
+constexpr std::int8_t kNetStatusFailed = -1;
+
+// Largest tx request NetBack forwards: one Ethernet frame, a 1500-byte MTU
+// plus the 14-byte header.
+constexpr std::uint32_t kMaxFrameBytes = 1514;
 
 using NetRing = IoRing<NetRingRequest, NetRingResponse, 32>;
 

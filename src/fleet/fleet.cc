@@ -261,21 +261,6 @@ StatusOr<FleetGuestId> Fleet::CreateGuest(const GuestSpec& spec,
   return record.id;
 }
 
-Status Fleet::DestroyGuest(FleetGuestId guest) {
-  auto it = records_.find(guest);
-  if (it == records_.end()) {
-    return NotFoundError("unknown fleet guest");
-  }
-  const FleetGuestRecord record = it->second;
-  XOAR_RETURN_IF_ERROR(hosts_[record.host]->DestroyGuest(record.domain));
-  HostState& state = host_state_[static_cast<std::size_t>(record.host)];
-  state.committed_mb -= record.spec.memory_mb;
-  state.net_committed_bps -= record.net_demand_bps;
-  records_.erase(it);
-  m_guests_->Set(static_cast<double>(records_.size()));
-  return Status::Ok();
-}
-
 const FleetGuestRecord* Fleet::guest(FleetGuestId id) const {
   auto it = records_.find(id);
   return it == records_.end() ? nullptr : &it->second;

@@ -149,7 +149,6 @@ class Fleet {
   // traffic estimate used for load accounting.
   StatusOr<FleetGuestId> CreateGuest(const GuestSpec& spec,
                                      double net_demand_bps);
-  Status DestroyGuest(FleetGuestId guest);
   const FleetGuestRecord* guest(FleetGuestId id) const;
   std::vector<FleetGuestId> GuestsOnHost(int host) const;
   int guest_count() const { return static_cast<int>(records_.size()); }

@@ -91,7 +91,6 @@ Status FleetWorkload::Attach(FleetGuestId guest) {
   auto [it, inserted] = loops_.emplace(guest, GuestLoop{});
   GuestLoop& loop = it->second;
   if (inserted) {
-    loop.id = guest;
     // Per-tenant latency series share bounds so they stay comparable.
     Histogram*& hist = tenant_hists_[record->spec.tenant];
     if (hist == nullptr) {
@@ -104,6 +103,7 @@ Status FleetWorkload::Attach(FleetGuestId guest) {
     // not all hit their backends on the same instant.
     loop.stagger = (guest % 7) * kMillisecond;
   }
+  Bind(loop, *record);
   loop.running = true;
   ++loop.epoch;
   ScheduleTick(loop, config_.tick + loop.stagger);
@@ -141,10 +141,15 @@ Status FleetWorkload::QuiesceGuest(FleetGuestId guest) {
 
 void FleetWorkload::ResumeGuest(FleetGuestId guest) {
   auto it = loops_.find(guest);
-  if (it == loops_.end() || fleet_->guest(guest) == nullptr) {
+  const FleetGuestRecord* record = fleet_->guest(guest);
+  if (it == loops_.end() || record == nullptr) {
     return;
   }
   GuestLoop& loop = it->second;
+  // Moved or not, the guest now runs where its record says: the old
+  // host's frontends are gone after a move, and an aborted attempt
+  // re-binds the same handles.
+  Bind(loop, *record);
   loop.running = true;
   ++loop.epoch;
   ScheduleTick(loop, config_.tick + loop.stagger);
@@ -194,48 +199,28 @@ double FleetWorkload::TenantP99Ratio() const {
   return max_p99 / min_p99;
 }
 
+void FleetWorkload::Bind(GuestLoop& loop, const FleetGuestRecord& record) {
+  XoarPlatform& host = fleet_->host(record.host);
+  loop.sim = &host.sim();
+  loop.netfront = host.netfront(record.domain);
+  loop.blkfront = host.blkfront(record.domain);
+}
+
 void FleetWorkload::ScheduleTick(GuestLoop& loop, SimDuration delay) {
-  const FleetGuestRecord* record = fleet_->guest(loop.id);
-  if (record == nullptr) {
-    return;
-  }
-  const FleetGuestId id = loop.id;
   const std::uint64_t epoch = loop.epoch;
   // The tick lives on the guest's *current* host simulator; a migration
   // bumps the epoch, so a tick left behind on the old host fires inert.
-  fleet_->host(record->host).sim().ScheduleAfter(
-      delay, [this, id, epoch] { Tick(id, epoch); });
+  loop.sim->ScheduleAfter(delay,
+                          [this, &loop, epoch] { Tick(loop, epoch); });
 }
 
-void FleetWorkload::Tick(FleetGuestId id, std::uint64_t epoch) {
-  auto it = loops_.find(id);
-  if (it == loops_.end()) {
-    return;
-  }
-  GuestLoop& loop = it->second;
+void FleetWorkload::Tick(GuestLoop& loop, std::uint64_t epoch) {
   if (!loop.running || loop.epoch != epoch) {
     return;  // stale tick from before a quiesce/migration
   }
-  const FleetGuestRecord* record = fleet_->guest(id);
-  if (record == nullptr) {
-    return;
-  }
-  XoarPlatform& host = fleet_->host(record->host);
-  const int host_index = record->host;
-  Histogram* const tenant_hist = loop.tenant_hist;
   ++loop.ticks;
-
-  NetFront* netfront = host.netfront(record->domain);
-  if (netfront != nullptr) {
-    const SimTime issued_at = host.sim().Now();
-    ++issued_;
-    m_issued_->Increment();
-    ++loop.pending;
-    netfront->SendFrame(
-        config_.frame_bytes,
-        [this, id, tenant_hist, issued_at, host_index](Status status) {
-          Complete(id, tenant_hist, issued_at, host_index, status);
-        });
+  if (loop.netfront != nullptr) {
+    loop.netfront->SendFrame(config_.frame_bytes, NewRequest(loop));
   }
   // A traffic spike multiplies the tick rate; stretch the block period by
   // the same factor so the spike is a *network* spike — the disk's ~76
@@ -245,19 +230,10 @@ void FleetWorkload::Tick(FleetGuestId id, std::uint64_t epoch) {
           ? std::max(1, static_cast<int>(static_cast<double>(
                             config_.blk_every) * loop.multiplier + 0.5))
           : 0;
-  if (blk_period > 0 && loop.ticks % blk_period == 0) {
-    BlkFront* blkfront = host.blkfront(record->domain);
-    if (blkfront != nullptr) {
-      const SimTime issued_at = host.sim().Now();
-      ++issued_;
-      m_issued_->Increment();
-      ++loop.pending;
-      blkfront->WriteBytes(
-          (loop.ticks * 4096) % (1 * kMiB), 4096,
-          [this, id, tenant_hist, issued_at, host_index](Status status) {
-            Complete(id, tenant_hist, issued_at, host_index, status);
-          });
-    }
+  if (blk_period > 0 && loop.ticks % blk_period == 0 &&
+      loop.blkfront != nullptr) {
+    loop.blkfront->WriteBytes((loop.ticks * 4096) % (1 * kMiB), 4096,
+                              NewRequest(loop));
   }
 
   const SimDuration interval = std::max<SimDuration>(
@@ -266,17 +242,26 @@ void FleetWorkload::Tick(FleetGuestId id, std::uint64_t epoch) {
   ScheduleTick(loop, interval);
 }
 
-void FleetWorkload::Complete(FleetGuestId id, Histogram* tenant_hist,
-                             SimTime issued_at, int host, Status status) {
-  auto it = loops_.find(id);
-  if (it != loops_.end() && it->second.pending > 0) {
-    --it->second.pending;
+std::function<void(Status)> FleetWorkload::NewRequest(GuestLoop& loop) {
+  ++issued_;
+  m_issued_->Increment();
+  ++loop.pending;
+  const Simulator* sim = loop.sim;
+  const SimTime issued_at = sim->Now();
+  return [this, &loop, sim, issued_at](Status status) {
+    Complete(loop, *sim, issued_at, status);
+  };
+}
+
+void FleetWorkload::Complete(GuestLoop& loop, const Simulator& sim,
+                             SimTime issued_at, Status status) {
+  if (loop.pending > 0) {
+    --loop.pending;
   }
-  const double latency_ms =
-      static_cast<double>(fleet_->host(host).sim().Now() - issued_at) /
-      static_cast<double>(kMillisecond);
+  const double latency_ms = static_cast<double>(sim.Now() - issued_at) /
+                            static_cast<double>(kMillisecond);
   latency_->Observe(latency_ms);
-  tenant_hist->Observe(latency_ms);
+  loop.tenant_hist->Observe(latency_ms);
   if (status.ok()) {
     ++ok_;
     m_ok_->Increment();

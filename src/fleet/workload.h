@@ -13,10 +13,18 @@
 // move the loop resumes on the destination host's simulator. That protocol
 // is what makes "tear down the source mid-stream" safe: no completion
 // callback ever dangles across a migration.
+//
+// Each loop holds its guest's host simulator and frontends instead of
+// looking them up per tick. Attach binds them and ResumeGuest re-binds
+// them, moved or not; resume is the only point at which a guest's host or
+// domain changes. So a FleetWorkload must be the fleet's quiescer
+// (directly or through a forwarding wrapper): a loop the fleet never
+// resumes keeps the source host's frontends after they are destroyed.
 #ifndef XOAR_SRC_FLEET_WORKLOAD_H_
 #define XOAR_SRC_FLEET_WORKLOAD_H_
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <string>
 #include <vector>
@@ -95,9 +103,17 @@ class FleetWorkload : public MigrationQuiescer {
   static std::vector<double> LatencyBoundsMs();
 
  private:
+  // Scheduled ticks and completions hold a GuestLoop by address: loops_
+  // never erases, and map nodes never move.
   struct GuestLoop {
-    FleetGuestId id = 0;
     Histogram* tenant_hist = nullptr;  // the latency series of its tenant
+    // The guest's current host simulator and frontends. Bound by Attach and
+    // re-bound by ResumeGuest, the only point at which a guest's host or
+    // domain can have changed, so a tick never searches the fleet or the
+    // host's toolstack for them.
+    Simulator* sim = nullptr;
+    NetFront* netfront = nullptr;
+    BlkFront* blkfront = nullptr;
     bool running = false;
     std::uint64_t epoch = 0;  // bumped on quiesce/resume/detach
     std::uint64_t ticks = 0;
@@ -106,10 +122,14 @@ class FleetWorkload : public MigrationQuiescer {
     SimDuration stagger = 0;
   };
 
+  void Bind(GuestLoop& loop, const FleetGuestRecord& record);
   void ScheduleTick(GuestLoop& loop, SimDuration delay);
-  void Tick(FleetGuestId id, std::uint64_t epoch);
-  void Complete(FleetGuestId id, Histogram* tenant_hist, SimTime issued_at,
-                int host, Status status);
+  void Tick(GuestLoop& loop, std::uint64_t epoch);
+  // Counts a new request and returns its completion callback, which reads
+  // the latency on the clock of the host that sent the request.
+  std::function<void(Status)> NewRequest(GuestLoop& loop);
+  void Complete(GuestLoop& loop, const Simulator& sim, SimTime issued_at,
+                Status status);
 
   Fleet* fleet_;
   Config config_;

@@ -59,16 +59,16 @@ Status XenStoreService::Connect(DomainId client) {
   if (!deployed()) {
     return FailedPreconditionError("XenStore service not deployed");
   }
-  if (connections_.count(client) > 0) {
+  if (IsConnected(client)) {
     return AlreadyExistsError(
         StrFormat("dom%u already connected to XenStore", client.value()));
   }
+  Connection conn;
   if (client == logic_domain_) {
     // The service does not connect to itself; it owns the store.
-    connections_.emplace(client, Connection{});
+    AddConnection(client, conn);
     return Status::Ok();
   }
-  Connection conn;
   // One page of the client's memory hosts the communication ring.
   XOAR_ASSIGN_OR_RETURN(conn.ring_pfn,
                         hv_->memory().AllocatePages(client, 1));
@@ -97,17 +97,28 @@ Status XenStoreService::Connect(DomainId client) {
   XOAR_ASSIGN_OR_RETURN(
       conn.server_port,
       hv_->EvtchnBindInterdomain(logic_domain_, client, conn.client_port));
-  connections_.emplace(client, conn);
+  AddConnection(client, conn);
   XLOG(kDebug) << "[xs] dom" << client.value() << " connected";
   return Status::Ok();
 }
 
+void XenStoreService::AddConnection(DomainId client, const Connection& conn) {
+  if (client.value() >= connections_.size()) {
+    connections_.resize(static_cast<std::size_t>(client.value()) + 1);
+  }
+  connections_[client.value()] = conn;
+  connections_[client.value()].open = true;
+}
+
 bool XenStoreService::IsConnected(DomainId client) const {
-  return connections_.count(client) > 0;
+  return client.value() < connections_.size() &&
+         connections_[client.value()].open;
 }
 
 void XenStoreService::Disconnect(DomainId client) {
-  connections_.erase(client);
+  if (client.value() < connections_.size()) {
+    connections_[client.value()] = Connection{};
+  }
 }
 
 Status XenStoreService::CheckRequest(DomainId caller) {
@@ -121,7 +132,7 @@ Status XenStoreService::CheckRequest(DomainId caller) {
   if (logic == nullptr || logic->state() != DomainState::kRunning) {
     return UnavailableError("XenStore domain is not running");
   }
-  if (connections_.count(caller) == 0) {
+  if (!IsConnected(caller)) {
     return FailedPreconditionError(
         StrFormat("dom%u has no XenStore connection", caller.value()));
   }

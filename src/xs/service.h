@@ -22,7 +22,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -148,12 +147,16 @@ class XenStoreService {
 
  private:
   struct Connection {
+    bool open = false;
     Pfn ring_pfn;
     GrantRef ring_gref;  // invalid in stock (foreign-map) mode
     EvtchnPort client_port;
     EvtchnPort server_port;
   };
 
+  // Records `conn` as the client's open connection, growing the table to
+  // reach the client's index.
+  void AddConnection(DomainId client, const Connection& conn);
   // Gate every request: connection present, logic component up.
   Status CheckRequest(DomainId caller);
   // Gate on the State partition a request routes to. Spanning paths
@@ -179,7 +182,11 @@ class XenStoreService {
   bool logic_available_ = false;
   RestartPolicy restart_policy_ = RestartPolicy::kNever;
   RequestFaultHook request_fault_hook_;
-  std::map<DomainId, Connection> connections_;
+  // Indexed by domain id, like the hypervisor's domain table. Lookups are
+  // bounds-checked and never grow it. Only a successful Connect does (the
+  // hypervisor accepted its page, grant and port calls, or the client is
+  // the service's own domain), so it never outgrows the host's domain ids.
+  std::vector<Connection> connections_;
   // State-component checkpoint taken when Logic goes down; Logic re-attaches
   // to it on the way back up. Taking it is O(1) (copy-on-write root share);
   // re-attaching is a no-op because requests were gated meanwhile.

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <optional>
 
 #include "src/base/hash_chain.h"
 #include "src/core/xoar_platform.h"
@@ -337,71 +338,169 @@ TEST(XenbusParseTest, AcceptsOnlyWhole32BitDecimals) {
   }
 }
 
-// A guest that writes its own XenBus nodes is §6.2's attacker. The backend
-// must refuse ring-ref values that are not whole decimal 32-bit numbers,
-// leave that channel down, and keep serving the other guests.
-TEST(HostileFrontendTest, MalformedRingRefIsRefused) {
-  XoarPlatform platform;
-  ASSERT_TRUE(platform.Boot().ok());
-  auto good = platform.CreateGuest(NamedGuest("good"));
-  auto bad = platform.CreateGuest(NamedGuest("bad", /*devices=*/false));
-  ASSERT_TRUE(good.ok());
-  ASSERT_TRUE(bad.ok());
-  BlkBack& blkback = *platform.blkback_of(*good);
-  Hypervisor& hv = platform.hv();
-  const DomainId toolstack = platform.shard_domain(ShardClass::kToolstack);
-  ASSERT_TRUE(hv.AuthorizeShardUse(toolstack, *bad, blkback.self()).ok());
-  ASSERT_TRUE(blkback.CreateImage("bad-disk", 4 * kMiB).ok());
-  ASSERT_TRUE(blkback.BindImage(*bad, "bad-disk").ok());
+// A guest that writes its own XenBus nodes and ring entries is §6.2's
+// attacker. `bad` has no devices of its own, only a 4 MiB image bound on
+// the BlkBack that also serves the ordinary guest `good`; the tests write
+// its frontend nodes and ring slots directly.
+class HostileFrontendTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    ASSERT_TRUE(platform_.Boot().ok());
+    auto good = platform_.CreateGuest(NamedGuest("good"));
+    auto bad = platform_.CreateGuest(NamedGuest("bad", /*devices=*/false));
+    ASSERT_TRUE(good.ok());
+    ASSERT_TRUE(bad.ok());
+    good_ = *good;
+    bad_ = *bad;
+    blkback_ = platform_.blkback_of(good_);
+    const DomainId toolstack = platform_.shard_domain(ShardClass::kToolstack);
+    ASSERT_TRUE(
+        hv().AuthorizeShardUse(toolstack, bad_, blkback_->self()).ok());
+    ASSERT_TRUE(blkback_->CreateImage("bad-disk", 4 * kMiB).ok());
+    ASSERT_TRUE(blkback_->BindImage(bad_, "bad-disk").ok());
+  }
 
-  const std::string dir = FrontendDir(*bad, kVbdType) + "/";
-  auto publish = [&](const std::string& key, const std::string& value) {
-    ASSERT_TRUE(platform.xenstore().Write(*bad, dir + key, value).ok());
+  Hypervisor& hv() { return platform_.hv(); }
+
+  // Writes one node of the bad guest's VBD frontend, readable by BlkBack.
+  void Publish(const std::string& key, const std::string& value) {
+    const std::string path = FrontendDir(bad_, kVbdType) + "/" + key;
+    ASSERT_TRUE(platform_.xenstore().Write(bad_, path, value).ok());
     XsNodePerms perms;
-    perms.owner = *bad;
-    perms.acl[blkback.self()] = XsPerm::kRead;
-    ASSERT_TRUE(platform.xenstore().SetPerms(*bad, dir + key, perms).ok());
-  };
-  publish("ring-ref", "junk");
-  publish("event-channel", "1");
-  publish("state", "3");
-  platform.Settle();
-  EXPECT_FALSE(blkback.IsVbdConnected(*bad));
+    perms.owner = bad_;
+    perms.acl[blkback_->self()] = XsPerm::kRead;
+    ASSERT_TRUE(platform_.xenstore().SetPerms(bad_, path, perms).ok());
+  }
+
+  XoarPlatform platform_;
+  DomainId good_;
+  DomainId bad_;
+  BlkBack* blkback_ = nullptr;
+};
+
+// The backend must refuse ring-ref values that are not whole decimal
+// 32-bit numbers, leave that channel down, and keep serving the other
+// guests.
+TEST_F(HostileFrontendTest, MalformedRingRefIsRefused) {
+  Publish("ring-ref", "junk");
+  Publish("event-channel", "1");
+  Publish("state", "3");
+  platform_.Settle();
+  EXPECT_FALSE(blkback_->IsVbdConnected(bad_));
 
   // A real grant and port, but a ring-ref 2^32 past the grant: truncated
   // to 32 bits it would name the grant and connect.
-  StatusOr<Pfn> pfn = hv.memory().AllocatePages(*bad, 1);
+  StatusOr<Pfn> pfn = hv().memory().AllocatePages(bad_, 1);
   ASSERT_TRUE(pfn.ok());
   StatusOr<GrantRef> gref =
-      hv.GrantAccess(*bad, blkback.self(), *pfn, /*writable=*/true);
+      hv().GrantAccess(bad_, blkback_->self(), *pfn, /*writable=*/true);
   ASSERT_TRUE(gref.ok());
-  StatusOr<EvtchnPort> port = hv.EvtchnAllocUnbound(*bad, blkback.self());
+  StatusOr<EvtchnPort> port = hv().EvtchnAllocUnbound(bad_, blkback_->self());
   ASSERT_TRUE(port.ok());
-  publish("ring-ref", std::to_string((1ull << 32) + gref->value()));
-  publish("event-channel", std::to_string(port->value()));
-  publish("state", "3");
-  platform.Settle();
-  EXPECT_FALSE(blkback.IsVbdConnected(*bad));
-  EXPECT_EQ(hv.domain(*bad)->grant_table().Lookup(*gref)->map_count, 0);
+  Publish("ring-ref", std::to_string((1ull << 32) + gref->value()));
+  Publish("event-channel", std::to_string(port->value()));
+  Publish("state", "3");
+  platform_.Settle();
+  EXPECT_FALSE(blkback_->IsVbdConnected(bad_));
+  EXPECT_EQ(hv().domain(bad_)->grant_table().Lookup(*gref)->map_count, 0);
 
   // The real grant, but a port number the hypervisor never allocated (the
   // last one is EvtchnPort's invalid value): the bind is NOT_FOUND without
   // the port table growing to the guest's number, and the map is released.
   for (const char* bad_port : {"4294967294", "4294967295"}) {
-    publish("ring-ref", std::to_string(gref->value()));
-    publish("event-channel", bad_port);
-    publish("state", "3");
-    platform.Settle();
-    EXPECT_FALSE(blkback.IsVbdConnected(*bad)) << bad_port;
-    EXPECT_EQ(hv.domain(*bad)->grant_table().Lookup(*gref)->map_count, 0)
+    Publish("ring-ref", std::to_string(gref->value()));
+    Publish("event-channel", bad_port);
+    Publish("state", "3");
+    platform_.Settle();
+    EXPECT_FALSE(blkback_->IsVbdConnected(bad_)) << bad_port;
+    EXPECT_EQ(hv().domain(bad_)->grant_table().Lookup(*gref)->map_count, 0)
         << bad_port;
   }
 
   Status result = InternalError("never completed");
-  platform.blkfront(*good)->WriteBytes(0, 4096,
-                                       [&](Status s) { result = s; });
-  platform.Settle();
+  platform_.blkfront(good_)->WriteBytes(0, 4096,
+                                        [&](Status s) { result = s; });
+  platform_.Settle();
   EXPECT_TRUE(result.ok()) << result;
+}
+
+// Every field of a ring request is guest-written. Sector 2^55 - 1 times
+// 512 bytes is 512 bytes short of 2^64, so a two-sector request there
+// wraps back into the image unless the range check cannot overflow; and a
+// count beyond the frontend's own 64-sector chunk is refused outright.
+// Neither may reach the disk.
+TEST_F(HostileFrontendTest, BlkRequestFieldsAreRangeChecked) {
+  StatusOr<Pfn> pfn = hv().memory().AllocatePages(bad_, 1);
+  ASSERT_TRUE(pfn.ok());
+  BlkRing ring = BlkRing::Create(hv().memory().PageData(*pfn));
+  StatusOr<GrantRef> gref =
+      hv().GrantAccess(bad_, blkback_->self(), *pfn, /*writable=*/true);
+  ASSERT_TRUE(gref.ok());
+  StatusOr<EvtchnPort> port = hv().EvtchnAllocUnbound(bad_, blkback_->self());
+  ASSERT_TRUE(port.ok());
+  Publish("ring-ref", std::to_string(gref->value()));
+  Publish("event-channel", std::to_string(port->value()));
+  Publish("state", "3");
+  platform_.Settle();
+  ASSERT_TRUE(blkback_->IsVbdConnected(bad_));
+
+  std::uint64_t next_id = 1;
+  auto status_of = [&](std::uint64_t sector, std::uint32_t count) {
+    const std::uint64_t id = next_id++;
+    EXPECT_TRUE(ring.PushRequest(BlkRingRequest{id, sector, count, 0}));
+    EXPECT_TRUE(hv().EvtchnSend(bad_, *port).ok());
+    platform_.Settle();
+    std::optional<BlkRingResponse> rsp = ring.PopResponse();
+    EXPECT_TRUE(rsp.has_value() && rsp->id == id) << "sector " << sector;
+    return rsp.has_value() ? static_cast<int>(rsp->status) : 1;
+  };
+  EXPECT_EQ(status_of(0, 8), 0);
+  EXPECT_EQ(status_of((1ull << 55) - 1, 2), kBlkStatusFailed);
+  EXPECT_EQ(status_of(0, 65), kBlkStatusFailed);
+  EXPECT_EQ(status_of(0, 0xFFFFFFFFu), kBlkStatusFailed);
+  EXPECT_EQ(status_of(4 * kMiB / kSectorSize - 64, 64), 0);  // the last 32 KiB
+  EXPECT_EQ(status_of(4 * kMiB / kSectorSize - 63, 64), kBlkStatusFailed);
+  EXPECT_EQ(blkback_->bytes_moved(), (8 + 64) * kSectorSize);
+}
+
+// A tx request's size is guest-written too. A 2^32 - 1 byte "frame" would
+// hold the shared NIC for about 34 s at GbE; NetBack answers anything
+// larger than one Ethernet frame with an error instead, so a neighbour's
+// frame sent right behind it completes as fast as with nobody attacking.
+TEST_F(HostileFrontendTest, OversizedFrameIsRefusedNeighbourUnaffected) {
+  auto attacker = platform_.CreateGuest(NamedGuest("attacker"));
+  ASSERT_TRUE(attacker.ok());
+  ASSERT_EQ(platform_.netback_of(*attacker), platform_.netback_of(good_));
+  struct Sent {
+    std::optional<Status> status;  // set when the frame completes
+    SimDuration latency = 0;
+  };
+  Simulator& sim = platform_.sim();
+  auto send = [&](DomainId guest, std::uint32_t bytes, Sent* sent) {
+    const SimTime start = sim.Now();
+    platform_.netfront(guest)->SendFrame(bytes, [&sim, start, sent](Status s) {
+      sent->status = s;
+      sent->latency = sim.Now() - start;
+    });
+  };
+
+  Sent quiet;
+  send(good_, 1500, &quiet);
+  platform_.Settle();
+  ASSERT_TRUE(quiet.status.has_value());
+  ASSERT_TRUE(quiet.status->ok()) << *quiet.status;
+
+  Sent attack;
+  Sent neighbour;
+  send(*attacker, 0xFFFFFFFFu, &attack);
+  send(good_, 1500, &neighbour);
+  platform_.Settle();
+  ASSERT_TRUE(attack.status.has_value());
+  EXPECT_FALSE(attack.status->ok());
+  ASSERT_TRUE(neighbour.status.has_value());
+  EXPECT_TRUE(neighbour.status->ok()) << *neighbour.status;
+  EXPECT_LE(neighbour.latency, quiet.latency);
+  EXPECT_EQ(platform_.nic().tx_bytes(), 3000u);  // only the two real frames
 }
 
 // The backend may call a channel connected only once its Connected state

@@ -3,7 +3,8 @@
 // windows, evacuation audit trails, SLO rebalancing, controller
 // supervision, seeded two-run determinism of the campaign driver, and the
 // create/destroy churn regressions that motivated image reclamation in
-// BlkBack (a migration-heavy fleet is an image-churn machine).
+// BlkBack (a migration-heavy fleet is an image-churn machine). The
+// workload test follows a guest's request loop across a move.
 #include <algorithm>
 #include <cstdint>
 #include <fstream>
@@ -24,6 +25,7 @@
 #include "src/fault/fault.h"
 #include "src/fleet/fleet.h"
 #include "src/fleet/scenarios.h"
+#include "src/fleet/workload.h"
 
 namespace xoar {
 namespace {
@@ -214,6 +216,66 @@ TEST(FleetEvacuationTest, DrainsHostAndAuditsStartAndCompletion) {
   EXPECT_TRUE(completed);
   EXPECT_EQ(fx.fleet().audit().FirstCorruptedRecord(), -1);
   EXPECT_EQ(fx.fleet().CheckInvariants().violations(), 0u);
+}
+
+// The workload holds each guest's host simulator and frontends, and the
+// fleet's resume after a move re-binds them. After an evacuation every
+// request the guest sends must go through the destination host's
+// backends, and the tick its loop left scheduled on the source must fire
+// inert: a second live tick chain would double the request rate.
+TEST(FleetWorkloadTest, EvacuatedGuestSendsOnlyThroughItsDestination) {
+  FleetConfig config;
+  config.hosts = 2;
+  config.migration.dirty_rate_bytes_per_sec = 24e6;
+  FleetFixture fx(config);
+  ASSERT_TRUE(fx.Populate(1, 1).ok());
+  Fleet& fleet = fx.fleet();
+  FleetWorkload workload(&fleet);
+  fleet.set_quiescer(&workload);
+  const FleetGuestId guest = fx.ids()[0];
+  ASSERT_TRUE(workload.Attach(guest).ok());
+
+  const SimDuration window = 200 * kMillisecond;
+  fleet.AdvanceAll(window);
+  const std::uint64_t issued_before_move = workload.issued();
+  ASSERT_GT(issued_before_move, 0u);
+  const FleetGuestRecord before = *fleet.guest(guest);
+  NetBack* src_net = fleet.host(before.host).netback_of(before.domain);
+  BlkBack* src_blk = fleet.host(before.host).blkback_of(before.domain);
+  ASSERT_NE(src_net, nullptr);
+  ASSERT_NE(src_blk, nullptr);
+  ASSERT_GT(src_net->frames_forwarded(), 0u);
+
+  const Fleet::EvacuationStats stats = fleet.EvacuateHost(before.host);
+  ASSERT_EQ(stats.moved, 1);
+  const FleetGuestRecord after = *fleet.guest(guest);
+  ASSERT_NE(after.host, before.host);
+  NetBack* dest_net = fleet.host(after.host).netback_of(after.domain);
+  BlkBack* dest_blk = fleet.host(after.host).blkback_of(after.domain);
+  ASSERT_NE(dest_net, nullptr);
+  ASSERT_NE(dest_blk, nullptr);
+  const std::uint64_t src_frames = src_net->frames_forwarded();
+  const std::uint64_t src_requests = src_blk->requests_served();
+  const std::uint64_t dest_frames = dest_net->frames_forwarded();
+  const std::uint64_t dest_requests = dest_blk->requests_served();
+  const std::uint64_t issued = workload.issued();
+  const std::uint64_t ok = workload.ok();
+
+  fleet.AdvanceAll(window);
+  workload.Detach(guest);
+  fleet.AdvanceAll(window);  // the last requests complete
+  const std::uint64_t issued_after_move = workload.issued() - issued;
+  EXPECT_GT(issued_after_move, 0u);
+  // Same window, same tick period: at most the one block write more.
+  EXPECT_LE(issued_after_move, issued_before_move + 1);
+  EXPECT_EQ(workload.ok() - ok, issued_after_move);
+  EXPECT_EQ(workload.total_pending(), 0);
+  EXPECT_EQ(src_net->frames_forwarded(), src_frames);
+  EXPECT_EQ(src_blk->requests_served(), src_requests);
+  EXPECT_EQ((dest_net->frames_forwarded() - dest_frames) +
+                (dest_blk->requests_served() - dest_requests),
+            issued_after_move);
+  EXPECT_EQ(fleet.CheckInvariants().violations(), 0u);
 }
 
 // --- Rebalancing ---

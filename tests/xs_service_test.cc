@@ -150,6 +150,44 @@ TEST_F(XsServiceTest, DoubleConnectRejected) {
   EXPECT_EQ(xs_->Connect(guest_).code(), StatusCode::kAlreadyExists);
 }
 
+// Connections are indexed by domain id. Ids nobody connected, however far
+// past the table, are a bounds-checked miss: refused, never a resize (a
+// table grown to 2^31 rows would not fit in memory), and a Connect the
+// hypervisor refuses adds nothing. A slot Disconnect freed takes a new
+// Connect.
+TEST_F(XsServiceTest, UnknownCallerIdsAreRefusedWithoutGrowingTheTable) {
+  SetUpSplit();
+  ASSERT_TRUE(xs_->Connect(guest_).ok());
+  for (DomainId stranger : {DomainId(1u << 31), DomainId(4294967294u)}) {
+    EXPECT_FALSE(xs_->IsConnected(stranger)) << stranger;
+    EXPECT_EQ(xs_->Read(stranger, "/").status().code(),
+              StatusCode::kFailedPrecondition)
+        << stranger;
+    EXPECT_EQ(xs_->Write(stranger, "/x", "1").code(),
+              StatusCode::kFailedPrecondition)
+        << stranger;
+    EXPECT_EQ(xs_->TransactionStart(stranger).status().code(),
+              StatusCode::kFailedPrecondition)
+        << stranger;
+    EXPECT_FALSE(xs_->Connect(stranger).ok()) << stranger;
+    EXPECT_FALSE(xs_->IsConnected(stranger)) << stranger;
+    xs_->Disconnect(stranger);
+  }
+
+  xs_->store().Mkdir(logic_, "/g");
+  XsNodePerms perms;
+  perms.owner = guest_;
+  ASSERT_TRUE(xs_->store().SetPerms(logic_, "/g", perms).ok());
+  ASSERT_TRUE(xs_->Write(guest_, "/g/k", "v").ok());
+  xs_->Disconnect(guest_);
+  EXPECT_FALSE(xs_->IsConnected(guest_));
+  EXPECT_EQ(xs_->Read(guest_, "/g/k").status().code(),
+            StatusCode::kFailedPrecondition);
+  ASSERT_TRUE(xs_->Connect(guest_).ok());
+  EXPECT_TRUE(xs_->IsConnected(guest_));
+  EXPECT_EQ(*xs_->Read(guest_, "/g/k"), "v");
+}
+
 TEST_F(XsServiceTest, LogicRestartMakesServiceUnavailableThenRecovers) {
   SetUpSplit();
   ASSERT_TRUE(xs_->Connect(guest_).ok());
