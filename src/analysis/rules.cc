@@ -374,6 +374,9 @@ void CheckDeterminism(const std::vector<SourceFile>& files,
                                      config.banned_clock_identifiers.end());
   const std::set<std::string> calls(config.banned_call_identifiers.begin(),
                                     config.banned_call_identifiers.end());
+  const std::set<std::string> threads(
+      config.banned_thread_identifiers.begin(),
+      config.banned_thread_identifiers.end());
   for (const SourceFile& file : files) {
     bool exempt = false;
     for (const std::string& prefix : config.determinism_exempt_prefixes) {
@@ -382,12 +385,25 @@ void CheckDeterminism(const std::vector<SourceFile>& files,
         break;
       }
     }
-    if (exempt) {
-      continue;
-    }
     const Tokens& t = file.lexed.tokens;
     for (std::size_t i = 0; i < t.size(); ++i) {
       if (t[i].kind != TokenKind::kIdentifier) {
+        continue;
+      }
+      const bool std_qualified =
+          i >= 2 && IsPunct(t[i - 1], "::") && IsIdent(t[i - 2], "std");
+      if (std_qualified ? threads.count("std::" + t[i].text) > 0
+                        : threads.count(t[i].text) > 0) {
+        findings->push_back(
+            {"determinism", file.path, t[i].line,
+             StrFormat("\"%s%s\" starts a thread; the simulator is "
+                       "single-threaded by construction (DESIGN.md §2)",
+                       std_qualified ? "std::" : "", t[i].text.c_str()),
+             false,
+             ""});
+        continue;
+      }
+      if (exempt) {
         continue;
       }
       if (clocks.count(t[i].text) > 0) {
@@ -674,6 +690,11 @@ LintConfig DefaultConfig() {
       "mktime",
   };
   config.banned_call_identifiers = {"rand", "srand", "time", "clock"};
+  // The simulator is one single-threaded world (DESIGN.md §2), which is
+  // why the tests have no TSan build; this keeps it that way everywhere,
+  // src/sim/ and bench/ included.
+  config.banned_thread_identifiers = {"std::thread", "std::jthread",
+                                      "std::async", "pthread_create"};
 
   // Fig 3.1 / Table 5.1 privilege assignments, attributed via the domain
   // identifiers the grant sites in src/core/xoar_platform.cc use.

@@ -15,7 +15,9 @@
 //                  src/hv/hypercall.h) includes that op (§3.1, Fig 3.1).
 //   determinism  — wall-clock and libc randomness are banned outside
 //                  src/sim/ and bench/, protecting seed-stable fault
-//                  campaigns and byte-stable reports (DESIGN.md §5c).
+//                  campaigns and byte-stable reports (DESIGN.md §5c);
+//                  thread creation is banned everywhere, since the
+//                  simulator is single-threaded by construction (§2).
 //   audit        — the privileged operations named in the audited-op table
 //                  (restart escalation, quarantine, builder launch, PCI
 //                  assignment) must emit an AuditLog event in the same
@@ -76,6 +78,10 @@ struct LintConfig {
   std::vector<std::string> banned_clock_identifiers;
   // Banned only in call position: `name(` not preceded by `.` or `->`.
   std::vector<std::string> banned_call_identifiers;
+  // Thread creation, banned in every file (no exempt prefix applies). An
+  // entry "std::x" matches only the qualified name, so a variable named
+  // `thread` is not flagged.
+  std::vector<std::string> banned_thread_identifiers;
 
   // Privilege rule inputs.
   std::vector<ShardGrant> shards;

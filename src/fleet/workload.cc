@@ -125,8 +125,7 @@ Status FleetWorkload::QuiesceGuest(FleetGuestId guest) {
     return Status::Ok();  // no loop, nothing in flight
   }
   GuestLoop& loop = it->second;
-  loop.running = false;
-  ++loop.epoch;
+  ++loop.epoch;  // stops the loop; `running` still says whether to resume
   const FleetConfig& config = fleet_->config();
   for (int i = 0; i < config.drain_slices_max && loop.pending > 0; ++i) {
     fleet_->AdvanceAll(config.drain_slice);
@@ -148,9 +147,11 @@ void FleetWorkload::ResumeGuest(FleetGuestId guest) {
   GuestLoop& loop = it->second;
   // Moved or not, the guest now runs where its record says: the old
   // host's frontends are gone after a move, and an aborted attempt
-  // re-binds the same handles.
+  // re-binds the same handles. A detached loop stays stopped.
   Bind(loop, *record);
-  loop.running = true;
+  if (!loop.running) {
+    return;
+  }
   ++loop.epoch;
   ScheduleTick(loop, config_.tick + loop.stagger);
 }

@@ -78,7 +78,8 @@ class FleetWorkload : public MigrationQuiescer {
 
   // MigrationQuiescer: stop the loop, drain in-flight requests by
   // advancing the fleet (bounded by the fleet's drain config), ABORTED if
-  // they do not drain. Resume restarts the loop on the current host.
+  // they do not drain. Resume restarts the loop on the current host if it
+  // was running when quiesced; a detached guest stays detached.
   Status QuiesceGuest(FleetGuestId guest) override;
   void ResumeGuest(FleetGuestId guest) override;
 
@@ -114,7 +115,7 @@ class FleetWorkload : public MigrationQuiescer {
     Simulator* sim = nullptr;
     NetFront* netfront = nullptr;
     BlkFront* blkfront = nullptr;
-    bool running = false;
+    bool running = false;     // attached and not detached
     std::uint64_t epoch = 0;  // bumped on quiesce/resume/detach
     std::uint64_t ticks = 0;
     int pending = 0;

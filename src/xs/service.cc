@@ -116,9 +116,28 @@ bool XenStoreService::IsConnected(DomainId client) const {
 }
 
 void XenStoreService::Disconnect(DomainId client) {
-  if (client.value() < connections_.size()) {
-    connections_[client.value()] = Connection{};
+  if (!IsConnected(client)) {
+    return;
   }
+  Connection& conn = connections_[client.value()];
+  // Release what Connect took, in reverse. The logic domain's own row
+  // holds no ring, grant or ports.
+  if (client != logic_domain_) {
+    (void)hv_->EvtchnClose(logic_domain_, conn.server_port);
+    (void)hv_->EvtchnClose(client, conn.client_port);
+    bool ring_released = true;
+    if (conn.ring_gref.valid()) {
+      (void)hv_->UnmapGrant(logic_domain_, client, conn.ring_gref);
+      // A grant still mapped (XenStore-Logic crashed and could not unmap)
+      // keeps naming the page, so the page stays until the client's
+      // domain is destroyed.
+      ring_released = hv_->EndGrantAccess(client, conn.ring_gref).ok();
+    }
+    if (ring_released) {
+      (void)hv_->memory().FreeSpecificPages(client, conn.ring_pfn, 1);
+    }
+  }
+  conn = Connection{};
 }
 
 Status XenStoreService::CheckRequest(DomainId caller) {

@@ -79,7 +79,8 @@ class XenStoreService {
   // channel pair. The hypervisor's IVC policy decides admissibility.
   Status Connect(DomainId client);
   bool IsConnected(DomainId client) const;
-  // Tears down a client's connection (domain destroyed).
+  // Tears down a client's connection (domain destroyed) and releases what
+  // Connect allocated: both ports, the grant and its mapping, the page.
   void Disconnect(DomainId client);
 
   // --- Request interface (checked against the connection + store ACLs) ---

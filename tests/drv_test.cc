@@ -321,7 +321,7 @@ TEST(DriverProtocolTest, FixedScenarioTraceIsPinned) {
   platform.Settle(kSecond);
 
   EXPECT_EQ(ok, issued);
-  EXPECT_EQ(sink.digest, 1159327348335947529u);
+  EXPECT_EQ(sink.digest, 9734915621086660614u);
   EXPECT_EQ(platform.sim().EventsExecuted(), 2818u);
   platform.obs().tracer().set_sink(nullptr);
 }

@@ -7,6 +7,7 @@
 // workload test follows a guest's request loop across a move.
 #include <algorithm>
 #include <cstdint>
+#include <cstdio>
 #include <fstream>
 #include <set>
 #include <sstream>
@@ -278,6 +279,37 @@ TEST(FleetWorkloadTest, EvacuatedGuestSendsOnlyThroughItsDestination) {
   EXPECT_EQ(fleet.CheckInvariants().violations(), 0u);
 }
 
+// A migration quiesces and resumes the guest's loop. A guest detached
+// before the move must stay detached: resume restarts only a loop that was
+// running when the quiesce stopped it.
+TEST(FleetWorkloadTest, DetachedGuestStaysStoppedAcrossMigration) {
+  FleetConfig config;
+  config.hosts = 2;
+  config.migration.dirty_rate_bytes_per_sec = 24e6;
+  FleetFixture fx(config);
+  ASSERT_TRUE(fx.Populate(1, 1).ok());
+  Fleet& fleet = fx.fleet();
+  FleetWorkload workload(&fleet);
+  fleet.set_quiescer(&workload);
+  const FleetGuestId guest = fx.ids()[0];
+  ASSERT_TRUE(workload.Attach(guest).ok());
+  fleet.AdvanceAll(100 * kMillisecond);
+  workload.Detach(guest);
+  fleet.AdvanceAll(100 * kMillisecond);  // the last requests complete
+  const std::uint64_t issued = workload.issued();
+  ASSERT_GT(issued, 0u);
+  ASSERT_EQ(workload.total_pending(), 0);
+
+  const int source = fleet.guest(guest)->host;
+  StatusOr<Fleet::MigrateStats> moved =
+      fleet.MigrateGuest(guest, 1 - source);
+  ASSERT_TRUE(moved.ok()) << moved.status().ToString();
+  ASSERT_NE(fleet.guest(guest)->host, source);
+  fleet.AdvanceAll(100 * kMillisecond);
+  EXPECT_EQ(workload.issued(), issued);
+  EXPECT_EQ(workload.total_pending(), 0);
+}
+
 // --- Rebalancing ---
 
 TEST(FleetRebalanceTest, SpikeRebalanceReducesLoadSpread) {
@@ -348,10 +380,11 @@ TEST(FleetDeterminismTest, EvacuationCampaignExportIsByteIdentical) {
   options.run_storm_wave = false;
   options.run_rebalance = false;
 
-  // Per-process filenames: the plain/ASan/TSan builds of this test all run
-  // under one parallel ctest from the same working directory.
-  const std::string prefix =
-      StrFormat("fleet_det_%d", static_cast<int>(::getpid()));
+  // Per-process filenames in the test temp dir: the plain and ASan builds
+  // of this test run under one parallel ctest.
+  const std::string prefix = StrFormat("%s/fleet_det_%d",
+                                       testing::TempDir().c_str(),
+                                       static_cast<int>(::getpid()));
   options.metrics_out = prefix + "_a.json";
   StatusOr<FleetScenarioSummary> a = RunFleetCampaign(options);
   ASSERT_TRUE(a.ok()) << a.status().ToString();
@@ -367,6 +400,8 @@ TEST(FleetDeterminismTest, EvacuationCampaignExportIsByteIdentical) {
 
   const std::string bytes_a = ReadWholeFile(prefix + "_a.json");
   const std::string bytes_b = ReadWholeFile(prefix + "_b.json");
+  std::remove((prefix + "_a.json").c_str());
+  std::remove((prefix + "_b.json").c_str());
   ASSERT_FALSE(bytes_a.empty());
   EXPECT_EQ(bytes_a, bytes_b);
 }

@@ -45,8 +45,8 @@ Journal MakeJournal(std::size_t n) {
   return journal;
 }
 
-// The plain, ASan and TSan builds of this test run in parallel under ctest,
-// so each process gets its own file names.
+// The plain and ASan builds of this test run in parallel under ctest, so
+// each process gets its own file names.
 std::string TempPath(const char* name) {
   return testing::TempDir() + "/" + std::to_string(getpid()) + "_" + name;
 }

@@ -188,6 +188,37 @@ TEST_F(XsServiceTest, UnknownCallerIdsAreRefusedWithoutGrowingTheTable) {
   EXPECT_EQ(*xs_->Read(guest_, "/g/k"), "v");
 }
 
+// Disconnect releases what Connect allocated: the ring page, the client's
+// grant and XenStore-Logic's mapping of it, and both ends of the event
+// channel. Repeated cycles on a live domain leave its tables as they were.
+TEST_F(XsServiceTest, DisconnectReleasesWhatConnectAllocated) {
+  SetUpSplit();
+  // Ports are numbered from 0 per domain and never reused.
+  auto connected_ports = [&](DomainId domain) {
+    int connected = 0;
+    for (std::uint32_t port = 0; port < 64; ++port) {
+      connected += hv_->evtchn().IsConnected(domain, EvtchnPort(port));
+    }
+    return connected;
+  };
+  const GrantTable& grants = hv_->domain(guest_)->grant_table();
+  const std::size_t grants_before = grants.ActiveEntries();
+  const std::uint64_t pages_before = hv_->memory().PagesOwnedBy(guest_);
+  const int guest_ports_before = connected_ports(guest_);
+  const int logic_ports_before = connected_ports(logic_);
+  for (int cycle = 0; cycle < 3; ++cycle) {
+    ASSERT_TRUE(xs_->Connect(guest_).ok()) << cycle;
+    ASSERT_EQ(grants.ActiveEntries(), grants_before + 1) << cycle;
+    ASSERT_EQ(connected_ports(guest_), guest_ports_before + 1) << cycle;
+    xs_->Disconnect(guest_);
+    EXPECT_FALSE(xs_->IsConnected(guest_)) << cycle;
+    EXPECT_EQ(grants.ActiveEntries(), grants_before) << cycle;
+    EXPECT_EQ(hv_->memory().PagesOwnedBy(guest_), pages_before) << cycle;
+    EXPECT_EQ(connected_ports(guest_), guest_ports_before) << cycle;
+    EXPECT_EQ(connected_ports(logic_), logic_ports_before) << cycle;
+  }
+}
+
 TEST_F(XsServiceTest, LogicRestartMakesServiceUnavailableThenRecovers) {
   SetUpSplit();
   ASSERT_TRUE(xs_->Connect(guest_).ok());
