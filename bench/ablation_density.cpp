@@ -24,12 +24,12 @@
 // the old hard 48-guest cutoff: 0 means "run each sweep point to its
 // target", any other value caps every point (smoke tests run tiny sweeps).
 //
-// Record/replay (DEBUGGING.md): --record journals the full trace stream of
-// every sweep point's platform (one platform per point, streamed back to
-// back) plus the sweep parameters; --replay re-executes the journaled
-// parameters and verifies every event against the recording, exiting 1 at
-// the first divergence. Wall-clock never feeds back into the simulation,
-// so the trace stream is byte-deterministic across runs.
+// Record/replay (DEBUGGING.md, src/replay/harness.h): --record journals the
+// full trace stream of every sweep point's platform (one platform per
+// point, streamed back to back) plus the sweep parameters; --replay re-runs
+// the journaled parameters and verifies every event against the recording,
+// exiting 1 at the first divergence. Wall-clock never feeds back into the
+// simulation, so the trace stream is byte-deterministic across runs.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -45,19 +45,58 @@
 #include "src/base/units.h"
 #include "src/core/xoar_platform.h"
 #include "src/obs/metrics.h"
-#include "src/replay/journal.h"
-#include "src/replay/verify.h"
+#include "src/replay/harness.h"
 
 namespace xoar {
 namespace {
+
+std::string SweepToString(const std::vector<int>& sweep) {
+  std::string out;
+  for (std::size_t i = 0; i < sweep.size(); ++i) {
+    out += StrFormat(i == 0 ? "%d" : ",%d", sweep[i]);
+  }
+  return out;
+}
+
+std::vector<int> ParseSweep(const char* arg) {
+  std::vector<int> sweep;
+  std::string token;
+  for (const char* c = arg;; ++c) {
+    if (*c == ',' || *c == '\0') {
+      if (!token.empty()) {
+        sweep.push_back(std::atoi(token.c_str()));
+        token.clear();
+      }
+      if (*c == '\0') {
+        break;
+      }
+    } else {
+      token += *c;
+    }
+  }
+  return sweep;
+}
 
 struct Options {
   std::vector<int> sweep = {100, 1000, 10000, 100000};
   int max_guests = 0;  // 0 = no cap beyond the sweep target
   int shards = 0;      // 0 = auto-scale with the sweep target
   std::string out = "BENCH_density.json";
-  std::string record;  // journal path to write
-  std::string replay;  // journal path to verify against
+
+  JournalMeta ToMeta() const {
+    return {{"sweep", SweepToString(sweep)},
+            {"max_guests", StrFormat("%d", max_guests)},
+            {"shards", StrFormat("%d", shards)}};
+  }
+  // A replay writes no report.
+  static Options FromMeta(const JournalMeta& meta) {
+    Options options;
+    options.sweep = ParseSweep(MetaValue(meta, "sweep").c_str());
+    options.max_guests = std::atoi(MetaValue(meta, "max_guests").c_str());
+    options.shards = std::atoi(MetaValue(meta, "shards").c_str());
+    options.out.clear();
+    return options;
+  }
 };
 
 struct SweepPoint {
@@ -192,7 +231,13 @@ Status WriteReport(const std::string& path,
   return WriteStringToFile(path, report.ToString());
 }
 
+// The scenario: the whole sweep with `sink` observing every point's
+// platform. Writes the report only when `options.out` is set.
 int Run(const Options& options, TraceSink* sink) {
+  if (options.sweep.empty()) {
+    std::fprintf(stderr, "empty sweep\n");
+    return 2;
+  }
   PrintHeading("Ablation: density trajectory (sharded XenStore-State)");
 
   std::vector<SweepPoint> sweep;
@@ -246,7 +291,7 @@ int Run(const Options& options, TraceSink* sink) {
     }
   }
 
-  if (!options.out.empty()) {  // a replay verification run writes no report
+  if (!options.out.empty()) {
     const Status written = WriteReport(options.out, sweep, scan_free);
     if (!written.ok()) {
       std::fprintf(stderr, "%s\n", written.ToString().c_str());
@@ -264,99 +309,14 @@ int Run(const Options& options, TraceSink* sink) {
   return (scan_free && flat) ? 0 : 1;
 }
 
-std::string SweepToString(const std::vector<int>& sweep) {
-  std::string out;
-  for (std::size_t i = 0; i < sweep.size(); ++i) {
-    out += StrFormat(i == 0 ? "%d" : ",%d", sweep[i]);
-  }
-  return out;
-}
-
-std::vector<int> ParseSweep(const char* arg) {
-  std::vector<int> sweep;
-  std::string token;
-  for (const char* c = arg;; ++c) {
-    if (*c == ',' || *c == '\0') {
-      if (!token.empty()) {
-        sweep.push_back(std::atoi(token.c_str()));
-        token.clear();
-      }
-      if (*c == '\0') {
-        break;
-      }
-    } else {
-      token += *c;
-    }
-  }
-  return sweep;
-}
-
-int RunRecord(const Options& options) {
-  Journal journal;
-  JournalRecorder recorder(&journal);
-  const int result = Run(options, &recorder);
-  if (result == 2) {
-    return result;
-  }
-  journal.SetMeta("sweep", SweepToString(options.sweep));
-  journal.SetMeta("max_guests", StrFormat("%d", options.max_guests));
-  journal.SetMeta("shards", StrFormat("%d", options.shards));
-  Status status = journal.WriteFile(options.record);
-  if (!status.ok()) {
-    std::fprintf(stderr, "failed to write %s: %s\n", options.record.c_str(),
-                 status.ToString().c_str());
-    return 2;
-  }
-  std::printf("journal (%zu events, chain %016llx) -> %s\n", journal.size(),
-              static_cast<unsigned long long>(journal.chain_head()),
-              options.record.c_str());
-  return result;
-}
-
-int RunReplay(const Options& options) {
-  StatusOr<Journal> journal = Journal::ReadFile(options.replay);
-  if (!journal.ok()) {
-    std::fprintf(stderr, "failed to read %s: %s\n", options.replay.c_str(),
-                 journal.status().ToString().c_str());
-    return 2;
-  }
-
-  // Re-execute the journaled parameters, not the command line: a replay is
-  // only meaningful against the recording's own sweep.
-  Options recorded = options;
-  recorded.sweep = ParseSweep(journal->Meta("sweep").c_str());
-  recorded.max_guests = std::atoi(journal->Meta("max_guests").c_str());
-  recorded.shards = std::atoi(journal->Meta("shards").c_str());
-  recorded.out.clear();
-  if (recorded.sweep.empty()) {
-    std::fprintf(stderr, "journal %s has no sweep metadata\n",
-                 options.replay.c_str());
-    return 2;
-  }
-
-  ReplayVerifier verifier(&*journal);
-  const int result = Run(recorded, &verifier);
-  verifier.Finish();
-
-  if (verifier.diverged()) {
-    std::printf("replay of %s DIVERGED after %zu verified events\n%s",
-                options.replay.c_str(), verifier.verified(),
-                verifier.report().ToString("journal", "replay").c_str());
-    return 1;
-  }
-  std::printf("replay of %s verified: %zu events, zero divergences "
-              "(chain %016llx)\n",
-              options.replay.c_str(), verifier.verified(),
-              static_cast<unsigned long long>(journal->chain_head()));
-  return result;
-}
-
 }  // namespace
 }  // namespace xoar
 
 int main(int argc, char** argv) {
   xoar::Logger::Get().set_level(xoar::LogLevel::kError);
   xoar::Options options;
+  std::string record;
+  std::string replay;
   for (int i = 1; i < argc; ++i) {
     auto next = [&]() -> const char* {
       return i + 1 < argc ? argv[++i] : "";
@@ -370,9 +330,9 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--out") == 0) {
       options.out = next();
     } else if (std::strcmp(argv[i], "--record") == 0) {
-      options.record = next();
+      record = next();
     } else if (std::strcmp(argv[i], "--replay") == 0) {
-      options.replay = next();
+      replay = next();
     } else {
       std::fprintf(stderr,
                    "usage: %s [--sweep N,N,...] [--max-guests N] "
@@ -382,15 +342,17 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
-  if (!options.replay.empty()) {
-    return xoar::RunReplay(options);
+  if (!replay.empty()) {
+    return xoar::ReplayRun(
+        replay, [](const xoar::JournalMeta& meta, xoar::TraceSink* sink) {
+          return xoar::Run(xoar::Options::FromMeta(meta), sink);
+        });
   }
-  if (options.sweep.empty()) {
-    std::fprintf(stderr, "empty --sweep\n");
-    return 2;
-  }
-  if (!options.record.empty()) {
-    return xoar::RunRecord(options);
+  if (!record.empty()) {
+    return xoar::RecordRun(record, options.ToMeta(),
+                           [&](xoar::TraceSink* sink) {
+                             return xoar::Run(options, sink);
+                           });
   }
   return xoar::Run(options, nullptr);
 }

@@ -5,7 +5,7 @@
 //   fault_campaign [--seed N] [--faults N] [--seconds S] [--crashes N]
 //                  [--hangs N] [--box-corrupts N]
 //                  [--out BENCH_fault_campaign.json]
-//                  [--record JOURNAL | --replay JOURNAL | --diff A B]
+//                  [--record JOURNAL | --replay JOURNAL]
 //
 // A FaultPlan::Randomized schedule of transient windows plus shard
 // crashes, service-loop hangs, and recovery-box corruptions runs while a
@@ -30,11 +30,11 @@
 // seed writes a byte-identical JSON report. Exits non-zero if any invariant
 // is violated.
 //
-// Record/replay (DEBUGGING.md): --record journals the run's full trace
-// stream plus the campaign parameters; --replay re-executes the journaled
-// parameters and verifies every event against the recording, exiting 1 at
-// the first divergence with the surrounding context; --diff structurally
-// compares two journals and reports their earliest disagreement.
+// Record/replay (DEBUGGING.md, src/replay/harness.h): --record journals the
+// run's full trace stream plus the campaign parameters; --replay re-runs the
+// journaled parameters and verifies every event against the recording,
+// exiting 1 at the first divergence. `xoar_replay diff` compares two
+// journals.
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -44,28 +44,12 @@
 #include "src/base/log.h"
 #include "src/base/strings.h"
 #include "src/fault/campaign.h"
-#include "src/replay/diff.h"
-#include "src/replay/journal.h"
-#include "src/replay/verify.h"
+#include "src/replay/harness.h"
 
 namespace xoar {
 namespace {
 
-struct Options {
-  std::uint64_t seed = 42;
-  int faults = 12;
-  double seconds = 6.0;
-  int crashes = 2;
-  int hangs = 2;
-  int box_corrupts = 1;
-  std::string out = "BENCH_fault_campaign.json";
-  std::string record;   // journal path to write
-  std::string replay;   // journal path to verify against
-  std::string diff_a;   // --diff: first journal
-  std::string diff_b;   // --diff: second journal
-};
-
-void PrintCampaignReport(const Options& options,
+void PrintCampaignReport(const CampaignRunOptions& options,
                          const CampaignSummary& summary) {
   PrintHeading(StrFormat("Fault campaign (seed %llu, %d windows, %d crashes, "
                          "%d hangs, %d box corruptions, %.1f s)",
@@ -105,23 +89,25 @@ void PrintCampaignReport(const Options& options,
                   StrFormat("%llu", summary.crashes_skipped)});
   results.AddRow({"mean recovery (ms)",
                   StrFormat("%.2f", summary.mean_recovery_ms)});
-  if (summary.has_watchdog) {
-    results.AddRow({"hangs injected / detected / absorbed",
-                    StrFormat("%llu / %llu / %llu", summary.hangs_injected,
-                              summary.hangs_detected,
-                              summary.hangs_absorbed)});
-    results.AddRow(
-        {"worst hang detection (ms)",
-         StrFormat("%.2f (timeout %.0f)",
-                   static_cast<double>(summary.hang_detection_max) /
-                       static_cast<double>(kMillisecond),
-                   static_cast<double>(summary.heartbeat_timeout) /
-                       static_cast<double>(kMillisecond))});
-    results.AddRow({"watchdog auto restarts",
-                    StrFormat("%llu", summary.auto_restarts)});
-    results.AddRow({"quarantines",
-                    StrFormat("%llu", summary.quarantines)});
-  }
+  results.AddRow(
+      {"hangs injected / detected / absorbed",
+       StrFormat("%llu / %llu / %llu",
+                 static_cast<unsigned long long>(summary.hangs_injected),
+                 static_cast<unsigned long long>(summary.hangs_detected),
+                 static_cast<unsigned long long>(summary.hangs_absorbed))});
+  results.AddRow(
+      {"worst hang detection (ms)",
+       StrFormat("%.2f (timeout %.0f)",
+                 static_cast<double>(summary.hang_detection_max) /
+                     static_cast<double>(kMillisecond),
+                 static_cast<double>(summary.heartbeat_timeout) /
+                     static_cast<double>(kMillisecond))});
+  results.AddRow({"watchdog auto restarts",
+                  StrFormat("%llu", static_cast<unsigned long long>(
+                                        summary.auto_restarts))});
+  results.AddRow({"quarantines",
+                  StrFormat("%llu", static_cast<unsigned long long>(
+                                        summary.quarantines))});
   results.AddRow({"boxes corrupted / rejected",
                   StrFormat("%llu / %llu", summary.box_corrupts_injected,
                             summary.boxes_rejected)});
@@ -144,112 +130,20 @@ int ReportViolations(const CampaignSummary& summary) {
   return 1;
 }
 
-int RunCampaign(const Options& options) {
-  CampaignRunOptions run;
-  run.seed = options.seed;
-  run.faults = options.faults;
-  run.seconds = options.seconds;
-  run.crashes = options.crashes;
-  run.hangs = options.hangs;
-  run.box_corrupts = options.box_corrupts;
-  run.metrics_out = options.out;
-
-  Journal journal;
-  JournalRecorder recorder(&journal);
-  if (!options.record.empty()) {
-    run.sink = &recorder;
-  }
-
-  StatusOr<CampaignSummary> summary = RunProbeCampaign(run);
+// The scenario: one campaign with `sink` observing it. Writes the report
+// only when `options.metrics_out` is set.
+int Run(CampaignRunOptions options, TraceSink* sink) {
+  options.sink = sink;
+  StatusOr<CampaignSummary> summary = RunProbeCampaign(options);
   if (!summary.ok()) {
     std::fprintf(stderr, "%s\n", summary.status().ToString().c_str());
     return 2;
   }
   PrintCampaignReport(options, *summary);
-  std::printf("\ncampaign report -> %s\n", options.out.c_str());
-
-  if (!options.record.empty()) {
-    journal.SetMeta("seed", StrFormat("%llu", options.seed));
-    journal.SetMeta("faults", StrFormat("%d", options.faults));
-    journal.SetMeta("seconds", StrFormat("%.6f", options.seconds));
-    journal.SetMeta("crashes", StrFormat("%d", options.crashes));
-    journal.SetMeta("hangs", StrFormat("%d", options.hangs));
-    journal.SetMeta("box_corrupts", StrFormat("%d", options.box_corrupts));
-    Status status = journal.WriteFile(options.record);
-    if (!status.ok()) {
-      std::fprintf(stderr, "failed to write %s: %s\n",
-                   options.record.c_str(), status.ToString().c_str());
-      return 2;
-    }
-    std::printf("journal (%zu events, chain %016llx) -> %s\n",
-                journal.size(),
-                static_cast<unsigned long long>(journal.chain_head()),
-                options.record.c_str());
+  if (!options.metrics_out.empty()) {
+    std::printf("\ncampaign report -> %s\n", options.metrics_out.c_str());
   }
   return ReportViolations(*summary);
-}
-
-int RunReplay(const Options& options) {
-  StatusOr<Journal> journal = Journal::ReadFile(options.replay);
-  if (!journal.ok()) {
-    std::fprintf(stderr, "failed to read %s: %s\n", options.replay.c_str(),
-                 journal.status().ToString().c_str());
-    return 2;
-  }
-
-  // Re-execute the journaled parameters, not the command line: a replay is
-  // only meaningful against the recording's own seed and plan.
-  CampaignRunOptions run;
-  run.seed = std::strtoull(journal->Meta("seed").c_str(), nullptr, 10);
-  run.faults = std::atoi(journal->Meta("faults").c_str());
-  run.seconds = std::atof(journal->Meta("seconds").c_str());
-  run.crashes = std::atoi(journal->Meta("crashes").c_str());
-  run.hangs = std::atoi(journal->Meta("hangs").c_str());
-  run.box_corrupts = std::atoi(journal->Meta("box_corrupts").c_str());
-
-  ReplayVerifier verifier(&*journal);
-  run.sink = &verifier;
-
-  StatusOr<CampaignSummary> summary = RunProbeCampaign(run);
-  if (!summary.ok()) {
-    std::fprintf(stderr, "%s\n", summary.status().ToString().c_str());
-    return 2;
-  }
-  verifier.Finish();
-
-  if (verifier.diverged()) {
-    std::printf("replay of %s DIVERGED after %zu verified events\n%s",
-                options.replay.c_str(), verifier.verified(),
-                verifier.report().ToString("journal", "replay").c_str());
-    return 1;
-  }
-  std::printf("replay of %s verified: %zu events, zero divergences "
-              "(chain %016llx)\n",
-              options.replay.c_str(), verifier.verified(),
-              static_cast<unsigned long long>(journal->chain_head()));
-  return ReportViolations(*summary);
-}
-
-int RunDiff(const Options& options) {
-  StatusOr<Journal> a = Journal::ReadFile(options.diff_a);
-  if (!a.ok()) {
-    std::fprintf(stderr, "failed to read %s: %s\n", options.diff_a.c_str(),
-                 a.status().ToString().c_str());
-    return 2;
-  }
-  StatusOr<Journal> b = Journal::ReadFile(options.diff_b);
-  if (!b.ok()) {
-    std::fprintf(stderr, "failed to read %s: %s\n", options.diff_b.c_str(),
-                 b.status().ToString().c_str());
-    return 2;
-  }
-  std::printf("%s: %zu events, chain %016llx\n", options.diff_a.c_str(),
-              a->size(), static_cast<unsigned long long>(a->chain_head()));
-  std::printf("%s: %zu events, chain %016llx\n", options.diff_b.c_str(),
-              b->size(), static_cast<unsigned long long>(b->chain_head()));
-  DivergenceReport report = DiffJournals(*a, *b);
-  std::printf("%s", report.ToString(options.diff_a, options.diff_b).c_str());
-  return report.diverged ? 1 : 0;
 }
 
 }  // namespace
@@ -257,7 +151,10 @@ int RunDiff(const Options& options) {
 
 int main(int argc, char** argv) {
   xoar::Logger::Get().set_level(xoar::LogLevel::kError);
-  xoar::Options options;
+  xoar::CampaignRunOptions options;
+  options.metrics_out = "BENCH_fault_campaign.json";
+  std::string record;
+  std::string replay;
   for (int i = 1; i < argc; ++i) {
     auto next = [&]() -> const char* {
       return i + 1 < argc ? argv[++i] : "";
@@ -275,29 +172,31 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--box-corrupts") == 0) {
       options.box_corrupts = std::atoi(next());
     } else if (std::strcmp(argv[i], "--out") == 0) {
-      options.out = next();
+      options.metrics_out = next();
     } else if (std::strcmp(argv[i], "--record") == 0) {
-      options.record = next();
+      record = next();
     } else if (std::strcmp(argv[i], "--replay") == 0) {
-      options.replay = next();
-    } else if (std::strcmp(argv[i], "--diff") == 0) {
-      options.diff_a = next();
-      options.diff_b = next();
+      replay = next();
     } else {
       std::fprintf(stderr,
                    "usage: %s [--seed N] [--faults N] [--seconds S] "
                    "[--crashes N] [--hangs N] [--box-corrupts N] "
-                   "[--out FILE] [--record JOURNAL | --replay JOURNAL | "
-                   "--diff A B]\n",
+                   "[--out FILE] [--record JOURNAL | --replay JOURNAL]\n",
                    argv[0]);
       return 2;
     }
   }
-  if (!options.diff_a.empty()) {
-    return xoar::RunDiff(options);
+  if (!replay.empty()) {
+    return xoar::ReplayRun(
+        replay, [](const xoar::JournalMeta& meta, xoar::TraceSink* sink) {
+          return xoar::Run(xoar::CampaignRunOptions::FromMeta(meta), sink);
+        });
   }
-  if (!options.replay.empty()) {
-    return xoar::RunReplay(options);
+  if (!record.empty()) {
+    return xoar::RecordRun(record, options.ToMeta(),
+                           [&](xoar::TraceSink* sink) {
+                             return xoar::Run(options, sink);
+                           });
   }
-  return xoar::RunCampaign(options);
+  return xoar::Run(options, nullptr);
 }

@@ -28,10 +28,11 @@
 // incomplete, clean wave aborted, storm gate not tripped, fleet not
 // converged). The same seed writes a byte-identical BENCH_fleet.json.
 //
-// Record/replay (DEBUGGING.md): --record journals the victim host's full
-// trace stream plus the scenario parameters; --replay re-executes the
-// journaled parameters and verifies every event, exiting 1 at the first
-// divergence. The CTest pair records the evacuation-only scenario.
+// Record/replay (DEBUGGING.md, src/replay/harness.h): --record journals the
+// victim host's full trace stream plus the scenario parameters; --replay
+// re-runs the journaled parameters and verifies every event, exiting 1 at
+// the first divergence. The CTest pair records the evacuation-only
+// scenario.
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -41,8 +42,7 @@
 #include "src/base/log.h"
 #include "src/base/strings.h"
 #include "src/fleet/scenarios.h"
-#include "src/replay/journal.h"
-#include "src/replay/verify.h"
+#include "src/replay/harness.h"
 
 namespace xoar {
 namespace {
@@ -56,8 +56,30 @@ struct Options {
   bool evac_only = false;
   bool storm = true;
   std::string out = "BENCH_fleet.json";
-  std::string record;
-  std::string replay;
+
+  JournalMeta ToMeta() const {
+    return {{"seed", StrFormat("%llu", static_cast<unsigned long long>(seed))},
+            {"hosts", StrFormat("%d", hosts)},
+            {"guests_per_host", StrFormat("%d", guests_per_host)},
+            {"tenants", StrFormat("%d", tenants)},
+            {"gate_p99_ms", StrFormat("%.6f", gate_p99_ms)},
+            {"evac_only", evac_only ? "1" : "0"},
+            {"storm", storm ? "1" : "0"}};
+  }
+  // A replay writes no report.
+  static Options FromMeta(const JournalMeta& meta) {
+    Options options;
+    options.seed = std::strtoull(MetaValue(meta, "seed").c_str(), nullptr, 10);
+    options.hosts = std::atoi(MetaValue(meta, "hosts").c_str());
+    options.guests_per_host =
+        std::atoi(MetaValue(meta, "guests_per_host").c_str());
+    options.tenants = std::atoi(MetaValue(meta, "tenants").c_str());
+    options.gate_p99_ms = std::atof(MetaValue(meta, "gate_p99_ms").c_str());
+    options.evac_only = MetaValue(meta, "evac_only") == "1";
+    options.storm = MetaValue(meta, "storm") == "1";
+    options.out.clear();
+    return options;
+  }
 };
 
 FleetScenarioOptions ToScenarioOptions(const Options& options) {
@@ -174,88 +196,21 @@ int ReportFailures(const Options& options,
   return failures == 0 ? 0 : 1;
 }
 
-int RunCampaign(const Options& options) {
+// The scenario: one fleet campaign with `sink` observing the victim host.
+// Writes the report only when `options.out` is set.
+int Run(const Options& options, TraceSink* sink) {
   FleetScenarioOptions run = ToScenarioOptions(options);
-
-  Journal journal;
-  JournalRecorder recorder(&journal);
-  if (!options.record.empty()) {
-    run.sink = &recorder;
-  }
-
+  run.sink = sink;
   StatusOr<FleetScenarioSummary> summary = RunFleetCampaign(run);
   if (!summary.ok()) {
     std::fprintf(stderr, "%s\n", summary.status().ToString().c_str());
     return 2;
   }
   PrintFleetReport(options, *summary);
-  std::printf("\nfleet report -> %s\n", options.out.c_str());
-
-  if (!options.record.empty()) {
-    journal.SetMeta("seed", StrFormat("%llu", options.seed));
-    journal.SetMeta("hosts", StrFormat("%d", options.hosts));
-    journal.SetMeta("guests_per_host",
-                    StrFormat("%d", options.guests_per_host));
-    journal.SetMeta("tenants", StrFormat("%d", options.tenants));
-    journal.SetMeta("gate_p99_ms", StrFormat("%.6f", options.gate_p99_ms));
-    journal.SetMeta("evac_only", options.evac_only ? "1" : "0");
-    journal.SetMeta("storm", options.storm ? "1" : "0");
-    Status status = journal.WriteFile(options.record);
-    if (!status.ok()) {
-      std::fprintf(stderr, "failed to write %s: %s\n",
-                   options.record.c_str(), status.ToString().c_str());
-      return 2;
-    }
-    std::printf("journal (%zu events, chain %016llx) -> %s\n",
-                journal.size(),
-                static_cast<unsigned long long>(journal.chain_head()),
-                options.record.c_str());
+  if (!options.out.empty()) {
+    std::printf("\nfleet report -> %s\n", options.out.c_str());
   }
   return ReportFailures(options, *summary);
-}
-
-int RunReplay(const Options& options) {
-  StatusOr<Journal> journal = Journal::ReadFile(options.replay);
-  if (!journal.ok()) {
-    std::fprintf(stderr, "failed to read %s: %s\n", options.replay.c_str(),
-                 journal.status().ToString().c_str());
-    return 2;
-  }
-
-  // Re-execute the journaled parameters, not the command line.
-  Options recorded = options;
-  recorded.seed = std::strtoull(journal->Meta("seed").c_str(), nullptr, 10);
-  recorded.hosts = std::atoi(journal->Meta("hosts").c_str());
-  recorded.guests_per_host =
-      std::atoi(journal->Meta("guests_per_host").c_str());
-  recorded.tenants = std::atoi(journal->Meta("tenants").c_str());
-  recorded.gate_p99_ms = std::atof(journal->Meta("gate_p99_ms").c_str());
-  recorded.evac_only = journal->Meta("evac_only") == "1";
-  recorded.storm = journal->Meta("storm") == "1";
-  FleetScenarioOptions run = ToScenarioOptions(recorded);
-  run.metrics_out.clear();  // a verification run writes no report
-
-  ReplayVerifier verifier(&*journal);
-  run.sink = &verifier;
-
-  StatusOr<FleetScenarioSummary> summary = RunFleetCampaign(run);
-  if (!summary.ok()) {
-    std::fprintf(stderr, "%s\n", summary.status().ToString().c_str());
-    return 2;
-  }
-  verifier.Finish();
-
-  if (verifier.diverged()) {
-    std::printf("replay of %s DIVERGED after %zu verified events\n%s",
-                options.replay.c_str(), verifier.verified(),
-                verifier.report().ToString("journal", "replay").c_str());
-    return 1;
-  }
-  std::printf("replay of %s verified: %zu events, zero divergences "
-              "(chain %016llx)\n",
-              options.replay.c_str(), verifier.verified(),
-              static_cast<unsigned long long>(journal->chain_head()));
-  return ReportFailures(recorded, *summary);
 }
 
 }  // namespace
@@ -264,6 +219,8 @@ int RunReplay(const Options& options) {
 int main(int argc, char** argv) {
   xoar::Logger::Get().set_level(xoar::LogLevel::kError);
   xoar::Options options;
+  std::string record;
+  std::string replay;
   for (int i = 1; i < argc; ++i) {
     auto next = [&]() -> const char* {
       return i + 1 < argc ? argv[++i] : "";
@@ -287,16 +244,25 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--out") == 0) {
       options.out = next();
     } else if (std::strcmp(argv[i], "--record") == 0) {
-      options.record = next();
+      record = next();
     } else if (std::strcmp(argv[i], "--replay") == 0) {
-      options.replay = next();
+      replay = next();
     } else {
       std::fprintf(stderr, "unknown flag: %s\n", argv[i]);
       return 2;
     }
   }
-  if (!options.replay.empty()) {
-    return xoar::RunReplay(options);
+  if (!replay.empty()) {
+    return xoar::ReplayRun(
+        replay, [](const xoar::JournalMeta& meta, xoar::TraceSink* sink) {
+          return xoar::Run(xoar::Options::FromMeta(meta), sink);
+        });
   }
-  return xoar::RunCampaign(options);
+  if (!record.empty()) {
+    return xoar::RecordRun(record, options.ToMeta(),
+                           [&](xoar::TraceSink* sink) {
+                             return xoar::Run(options, sink);
+                           });
+  }
+  return xoar::Run(options, nullptr);
 }

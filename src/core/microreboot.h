@@ -125,6 +125,13 @@ class RestartEngine {
   class Component {
    public:
     bool restarting() const { return entry_->in_progress; }
+    // Runs the component's suspend hook, if it has one, outside any
+    // restart cycle: the watchdog's quarantine.
+    void Suspend() const {
+      if (entry_->hooks.suspend) {
+        entry_->hooks.suspend();
+      }
+    }
 
    private:
     friend class RestartEngine;

@@ -16,8 +16,7 @@ Watchdog::Watchdog(Simulator* sim, Hypervisor* hv, RestartEngine* engine,
       obs_(obs),
       config_(config) {}
 
-Status Watchdog::Supervise(const std::string& name,
-                           std::function<void()> on_quarantine) {
+Status Watchdog::Supervise(const std::string& name) {
   if (entries_.count(name) > 0) {
     return AlreadyExistsError(
         StrFormat("%s is already supervised", name.c_str()));
@@ -29,7 +28,6 @@ Status Watchdog::Supervise(const std::string& name,
   Entry& entry = it->second;
   entry.name = &it->first;
   entry.domain = domain;
-  entry.on_quarantine = std::move(on_quarantine);
   entry.last_beat = sim_->Now();
   entry.m_beats =
       obs_->metrics().GetCounter(MetricName(name, "watchdog", "beats"));
@@ -241,9 +239,7 @@ void Watchdog::Quarantine(Entry& entry, const std::string& cause) {
                  << ")";
   // Degraded mode: the component stops pretending to serve, so peers see
   // a deterministic UNAVAILABLE instead of silence.
-  if (entry.on_quarantine) {
-    entry.on_quarantine();
-  }
+  entry.component.Suspend();
 }
 
 Status Watchdog::InjectHang(const std::string& name, SimDuration duration) {

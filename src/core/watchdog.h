@@ -19,7 +19,7 @@
 //   2. slow (full-renegotiation) restarts after repeated failures;
 //   3. quarantine once the restart budget for the sliding window is
 //      exhausted — the component enters a degraded mode (its
-//      `on_quarantine` hook suspends it so peers fail `UNAVAILABLE`)
+//      RestartEngine suspend hook runs, so peers fail `UNAVAILABLE`)
 //      instead of restart-storming, until an operator Unquarantines it.
 //
 // Every decision is audit-logged with its cause and surfaced as
@@ -32,7 +32,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -72,11 +71,10 @@ class Watchdog {
            AuditLog* audit, Obs* obs, WatchdogConfig config = {});
 
   // Starts supervising a component registered with the RestartEngine
-  // (NOT_FOUND otherwise). `on_quarantine`, if set, moves the component
-  // into its degraded mode when the restart budget is exhausted — e.g. a
+  // (NOT_FOUND otherwise). When its restart budget is exhausted, the
+  // component's suspend hook moves it into its degraded mode — e.g. a
   // backend Suspend() so peers see `UNAVAILABLE` rather than silence.
-  Status Supervise(const std::string& name,
-                   std::function<void()> on_quarantine = nullptr);
+  Status Supervise(const std::string& name);
 
   // Fault hook for FaultType::kShardHang: the component's service loop
   // stalls (heartbeats stop) for `duration` without its domain dying.
@@ -118,7 +116,6 @@ class Watchdog {
     const std::string* name = nullptr;  // this entry's key in entries_
     RestartEngine::Component component;
     DomainId domain;
-    std::function<void()> on_quarantine;
     std::unique_ptr<PeriodicTimer> emitter;  // the shard's heartbeat loop
     SimTime last_beat = 0;
     // Injected stall: beats are suppressed until hang_until.

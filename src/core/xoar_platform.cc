@@ -280,6 +280,20 @@ Status XoarPlatform::Boot() {
   // --- Steady state: restart engine + self-destructing boot shards ---
   restart_engine_ = std::make_unique<RestartEngine>(
       hv_.get(), &sim_, &snapshots_, builder_dom_, &audit_, &obs_);
+  // Supervision (DESIGN.md §5d): every restartable shard is supervised as
+  // it registers — heartbeats plus automatic microreboot escalation. A
+  // component whose restart budget runs out is quarantined through its
+  // suspend hook, so peers see deterministic UNAVAILABLE instead of
+  // silence.
+  watchdog_ = std::make_unique<Watchdog>(&sim_, hv_.get(),
+                                         restart_engine_.get(), &audit_,
+                                         &obs_, config_.watchdog);
+  auto restartable = [this](const std::string& name, DomainId dom,
+                            RestartEngine::ComponentHooks hooks) -> Status {
+    XOAR_RETURN_IF_ERROR(
+        restart_engine_->Register(name, dom, std::move(hooks)));
+    return watchdog_->Supervise(name);
+  };
   // §3.3: the fast restart path persists renegotiable device configuration
   // in the recovery box. The resume hooks re-Put it so a box the fast path
   // rejected (recovery_box_corrupt) is repopulated — with fresh checksums —
@@ -294,7 +308,7 @@ Status XoarPlatform::Boot() {
                   netback->nic()->slot().ToString().c_str(),
                   netback->nic()->link_rate());
     snapshots_.recovery_box(dom).Put("nic-config", nic_config);
-    XOAR_RETURN_IF_ERROR(restart_engine_->Register(
+    XOAR_RETURN_IF_ERROR(restartable(
         name, dom,
         {[netback] { netback->Suspend(); },
          [this, netback, dom, nic_config] {
@@ -311,7 +325,7 @@ Status XoarPlatform::Boot() {
     const std::string disk_config =
         StrFormat("slot=%s", i == 0 ? "primary" : "aux");
     snapshots_.recovery_box(dom).Put("disk-config", disk_config);
-    XOAR_RETURN_IF_ERROR(restart_engine_->Register(
+    XOAR_RETURN_IF_ERROR(restartable(
         name, dom,
         {[blkback] { blkback->Suspend(); },
          [this, blkback, dom, disk_config] {
@@ -325,7 +339,7 @@ Status XoarPlatform::Boot() {
   // resume; the Builder's and a Toolstack's durable state (which guests
   // they parent/created, delegations) lives in the hypervisor and
   // XenStore, so their restart hooks are trivial.
-  XOAR_RETURN_IF_ERROR(restart_engine_->Register(
+  XOAR_RETURN_IF_ERROR(restartable(
       "XenStore-Logic", xenstore_logic_dom_,
       {[this] { (void)xs_->BeginLogicRestart(); },
        [this] { (void)xs_->CompleteLogicRestart(); }, nullptr}));
@@ -336,52 +350,16 @@ Status XoarPlatform::Boot() {
     const int shard = static_cast<int>(i);
     const std::string name =
         i == 0 ? "XenStore-State" : StrFormat("XenStore-State-%zu", i);
-    XOAR_RETURN_IF_ERROR(restart_engine_->Register(
+    XOAR_RETURN_IF_ERROR(restartable(
         name, xenstore_state_doms_[i],
         {[this, shard] { (void)xs_->BeginStateShardRestart(shard); },
          [this, shard] { (void)xs_->CompleteStateShardRestart(shard); },
          nullptr}));
   }
-  XOAR_RETURN_IF_ERROR(restart_engine_->Register(
+  XOAR_RETURN_IF_ERROR(restartable(
       "Builder", builder_dom_, {nullptr, nullptr, nullptr}));
-  XOAR_RETURN_IF_ERROR(restart_engine_->Register(
+  XOAR_RETURN_IF_ERROR(restartable(
       "Toolstack", toolstack_doms_.front(), {nullptr, nullptr, nullptr}));
-
-  // --- Supervision (DESIGN.md §5d): heartbeats + automatic microreboot
-  // escalation for every restartable shard. The quarantine hooks move a
-  // component into its degraded mode — suspended, so peers see
-  // deterministic UNAVAILABLE instead of silence — when its restart budget
-  // is exhausted.
-  if (config_.supervision_enabled) {
-    watchdog_ = std::make_unique<Watchdog>(&sim_, hv_.get(),
-                                           restart_engine_.get(), &audit_,
-                                           &obs_, config_.watchdog);
-    for (std::size_t i = 0; i < netbacks_.size(); ++i) {
-      NetBack* netback = netbacks_[i].get();
-      const std::string name =
-          i == 0 ? "NetBack" : StrFormat("NetBack-%zu", i);
-      XOAR_RETURN_IF_ERROR(
-          watchdog_->Supervise(name, [netback] { netback->Suspend(); }));
-    }
-    for (std::size_t i = 0; i < blkbacks_.size(); ++i) {
-      BlkBack* blkback = blkbacks_[i].get();
-      const std::string name =
-          i == 0 ? "BlkBack" : StrFormat("BlkBack-%zu", i);
-      XOAR_RETURN_IF_ERROR(
-          watchdog_->Supervise(name, [blkback] { blkback->Suspend(); }));
-    }
-    XOAR_RETURN_IF_ERROR(watchdog_->Supervise(
-        "XenStore-Logic", [this] { (void)xs_->BeginLogicRestart(); }));
-    for (std::size_t i = 0; i < xenstore_state_doms_.size(); ++i) {
-      const int shard = static_cast<int>(i);
-      const std::string name =
-          i == 0 ? "XenStore-State" : StrFormat("XenStore-State-%zu", i);
-      XOAR_RETURN_IF_ERROR(watchdog_->Supervise(
-          name, [this, shard] { (void)xs_->BeginStateShardRestart(shard); }));
-    }
-    XOAR_RETURN_IF_ERROR(watchdog_->Supervise("Builder"));
-    XOAR_RETURN_IF_ERROR(watchdog_->Supervise("Toolstack"));
-  }
 
   if (c.destroy_pciback_after_boot) {
     XOAR_RETURN_IF_ERROR(pci_service_->SelfDestruct());

@@ -68,9 +68,7 @@ class XoarPlatform : public Platform {
 
     // Self-healing supervision (DESIGN.md §5d): every restartable shard
     // emits heartbeats and a watchdog drives automatic microreboots with
-    // escalation and quarantine. Disable for experiments that want the
-    // PR 3 behaviour of purely on-demand restarts.
-    bool supervision_enabled = true;
+    // escalation and quarantine.
     WatchdogConfig watchdog;
 
     // Ablation: boot shards strictly sequentially instead of in parallel
@@ -150,7 +148,7 @@ class XoarPlatform : public Platform {
   int netback_count() const { return static_cast<int>(netbacks_.size()); }
   int blkback_count() const { return static_cast<int>(blkbacks_.size()); }
   RestartEngine& restarts() { return *restart_engine_; }
-  // Null when supervision is disabled (or before Boot completes).
+  // Null until Boot has registered the restartable shards.
   Watchdog* watchdog() { return watchdog_.get(); }
   SnapshotManager& snapshots() { return snapshots_; }
   AuditLog& audit() { return audit_; }

@@ -1,7 +1,9 @@
 #include "src/fault/campaign.h"
 
+#include <cstdlib>
 #include <functional>
 
+#include "src/base/strings.h"
 #include "src/core/xoar_platform.h"
 #include "src/drv/blk.h"
 #include "src/drv/net.h"
@@ -72,6 +74,26 @@ struct Campaign {
 };
 
 }  // namespace
+
+JournalMeta CampaignRunOptions::ToMeta() const {
+  return {{"seed", StrFormat("%llu", static_cast<unsigned long long>(seed))},
+          {"faults", StrFormat("%d", faults)},
+          {"seconds", StrFormat("%.6f", seconds)},
+          {"crashes", StrFormat("%d", crashes)},
+          {"hangs", StrFormat("%d", hangs)},
+          {"box_corrupts", StrFormat("%d", box_corrupts)}};
+}
+
+CampaignRunOptions CampaignRunOptions::FromMeta(const JournalMeta& meta) {
+  CampaignRunOptions run;
+  run.seed = std::strtoull(MetaValue(meta, "seed").c_str(), nullptr, 10);
+  run.faults = std::atoi(MetaValue(meta, "faults").c_str());
+  run.seconds = std::atof(MetaValue(meta, "seconds").c_str());
+  run.crashes = std::atoi(MetaValue(meta, "crashes").c_str());
+  run.hangs = std::atoi(MetaValue(meta, "hangs").c_str());
+  run.box_corrupts = std::atoi(MetaValue(meta, "box_corrupts").c_str());
+  return run;
+}
 
 StatusOr<CampaignSummary> RunProbeCampaign(const CampaignRunOptions& options) {
   XoarPlatform platform;
@@ -180,7 +202,7 @@ StatusOr<CampaignSummary> RunProbeCampaign(const CampaignRunOptions& options) {
   // Supervision invariants (4) and (5): the watchdog accounted for every
   // injected hang within its timeout, and fast-path validation rejected
   // every poisoned recovery box.
-  Watchdog* watchdog = platform.watchdog();
+  const Watchdog& watchdog = *platform.watchdog();
   const std::uint64_t hangs_injected =
       injector.injected_count(FaultType::kShardHang);
   const std::uint64_t box_corrupts_injected =
@@ -188,20 +210,15 @@ StatusOr<CampaignSummary> RunProbeCampaign(const CampaignRunOptions& options) {
   const std::uint64_t boxes_rejected =
       static_cast<std::uint64_t>(platform.restarts().TotalBoxesRejected());
   std::uint64_t supervision_failures = 0;
-  const SimDuration heartbeat_timeout =
-      watchdog != nullptr ? watchdog->config().heartbeat_timeout : 0;
+  const SimDuration heartbeat_timeout = watchdog.config().heartbeat_timeout;
   const SimDuration hang_detection_max =
-      watchdog != nullptr ? watchdog->max_hang_detection_latency() : 0;
-  if (watchdog != nullptr) {
-    if (watchdog->hangs_detected() + watchdog->hangs_absorbed() !=
-        hangs_injected) {
-      ++supervision_failures;
-    }
-    if (hang_detection_max > heartbeat_timeout) {
-      ++supervision_failures;
-    }
-  } else if (hangs_injected > 0) {
-    ++supervision_failures;  // hangs with nobody watching would wedge
+      watchdog.max_hang_detection_latency();
+  if (watchdog.hangs_detected() + watchdog.hangs_absorbed() !=
+      hangs_injected) {
+    ++supervision_failures;
+  }
+  if (hang_detection_max > heartbeat_timeout) {
+    ++supervision_failures;
   }
   if (boxes_rejected != box_corrupts_injected) {
     ++supervision_failures;
@@ -240,25 +257,15 @@ StatusOr<CampaignSummary> RunProbeCampaign(const CampaignRunOptions& options) {
       ->Set(static_cast<double>(hang_detection_max) /
             static_cast<double>(kMillisecond));
   metrics.GetGauge("campaign.watchdog_hangs_detected")
-      ->Set(watchdog != nullptr
-                ? static_cast<double>(watchdog->hangs_detected())
-                : 0.0);
+      ->Set(static_cast<double>(watchdog.hangs_detected()));
   metrics.GetGauge("campaign.watchdog_hangs_absorbed")
-      ->Set(watchdog != nullptr
-                ? static_cast<double>(watchdog->hangs_absorbed())
-                : 0.0);
+      ->Set(static_cast<double>(watchdog.hangs_absorbed()));
   metrics.GetGauge("campaign.watchdog_deaths_detected")
-      ->Set(watchdog != nullptr
-                ? static_cast<double>(watchdog->deaths_detected())
-                : 0.0);
+      ->Set(static_cast<double>(watchdog.deaths_detected()));
   metrics.GetGauge("campaign.watchdog_auto_restarts")
-      ->Set(watchdog != nullptr
-                ? static_cast<double>(watchdog->auto_restarts())
-                : 0.0);
+      ->Set(static_cast<double>(watchdog.auto_restarts()));
   metrics.GetGauge("campaign.watchdog_quarantines")
-      ->Set(watchdog != nullptr
-                ? static_cast<double>(watchdog->quarantines())
-                : 0.0);
+      ->Set(static_cast<double>(watchdog.quarantines()));
 
   CampaignSummary summary;
   summary.plan = plan;
@@ -270,17 +277,12 @@ StatusOr<CampaignSummary> RunProbeCampaign(const CampaignRunOptions& options) {
   summary.absorbed_by_retry = absorbed;
   summary.microreboots = microreboots;
   summary.crashes_skipped = injector.crashes_skipped();
-  summary.has_watchdog = watchdog != nullptr;
   summary.hangs_injected = hangs_injected;
-  summary.hangs_detected =
-      watchdog != nullptr ? watchdog->hangs_detected() : 0;
-  summary.hangs_absorbed =
-      watchdog != nullptr ? watchdog->hangs_absorbed() : 0;
-  summary.deaths_detected =
-      watchdog != nullptr ? watchdog->deaths_detected() : 0;
-  summary.auto_restarts =
-      watchdog != nullptr ? watchdog->auto_restarts() : 0;
-  summary.quarantines = watchdog != nullptr ? watchdog->quarantines() : 0;
+  summary.hangs_detected = watchdog.hangs_detected();
+  summary.hangs_absorbed = watchdog.hangs_absorbed();
+  summary.deaths_detected = watchdog.deaths_detected();
+  summary.auto_restarts = watchdog.auto_restarts();
+  summary.quarantines = watchdog.quarantines();
   summary.heartbeat_timeout = heartbeat_timeout;
   summary.hang_detection_max = hang_detection_max;
   summary.box_corrupts_injected = box_corrupts_injected;

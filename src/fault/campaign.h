@@ -1,5 +1,6 @@
 // The probe-campaign driver shared by bench/fault_campaign and
-// tools/xoar_replay (RESILIENCE.md "Running a campaign", DEBUGGING.md).
+// tools/xoar_replay's selftest (RESILIENCE.md "Running a campaign",
+// DEBUGGING.md).
 //
 // RunProbeCampaign boots a XoarPlatform, arms a FaultPlan::Randomized
 // schedule, and drives the three-service probe loop (XenStore read, block
@@ -25,6 +26,7 @@
 #include "src/base/units.h"
 #include "src/fault/fault.h"
 #include "src/obs/trace.h"
+#include "src/replay/journal.h"
 
 namespace xoar {
 
@@ -40,6 +42,11 @@ struct CampaignRunOptions {
   // Where to write the campaign.* metric report (BENCH-shape JSON, binary
   // name "fault_campaign"); empty skips the write.
   std::string metrics_out;
+
+  // The parameters above as journal metadata, and back. FromMeta leaves
+  // `sink` and `metrics_out` empty: a replay writes no report.
+  JournalMeta ToMeta() const;
+  static CampaignRunOptions FromMeta(const JournalMeta& meta);
 };
 
 // Everything the campaign measured, plus the armed plan for reporting.
@@ -55,7 +62,6 @@ struct CampaignSummary {
   std::uint64_t microreboots = 0;
   std::uint64_t crashes_skipped = 0;
 
-  bool has_watchdog = false;
   std::uint64_t hangs_injected = 0;
   std::uint64_t hangs_detected = 0;
   std::uint64_t hangs_absorbed = 0;

@@ -323,11 +323,8 @@ void FaultInjector::FireCrash(const FaultSpec& spec) {
 }
 
 void FaultInjector::FireHang(const FaultSpec& spec) {
-  Watchdog* watchdog = platform_->watchdog();
-  Status status =
-      watchdog == nullptr
-          ? FailedPreconditionError("platform has no watchdog")
-          : watchdog->InjectHang(spec.target, spec.duration);
+  Status status = platform_->watchdog()->InjectHang(spec.target,
+                                                   spec.duration);
   if (!status.ok()) {
     ++hangs_skipped_;
     m_hangs_skipped_->Increment();

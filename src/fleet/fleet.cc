@@ -76,11 +76,8 @@ Status Fleet::Boot() {
           // The controller's orchestration scratch state is rebuilt from
           // the fleet records on resume; nothing to persist.
           .suspend = [] {}, .resume = [] {}, .state = nullptr}));
-  if (config_.supervise_controller && hosts_[0]->watchdog() != nullptr) {
-    XOAR_RETURN_IF_ERROR(
-        hosts_[0]->watchdog()->Supervise(kControllerComponent));
-  }
-  m_controller_supervised_->Set(controller_supervised() ? 1.0 : 0.0);
+  XOAR_RETURN_IF_ERROR(hosts_[0]->watchdog()->Supervise(kControllerComponent));
+  m_controller_supervised_->Set(1.0);
   hosts_[0]->Settle();
   SyncClocks();
 
@@ -510,22 +507,19 @@ Fleet::InvariantReport Fleet::CheckInvariants() {
       ++report.placement_errors;
     }
   }
-  // Restart budgets respected: no watchdog ran out of budget and
-  // quarantined a shard.
-  for (int i = 0; i < host_count(); ++i) {
-    Watchdog* watchdog = hosts_[i]->watchdog();
-    if (watchdog != nullptr) {
-      report.budget_breaches += watchdog->quarantines();
-    }
-  }
-  // The controller is alive and (if configured) still supervised.
   if (booted_) {
+    // Restart budgets respected: no watchdog ran out of budget and
+    // quarantined a shard.
+    for (int i = 0; i < host_count(); ++i) {
+      report.budget_breaches += hosts_[i]->watchdog()->quarantines();
+    }
+    // The controller is alive and still supervised.
     const Domain* controller = hosts_[0]->hv().domain(controller_dom_);
     if (controller == nullptr ||
         controller->state() == DomainState::kDead) {
       ++report.controller_failures;
     }
-    if (config_.supervise_controller && !controller_supervised()) {
+    if (!controller_supervised()) {
       ++report.controller_failures;
     }
   }
@@ -535,10 +529,8 @@ Fleet::InvariantReport Fleet::CheckInvariants() {
 }
 
 bool Fleet::controller_supervised() const {
-  if (hosts_.empty() || hosts_[0]->watchdog() == nullptr) {
-    return false;
-  }
-  return hosts_[0]->watchdog()->IsSupervised(kControllerComponent) &&
+  return booted_ &&
+         hosts_[0]->watchdog()->IsSupervised(kControllerComponent) &&
          !hosts_[0]->watchdog()->IsQuarantined(kControllerComponent);
 }
 

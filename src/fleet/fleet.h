@@ -77,8 +77,6 @@ struct FleetConfig {
   SimDuration drain_slice = 64 * kMillisecond;
   int drain_slices_max = 32;
 
-  // Supervise the fleet controller via host 0's watchdog.
-  bool supervise_controller = true;
 
   static MigrationParams DefaultMigrationParams() {
     MigrationParams params;

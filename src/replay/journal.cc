@@ -146,9 +146,9 @@ void Journal::Append(const JournalRecord& record) {
   chain_head_ = ChainNext(chain_head_, std::string_view(wire, sizeof(wire)));
 }
 
-std::string Journal::Meta(const std::string& key) const {
-  auto it = meta_.find(key);
-  return it == meta_.end() ? std::string() : it->second;
+std::string MetaValue(const JournalMeta& meta, const std::string& key) {
+  auto it = meta.find(key);
+  return it == meta.end() ? std::string() : it->second;
 }
 
 Status Journal::WriteFile(const std::string& path) const {

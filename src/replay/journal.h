@@ -33,6 +33,7 @@
 #include <memory>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "src/base/status.h"
@@ -73,6 +74,14 @@ struct JournalRecord {
 // phase)` does not already pin.
 JournalRecord RecordFromTraceEvent(const TraceEvent& event);
 
+// Free-form metadata stored with a journal: the parameters (seed, fault
+// counts, duration) a replay needs to re-execute the run, each formatted
+// as a string under its own key.
+using JournalMeta = std::map<std::string, std::string>;
+
+// `meta`'s value for `key`; the empty string when absent.
+std::string MetaValue(const JournalMeta& meta, const std::string& key);
+
 class Journal {
  public:
   // 64 Ki 32-byte records = one 2 MB huge page per chunk.
@@ -97,15 +106,10 @@ class Journal {
   // whole-journal equality check before a structural diff.
   std::uint64_t chain_head() const { return chain_head_; }
 
-  // Free-form metadata recorded alongside the events — the campaign
-  // parameters (seed, fault counts, duration) a replay needs to re-execute
-  // the run. Keys iterate sorted, so serialization is byte-stable.
-  void SetMeta(const std::string& key, const std::string& value) {
-    meta_[key] = value;
-  }
-  // Empty string when absent.
-  std::string Meta(const std::string& key) const;
-  const std::map<std::string, std::string>& meta() const { return meta_; }
+  // Metadata recorded alongside the events. Keys iterate sorted, so
+  // serialization is byte-stable.
+  void set_meta(JournalMeta meta) { meta_ = std::move(meta); }
+  const JournalMeta& meta() const { return meta_; }
 
   // On-disk round trip. WriteFile is byte-stable for identical journals;
   // ReadFile re-verifies the hash chain over every record and rejects a
@@ -129,7 +133,7 @@ class Journal {
   std::vector<Chunk> chunks_;
   std::size_t size_ = 0;
   std::uint64_t chain_head_ = 0;
-  std::map<std::string, std::string> meta_;
+  JournalMeta meta_;
 };
 
 }  // namespace xoar

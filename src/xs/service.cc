@@ -69,8 +69,19 @@ Status XenStoreService::Connect(DomainId client) {
     AddConnection(client, conn);
     return Status::Ok();
   }
+  const Status established = Establish(client, &conn);
+  if (!established.ok()) {
+    Release(client, conn);
+    return established;
+  }
+  AddConnection(client, conn);
+  XLOG(kDebug) << "[xs] dom" << client.value() << " connected";
+  return Status::Ok();
+}
+
+Status XenStoreService::Establish(DomainId client, Connection* conn) {
   // One page of the client's memory hosts the communication ring.
-  XOAR_ASSIGN_OR_RETURN(conn.ring_pfn,
+  XOAR_ASSIGN_OR_RETURN(conn->ring_pfn,
                         hv_->memory().AllocatePages(client, 1));
   if (monolithic_) {
     // Stock Xen: xenstored uses Dom0 privilege to directly map the ring
@@ -78,28 +89,48 @@ Status XenStoreService::Connect(DomainId client) {
     XOAR_ASSIGN_OR_RETURN(
         MappedPage page,
         // xoar-flow: allow(privilege_flow): stock-xenstored §4.4 baseline branch only — Xoar mode uses the Builder-created grant below
-        hv_->ForeignMap(logic_domain_, client, conn.ring_pfn));
+        hv_->ForeignMap(logic_domain_, client, conn->ring_pfn));
     (void)page;
   } else {
     // Xoar: the Builder pre-creates a grant entry so a *deprivileged*
     // XenStore can map the ring (§5.6). The grant/map calls below run the
     // hypervisor's shard-sharing checks.
     XOAR_ASSIGN_OR_RETURN(
-        conn.ring_gref,
-        hv_->GrantAccess(client, logic_domain_, conn.ring_pfn,
+        conn->ring_gref,
+        hv_->GrantAccess(client, logic_domain_, conn->ring_pfn,
                          /*writable=*/true));
-    XOAR_ASSIGN_OR_RETURN(MappedPage page,
-                          hv_->MapGrant(logic_domain_, client, conn.ring_gref));
+    XOAR_ASSIGN_OR_RETURN(
+        MappedPage page,
+        hv_->MapGrant(logic_domain_, client, conn->ring_gref));
     (void)page;
   }
-  XOAR_ASSIGN_OR_RETURN(conn.client_port,
+  XOAR_ASSIGN_OR_RETURN(conn->client_port,
                         hv_->EvtchnAllocUnbound(client, logic_domain_));
   XOAR_ASSIGN_OR_RETURN(
-      conn.server_port,
-      hv_->EvtchnBindInterdomain(logic_domain_, client, conn.client_port));
-  AddConnection(client, conn);
-  XLOG(kDebug) << "[xs] dom" << client.value() << " connected";
+      conn->server_port,
+      hv_->EvtchnBindInterdomain(logic_domain_, client, conn->client_port));
   return Status::Ok();
+}
+
+void XenStoreService::Release(DomainId client, const Connection& conn) {
+  // In reverse of Establish.
+  if (conn.server_port.valid()) {
+    (void)hv_->EvtchnClose(logic_domain_, conn.server_port);
+  }
+  if (conn.client_port.valid()) {
+    (void)hv_->EvtchnClose(client, conn.client_port);
+  }
+  bool ring_released = true;
+  if (conn.ring_gref.valid()) {
+    (void)hv_->UnmapGrant(logic_domain_, client, conn.ring_gref);
+    // A grant still mapped (XenStore-Logic crashed and could not unmap)
+    // keeps naming the page, so the page stays until the client's domain
+    // is destroyed.
+    ring_released = hv_->EndGrantAccess(client, conn.ring_gref).ok();
+  }
+  if (ring_released && conn.ring_pfn.valid()) {
+    (void)hv_->memory().FreeSpecificPages(client, conn.ring_pfn, 1);
+  }
 }
 
 void XenStoreService::AddConnection(DomainId client, const Connection& conn) {
@@ -119,24 +150,10 @@ void XenStoreService::Disconnect(DomainId client) {
   if (!IsConnected(client)) {
     return;
   }
+  // The logic domain's own row holds no ring, grant or ports, so releasing
+  // it is a no-op.
   Connection& conn = connections_[client.value()];
-  // Release what Connect took, in reverse. The logic domain's own row
-  // holds no ring, grant or ports.
-  if (client != logic_domain_) {
-    (void)hv_->EvtchnClose(logic_domain_, conn.server_port);
-    (void)hv_->EvtchnClose(client, conn.client_port);
-    bool ring_released = true;
-    if (conn.ring_gref.valid()) {
-      (void)hv_->UnmapGrant(logic_domain_, client, conn.ring_gref);
-      // A grant still mapped (XenStore-Logic crashed and could not unmap)
-      // keeps naming the page, so the page stays until the client's
-      // domain is destroyed.
-      ring_released = hv_->EndGrantAccess(client, conn.ring_gref).ok();
-    }
-    if (ring_released) {
-      (void)hv_->memory().FreeSpecificPages(client, conn.ring_pfn, 1);
-    }
-  }
+  Release(client, conn);
   conn = Connection{};
 }
 

@@ -76,7 +76,8 @@ class XenStoreService {
 
   // Establishes a client connection: one shared page granted (or foreign-
   // mapped in stock mode) from the client to the logic domain plus an event
-  // channel pair. The hypervisor's IVC policy decides admissibility.
+  // channel pair. The hypervisor's IVC policy decides admissibility; a
+  // refused connection releases whatever it had already taken.
   Status Connect(DomainId client);
   bool IsConnected(DomainId client) const;
   // Tears down a client's connection (domain destroyed) and releases what
@@ -155,6 +156,15 @@ class XenStoreService {
     EvtchnPort server_port;
   };
 
+  // Takes what a connection needs — the ring page, its grant and the logic
+  // domain's mapping of it (a foreign map in stock mode), the event-channel
+  // pair — recording each in `conn` as its step succeeds, so a refused step
+  // leaves in `conn` exactly what must be released.
+  Status Establish(DomainId client, Connection* conn);
+  // Releases what `conn` holds: closes its valid ports, unmaps and ends a
+  // valid grant, frees the page. Shared by Disconnect and a refused
+  // Connect.
+  void Release(DomainId client, const Connection& conn);
   // Records `conn` as the client's open connection, growing the table to
   // reach the client's index.
   void AddConnection(DomainId client, const Connection& conn);

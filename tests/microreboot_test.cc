@@ -286,11 +286,9 @@ TEST_F(RestartEngineTest, TwoComponentsRestartConcurrently) {
 }
 
 TEST(RestartEngineDeadDomainTest, DeadDomainCanBeMicrorebooted) {
-  // Supervision off so the engine's own dead-domain path is exercised
-  // without the watchdog racing to the same restart.
-  XoarPlatform::Config config;
-  config.supervision_enabled = false;
-  XoarPlatform platform(config);
+  // RestartNow runs at the crash instant, before any heartbeat deadline,
+  // so the engine's own dead-domain path runs, not the watchdog's.
+  XoarPlatform platform;
   ASSERT_TRUE(platform.Boot().ok());
   auto guest = platform.CreateGuest(GuestSpec{});
   ASSERT_TRUE(guest.ok());

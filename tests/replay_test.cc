@@ -45,11 +45,18 @@ Journal MakeJournal(std::size_t n) {
   return journal;
 }
 
-// The plain and ASan builds of this test run in parallel under ctest, so
-// each process gets its own file names.
-std::string TempPath(const char* name) {
-  return testing::TempDir() + "/" + std::to_string(getpid()) + "_" + name;
-}
+// A file in the test temp dir, removed when the test ends, a failed
+// assertion included. The plain and ASan builds of this test run in
+// parallel under ctest, so each process gets its own file names.
+struct TempFile {
+  explicit TempFile(const char* name)
+      : path(testing::TempDir() + "/" + std::to_string(getpid()) + "_" +
+             name) {}
+  ~TempFile() { std::remove(path.c_str()); }
+  TempFile(const TempFile&) = delete;
+  TempFile& operator=(const TempFile&) = delete;
+  const std::string path;
+};
 
 // ---------------------------------------------------------------------------
 // Chaining and record mapping
@@ -135,29 +142,28 @@ TEST(JournalTest, AppendSpansChunkBoundary) {
 
 TEST(JournalFileTest, RoundTripPreservesEverything) {
   Journal journal = MakeJournal(500);
-  journal.SetMeta("seed", "42");
-  journal.SetMeta("seconds", "4.000000");
-  const std::string path = TempPath("roundtrip.journal");
-  ASSERT_TRUE(journal.WriteFile(path).ok());
-  StatusOr<Journal> loaded = Journal::ReadFile(path);
+  journal.set_meta({{"seed", "42"}, {"seconds", "4.000000"}});
+  const TempFile file("roundtrip.journal");
+  ASSERT_TRUE(journal.WriteFile(file.path).ok());
+  StatusOr<Journal> loaded = Journal::ReadFile(file.path);
   ASSERT_TRUE(loaded.ok()) << loaded.status();
   ASSERT_EQ(loaded->size(), journal.size());
   for (std::size_t i = 0; i < journal.size(); ++i) {
     EXPECT_EQ((*loaded)[i], journal[i]);
   }
   EXPECT_EQ(loaded->chain_head(), journal.chain_head());
-  EXPECT_EQ(loaded->Meta("seed"), "42");
-  EXPECT_EQ(loaded->Meta("seconds"), "4.000000");
-  EXPECT_EQ(loaded->Meta("absent"), "");
+  EXPECT_EQ(MetaValue(loaded->meta(), "seed"), "42");
+  EXPECT_EQ(MetaValue(loaded->meta(), "seconds"), "4.000000");
+  EXPECT_EQ(MetaValue(loaded->meta(), "absent"), "");
 }
 
 TEST(JournalFileTest, WriteIsByteStable) {
   Journal journal = MakeJournal(200);
-  journal.SetMeta("seed", "7");
-  const std::string a = TempPath("stable_a.journal");
-  const std::string b = TempPath("stable_b.journal");
-  ASSERT_TRUE(journal.WriteFile(a).ok());
-  ASSERT_TRUE(journal.WriteFile(b).ok());
+  journal.set_meta({{"seed", "7"}});
+  const TempFile a("stable_a.journal");
+  const TempFile b("stable_b.journal");
+  ASSERT_TRUE(journal.WriteFile(a.path).ok());
+  ASSERT_TRUE(journal.WriteFile(b.path).ok());
   auto slurp = [](const std::string& path) {
     std::FILE* f = std::fopen(path.c_str(), "rb");
     EXPECT_NE(f, nullptr);
@@ -170,32 +176,32 @@ TEST(JournalFileTest, WriteIsByteStable) {
     std::fclose(f);
     return bytes;
   };
-  EXPECT_EQ(slurp(a), slurp(b));
+  EXPECT_EQ(slurp(a.path), slurp(b.path));
 }
 
 TEST(JournalFileTest, FlippedRecordByteIsRejectedByChain) {
   Journal journal = MakeJournal(64);
-  const std::string path = TempPath("corrupt.journal");
-  ASSERT_TRUE(journal.WriteFile(path).ok());
+  const TempFile file("corrupt.journal");
+  ASSERT_TRUE(journal.WriteFile(file.path).ok());
   // Flip one byte near the end of the file — inside the record area, after
   // the stored chain head would already have been written.
-  std::FILE* f = std::fopen(path.c_str(), "rb+");
+  std::FILE* f = std::fopen(file.path.c_str(), "rb+");
   ASSERT_NE(f, nullptr);
   std::fseek(f, -5, SEEK_END);
   int c = std::fgetc(f);
   std::fseek(f, -5, SEEK_END);
   std::fputc(c ^ 0xff, f);
   std::fclose(f);
-  StatusOr<Journal> loaded = Journal::ReadFile(path);
+  StatusOr<Journal> loaded = Journal::ReadFile(file.path);
   ASSERT_FALSE(loaded.ok());
   EXPECT_EQ(loaded.status().code(), StatusCode::kFailedPrecondition);
 }
 
 TEST(JournalFileTest, TruncatedFileIsRejected) {
   Journal journal = MakeJournal(64);
-  const std::string path = TempPath("truncated.journal");
-  ASSERT_TRUE(journal.WriteFile(path).ok());
-  std::FILE* f = std::fopen(path.c_str(), "rb");
+  const TempFile file("truncated.journal");
+  ASSERT_TRUE(journal.WriteFile(file.path).ok());
+  std::FILE* f = std::fopen(file.path.c_str(), "rb");
   ASSERT_NE(f, nullptr);
   std::fseek(f, 0, SEEK_END);
   const long full = std::ftell(f);
@@ -203,20 +209,20 @@ TEST(JournalFileTest, TruncatedFileIsRejected) {
   std::vector<char> bytes(full - 40);
   ASSERT_EQ(std::fread(bytes.data(), 1, bytes.size(), f), bytes.size());
   std::fclose(f);
-  f = std::fopen(path.c_str(), "wb");
+  f = std::fopen(file.path.c_str(), "wb");
   ASSERT_NE(f, nullptr);
   std::fwrite(bytes.data(), 1, bytes.size(), f);
   std::fclose(f);
-  EXPECT_FALSE(Journal::ReadFile(path).ok());
+  EXPECT_FALSE(Journal::ReadFile(file.path).ok());
 }
 
 TEST(JournalFileTest, BadMagicIsRejected) {
-  const std::string path = TempPath("badmagic.journal");
-  std::FILE* f = std::fopen(path.c_str(), "wb");
+  const TempFile file("badmagic.journal");
+  std::FILE* f = std::fopen(file.path.c_str(), "wb");
   ASSERT_NE(f, nullptr);
   std::fputs("NOTAJRNL and then some trailing bytes", f);
   std::fclose(f);
-  EXPECT_FALSE(Journal::ReadFile(path).ok());
+  EXPECT_FALSE(Journal::ReadFile(file.path).ok());
 }
 
 // ---------------------------------------------------------------------------

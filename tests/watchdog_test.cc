@@ -168,20 +168,6 @@ TEST_F(WatchdogTest, WatchdogMetricsAreExported) {
   EXPECT_EQ(quarantined->value, 0.0);
 }
 
-TEST(WatchdogConfigTest, SupervisionCanBeDisabled) {
-  XoarPlatform::Config config;
-  config.supervision_enabled = false;
-  XoarPlatform platform(config);
-  ASSERT_TRUE(platform.Boot().ok());
-  EXPECT_EQ(platform.watchdog(), nullptr);
-
-  // Without supervision a crashed shard stays dead — the PR 3 behaviour.
-  const DomainId dom = platform.shard_domain(ShardClass::kNetBack);
-  platform.hv().ReportCrash(dom);
-  platform.Settle(2 * kSecond);
-  EXPECT_EQ(platform.hv().domain(dom)->state(), DomainState::kDead);
-}
-
 // Same seed, same plan, two independent worlds: the supervision loop must
 // not disturb the simulator's replay guarantee. This is the unit-level
 // version of the bench.fault_campaign byte-determinism bar.

@@ -1,3 +1,5 @@
+#include <tuple>
+
 #include <gtest/gtest.h>
 
 #include "src/hv/hypervisor.h"
@@ -217,6 +219,45 @@ TEST_F(XsServiceTest, DisconnectReleasesWhatConnectAllocated) {
     EXPECT_EQ(connected_ports(guest_), guest_ports_before) << cycle;
     EXPECT_EQ(connected_ports(logic_), logic_ports_before) << cycle;
   }
+}
+
+// A refused Connect releases what it took before the refusal. A guest the
+// IVC policy refuses has its ring page allocated before the grant to
+// XenStore-Logic is denied; a ring map that fails comes after the grant.
+// Either way the guest's tables end as they started.
+TEST_F(XsServiceTest, RefusedConnectReleasesWhatItTook) {
+  SetUpSplit();
+  const DomainId stranger = NewDomain("stranger", false);  // not authorized
+  auto connected_ports = [&](DomainId domain) {
+    int connected = 0;
+    for (std::uint32_t port = 0; port < 64; ++port) {
+      connected += hv_->evtchn().IsConnected(domain, EvtchnPort(port));
+    }
+    return connected;
+  };
+  // Owned pages, active grants and connected ports.
+  auto held = [&](DomainId domain) {
+    return std::make_tuple(
+        hv_->memory().PagesOwnedBy(domain),
+        hv_->domain(domain)->grant_table().ActiveEntries(),
+        connected_ports(domain));
+  };
+  const auto stranger_before = held(stranger);
+  const int logic_ports_before = connected_ports(logic_);
+  for (int attempt = 0; attempt < 3; ++attempt) {
+    EXPECT_EQ(xs_->Connect(stranger).code(), StatusCode::kPermissionDenied)
+        << attempt;
+    EXPECT_FALSE(xs_->IsConnected(stranger)) << attempt;
+    EXPECT_EQ(held(stranger), stranger_before) << attempt;
+  }
+
+  hv_->set_grant_map_fault_hook([](DomainId, DomainId) { return true; });
+  const auto guest_before = held(guest_);
+  EXPECT_EQ(xs_->Connect(guest_).code(), StatusCode::kUnavailable);
+  EXPECT_EQ(held(guest_), guest_before);
+  EXPECT_EQ(connected_ports(logic_), logic_ports_before);
+  hv_->set_grant_map_fault_hook(nullptr);
+  EXPECT_TRUE(xs_->Connect(guest_).ok());
 }
 
 TEST_F(XsServiceTest, LogicRestartMakesServiceUnavailableThenRecovers) {

@@ -1,24 +1,18 @@
-// Record/replay CLI for campaign journals (DEBUGGING.md).
+// Journal CLI (DEBUGGING.md).
 //
-//   xoar_replay record  --journal PATH [--seed N] [--faults N] [--seconds S]
-//                       [--crashes N] [--hangs N] [--box-corrupts N]
-//   xoar_replay replay  --journal PATH
-//   xoar_replay diff    <A> <B>
+//   xoar_replay diff     <A> <B>
 //   xoar_replay selftest [--seed N] [--out BENCH_replay.json]
 //                        [--journal-dir DIR]
 //
-// `record` runs a probe campaign (the same src/fault/campaign.h driver the
-// fault_campaign bench uses) with the journal recorder attached and writes
-// the hash-chained journal plus the campaign parameters needed to re-run
-// it. `replay` re-executes a journal's recorded parameters and verifies
-// every trace event against the recording, exiting 1 at the first
-// divergence with the surrounding context from both sides. `diff`
-// structurally compares two journals and reports their earliest
-// disagreement. `selftest` exercises the whole loop — record, round-trip
-// through a file, replay-verify, two-seed diff, and an injected
-// single-event perturbation that must be caught at exactly the planted
-// index — and exports the replay.* gauges as BENCH-shape JSON for
-// validate_obs --replay.
+// Journals are recorded and replayed by the campaign binaries themselves
+// (`--record`/`--replay` on fault_campaign, fleet_campaign and
+// ablation_density, all through src/replay/harness.h). `diff` structurally
+// compares two journals from any of them and reports their earliest
+// disagreement. `selftest` exercises the whole loop on the probe campaign
+// (src/fault/campaign.h) — record, round-trip through a file,
+// replay-verify, two-seed diff, and an injected single-event perturbation
+// that must be caught at exactly the planted index — and exports the
+// replay.* gauges as BENCH-shape JSON for validate_obs --replay.
 //
 // Everything is driven by the simulator clock and the journaled seed, so
 // the JSON report is byte-stable across runs and hosts.
@@ -28,7 +22,6 @@
 #include <string>
 
 #include "src/base/log.h"
-#include "src/base/strings.h"
 #include "src/fault/campaign.h"
 #include "src/obs/metrics.h"
 #include "src/replay/diff.h"
@@ -37,49 +30,6 @@
 
 namespace xoar {
 namespace {
-
-struct Options {
-  std::uint64_t seed = 42;
-  int faults = 10;
-  double seconds = 4.0;
-  int crashes = 2;
-  int hangs = 2;
-  int box_corrupts = 1;
-  std::string journal;
-  std::string out = "BENCH_replay.json";
-  std::string journal_dir = ".";
-};
-
-CampaignRunOptions RunOptionsFrom(const Options& options) {
-  CampaignRunOptions run;
-  run.seed = options.seed;
-  run.faults = options.faults;
-  run.seconds = options.seconds;
-  run.crashes = options.crashes;
-  run.hangs = options.hangs;
-  run.box_corrupts = options.box_corrupts;
-  return run;
-}
-
-void StampMeta(const Options& options, Journal* journal) {
-  journal->SetMeta("seed", StrFormat("%llu", options.seed));
-  journal->SetMeta("faults", StrFormat("%d", options.faults));
-  journal->SetMeta("seconds", StrFormat("%.6f", options.seconds));
-  journal->SetMeta("crashes", StrFormat("%d", options.crashes));
-  journal->SetMeta("hangs", StrFormat("%d", options.hangs));
-  journal->SetMeta("box_corrupts", StrFormat("%d", options.box_corrupts));
-}
-
-CampaignRunOptions RunOptionsFromMeta(const Journal& journal) {
-  CampaignRunOptions run;
-  run.seed = std::strtoull(journal.Meta("seed").c_str(), nullptr, 10);
-  run.faults = std::atoi(journal.Meta("faults").c_str());
-  run.seconds = std::atof(journal.Meta("seconds").c_str());
-  run.crashes = std::atoi(journal.Meta("crashes").c_str());
-  run.hangs = std::atoi(journal.Meta("hangs").c_str());
-  run.box_corrupts = std::atoi(journal.Meta("box_corrupts").c_str());
-  return run;
-}
 
 // Size on disk of an already-written file; 0 on error (the selftest's
 // journal_bytes gauge then fails its >= 1 schema bound).
@@ -92,69 +42,6 @@ std::uint64_t FileBytes(const std::string& path) {
   const long size = std::ftell(f);
   std::fclose(f);
   return size > 0 ? static_cast<std::uint64_t>(size) : 0;
-}
-
-int RunRecord(const Options& options) {
-  if (options.journal.empty()) {
-    std::fprintf(stderr, "record: --journal PATH is required\n");
-    return 2;
-  }
-  Journal journal;
-  JournalRecorder recorder(&journal);
-  CampaignRunOptions run = RunOptionsFrom(options);
-  run.sink = &recorder;
-  StatusOr<CampaignSummary> summary = RunProbeCampaign(run);
-  if (!summary.ok()) {
-    std::fprintf(stderr, "%s\n", summary.status().ToString().c_str());
-    return 2;
-  }
-  StampMeta(options, &journal);
-  Status status = journal.WriteFile(options.journal);
-  if (!status.ok()) {
-    std::fprintf(stderr, "failed to write %s: %s\n", options.journal.c_str(),
-                 status.ToString().c_str());
-    return 2;
-  }
-  std::printf("recorded seed %llu: %zu events, chain %016llx, "
-              "%llu violations -> %s\n",
-              static_cast<unsigned long long>(options.seed), journal.size(),
-              static_cast<unsigned long long>(journal.chain_head()),
-              static_cast<unsigned long long>(summary->violations),
-              options.journal.c_str());
-  return summary->violations > 0 ? 1 : 0;
-}
-
-int RunReplay(const Options& options) {
-  if (options.journal.empty()) {
-    std::fprintf(stderr, "replay: --journal PATH is required\n");
-    return 2;
-  }
-  StatusOr<Journal> journal = Journal::ReadFile(options.journal);
-  if (!journal.ok()) {
-    std::fprintf(stderr, "failed to read %s: %s\n", options.journal.c_str(),
-                 journal.status().ToString().c_str());
-    return 2;
-  }
-  ReplayVerifier verifier(&*journal);
-  CampaignRunOptions run = RunOptionsFromMeta(*journal);
-  run.sink = &verifier;
-  StatusOr<CampaignSummary> summary = RunProbeCampaign(run);
-  if (!summary.ok()) {
-    std::fprintf(stderr, "%s\n", summary.status().ToString().c_str());
-    return 2;
-  }
-  verifier.Finish();
-  if (verifier.diverged()) {
-    std::printf("replay of %s DIVERGED after %zu verified events\n%s",
-                options.journal.c_str(), verifier.verified(),
-                verifier.report().ToString("journal", "replay").c_str());
-    return 1;
-  }
-  std::printf("replay of %s verified: %zu events, zero divergences "
-              "(chain %016llx)\n",
-              options.journal.c_str(), verifier.verified(),
-              static_cast<unsigned long long>(journal->chain_head()));
-  return 0;
 }
 
 int RunDiff(const std::string& path_a, const std::string& path_b) {
@@ -179,34 +66,46 @@ int RunDiff(const std::string& path_a, const std::string& path_b) {
   return report.diverged ? 1 : 0;
 }
 
-int RunSelftest(const Options& options) {
-  const std::string path_a = options.journal_dir + "/selftest_a.journal";
-  const std::string path_b = options.journal_dir + "/selftest_b.journal";
+// Records the probe campaign `run` into a journal stamped with its
+// parameters and writes the journal to `path`.
+StatusOr<Journal> RecordProbe(CampaignRunOptions run, const std::string& path,
+                              std::uint64_t* violations) {
+  Journal journal;
+  JournalRecorder recorder(&journal);
+  run.sink = &recorder;
+  XOAR_ASSIGN_OR_RETURN(CampaignSummary summary, RunProbeCampaign(run));
+  *violations = summary.violations;
+  journal.set_meta(run.ToMeta());
+  XOAR_RETURN_IF_ERROR(journal.WriteFile(path));
+  return journal;
+}
+
+// Re-runs the probe campaign from `journal`'s own metadata under `verifier`.
+Status VerifyProbe(const Journal& journal, ReplayVerifier* verifier) {
+  CampaignRunOptions run = CampaignRunOptions::FromMeta(journal.meta());
+  run.sink = verifier;
+  XOAR_RETURN_IF_ERROR(RunProbeCampaign(run).status());
+  verifier->Finish();
+  return Status::Ok();
+}
+
+// An error is environmental (exit 2); a failed check is `false` (exit 1).
+StatusOr<bool> RunSelftest(const CampaignRunOptions& options,
+                           const std::string& out,
+                           const std::string& journal_dir) {
+  const std::string path_a = journal_dir + "/selftest_a.journal";
+  const std::string path_b = journal_dir + "/selftest_b.journal";
   MetricRegistry metrics;
 
   // 1. Record seed A and round-trip it through a file. ReadFile re-verifies
   //    the hash chain over every record, so a successful load IS the
   //    chain-verified check.
-  Journal recorded;
-  JournalRecorder recorder(&recorded);
-  CampaignRunOptions run_a = RunOptionsFrom(options);
-  run_a.sink = &recorder;
-  StatusOr<CampaignSummary> summary_a = RunProbeCampaign(run_a);
-  if (!summary_a.ok()) {
-    std::fprintf(stderr, "%s\n", summary_a.status().ToString().c_str());
-    return 2;
-  }
-  StampMeta(options, &recorded);
-  Status wrote = recorded.WriteFile(path_a);
-  if (!wrote.ok()) {
-    std::fprintf(stderr, "failed to write %s: %s\n", path_a.c_str(),
-                 wrote.ToString().c_str());
-    return 2;
-  }
-  StatusOr<Journal> loaded = Journal::ReadFile(path_a);
-  const bool chain_verified =
-      loaded.ok() && loaded->chain_head() == recorded.chain_head() &&
-      loaded->size() == recorded.size();
+  std::uint64_t violations = 0;
+  XOAR_ASSIGN_OR_RETURN(Journal recorded,
+                        RecordProbe(options, path_a, &violations));
+  XOAR_ASSIGN_OR_RETURN(Journal loaded, Journal::ReadFile(path_a));
+  const bool chain_verified = loaded.chain_head() == recorded.chain_head() &&
+                              loaded.size() == recorded.size();
   std::printf("record: seed %llu, %zu events, chain %016llx (%s)\n",
               static_cast<unsigned long long>(options.seed), recorded.size(),
               static_cast<unsigned long long>(recorded.chain_head()),
@@ -214,62 +113,33 @@ int RunSelftest(const Options& options) {
 
   // 2. Replay-verify: re-execute the journaled parameters and compare
   //    every event.
-  ReplayVerifier verifier(&*loaded);
-  CampaignRunOptions run_verify = RunOptionsFromMeta(*loaded);
-  run_verify.sink = &verifier;
-  StatusOr<CampaignSummary> replay_summary = RunProbeCampaign(run_verify);
-  if (!replay_summary.ok()) {
-    std::fprintf(stderr, "%s\n", replay_summary.status().ToString().c_str());
-    return 2;
-  }
-  verifier.Finish();
+  ReplayVerifier verifier(&loaded);
+  XOAR_RETURN_IF_ERROR(VerifyProbe(loaded, &verifier));
   std::printf("replay: %zu/%zu events verified, %s\n", verifier.verified(),
-              loaded->size(),
+              loaded.size(),
               verifier.diverged() ? "DIVERGED" : "zero divergences");
 
   // 3. Structural diff against a different seed: must find a first
   //    divergence inside the journals.
-  const std::uint64_t seed_b = options.seed + 1;
-  Journal recorded_b;
-  JournalRecorder recorder_b(&recorded_b);
-  CampaignRunOptions run_b = RunOptionsFrom(options);
-  run_b.seed = seed_b;
-  run_b.sink = &recorder_b;
-  StatusOr<CampaignSummary> summary_b = RunProbeCampaign(run_b);
-  if (!summary_b.ok()) {
-    std::fprintf(stderr, "%s\n", summary_b.status().ToString().c_str());
-    return 2;
-  }
-  Options options_b = options;
-  options_b.seed = seed_b;
-  StampMeta(options_b, &recorded_b);
-  Status wrote_b = recorded_b.WriteFile(path_b);
-  if (!wrote_b.ok()) {
-    std::fprintf(stderr, "failed to write %s: %s\n", path_b.c_str(),
-                 wrote_b.ToString().c_str());
-    return 2;
-  }
+  CampaignRunOptions options_b = options;
+  options_b.seed = options.seed + 1;
+  std::uint64_t violations_b = 0;
+  XOAR_ASSIGN_OR_RETURN(Journal recorded_b,
+                        RecordProbe(options_b, path_b, &violations_b));
   DivergenceReport diff = DiffJournals(recorded, recorded_b);
   std::printf("diff: seeds %llu vs %llu %s at record %zu\n",
               static_cast<unsigned long long>(options.seed),
-              static_cast<unsigned long long>(seed_b),
+              static_cast<unsigned long long>(options_b.seed),
               diff.diverged ? "diverge" : "DID NOT DIVERGE", diff.index);
 
   // 4. Perturbation: flip one journaled decision mid-stream (the chain is
   //    recomputed, so the journal stays self-consistent — this models a run
   //    that decided differently, not a corrupted file) and prove the
   //    verifier halts at exactly that event.
-  const std::size_t perturb_index = loaded->size() / 2;
-  loaded->TamperForTest(perturb_index, 0xdecafbadULL);
-  ReplayVerifier perturb_verifier(&*loaded);
-  CampaignRunOptions run_perturb = RunOptionsFromMeta(*loaded);
-  run_perturb.sink = &perturb_verifier;
-  StatusOr<CampaignSummary> perturb_summary = RunProbeCampaign(run_perturb);
-  if (!perturb_summary.ok()) {
-    std::fprintf(stderr, "%s\n", perturb_summary.status().ToString().c_str());
-    return 2;
-  }
-  perturb_verifier.Finish();
+  const std::size_t perturb_index = loaded.size() / 2;
+  loaded.TamperForTest(perturb_index, 0xdecafbadULL);
+  ReplayVerifier perturb_verifier(&loaded);
+  XOAR_RETURN_IF_ERROR(VerifyProbe(loaded, &perturb_verifier));
   const bool perturb_caught =
       perturb_verifier.diverged() &&
       perturb_verifier.report().index == perturb_index;
@@ -287,7 +157,8 @@ int RunSelftest(const Options& options) {
       ->Set(verifier.diverged() ? 1.0 : 0.0);
   metrics.GetGauge("replay.replay_verified")
       ->Set(static_cast<double>(verifier.verified()));
-  metrics.GetGauge("replay.diff_seed_b")->Set(static_cast<double>(seed_b));
+  metrics.GetGauge("replay.diff_seed_b")
+      ->Set(static_cast<double>(options_b.seed));
   metrics.GetGauge("replay.diff_diverged")->Set(diff.diverged ? 1.0 : 0.0);
   metrics.GetGauge("replay.diff_index")
       ->Set(static_cast<double>(diff.index));
@@ -297,34 +168,18 @@ int RunSelftest(const Options& options) {
   metrics.GetGauge("replay.perturb_caught_index")
       ->Set(static_cast<double>(perturb_verifier.report().index));
 
-  Status status = metrics.WriteJsonFile(options.out, "xoar_replay");
-  if (!status.ok()) {
-    std::fprintf(stderr, "failed to write %s: %s\n", options.out.c_str(),
-                 status.ToString().c_str());
-    return 2;
-  }
-  std::printf("selftest report -> %s\n", options.out.c_str());
-
-  const bool ok = chain_verified && verifier.complete() && diff.diverged &&
-                  perturb_caught && summary_a->violations == 0;
-  if (!ok) {
-    std::fprintf(stderr, "SELFTEST FAILED\n");
-    return 1;
-  }
-  return 0;
+  XOAR_RETURN_IF_ERROR(metrics.WriteJsonFile(out, "xoar_replay"));
+  std::printf("selftest report -> %s\n", out.c_str());
+  return chain_verified && verifier.complete() && diff.diverged &&
+         perturb_caught && violations == 0;
 }
 
 void Usage(const char* argv0) {
-  std::fprintf(
-      stderr,
-      "usage: %s record  --journal PATH [--seed N] [--faults N]\n"
-      "                  [--seconds S] [--crashes N] [--hangs N]\n"
-      "                  [--box-corrupts N]\n"
-      "       %s replay  --journal PATH\n"
-      "       %s diff    <A> <B>\n"
-      "       %s selftest [--seed N] [--out BENCH_replay.json]\n"
-      "                  [--journal-dir DIR]\n",
-      argv0, argv0, argv0, argv0);
+  std::fprintf(stderr,
+               "usage: %s diff     <A> <B>\n"
+               "       %s selftest [--seed N] [--out BENCH_replay.json]\n"
+               "                   [--journal-dir DIR]\n",
+               argv0, argv0);
 }
 
 }  // namespace
@@ -332,55 +187,42 @@ void Usage(const char* argv0) {
 
 int main(int argc, char** argv) {
   xoar::Logger::Get().set_level(xoar::LogLevel::kError);
-  if (argc < 2) {
+  const std::string command = argc < 2 ? "" : argv[1];
+  if (command == "diff" && argc == 4) {
+    return xoar::RunDiff(argv[2], argv[3]);
+  }
+  if (command != "selftest") {
     xoar::Usage(argv[0]);
     return 2;
   }
-  const std::string command = argv[1];
-  if (command == "diff") {
-    if (argc != 4) {
-      xoar::Usage(argv[0]);
-      return 2;
-    }
-    return xoar::RunDiff(argv[2], argv[3]);
-  }
-  xoar::Options options;
+  xoar::CampaignRunOptions options;
+  options.faults = 10;
+  options.seconds = 4.0;
+  std::string out = "BENCH_replay.json";
+  std::string journal_dir = ".";
   for (int i = 2; i < argc; ++i) {
     auto next = [&]() -> const char* {
       return i + 1 < argc ? argv[++i] : "";
     };
     if (std::strcmp(argv[i], "--seed") == 0) {
       options.seed = std::strtoull(next(), nullptr, 10);
-    } else if (std::strcmp(argv[i], "--faults") == 0) {
-      options.faults = std::atoi(next());
-    } else if (std::strcmp(argv[i], "--seconds") == 0) {
-      options.seconds = std::atof(next());
-    } else if (std::strcmp(argv[i], "--crashes") == 0) {
-      options.crashes = std::atoi(next());
-    } else if (std::strcmp(argv[i], "--hangs") == 0) {
-      options.hangs = std::atoi(next());
-    } else if (std::strcmp(argv[i], "--box-corrupts") == 0) {
-      options.box_corrupts = std::atoi(next());
-    } else if (std::strcmp(argv[i], "--journal") == 0) {
-      options.journal = next();
     } else if (std::strcmp(argv[i], "--out") == 0) {
-      options.out = next();
+      out = next();
     } else if (std::strcmp(argv[i], "--journal-dir") == 0) {
-      options.journal_dir = next();
+      journal_dir = next();
     } else {
       xoar::Usage(argv[0]);
       return 2;
     }
   }
-  if (command == "record") {
-    return xoar::RunRecord(options);
+  xoar::StatusOr<bool> passed = xoar::RunSelftest(options, out, journal_dir);
+  if (!passed.ok()) {
+    std::fprintf(stderr, "%s\n", passed.status().ToString().c_str());
+    return 2;
   }
-  if (command == "replay") {
-    return xoar::RunReplay(options);
+  if (!*passed) {
+    std::fprintf(stderr, "SELFTEST FAILED\n");
+    return 1;
   }
-  if (command == "selftest") {
-    return xoar::RunSelftest(options);
-  }
-  xoar::Usage(argv[0]);
-  return 2;
+  return 0;
 }
