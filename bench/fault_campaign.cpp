@@ -77,16 +77,23 @@ void PrintCampaignReport(const CampaignRunOptions& options,
   schedule.Print();
 
   Table results({"metric", "value"});
-  results.AddRow({"probes issued", StrFormat("%llu", summary.probes_issued)});
+  results.AddRow({"probes issued",
+                  StrFormat("%llu", static_cast<unsigned long long>(
+                                        summary.probes_issued))});
   results.AddRow({"availability",
                   StrFormat("%.4f", summary.availability)});
   results.AddRow({"faults injected",
-                  StrFormat("%llu", summary.faults_injected)});
+                  StrFormat("%llu", static_cast<unsigned long long>(
+                                        summary.faults_injected))});
   results.AddRow({"absorbed by retry/backoff",
-                  StrFormat("%llu", summary.absorbed_by_retry)});
-  results.AddRow({"microreboots", StrFormat("%llu", summary.microreboots)});
+                  StrFormat("%llu", static_cast<unsigned long long>(
+                                        summary.absorbed_by_retry))});
+  results.AddRow({"microreboots",
+                  StrFormat("%llu", static_cast<unsigned long long>(
+                                        summary.microreboots))});
   results.AddRow({"crashes skipped",
-                  StrFormat("%llu", summary.crashes_skipped)});
+                  StrFormat("%llu", static_cast<unsigned long long>(
+                                        summary.crashes_skipped))});
   results.AddRow({"mean recovery (ms)",
                   StrFormat("%.2f", summary.mean_recovery_ms)});
   results.AddRow(
@@ -109,10 +116,14 @@ void PrintCampaignReport(const CampaignRunOptions& options,
                   StrFormat("%llu", static_cast<unsigned long long>(
                                         summary.quarantines))});
   results.AddRow({"boxes corrupted / rejected",
-                  StrFormat("%llu / %llu", summary.box_corrupts_injected,
-                            summary.boxes_rejected)});
+                  StrFormat("%llu / %llu",
+                            static_cast<unsigned long long>(
+                                summary.box_corrupts_injected),
+                            static_cast<unsigned long long>(
+                                summary.boxes_rejected))});
   results.AddRow({"invariant violations",
-                  StrFormat("%llu", summary.violations)});
+                  StrFormat("%llu", static_cast<unsigned long long>(
+                                        summary.violations))});
   results.Print();
 }
 

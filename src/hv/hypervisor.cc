@@ -676,9 +676,10 @@ Status Hypervisor::UnmapGrant(DomainId caller, DomainId owner, GrantRef ref) {
   if (owner_dom == nullptr) {
     return NotFoundError("grant owner does not exist");
   }
+  XOAR_RETURN_IF_ERROR(owner_dom->grant_table().NoteUnmapped(ref));
   m_grant_unmaps_->Increment();
   obs_->tracer().Op(TraceCategory::kGrant, "grant_unmap", caller.value());
-  return owner_dom->grant_table().NoteUnmapped(ref);
+  return Status::Ok();
 }
 
 Status Hypervisor::EndGrantAccess(DomainId caller, GrantRef ref) {

@@ -80,9 +80,13 @@ void FreeBig(void* p, std::size_t bytes, std::uint8_t method) {
 Simulator::~Simulator() {
   // Destroy callbacks still pending so captured resources (shared_ptrs,
   // buffers) are released, then drop the pooled out-of-line blocks and the
-  // heap storage.
+  // heap storage. Every pending event is in a non-empty lane, and every
+  // non-empty lane is in the heap.
   for (std::size_t pos = kHeapPad; pos < heap_size_; ++pos) {
-    ReleaseCallback(RecordAt(SlotOf(heap_[pos])));
+    for (std::uint32_t slot = lanes_[LaneOf(heap_[pos])].head; slot != kNil;
+         slot = links_[slot].next) {
+      ReleaseCallback(RecordAt(slot));
+    }
   }
   FreeBig(heap_, heap_cap_ * sizeof(HeapEntry), heap_method_);
   for (std::size_t i = 0; i < chunks_.size(); ++i) {
@@ -113,9 +117,9 @@ void Simulator::GrowHeap() {
 
 std::uint32_t Simulator::AllocFreshSlot() {
   if (next_unused_slot_ == chunks_.size() * kRecordsPerChunk) {
-    if (next_unused_slot_ > kSlotMask - kRecordsPerChunk) {
-      std::fprintf(stderr, "Simulator: > 2^%u concurrently pending events\n",
-                   kSlotBits);
+    // Slot indices must stay below the link sentinels.
+    if (next_unused_slot_ > kDetached - kRecordsPerChunk) {
+      std::fprintf(stderr, "Simulator: > 2^32 concurrently pending events\n");
       std::abort();
     }
     constexpr std::size_t bytes = kRecordsPerChunk * sizeof(Record);
@@ -123,14 +127,78 @@ std::uint32_t Simulator::AllocFreshSlot() {
     auto* chunk = static_cast<Record*>(AllocBig(bytes, method));
     chunks_.push_back(chunk);
     chunk_method_.push_back(method);
-    heap_pos_.resize(chunks_.size() * kRecordsPerChunk, kNotInHeap);
   }
   const std::uint32_t slot = next_unused_slot_++;
+  links_.push_back(Link{{0, 0}, kDetached, kNil});
   // First use of this slot: construct the record in place. Reused slots
   // keep their Record alive across free/alloc cycles so the generation
   // counter persists (that is what invalidates stale EventIds).
   ::new (&RecordAt(slot)) Record();
   return slot;
+}
+
+std::uint32_t Simulator::AddLane(SimDuration delay) {
+  // A full table is rebuilt: swept of its empty lanes if they are many,
+  // else grown. Sweeping no earlier keeps every recurring delay mapped
+  // while the table has room (see kMaxEmptyLanes).
+  const std::size_t mapped = lanes_.size() - free_lanes_.size();
+  if (2 * (mapped + 1) > lane_table_.size()) {
+    RebuildLaneTable(empty_lanes_ > kMaxEmptyLanes &&
+                     2 * std::size_t{empty_lanes_} > mapped);
+  }
+  std::uint32_t lane;
+  if (!free_lanes_.empty()) {
+    lane = free_lanes_.back();
+    free_lanes_.pop_back();
+  } else {
+    if (lanes_.size() > kLaneMask) {
+      std::fprintf(stderr, "Simulator: > 2^%u distinct pending delays\n",
+                   kLaneBits);
+      std::abort();
+    }
+    lane = static_cast<std::uint32_t>(lanes_.size());
+    lanes_.emplace_back();
+    lane_pos_.push_back(0);
+  }
+  lanes_[lane].delay = delay;
+  // Counted empty until AllocRecord links its first event.
+  ++empty_lanes_;
+  InsertLane(lane);
+  return lane;
+}
+
+void Simulator::InsertLane(std::uint32_t lane) {
+  const std::size_t mask = lane_table_.size() - 1;
+  std::size_t i = LaneHome(lanes_[lane].delay);
+  while (lane_table_[i] != kNil) {
+    i = (i + 1) & mask;
+  }
+  lane_table_[i] = lane;
+}
+
+void Simulator::RebuildLaneTable(bool drop_empty) {
+  std::size_t mapped = lanes_.size() - free_lanes_.size();
+  if (drop_empty) {
+    mapped -= empty_lanes_;
+    empty_lanes_ = 0;
+  }
+  std::size_t size = lane_table_.size();
+  while (2 * (mapped + 1) > size) {
+    size *= 2;
+  }
+  std::vector<std::uint32_t> old(size, kNil);
+  old.swap(lane_table_);
+  lane_shift_ = 64 - static_cast<unsigned>(std::countr_zero(size));
+  for (const std::uint32_t lane : old) {
+    if (lane == kNil) {
+      continue;
+    }
+    if (drop_empty && lanes_[lane].head == kNil) {
+      free_lanes_.push_back(lane);
+    } else {
+      InsertLane(lane);
+    }
+  }
 }
 
 void Simulator::DieSeqExhausted() {
@@ -142,7 +210,6 @@ void Simulator::FreeRecord(std::uint32_t slot) {
   Record& r = RecordAt(slot);
   ++r.generation;  // stale EventIds now mismatch
   r.manage = nullptr;
-  heap_pos_[slot] = kNotInHeap;
   r.flags_or_next_free = free_head_;
   free_head_ = slot;
 }
@@ -232,6 +299,7 @@ void Simulator::HeapSiftDown(std::size_t pos) {
   const HeapEntry entry = heap_[pos];
   const HeapKey key = KeyOf(entry);
   const std::size_t size = heap_size_;
+  std::uint64_t moves = 0;
   for (;;) {
     const std::size_t first = (pos << 2) - 8;
     if (first >= size) {
@@ -242,11 +310,13 @@ void Simulator::HeapSiftDown(std::size_t pos) {
       break;
     }
     heap_[pos] = heap_[min.idx];
-    heap_pos_[SlotOf(heap_[pos])] = static_cast<std::uint32_t>(pos);
+    lane_pos_[LaneOf(heap_[pos])] = static_cast<std::uint32_t>(pos);
     pos = min.idx;
+    ++moves;
   }
   heap_[pos] = entry;
-  heap_pos_[SlotOf(entry)] = static_cast<std::uint32_t>(pos);
+  lane_pos_[LaneOf(entry)] = static_cast<std::uint32_t>(pos);
+  heap_moves_ += moves;
 }
 
 void Simulator::HeapPopTop() {
@@ -256,6 +326,7 @@ void Simulator::HeapPopTop() {
   // of the shrunken array and rarely sifts up more than a level.
   const std::size_t last = heap_size_ - 1;
   std::size_t hole = kHeapPad;
+  std::uint64_t moves = 0;
   for (;;) {
     const std::size_t first = (hole << 2) - 8;
     if (first >= last) {
@@ -274,12 +345,15 @@ void Simulator::HeapPopTop() {
     __builtin_prefetch(&heap_[gfirst + 12]);
     const MinChild min = FindMinChild(first, std::min(first + 4, last));
     heap_[hole] = heap_[min.idx];
-    heap_pos_[SlotOf(heap_[hole])] = static_cast<std::uint32_t>(hole);
+    lane_pos_[LaneOf(heap_[hole])] = static_cast<std::uint32_t>(hole);
     hole = min.idx;
+    ++moves;
   }
   heap_[hole] = heap_[last];
   --heap_size_;
+  heap_moves_ += moves;
   if (hole < heap_size_) {
+    ++heap_moves_;
     HeapSiftUp(hole);
   }
 }
@@ -292,12 +366,51 @@ void Simulator::HeapRemoveAt(std::size_t pos) {
   }
   heap_[pos] = heap_[last];
   --heap_size_;
+  ++heap_moves_;
   // The relocated entry may need to move either direction; both sifts are
   // no-ops when it is already placed.
-  const std::uint32_t moved = SlotOf(heap_[pos]);
-  heap_pos_[moved] = static_cast<std::uint32_t>(pos);
+  const std::uint32_t moved = LaneOf(heap_[pos]);
+  lane_pos_[moved] = static_cast<std::uint32_t>(pos);
   HeapSiftDown(pos);
-  HeapSiftUp(heap_pos_[moved]);
+  HeapSiftUp(lane_pos_[moved]);
+}
+
+void Simulator::Unlink(std::uint32_t slot) {
+  Link& link = links_[slot];
+  const std::uint32_t prev = link.prev;
+  const std::uint32_t next = link.next;
+  const std::uint32_t lane_index = LaneOf(link.key);
+  Lane& lane = lanes_[lane_index];
+  link.prev = kDetached;
+  --pending_;
+  if (prev == kNil && next == kNil) {
+    // The lane's only event: the lane empties and leaves the heap.
+    lane.head = kNil;
+    lane.tail = kNil;
+    ++empty_lanes_;
+    const std::uint32_t pos = lane_pos_[lane_index];
+    if (pos == kHeapPad) {
+      HeapPopTop();
+    } else {
+      HeapRemoveAt(pos);
+    }
+    return;
+  }
+  if (next == kNil) {
+    lane.tail = prev;
+  } else {
+    links_[next].prev = prev;
+  }
+  if (prev != kNil) {
+    links_[prev].next = next;
+    return;
+  }
+  // The head leaves: the lane's heap entry takes the next head's key, which
+  // orders after it, so the entry can only sift down.
+  lane.head = next;
+  const std::uint32_t pos = lane_pos_[lane_index];
+  heap_[pos] = links_[next].key;
+  HeapSiftDown(pos);
 }
 
 bool Simulator::Cancel(EventId id) {
@@ -308,11 +421,10 @@ bool Simulator::Cancel(EventId id) {
     return false;
   }
   Record& r = RecordAt(slot);
-  const std::uint32_t pos = heap_pos_[slot];
-  if (r.generation != generation || pos == kNotInHeap || pos == kFiring) {
+  if (r.generation != generation || links_[slot].prev == kDetached) {
     return false;  // already fired, already cancelled, or firing right now
   }
-  HeapRemoveAt(pos);
+  Unlink(slot);
   ReleaseCallback(r);
   FreeRecord(slot);
   return true;
@@ -323,16 +435,15 @@ bool Simulator::Step() {
     return false;
   }
   const HeapEntry top = heap_[kHeapPad];
-  const std::uint32_t slot = SlotOf(top);
+  const std::uint32_t slot = lanes_[LaneOf(top)].head;
   // Overlap the record fetch (a likely cache miss on a large slab) with the
-  // pop's sift work.
+  // unlink's sift work.
   __builtin_prefetch(&RecordAt(slot));
-  HeapPopTop();
-  Record& r = RecordAt(slot);
-  // Mark the record as executing: a Cancel of this id from inside the
+  // Detach the record before it runs: a Cancel of this id from inside the
   // callback returns false (the event is no longer pending), matching the
   // old kernel's erase-before-invoke behavior.
-  heap_pos_[slot] = kFiring;
+  Unlink(slot);
+  Record& r = RecordAt(slot);
   now_ = top.when;
   ++executed_;
   // Invoke in place: records never move, so reentrant scheduling (which may

@@ -13,13 +13,18 @@
 // records; the callback is stored inline in the record when its captures fit
 // in kInlineCallbackBytes (the common case for every hot path in src/drv and
 // src/hv) and in a size-classed free-list block otherwise, so the steady
-// state allocates nothing. Ordering comes from an indexed 4-ary min-heap
-// keyed on (when, seq) whose 16-byte nodes carry their slab slot; a flat
-// slot→position index makes Cancel() a true O(log n) removal that releases
-// the callback eagerly — no tombstone set, no hash-table lookups anywhere on
-// the schedule/fire/cancel paths. The FIFO tie-break is carried entirely by
-// the monotonically assigned `seq`, so execution order is byte-identical to
-// the previous priority_queue kernel (enforced by the golden digest test in
+// state allocates nothing. Ordering comes from per-delay FIFO lanes: an
+// event joins the lane of its delay (when - Now() at schedule time), and
+// because Now() never decreases each lane is already sorted by (when, seq).
+// An indexed 4-ary min-heap orders only the lane heads, keyed on the head's
+// (when, seq), so scheduling into a non-empty lane is a tail append with no
+// heap work, and Step() re-sifts the root lane on its next head. Cancel()
+// unlinks the event from its lane's intrusive list in O(1), releases the
+// callback eagerly, and touches the heap only when it removed a lane's head
+// — no tombstone set, no hash-table lookups on the fire/cancel paths. The
+// FIFO tie-break is carried entirely by the monotonically assigned `seq`, so
+// execution order is byte-identical to the previous priority_queue kernel
+// (enforced by the golden digest and differential tests in
 // tests/sim_test.cc against src/sim/legacy_simulator.h).
 //
 // Single-threaded by construction: callbacks run to completion one at a
@@ -28,6 +33,7 @@
 #ifndef XOAR_SRC_SIM_SIMULATOR_H_
 #define XOAR_SRC_SIM_SIMULATOR_H_
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
@@ -118,7 +124,7 @@ class Simulator {
     return ScheduleAt(when, std::forward<F>(fn));
   }
 
-  // Cancels a pending event: removes it from the heap and destroys the
+  // Cancels a pending event: unlinks it from its lane and destroys the
   // callback (releasing captured resources) immediately. Returns false if it
   // already fired, was already cancelled, or is the event currently
   // executing — callers use the result to tell "I stopped it" from "it
@@ -145,17 +151,22 @@ class Simulator {
     RunUntil(deadline < now_ ? kSimTimeMax : deadline);
   }
 
-  // Events scheduled but not yet fired or cancelled. Counted directly from
-  // the heap: cancelled events leave it immediately, so there is no
-  // tombstone arithmetic to go stale.
-  std::size_t PendingEvents() const { return heap_size_ - kHeapPad; }
+  // Events scheduled but not yet fired or cancelled. Cancelled events leave
+  // their lane immediately, so there is no tombstone arithmetic to go stale.
+  std::size_t PendingEvents() const { return pending_; }
   // Total callbacks executed since construction (cancelled ones excluded).
   std::uint64_t EventsExecuted() const { return executed_; }
+  // Heap entries moved by sifts since construction: the kernel's ordering
+  // work counter. It grows with the number of distinct pending delays, not
+  // with the number of pending events.
+  std::uint64_t heap_moves() const { return heap_moves_; }
 
  private:
-  // Sentinels for heap_pos_ values.
-  static constexpr std::uint32_t kNotInHeap = 0xFFFFFFFFu;
-  static constexpr std::uint32_t kFiring = 0xFFFFFFFEu;
+  // Link sentinels: kNil ends a lane's list (and marks an empty lane or an
+  // unused lane-table entry); a slot whose Link::prev is kDetached is not
+  // pending — it is free, or its callback is executing right now.
+  static constexpr std::uint32_t kNil = 0xFFFFFFFFu;
+  static constexpr std::uint32_t kDetached = 0xFFFFFFFEu;
   // Low byte of Record::flags_or_next_free: the outline size class, or one
   // of these sentinels. kNeedsDestroy marks callbacks with non-trivial
   // destructors; trivially destructible ones skip the destroy call.
@@ -172,15 +183,23 @@ class Simulator {
 
   enum class ManageOp { kInvoke, kDestroy };
 
-  // Heap nodes pack the tie-break seq and the slab slot into one word so an
+  // Heap nodes pack the tie-break seq and the lane index into one word so an
   // entry is 16 bytes: four children of a 4-ary node span at most two cache
   // lines, which is what makes deep sifts cheap. `seq` is unique (monotonic
-  // per schedule), so comparing (when, seq_slot) lexicographically is
-  // exactly the old (when, seq) FIFO order — the slot bits below it can
-  // never decide a comparison. AllocRecord aborts before either field can
-  // overflow its bits (~10^12 events / ~10^7 concurrently pending).
-  static constexpr std::uint32_t kSlotBits = 24;
-  static constexpr std::uint64_t kSlotMask = (1u << kSlotBits) - 1;
+  // per schedule), so comparing (when, seq_lane) lexicographically is
+  // exactly the old (when, seq) FIFO order — the lane bits below it can
+  // never decide a comparison. AllocRecord aborts before seq can overflow
+  // its bits (~10^12 events), AddLane before the lane index can (~10^7
+  // distinct pending delays).
+  static constexpr std::uint32_t kLaneBits = 24;
+  static constexpr std::uint64_t kLaneMask = (1u << kLaneBits) - 1;
+  // Empty lanes stay mapped, so a delay that recurs finds its lane again.
+  // They are dropped only when the table is full, more than this many are
+  // empty and they are over half of the mapped lanes; the sweep then
+  // leaves the table at most a quarter full, so each rebuild is paid for
+  // by at least a quarter of the table's size in new lanes.
+  static constexpr std::uint32_t kMaxEmptyLanes = 64;
+  static constexpr std::size_t kInitialLaneTable = 16;
 
   // One slab slot, sized and aligned to exactly one cache line: a single
   // manage trampoline (invoke + destroy behind one pointer), the handle
@@ -211,7 +230,24 @@ class Simulator {
 
   struct HeapEntry {
     SimTime when;
-    std::uint64_t seq_slot;  // (seq << kSlotBits) | slot
+    std::uint64_t seq_lane;  // (seq << kLaneBits) | lane
+  };
+
+  // Per-slot row beside the slab (a Record is exactly one line of callback
+  // storage): the event's own heap key, which becomes its lane's heap entry
+  // when the event reaches the lane head, and its neighbours in the lane.
+  struct Link {
+    HeapEntry key;
+    std::uint32_t prev;  // kNil at the lane head
+    std::uint32_t next;  // kNil at the lane tail
+  };
+
+  // The pending events of one delay, oldest first. An empty lane is not in
+  // the heap.
+  struct Lane {
+    SimDuration delay = 0;
+    std::uint32_t head = kNil;
+    std::uint32_t tail = kNil;
   };
 
   // The heap array is 64-byte aligned and the root lives at index 3, so the
@@ -225,18 +261,19 @@ class Simulator {
   // the sift loops where child-selection branches are data-dependent.
   using HeapKey = unsigned __int128;
   static HeapKey KeyOf(const HeapEntry& e) {
-    return (static_cast<HeapKey>(e.when) << 64) | e.seq_slot;
+    return (static_cast<HeapKey>(e.when) << 64) | e.seq_lane;
   }
-  static std::uint32_t SlotOf(const HeapEntry& e) {
-    return static_cast<std::uint32_t>(e.seq_slot & kSlotMask);
+  static std::uint32_t LaneOf(const HeapEntry& e) {
+    return static_cast<std::uint32_t>(e.seq_lane & kLaneMask);
   }
 
   Record& RecordAt(std::uint32_t slot) {
     return chunks_[slot / kRecordsPerChunk][slot % kRecordsPerChunk];
   }
 
-  // Allocates a slab slot, pushes its heap node keyed (when, next_seq_++),
-  // and returns the record for the caller to fill in. Sets
+  // Allocates a slab slot, appends it to the lane of its delay keyed
+  // (when, next_seq_++), and returns the record for the caller to fill in.
+  // Only an event that lands in an empty lane pushes a heap entry. Sets
   // last_alloc_slot_. Defined in-class so the per-event schedule path
   // inlines into callers; the rare growth and exhaustion cases stay out of
   // line in simulator.cc.
@@ -252,24 +289,62 @@ class Simulator {
       DieSeqExhausted();
     }
     last_alloc_slot_ = slot;
-    Record& r = RecordAt(slot);
-    if (heap_size_ >= heap_cap_) {
-      GrowHeap();
+    const std::uint32_t lane_index = LaneFor(when - now_);
+    Lane& lane = lanes_[lane_index];
+    const std::uint32_t tail = lane.tail;
+    const HeapEntry key{when, (next_seq_++ << kLaneBits) | lane_index};
+    links_[slot] = Link{key, tail, kNil};
+    lane.tail = slot;
+    ++pending_;
+    if (tail != kNil) {
+      links_[tail].next = slot;
+    } else {
+      lane.head = slot;
+      --empty_lanes_;
+      if (heap_size_ >= heap_cap_) {
+        GrowHeap();
+      }
+      const std::size_t pos = heap_size_++;
+      heap_[pos] = key;
+      HeapSiftUp(pos);
     }
-    const std::size_t pos = heap_size_++;
-    heap_[pos] = HeapEntry{when, (next_seq_++ << kSlotBits) | slot};
-    heap_pos_[slot] = static_cast<std::uint32_t>(pos);
-    HeapSiftUp(pos);
-    return r;
+    return RecordAt(slot);
+  }
+  // The lane of `delay`, mapping a new one on first use. Linear probing
+  // from a Fibonacci hash; the table is at most half full.
+  std::uint32_t LaneFor(SimDuration delay) {
+    const std::size_t mask = lane_table_.size() - 1;
+    for (std::size_t i = LaneHome(delay);; i = (i + 1) & mask) {
+      const std::uint32_t lane = lane_table_[i];
+      if (lane == kNil) {
+        return AddLane(delay);
+      }
+      if (lanes_[lane].delay == delay) {
+        return lane;
+      }
+    }
+  }
+  std::size_t LaneHome(SimDuration delay) const {
+    return static_cast<std::size_t>((delay * 0x9E3779B97F4A7C15ull) >>
+                                    lane_shift_);
   }
   // Cold paths for AllocRecord: first use of a slot beyond the allocated
-  // chunks (grows the slab, aborts past the slot cap) and heap storage
-  // growth.
+  // chunks (grows the slab, aborts past the slot cap), a delay with no
+  // lane yet, and heap storage growth.
   std::uint32_t AllocFreshSlot();
+  std::uint32_t AddLane(SimDuration delay);
+  // Maps `lane` at the first unused position of its delay's probe sequence.
+  void InsertLane(std::uint32_t lane);
+  // Re-inserts every mapped lane into a table large enough for one more,
+  // first unmapping the empty ones when `drop_empty`.
+  void RebuildLaneTable(bool drop_empty);
   void GrowHeap();
   [[noreturn]] static void DieSeqExhausted();
   static constexpr std::uint64_t kSeqLimit = std::uint64_t{1}
-                                             << (64 - kSlotBits);
+                                             << (64 - kLaneBits);
+  // Takes a pending slot out of its lane, keeping the lane's heap entry
+  // keyed on its (possibly new) head, and marks the slot detached.
+  void Unlink(std::uint32_t slot);
   void FreeRecord(std::uint32_t slot);
   // Destroys the callback and returns any out-of-line block to its pool.
   void ReleaseCallback(Record& r);
@@ -284,23 +359,26 @@ class Simulator {
   // Smallest entry in heap_[first, end) — branch-free, pairwise tournament
   // for full child groups.
   MinChild FindMinChild(std::size_t first, std::size_t end) const;
-  // In-class for the same reason as AllocRecord: a fresh event lands on a
-  // leaf and almost always stays within a level of it, so the whole loop is
-  // a few instructions on the schedule path.
+  // In-class for the same reason as AllocRecord: a lane that refills lands
+  // on a leaf and almost always stays within a level of it, so the whole
+  // loop is a few instructions on the schedule path.
   void HeapSiftUp(std::size_t pos) {
     const HeapEntry entry = heap_[pos];
     const HeapKey key = KeyOf(entry);
+    std::uint64_t moves = 0;
     while (pos > kHeapPad) {
       const std::size_t parent = (pos + 8) >> 2;
       if (key >= KeyOf(heap_[parent])) {
         break;
       }
       heap_[pos] = heap_[parent];
-      heap_pos_[SlotOf(heap_[pos])] = static_cast<std::uint32_t>(pos);
+      lane_pos_[LaneOf(heap_[pos])] = static_cast<std::uint32_t>(pos);
       pos = parent;
+      ++moves;
     }
     heap_[pos] = entry;
-    heap_pos_[SlotOf(entry)] = static_cast<std::uint32_t>(pos);
+    lane_pos_[LaneOf(entry)] = static_cast<std::uint32_t>(pos);
+    heap_moves_ += moves;
   }
   void HeapSiftDown(std::size_t pos);
   void HeapRemoveAt(std::size_t pos);
@@ -312,19 +390,32 @@ class Simulator {
   SimTime now_ = 0;
   std::uint64_t next_seq_ = 0;
   std::uint64_t executed_ = 0;
+  std::uint64_t heap_moves_ = 0;
+  std::size_t pending_ = 0;
   std::uint32_t last_alloc_slot_ = 0;
 
-  // Indexed 4-ary min-heap in manually managed 64-byte-aligned storage
-  // (std::vector cannot guarantee the alignment the child-group layout
-  // needs). heap_size_ includes the kHeapPad unused slots.
+  // Indexed 4-ary min-heap of the non-empty lanes, in manually managed
+  // 64-byte-aligned storage (std::vector cannot guarantee the alignment the
+  // child-group layout needs). heap_size_ includes the kHeapPad unused
+  // slots.
   HeapEntry* heap_ = nullptr;
   std::size_t heap_size_ = kHeapPad;
   std::size_t heap_cap_ = 0;
-  // Heap position per slab slot (kNotInHeap / kFiring when absent). A flat
-  // side array rather than a Record field: sift swaps rewrite positions for
-  // every entry they move, and 4-byte strides through this dense array stay
-  // in cache where 64-byte Record strides would not.
-  std::vector<std::uint32_t> heap_pos_;
+  // One link row per slab slot ever used, grown with the slots themselves.
+  std::vector<Link> links_;
+  std::vector<Lane> lanes_;
+  // Heap position per lane, meaningful while the lane is non-empty. A dense
+  // side array rather than a Lane field: sifts rewrite the position of
+  // every entry they move, and 4-byte strides stay in cache.
+  std::vector<std::uint32_t> lane_pos_;
+  // Lanes unmapped by a sweep, reused before lanes_ grows.
+  std::vector<std::uint32_t> free_lanes_;
+  std::uint32_t empty_lanes_ = 0;  // mapped lanes with no pending event
+  // Delay -> lane index (kNil: unused), open-addressed on Lane::delay; the
+  // size is a power of two and lane_shift_ is 64 - log2(size).
+  std::vector<std::uint32_t> lane_table_ =
+      std::vector<std::uint32_t>(kInitialLaneTable, kNil);
+  unsigned lane_shift_ = 64 - std::countr_zero(kInitialLaneTable);
   // Raw chunk storage, huge-page backed when the platform allows (see
   // AllocBig in simulator.cc); chunk_method_ remembers how each chunk was
   // allocated so ~Simulator releases it the matching way, as heap_method_

@@ -4,6 +4,8 @@
 #include <cstring>
 #include <memory>
 #include <string>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "src/base/hash_chain.h"
@@ -339,6 +341,291 @@ TEST(SimDeterminismTest, GoldenExecutionOrderDigest) {
   // ...and that sequence is pinned: regenerate only for a deliberate,
   // reviewed change to event-ordering semantics.
   EXPECT_EQ(new_digest, kGoldenDigest);
+}
+
+// --- Differential tests against LegacySimulator: the lane edge cases ---
+//
+// The kernel files each event under its delay (when - Now() at schedule
+// time) and orders only the lane heads, so the cases below are the ones
+// where a lane changes shape: its head, middle or tail is cancelled, it
+// empties and refills, it is swept from the lane table and its index
+// reused, or its delay is a clamp (0 for a past ScheduleAt, kSimTimeMax -
+// Now() for a saturated one). Each scenario runs on both kernels; the
+// (Now, tag) of every fired event and the result of every Cancel must
+// match, in order.
+
+// A Cancel's entry in the log: (Now, kCancelHit or kCancelMiss). Event tags
+// are small, so the two never collide with a fire entry.
+constexpr std::uint64_t kCancelHit = std::uint64_t{1} << 63;
+constexpr std::uint64_t kCancelMiss = kCancelHit + 1;
+using SimLog = std::vector<std::pair<SimTime, std::uint64_t>>;
+
+template <typename Sim>
+struct Recorder {
+  Sim sim;
+  SimLog log;
+  std::vector<EventId> ids;  // indexed by tag
+
+  // Schedules the next tag at `when`; `then` runs after the fire is logged.
+  std::size_t At(SimTime when, std::function<void()> then = {}) {
+    ids.push_back(sim.ScheduleAt(when, Body(ids.size(), std::move(then))));
+    return ids.size() - 1;
+  }
+  // ScheduleAfter, with the saturation the production kernel implements
+  // applied by hand to the legacy one (whose ScheduleAfter wraps).
+  std::size_t After(SimDuration delay, std::function<void()> then = {}) {
+    auto body = Body(ids.size(), std::move(then));
+    if constexpr (std::is_same_v<Sim, Simulator>) {
+      ids.push_back(sim.ScheduleAfter(delay, std::move(body)));
+    } else {
+      const SimTime when = sim.Now() + delay;
+      ids.push_back(sim.ScheduleAt(when < sim.Now() ? kSimTimeMax : when,
+                                   std::move(body)));
+    }
+    return ids.size() - 1;
+  }
+  void Cancel(std::size_t tag) {
+    log.emplace_back(sim.Now(),
+                     sim.Cancel(ids[tag]) ? kCancelHit : kCancelMiss);
+  }
+
+ private:
+  std::function<void()> Body(std::uint64_t tag, std::function<void()> then) {
+    return [this, tag, then = std::move(then)] {
+      log.emplace_back(sim.Now(), tag);
+      if (then) {
+        then();
+      }
+    };
+  }
+};
+
+// Runs `scenario` on both kernels, drains them, and compares the logs.
+// Returns the production kernel's log for scenario-specific checks. A
+// scenario whose callbacks capture its locals drains the kernel itself.
+template <typename Scenario>
+SimLog ExpectSameAsLegacy(Scenario scenario) {
+  Recorder<Simulator> lanes;
+  scenario(lanes);
+  lanes.sim.Run();
+  Recorder<LegacySimulator> legacy;
+  scenario(legacy);
+  legacy.sim.Run();
+  EXPECT_EQ(lanes.log, legacy.log);
+  EXPECT_EQ(lanes.sim.PendingEvents(), 0u);
+  EXPECT_EQ(lanes.sim.EventsExecuted(), legacy.sim.EventsExecuted());
+  return lanes.log;
+}
+
+TEST(SimLaneDifferentialTest, CancelLaneHeadMiddleAndTail) {
+  ExpectSameAsLegacy([](auto& r) {
+    // Two lanes filled on a staggered clock: delay 100 (tags 0, 2, .., 10)
+    // and delay 50 (tags 1, 3, .., 11). The delay-50 lane holds the root,
+    // so the delay-100 lane's head is cancelled off the root first.
+    for (int i = 0; i < 6; ++i) {
+      r.sim.RunUntil(static_cast<SimTime>(10 * i));
+      r.After(100);
+      r.After(50);
+    }
+    r.Cancel(0);   // delay-100 head, not the heap root
+    r.Cancel(10);  // delay-100 tail
+    r.Cancel(4);   // delay-100 middle
+    r.Cancel(4);   // twice: false
+    r.Cancel(1);   // delay-50 head, the heap root
+    r.Cancel(7);   // delay-50 middle
+    r.Cancel(11);  // delay-50 tail
+    r.sim.RunUntil(75);  // fires tags 3 and 5
+    r.Cancel(9);   // the delay-50 lane's last event: the lane empties
+    r.Cancel(3);   // already fired: false
+    r.Cancel(2);   // the delay-100 lane's new head
+    r.After(50);   // the emptied delay-50 lane refills behind live lanes
+  });
+}
+
+TEST(SimLaneDifferentialTest, LaneEmptiesAndRefillsAtTheSameDelay) {
+  const SimLog log = ExpectSameAsLegacy([](auto& r) {
+    // A delay-7 chain re-arms from inside its own callback, right after
+    // Step emptied its lane; a delay-3 chain runs beside it.
+    int left7 = 20;
+    int left3 = 40;
+    std::function<void()> tick7 = [&r, &left7, &tick7] {
+      if (--left7 > 0) {
+        r.After(7, tick7);
+      }
+    };
+    std::function<void()> tick3 = [&r, &left3, &tick3] {
+      if (--left3 > 0) {
+        r.After(3, tick3);
+      }
+    };
+    r.After(7, tick7);
+    r.After(3, tick3);
+    r.sim.RunUntil(200);
+    // Emptied by Cancel, then refilled at the same delay.
+    const std::size_t only = r.After(11);
+    r.Cancel(only);
+    r.After(11);
+    r.After(11);
+    r.sim.Run();
+  });
+  EXPECT_GT(log.size(), 60u);
+}
+
+TEST(SimLaneDifferentialTest, OneOffDelaysSweepTheLaneTableMidWorkload) {
+  ExpectSameAsLegacy([](auto& r) {
+    Rng rng(29);
+    // Long-lived recurring lanes that must survive every sweep.
+    for (int i = 0; i < 8; ++i) {
+      r.After(10'000);
+      r.After(25'000);
+    }
+    // 200 one-off delays, fired: 200 empty lanes out of ~202 mapped.
+    for (SimDuration d = 1; d <= 200; ++d) {
+      r.After(d);
+    }
+    r.sim.RunUntil(300);
+    // As new delays fill the table, more than 64 of its lanes are empty and
+    // they are over half of it: the sweep runs, and its freed lane indices
+    // are reused by the next delays while the recurring lanes still hold
+    // events.
+    for (int round = 0; round < 6; ++round) {
+      std::vector<std::size_t> batch;
+      for (int i = 0; i < 150; ++i) {
+        batch.push_back(r.After(300 + rng.NextBelow(5'000)));
+        if (i % 16 == 0) {
+          r.After(10'000);
+        }
+      }
+      for (std::size_t i = 0; i < batch.size(); i += 5) {
+        r.Cancel(batch[i]);
+      }
+      r.sim.RunFor(1'000 + rng.NextBelow(3'000));
+    }
+  });
+}
+
+TEST(SimLaneDifferentialTest, PastScheduleAtFromACallbackIsDelayZero) {
+  ExpectSameAsLegacy([](auto& r) {
+    r.At(100);  // already pending at t=100: fires before the clamped ones
+    r.At(100, [&r] {
+      r.At(40);   // in the past: clamped to Now(), delay 0
+      r.At(100);  // exactly Now(): delay 0 too
+      r.After(0);
+      r.After(1);
+    });
+    r.At(100);
+    r.At(250, [&r] {
+      r.At(0);  // the delay-0 lane again, at a later Now()
+      r.After(0);
+    });
+    r.At(250);
+  });
+}
+
+TEST(SimLaneDifferentialTest, SaturatedDeadlinesKeepScheduleOrder) {
+  const SimLog log = ExpectSameAsLegacy([](auto& r) {
+    r.After(kSimTimeMax);  // tag 0: saturates to kSimTimeMax
+    r.At(kSimTimeMax);     // tag 1: same instant, its own lane
+    r.At(kSimTimeMax - 1);  // tag 2
+    r.sim.RunUntil(500);
+    r.After(kSimTimeMax - 100);  // tag 3: wraps past the clock, saturates
+    r.After(kSimTimeMax);        // tag 4
+    r.Cancel(1);
+    r.At(kSimTimeMax, [&r] { r.After(5); });  // tag 5, then tag 6
+  });
+  // kSimTimeMax - 1 first, then the saturated ones in schedule order; the
+  // event scheduled at the end of time still fires there.
+  const SimLog expected = {{500, kCancelHit},    {kSimTimeMax - 1, 2},
+                           {kSimTimeMax, 0},     {kSimTimeMax, 3},
+                           {kSimTimeMax, 4},     {kSimTimeMax, 5},
+                           {kSimTimeMax, 6}};
+  EXPECT_EQ(log, expected);
+}
+
+TEST(SimLaneDifferentialTest, StaleHandleAfterSlotReuseCancelsNothing) {
+  ExpectSameAsLegacy([](auto& r) {
+    const std::size_t fired = r.After(5);
+    r.sim.Run();
+    const std::size_t reuser = r.After(5);  // takes the fired event's slot
+    r.Cancel(fired);                        // stale: false
+    const std::size_t cancelled = r.After(9);
+    r.Cancel(cancelled);
+    r.After(9);          // reuses the cancelled event's slot
+    r.Cancel(cancelled);  // stale: false, the reuser still fires
+    const std::size_t self = r.ids.size();
+    r.After(2, [&r, reuser, self] {
+      r.Cancel(reuser);  // still pending: true
+      r.Cancel(self);    // executing right now: false
+    });
+  });
+}
+
+TEST(SimLaneDifferentialTest, RandomizedScheduleCancelMix) {
+  ExpectSameAsLegacy([](auto& r) {
+    // Recurring delays in the proportions a block/net workload shows, plus
+    // one-offs, past ScheduleAts and cancels of live, fired and cancelled
+    // handles.
+    static constexpr SimDuration kRecurring[] = {1'000,  1'000, 1'000,
+                                                 400'000, 4'000, 762'000,
+                                                 250'000'000};
+    Rng rng(0xd1ff);
+    std::function<void()> step;
+    int budget = 6'000;
+    step = [&r, &rng, &step, &budget] {
+      if (--budget <= 0) {
+        return;
+      }
+      const std::uint64_t op = rng.NextBelow(10);
+      if (op < 6) {
+        r.After(kRecurring[rng.NextBelow(7)], step);
+      } else if (op < 7) {
+        r.After(rng.NextBelow(2'000'000), step);
+      } else if (op < 8) {
+        r.At(r.sim.Now() - std::min<SimTime>(r.sim.Now(), rng.NextBelow(50)),
+             step);
+      } else {
+        r.Cancel(rng.NextBelow(r.ids.size()));
+        r.After(kRecurring[rng.NextBelow(7)], step);
+      }
+    };
+    for (int i = 0; i < 64; ++i) {
+      r.After(kRecurring[i % 7], step);
+    }
+    r.sim.Run();
+  });
+}
+
+// Complexity gate: heap work per event depends on the number of distinct
+// pending delays, not on the number of pending events. With four delays the
+// heap holds four lanes whether 10^2 or 10^4 events are pending; a heap
+// keyed per event walks ~log4(n) levels per pop and roughly doubles its
+// moves per event between the two.
+double HeapMovesPerEvent(std::size_t pending) {
+  struct Chain {
+    Simulator* sim;
+    SimDuration delay;
+    void operator()() const { sim->ScheduleAfter(delay, *this); }
+  };
+  static constexpr SimDuration kDelays[] = {1'000, 4'000, 400'000, 762'000};
+  Simulator sim;
+  for (std::size_t i = 0; i < pending; ++i) {
+    sim.RunUntil(static_cast<SimTime>(10 * i));
+    sim.ScheduleAfter(kDelays[i % 4], Chain{&sim, kDelays[i % 4]});
+  }
+  EXPECT_EQ(sim.PendingEvents(), pending);
+  const std::uint64_t moves = sim.heap_moves();
+  constexpr std::uint64_t kEvents = 100'000;
+  sim.Run(kEvents);
+  EXPECT_EQ(sim.PendingEvents(), pending);
+  return static_cast<double>(sim.heap_moves() - moves) / kEvents;
+}
+
+TEST(SimComplexityTest, HeapMovesPerEventIndependentOfPendingEvents) {
+  const double small = HeapMovesPerEvent(100);
+  const double large = HeapMovesPerEvent(10'000);
+  EXPECT_GT(small, 0.0);
+  EXPECT_LE(large, 1.5 * small) << "moves/event " << small << " at 10^2, "
+                                << large << " at 10^4";
 }
 
 TEST(PeriodicTimerTest, FiresRepeatedly) {

@@ -308,6 +308,9 @@ TEST(ValidateObsTest, SimCoreGaugesMustBePositive) {
       "sim_core.timer_churn.ops_per_sec",
       "sim_core.timer_churn.baseline_ops_per_sec",
       "sim_core.timer_churn.speedup",
+      "sim_core.delay_mix.ops_per_sec",
+      "sim_core.delay_mix.baseline_ops_per_sec",
+      "sim_core.delay_mix.speedup",
       "sim_core.ring_drain.requests_per_sec",
       "sim_core.ring_drain.sim_events_per_request"};
   const std::string base = ReadExport("bench/BENCH_sim_core.json");

@@ -256,6 +256,10 @@ TEST_F(XsServiceTest, RefusedConnectReleasesWhatItTook) {
   EXPECT_EQ(xs_->Connect(guest_).code(), StatusCode::kUnavailable);
   EXPECT_EQ(held(guest_), guest_before);
   EXPECT_EQ(connected_ports(logic_), logic_ports_before);
+  // The release's unmap of the never-mapped ring grant is refused, and a
+  // refused unmap is not counted as one.
+  EXPECT_EQ(obs_.metrics().GetCounter("hv.grant.maps")->value(), 0u);
+  EXPECT_EQ(obs_.metrics().GetCounter("hv.grant.unmaps")->value(), 0u);
   hv_->set_grant_map_fault_hook(nullptr);
   EXPECT_TRUE(xs_->Connect(guest_).ok());
 }

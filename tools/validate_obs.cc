@@ -341,6 +341,9 @@ const std::vector<Mode>& Modes() {
                     {"sim_core.timer_churn.ops_per_sec", kPositive},
                     {"sim_core.timer_churn.baseline_ops_per_sec", kPositive},
                     {"sim_core.timer_churn.speedup", kPositive},
+                    {"sim_core.delay_mix.ops_per_sec", kPositive},
+                    {"sim_core.delay_mix.baseline_ops_per_sec", kPositive},
+                    {"sim_core.delay_mix.speedup", kPositive},
                     {"sim_core.ring_drain.requests_per_sec", kPositive},
                     {"sim_core.ring_drain.sim_events_per_request", kPositive,
                      12}}},
