@@ -373,10 +373,14 @@ int RunBench(const Options& options) {
       BestOfThree([&] { return RunScheduleFire<Simulator>(options.events); });
   const double fire_old = BestOfThree(
       [&] { return RunScheduleFire<LegacySimulator>(options.events); });
-  const double cancel_new = RunScheduleCancel<Simulator>(options.ops);
-  const double cancel_old = RunScheduleCancel<LegacySimulator>(options.ops);
-  const double churn_new = RunTimerChurn<Simulator>(options.ops);
-  const double churn_old = RunTimerChurn<LegacySimulator>(options.ops);
+  const double cancel_new =
+      BestOfThree([&] { return RunScheduleCancel<Simulator>(options.ops); });
+  const double cancel_old = BestOfThree(
+      [&] { return RunScheduleCancel<LegacySimulator>(options.ops); });
+  const double churn_new =
+      BestOfThree([&] { return RunTimerChurn<Simulator>(options.ops); });
+  const double churn_old =
+      BestOfThree([&] { return RunTimerChurn<LegacySimulator>(options.ops); });
   const double mix_new =
       BestOfThree([&] { return RunDelayMix<Simulator>(options.ops); });
   const double mix_old =

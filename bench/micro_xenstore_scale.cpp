@@ -20,10 +20,16 @@
 //    whole std::map per directory, O(fan-out)), swept over 10..10^4
 //    siblings with the copy count reported beside the time
 //
+// The transaction, quota and width benchmarks report the store's
+// deterministic work counters per iteration beside the time: entries
+// copied (`cow_copies`) and children-map entries visited by path walks
+// (`entries_visited`).
+//
 // Results are written to BENCH_xenstore.json (override with
 // --benchmark_out=...) so future PRs can track the trajectory.
 #include <benchmark/benchmark.h>
 
+#include <cstdint>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -47,6 +53,29 @@ void Populate(XsStore& store, int nodes, DomainId owner) {
     (void)store.Write(owner, path, "v");
   }
 }
+
+// Reports the store's work counters, per iteration, since construction.
+class WorkMeter {
+ public:
+  explicit WorkMeter(const XsStore& store)
+      : store_(store),
+        copies_(store.cow_copies()),
+        visits_(store.entries_visited()) {}
+
+  void Report(benchmark::State& state) const {
+    state.counters["cow_copies"] = benchmark::Counter(
+        static_cast<double>(store_.cow_copies() - copies_),
+        benchmark::Counter::kAvgIterations);
+    state.counters["entries_visited"] = benchmark::Counter(
+        static_cast<double>(store_.entries_visited() - visits_),
+        benchmark::Counter::kAvgIterations);
+  }
+
+ private:
+  const XsStore& store_;
+  const std::uint64_t copies_;
+  const std::uint64_t visits_;
+};
 
 // Store size for the owner sweeps: large enough that every one of 10^4
 // owners holds a node.
@@ -89,6 +118,7 @@ void BM_TransactionWriteCommit(benchmark::State& state) {
   XsStore store(&obs);
   store.AddManagerDomain(kManager);
   PopulateOwners(store, kOwnerSweepNodes, static_cast<int>(state.range(0)));
+  const WorkMeter work(store);
   for (auto _ : state) {
     auto tx = store.TransactionStart(kManager);
     (void)store.Write(kManager, "/local/domain/0/txkey", "v", *tx);
@@ -96,6 +126,7 @@ void BM_TransactionWriteCommit(benchmark::State& state) {
     (void)store.Remove(kManager, "/local/domain/0/txkey");
   }
   state.counters["store_nodes"] = static_cast<double>(store.NodeCount());
+  work.Report(state);
 }
 BENCHMARK(BM_TransactionWriteCommit)
     ->ArgName("owners")->Arg(1)->Arg(1000)->Arg(10000);
@@ -113,16 +144,14 @@ void BM_TransactionWriteCommitFanOut(benchmark::State& state) {
     (void)store.Mkdir(kManager, StrFormat("/local/domain/%d", i));
   }
   const std::string key = StrFormat("/local/domain/%d/txkey", siblings / 2);
-  const std::uint64_t copies_before = store.cow_copies();
+  const WorkMeter work(store);
   for (auto _ : state) {
     auto tx = store.TransactionStart(kManager);
     (void)store.Write(kManager, key, "v", *tx);
     benchmark::DoNotOptimize(store.TransactionEnd(kManager, *tx, true));
     (void)store.Remove(kManager, key);
   }
-  state.counters["cow_copies"] = benchmark::Counter(
-      static_cast<double>(store.cow_copies() - copies_before),
-      benchmark::Counter::kAvgIterations);
+  work.Report(state);
 }
 BENCHMARK(BM_TransactionWriteCommitFanOut)
     ->ArgName("siblings")->Arg(10)->Arg(100)->Arg(1000)->Arg(10000);
@@ -135,6 +164,7 @@ void BM_DisjointTransactionsCommit(benchmark::State& state) {
   store.AddManagerDomain(kManager);
   Populate(store, static_cast<int>(state.range(0)), kManager);
   std::uint64_t aborted = 0;
+  const WorkMeter work(store);
   for (auto _ : state) {
     auto a = store.TransactionStart(kManager);
     auto b = store.TransactionStart(kManager);
@@ -144,6 +174,7 @@ void BM_DisjointTransactionsCommit(benchmark::State& state) {
     if (!store.TransactionEnd(kManager, *b, true).ok()) ++aborted;
   }
   state.counters["aborted"] = static_cast<double>(aborted);
+  work.Report(state);
 }
 BENCHMARK(BM_DisjointTransactionsCommit)->Arg(1000)->Arg(10000);
 
@@ -164,12 +195,14 @@ void BM_QuotaNodeCreate(benchmark::State& state) {
   for (int i = 0; i < nodes; ++i) {
     (void)store.Write(kGuest, StrFormat("/g/d%d/n%d", i % 64, i), "v");
   }
+  const WorkMeter work(store);
   for (auto _ : state) {
     (void)store.Write(kGuest, "/g/bench-node", "v");
     (void)store.Remove(kGuest, "/g/bench-node");
   }
   state.counters["guest_nodes"] =
       static_cast<double>(store.NodesOwnedBy(kGuest));
+  work.Report(state);
 }
 BENCHMARK(BM_QuotaNodeCreate)->Arg(100)->Arg(1000)->Arg(10000)->Arg(100000);
 

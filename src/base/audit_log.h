@@ -55,7 +55,7 @@ struct AuditEvent {
   SimTime time = 0;
   AuditEventKind kind = AuditEventKind::kHypervisor;
   DomainId subject;  // usually a guest
-  DomainId object;   // usually a shard
+  DomainId object{};  // usually a shard
   std::string detail;
 
   std::string Serialize() const;

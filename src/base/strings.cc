@@ -29,6 +29,14 @@ std::string NormalizePath(std::string_view path) {
   return out;
 }
 
+bool IsCanonicalPath(std::string_view path) {
+  if (path.empty() || path.front() != '/') {
+    return false;
+  }
+  return path.size() == 1 ||
+         (path.back() != '/' && path.find("//") == std::string_view::npos);
+}
+
 bool PathHasPrefix(std::string_view path, std::string_view prefix) {
   // Normalize away trailing separators on the prefix ("/a/" == "/a").
   while (!prefix.empty() && prefix.back() == '/') {

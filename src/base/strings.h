@@ -45,6 +45,9 @@ class PathSegments {
 // ("a//b/" -> "/a/b"; no segments -> "/").
 std::string NormalizePath(std::string_view path);
 
+// True if `path` is already canonical: NormalizePath(path) == path.
+bool IsCanonicalPath(std::string_view path);
+
 // True if `path` equals `prefix` or is a descendant of it ("/a/b" has prefix
 // "/a" but not "/ab").
 bool PathHasPrefix(std::string_view path, std::string_view prefix);

@@ -42,11 +42,11 @@ struct GuestSpec {
   int vcpus = 2;
   // §3.2.1 constraint tag: shards are shared only among guests with the
   // same tag. Empty = the default (unconstrained) group.
-  std::string constraint_tag;
+  std::string constraint_tag{};
   // Cloud-density tenant label (SCALING.md): guests with the same tenant
   // land in the same per-tenant Toolstack slice, which keeps bookkeeping
   // and accounting O(slice) rather than O(host). Empty = default tenant.
-  std::string tenant;
+  std::string tenant{};
   bool with_net = true;
   bool with_disk = true;
   std::uint64_t disk_image_mb = 15 * 1024;  // the paper's 15 GB virtual disk

@@ -10,7 +10,8 @@
 // 1.45 log2 n) whatever order keys arrive in. Keys compare as std::string
 // does: in-order iteration is std::map<std::string, V> order.
 //
-// The mutating calls add the number of entries they copy to `*copies`.
+// Every call adds its work to the CowWork it is handed: the entries it
+// visited on its search path, and the entries it copied.
 #ifndef XOAR_SRC_XS_COW_MAP_H_
 #define XOAR_SRC_XS_COW_MAP_H_
 
@@ -24,14 +25,21 @@
 
 namespace xoar {
 
+// Work done by the CowMap calls handed this record, summed.
+struct CowWork {
+  std::uint64_t visits = 0;  // entries a lookup or descent stepped on
+  std::uint64_t copies = 0;  // shared entries copied
+};
+
 template <typename V>
 class CowMap {
  public:
   std::size_t size() const { return size_; }
   int height() const { return Height(root_); }
 
-  const V* Find(std::string_view key) const {
+  const V* Find(std::string_view key, CowWork* work) const {
     for (const Entry* e = root_.get(); e != nullptr;) {
+      ++work->visits;
       const int c = key.compare(e->key);
       if (c == 0) {
         return &e->value;
@@ -44,9 +52,10 @@ class CowMap {
   // `key`'s value, exclusive to this map; nullptr if absent. A miss still
   // copies the shared entries on the search path, as the Insert that
   // follows one must.
-  V* FindMutable(std::string_view key, std::uint64_t* copies) {
+  V* FindMutable(std::string_view key, CowWork* work) {
     for (EntryPtr* slot = &root_; *slot != nullptr;) {
-      Entry* e = Detach(*slot, copies);
+      ++work->visits;
+      Entry* e = Detach(*slot, work);
       const int c = key.compare(e->key);
       if (c == 0) {
         return &e->value;
@@ -57,18 +66,18 @@ class CowMap {
   }
 
   // Inserts `key`, which must be absent, and returns its value.
-  V& Insert(std::string_view key, V value, std::uint64_t* copies) {
+  V& Insert(std::string_view key, V value, CowWork* work) {
     ++size_;
-    return InsertAt(root_, key, std::move(value), copies);
+    return InsertAt(root_, key, std::move(value), work);
   }
 
-  // Erases `key`; false if it is absent.
-  bool Erase(std::string_view key, std::uint64_t* copies) {
-    if (Find(key) == nullptr) {
+  // Erases `key`; false if it is absent. Like FindMutable's, a miss still
+  // copies the shared entries on the search path.
+  bool Erase(std::string_view key, CowWork* work) {
+    if (!EraseAt(root_, key, work)) {
       return false;
     }
     --size_;
-    EraseAt(root_, key, copies);
     return true;
   }
 
@@ -90,19 +99,19 @@ class CowMap {
 
   static int Height(const EntryPtr& e) { return e ? e->height : 0; }
 
-  static Entry* Detach(EntryPtr& slot, std::uint64_t* copies) {
+  static Entry* Detach(EntryPtr& slot, CowWork* work) {
     if (slot.use_count() > 1) {
       slot = std::make_shared<Entry>(*slot);
-      ++*copies;
+      ++work->copies;
     }
     return slot.get();
   }
 
   // Makes slot's child on side `d` the root of the subtree.
-  static void Rotate(EntryPtr& slot, int d, std::uint64_t* copies) {
-    Entry* top = Detach(slot, copies);
+  static void Rotate(EntryPtr& slot, int d, CowWork* work) {
+    Entry* top = Detach(slot, work);
     EntryPtr pivot = std::move(top->child[d]);
-    Entry* p = Detach(pivot, copies);
+    Entry* p = Detach(pivot, work);
     top->child[d] = std::move(p->child[1 - d]);
     top->height = 1 + std::max(Height(top->child[0]), Height(top->child[1]));
     p->child[1 - d] = std::move(slot);
@@ -112,16 +121,16 @@ class CowMap {
 
   // Restores the AVL invariant at `slot`, whose entry is already exclusive
   // and whose subtrees are balanced.
-  static void Rebalance(EntryPtr& slot, std::uint64_t* copies) {
+  static void Rebalance(EntryPtr& slot, CowWork* work) {
     Entry* e = slot.get();
     const int lean = Height(e->child[0]) - Height(e->child[1]);
     if (lean < -1 || lean > 1) {
       const int d = lean > 1 ? 0 : 1;  // the taller side
       const Entry* tall = e->child[d].get();
       if (Height(tall->child[1 - d]) > Height(tall->child[d])) {
-        Rotate(e->child[d], 1 - d, copies);
+        Rotate(e->child[d], 1 - d, work);
       }
-      Rotate(slot, d, copies);
+      Rotate(slot, d, work);
     } else {
       e->height = 1 + std::max(Height(e->child[0]), Height(e->child[1]));
     }
@@ -130,51 +139,59 @@ class CowMap {
   // The new entry is never shared, so no rotation copies it and the
   // returned reference stays valid.
   static V& InsertAt(EntryPtr& slot, std::string_view key, V&& value,
-                     std::uint64_t* copies) {
+                     CowWork* work) {
     if (slot == nullptr) {
       slot = std::make_shared<Entry>();
       slot->key = key;
       slot->value = std::move(value);
       return slot->value;
     }
-    Entry* e = Detach(slot, copies);
+    ++work->visits;
+    Entry* e = Detach(slot, work);
     V& inserted = InsertAt(e->child[key.compare(e->key) > 0], key,
-                           std::move(value), copies);
-    Rebalance(slot, copies);
+                           std::move(value), work);
+    Rebalance(slot, work);
     return inserted;
   }
 
-  static void EraseAt(EntryPtr& slot, std::string_view key,
-                      std::uint64_t* copies) {
+  static bool EraseAt(EntryPtr& slot, std::string_view key, CowWork* work) {
+    if (slot == nullptr) {
+      return false;
+    }
+    ++work->visits;
     const int c = key.compare(slot->key);
     if (c == 0 && (slot->child[0] == nullptr || slot->child[1] == nullptr)) {
       // Its one subtree (another copy may share it) takes its place.
       EntryPtr only = slot->child[slot->child[0] == nullptr];
       slot = std::move(only);
-      return;
+      return true;
     }
-    Entry* e = Detach(slot, copies);
+    Entry* e = Detach(slot, work);
     if (c != 0) {
-      EraseAt(e->child[c > 0], key, copies);
+      if (!EraseAt(e->child[c > 0], key, work)) {
+        return false;  // nothing moved, so no height changed
+      }
     } else {
       // Two children: the smallest larger entry takes this one's place.
-      EntryPtr next = TakeMin(e->child[1], copies);
+      EntryPtr next = TakeMin(e->child[1], work);
       e->key = std::move(next->key);
       e->value = std::move(next->value);
     }
-    Rebalance(slot, copies);
+    Rebalance(slot, work);
+    return true;
   }
 
   // Unlinks the smallest entry below `slot` and returns it, exclusive.
-  static EntryPtr TakeMin(EntryPtr& slot, std::uint64_t* copies) {
-    Entry* e = Detach(slot, copies);
+  static EntryPtr TakeMin(EntryPtr& slot, CowWork* work) {
+    ++work->visits;
+    Entry* e = Detach(slot, work);
     if (e->child[0] == nullptr) {
       EntryPtr min = std::move(slot);
       slot = std::move(min->child[1]);
       return min;
     }
-    EntryPtr min = TakeMin(e->child[0], copies);
-    Rebalance(slot, copies);
+    EntryPtr min = TakeMin(e->child[0], work);
+    Rebalance(slot, work);
     return min;
   }
 

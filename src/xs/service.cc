@@ -190,16 +190,26 @@ Status XenStoreService::CheckShard(int shard) {
   return Status::Ok();
 }
 
-Status XenStoreService::CheckShardForPath(std::string_view path) {
-  if (XsShardedStore::IsSpanningPath(path)) {
-    // Spanning prefixes fan out (mutations) or merge (listings): every
-    // partition must be up.
+StatusOr<XsShardedStore::Route> XenStoreService::AdmitPath(
+    DomainId caller, std::string_view path) {
+  XOAR_RETURN_IF_ERROR(CheckRequest(caller));
+  const XsShardedStore::Route route = store_.RouteFor(path);
+  if (route.spanning) {
     for (int i = 0; i < static_cast<int>(shard_available_.size()); ++i) {
       XOAR_RETURN_IF_ERROR(CheckShard(i));
     }
-    return Status::Ok();
+  } else {
+    XOAR_RETURN_IF_ERROR(CheckShard(route.shard));
   }
-  return CheckShard(store_.ShardIndexForPath(path));
+  NoteRequestServed();
+  return route;
+}
+
+Status XenStoreService::AdmitShard(DomainId caller, int shard) {
+  XOAR_RETURN_IF_ERROR(CheckRequest(caller));
+  XOAR_RETURN_IF_ERROR(CheckShard(shard));
+  NoteRequestServed();
+  return Status::Ok();
 }
 
 void XenStoreService::NoteRequestServed() {
@@ -227,61 +237,54 @@ void XenStoreService::FinishLogicRestart() {
 
 StatusOr<std::string> XenStoreService::Read(DomainId caller,
                                             std::string_view path) {
-  XOAR_RETURN_IF_ERROR(CheckRequest(caller));
-  XOAR_RETURN_IF_ERROR(CheckShardForPath(path));
-  NoteRequestServed();
-  return store_.Read(caller, path);
+  XOAR_ASSIGN_OR_RETURN(const XsShardedStore::Route route,
+                        AdmitPath(caller, path));
+  return store_.Read(route, caller, path);
 }
 
 Status XenStoreService::Write(DomainId caller, std::string_view path,
                               std::string_view value) {
-  XOAR_RETURN_IF_ERROR(CheckRequest(caller));
-  XOAR_RETURN_IF_ERROR(CheckShardForPath(path));
-  NoteRequestServed();
-  return store_.Write(caller, path, value);
+  XOAR_ASSIGN_OR_RETURN(const XsShardedStore::Route route,
+                        AdmitPath(caller, path));
+  return store_.Write(route, caller, path, value);
 }
 
 Status XenStoreService::Mkdir(DomainId caller, std::string_view path) {
-  XOAR_RETURN_IF_ERROR(CheckRequest(caller));
-  XOAR_RETURN_IF_ERROR(CheckShardForPath(path));
-  NoteRequestServed();
-  return store_.Mkdir(caller, path);
+  XOAR_ASSIGN_OR_RETURN(const XsShardedStore::Route route,
+                        AdmitPath(caller, path));
+  return store_.Mkdir(route, caller, path);
 }
 
 Status XenStoreService::Remove(DomainId caller, std::string_view path) {
-  XOAR_RETURN_IF_ERROR(CheckRequest(caller));
-  XOAR_RETURN_IF_ERROR(CheckShardForPath(path));
-  NoteRequestServed();
-  return store_.Remove(caller, path);
+  XOAR_ASSIGN_OR_RETURN(const XsShardedStore::Route route,
+                        AdmitPath(caller, path));
+  return store_.Remove(route, caller, path);
 }
 
 StatusOr<std::vector<std::string>> XenStoreService::List(
     DomainId caller, std::string_view path) {
-  XOAR_RETURN_IF_ERROR(CheckRequest(caller));
-  XOAR_RETURN_IF_ERROR(CheckShardForPath(path));
-  NoteRequestServed();
-  return store_.List(caller, path);
+  XOAR_ASSIGN_OR_RETURN(const XsShardedStore::Route route,
+                        AdmitPath(caller, path));
+  return store_.List(route, caller, path);
 }
 
 Status XenStoreService::SetPerms(DomainId caller, std::string_view path,
                                  const XsNodePerms& perms) {
-  XOAR_RETURN_IF_ERROR(CheckRequest(caller));
-  XOAR_RETURN_IF_ERROR(CheckShardForPath(path));
-  NoteRequestServed();
-  return store_.SetPerms(caller, path, perms);
+  XOAR_ASSIGN_OR_RETURN(const XsShardedStore::Route route,
+                        AdmitPath(caller, path));
+  return store_.SetPerms(route, caller, path, perms);
 }
 
 Status XenStoreService::Watch(DomainId caller, std::string_view path,
                               std::string_view token,
                               XsStore::WatchCallback cb) {
-  XOAR_RETURN_IF_ERROR(CheckRequest(caller));
-  XOAR_RETURN_IF_ERROR(CheckShardForPath(path));
-  NoteRequestServed();
+  XOAR_ASSIGN_OR_RETURN(const XsShardedStore::Route route,
+                        AdmitPath(caller, path));
   // Watch registrations live in the store itself (XenStore-State), so they
   // survive Logic restarts. Deliveries are asynchronous.
   Simulator* sim = sim_;
   return store_.Watch(
-      caller, path, token,
+      route, caller, path, token,
       [sim, cb = std::move(cb)](const XsWatchEvent& event) {
         sim->ScheduleAfter(kXsWatchLatency, [cb, event] { cb(event); });
       });
@@ -289,41 +292,32 @@ Status XenStoreService::Watch(DomainId caller, std::string_view path,
 
 Status XenStoreService::Unwatch(DomainId caller, std::string_view path,
                                 std::string_view token) {
-  XOAR_RETURN_IF_ERROR(CheckRequest(caller));
-  XOAR_RETURN_IF_ERROR(CheckShardForPath(path));
-  NoteRequestServed();
-  return store_.Unwatch(caller, path, token);
+  XOAR_ASSIGN_OR_RETURN(const XsShardedStore::Route route,
+                        AdmitPath(caller, path));
+  return store_.Unwatch(route, caller, path, token);
 }
 
 StatusOr<XsStore::TxId> XenStoreService::TransactionStart(DomainId caller) {
-  XOAR_RETURN_IF_ERROR(CheckRequest(caller));
-  XOAR_RETURN_IF_ERROR(CheckShard(store_.ShardIndexForDomain(caller)));
-  NoteRequestServed();
+  XOAR_RETURN_IF_ERROR(AdmitShard(caller, store_.ShardIndexForDomain(caller)));
   return store_.TransactionStart(caller);
 }
 
 Status XenStoreService::TransactionEnd(DomainId caller, XsStore::TxId tx,
                                        bool commit) {
-  XOAR_RETURN_IF_ERROR(CheckRequest(caller));
-  XOAR_RETURN_IF_ERROR(CheckShard(store_.ShardOfTransaction(tx)));
-  NoteRequestServed();
+  XOAR_RETURN_IF_ERROR(AdmitShard(caller, store_.ShardOfTransaction(tx)));
   return store_.TransactionEnd(caller, tx, commit);
 }
 
 StatusOr<std::string> XenStoreService::ReadTx(DomainId caller,
                                               std::string_view path,
                                               XsStore::TxId tx) {
-  XOAR_RETURN_IF_ERROR(CheckRequest(caller));
-  XOAR_RETURN_IF_ERROR(CheckShard(store_.ShardOfTransaction(tx)));
-  NoteRequestServed();
+  XOAR_RETURN_IF_ERROR(AdmitShard(caller, store_.ShardOfTransaction(tx)));
   return store_.Read(caller, path, tx);
 }
 
 Status XenStoreService::WriteTx(DomainId caller, std::string_view path,
                                 std::string_view value, XsStore::TxId tx) {
-  XOAR_RETURN_IF_ERROR(CheckRequest(caller));
-  XOAR_RETURN_IF_ERROR(CheckShard(store_.ShardOfTransaction(tx)));
-  NoteRequestServed();
+  XOAR_RETURN_IF_ERROR(AdmitShard(caller, store_.ShardOfTransaction(tx)));
   return store_.Write(caller, path, value, tx);
 }
 

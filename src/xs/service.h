@@ -170,11 +170,15 @@ class XenStoreService {
   void AddConnection(DomainId client, const Connection& conn);
   // Gate every request: connection present, logic component up.
   Status CheckRequest(DomainId caller);
-  // Gate on the State partition a request routes to. Spanning paths
-  // require every shard up (their mutations fan out; their listings
-  // merge); per-tenant paths require only their own shard.
-  Status CheckShardForPath(std::string_view path);
   Status CheckShard(int shard);
+  // Admits a request, gated on CheckRequest and the State partition it
+  // runs on, and counts it served. A path's request routes the path once
+  // and returns the route for the dispatch: a spanning path needs every
+  // shard up (its mutations fan out; its listings merge), a per-tenant
+  // path only its own shard.
+  StatusOr<XsShardedStore::Route> AdmitPath(DomainId caller,
+                                            std::string_view path);
+  Status AdmitShard(DomainId caller, int shard);
   void NoteRequestServed();
   void FinishLogicRestart();
 

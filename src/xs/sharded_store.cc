@@ -86,12 +86,18 @@ void XsShardedStore::set_node_quota(std::size_t quota) {
   }
 }
 
-int XsShardedStore::ShardIndexForPath(std::string_view path) const {
+XsShardedStore::Route XsShardedStore::RouteFor(std::string_view path) const {
   const RouteInfo info = RoutePath(path);
+  Route route;
+  route.spanning = info.spanning;
   if (info.tenant) {
-    return static_cast<int>(info.tenant_id % shards_.size());
+    route.shard = static_cast<int>(info.tenant_id % shards_.size());
   }
-  return 0;
+  return route;
+}
+
+int XsShardedStore::ShardIndexForPath(std::string_view path) const {
+  return RouteFor(path).shard;
 }
 
 int XsShardedStore::ShardIndexForDomain(DomainId domain) const {
@@ -104,6 +110,19 @@ bool XsShardedStore::IsSpanningPath(std::string_view path) {
 
 // --- Core operations --------------------------------------------------------
 
+template <typename Op>
+Status XsShardedStore::FanOut(Op op) {
+  m_fanouts_->Increment();
+  Status first = Status::Ok();
+  for (auto& shard : shards_) {
+    Status status = op(*shard);
+    if (first.ok() && !status.ok()) {
+      first = status;
+    }
+  }
+  return first;
+}
+
 StatusOr<std::string> XsShardedStore::Read(DomainId caller,
                                            std::string_view path, TxId tx) {
   if (tx != kNoTransaction) {
@@ -113,7 +132,13 @@ StatusOr<std::string> XsShardedStore::Read(DomainId caller,
     }
     return shards_[it->second.shard]->Read(caller, path, it->second.local);
   }
-  return shards_[ShardIndexForPath(path)]->Read(caller, path);
+  return Read(RouteFor(path), caller, path);
+}
+
+StatusOr<std::string> XsShardedStore::Read(const Route& route,
+                                           DomainId caller,
+                                           std::string_view path) {
+  return shards_[route.shard]->Read(caller, path);
 }
 
 Status XsShardedStore::Write(DomainId caller, std::string_view path,
@@ -126,18 +151,16 @@ Status XsShardedStore::Write(DomainId caller, std::string_view path,
     return shards_[it->second.shard]->Write(caller, path, value,
                                             it->second.local);
   }
-  if (IsSpanningPath(path)) {
-    m_fanouts_->Increment();
-    Status first = Status::Ok();
-    for (auto& shard : shards_) {
-      Status status = shard->Write(caller, path, value);
-      if (first.ok() && !status.ok()) {
-        first = status;
-      }
-    }
-    return first;
+  return Write(RouteFor(path), caller, path, value);
+}
+
+Status XsShardedStore::Write(const Route& route, DomainId caller,
+                             std::string_view path, std::string_view value) {
+  if (route.spanning) {
+    return FanOut(
+        [&](XsStore& shard) { return shard.Write(caller, path, value); });
   }
-  return shards_[ShardIndexForPath(path)]->Write(caller, path, value);
+  return shards_[route.shard]->Write(caller, path, value);
 }
 
 Status XsShardedStore::Mkdir(DomainId caller, std::string_view path, TxId tx) {
@@ -148,18 +171,15 @@ Status XsShardedStore::Mkdir(DomainId caller, std::string_view path, TxId tx) {
     }
     return shards_[it->second.shard]->Mkdir(caller, path, it->second.local);
   }
-  if (IsSpanningPath(path)) {
-    m_fanouts_->Increment();
-    Status first = Status::Ok();
-    for (auto& shard : shards_) {
-      Status status = shard->Mkdir(caller, path);
-      if (first.ok() && !status.ok()) {
-        first = status;
-      }
-    }
-    return first;
+  return Mkdir(RouteFor(path), caller, path);
+}
+
+Status XsShardedStore::Mkdir(const Route& route, DomainId caller,
+                             std::string_view path) {
+  if (route.spanning) {
+    return FanOut([&](XsStore& shard) { return shard.Mkdir(caller, path); });
   }
-  return shards_[ShardIndexForPath(path)]->Mkdir(caller, path);
+  return shards_[route.shard]->Mkdir(caller, path);
 }
 
 Status XsShardedStore::Remove(DomainId caller, std::string_view path, TxId tx) {
@@ -170,18 +190,15 @@ Status XsShardedStore::Remove(DomainId caller, std::string_view path, TxId tx) {
     }
     return shards_[it->second.shard]->Remove(caller, path, it->second.local);
   }
-  if (IsSpanningPath(path)) {
-    m_fanouts_->Increment();
-    Status first = Status::Ok();
-    for (auto& shard : shards_) {
-      Status status = shard->Remove(caller, path);
-      if (first.ok() && !status.ok()) {
-        first = status;
-      }
-    }
-    return first;
+  return Remove(RouteFor(path), caller, path);
+}
+
+Status XsShardedStore::Remove(const Route& route, DomainId caller,
+                              std::string_view path) {
+  if (route.spanning) {
+    return FanOut([&](XsStore& shard) { return shard.Remove(caller, path); });
   }
-  return shards_[ShardIndexForPath(path)]->Remove(caller, path);
+  return shards_[route.shard]->Remove(caller, path);
 }
 
 StatusOr<std::vector<std::string>> XsShardedStore::List(DomainId caller,
@@ -194,7 +211,12 @@ StatusOr<std::vector<std::string>> XsShardedStore::List(DomainId caller,
     }
     return shards_[it->second.shard]->List(caller, path, it->second.local);
   }
-  if (IsSpanningPath(path) && shards_.size() > 1) {
+  return List(RouteFor(path), caller, path);
+}
+
+StatusOr<std::vector<std::string>> XsShardedStore::List(
+    const Route& route, DomainId caller, std::string_view path) {
+  if (route.spanning && shards_.size() > 1) {
     // The spanning directory's children are scattered across partitions;
     // merge them (sorted, deduplicated — the spanning chain itself exists
     // on every shard).
@@ -215,7 +237,7 @@ StatusOr<std::vector<std::string>> XsShardedStore::List(DomainId caller,
     }
     return std::vector<std::string>(merged.begin(), merged.end());
   }
-  return shards_[ShardIndexForPath(path)]->List(caller, path);
+  return shards_[route.shard]->List(caller, path);
 }
 
 bool XsShardedStore::Exists(DomainId caller, std::string_view path, TxId tx) {
@@ -226,7 +248,8 @@ bool XsShardedStore::Exists(DomainId caller, std::string_view path, TxId tx) {
     }
     return shards_[it->second.shard]->Exists(caller, path, it->second.local);
   }
-  if (IsSpanningPath(path) && shards_.size() > 1) {
+  const Route route = RouteFor(path);
+  if (route.spanning && shards_.size() > 1) {
     for (auto& shard : shards_) {
       if (shard->Exists(caller, path)) {
         return true;
@@ -234,7 +257,7 @@ bool XsShardedStore::Exists(DomainId caller, std::string_view path, TxId tx) {
     }
     return false;
   }
-  return shards_[ShardIndexForPath(path)]->Exists(caller, path);
+  return shards_[route.shard]->Exists(caller, path);
 }
 
 StatusOr<XsNodePerms> XsShardedStore::GetPerms(DomainId caller,
@@ -244,27 +267,31 @@ StatusOr<XsNodePerms> XsShardedStore::GetPerms(DomainId caller,
 
 Status XsShardedStore::SetPerms(DomainId caller, std::string_view path,
                                 const XsNodePerms& perms) {
-  if (IsSpanningPath(path) && shards_.size() > 1) {
-    m_fanouts_->Increment();
-    Status first = Status::Ok();
-    for (auto& shard : shards_) {
-      Status status = shard->SetPerms(caller, path, perms);
-      if (first.ok() && !status.ok()) {
-        first = status;
-      }
-    }
-    return first;
+  return SetPerms(RouteFor(path), caller, path, perms);
+}
+
+Status XsShardedStore::SetPerms(const Route& route, DomainId caller,
+                                std::string_view path,
+                                const XsNodePerms& perms) {
+  if (route.spanning && shards_.size() > 1) {
+    return FanOut(
+        [&](XsStore& shard) { return shard.SetPerms(caller, path, perms); });
   }
-  return shards_[ShardIndexForPath(path)]->SetPerms(caller, path, perms);
+  return shards_[route.shard]->SetPerms(caller, path, perms);
 }
 
 // --- Watches ----------------------------------------------------------------
 
 Status XsShardedStore::Watch(DomainId caller, std::string_view path,
                              std::string_view token, WatchCallback cb) {
-  if (!IsSpanningPath(path) || shards_.size() == 1) {
-    return shards_[ShardIndexForPath(path)]->Watch(caller, path, token,
-                                                   std::move(cb));
+  return Watch(RouteFor(path), caller, path, token, std::move(cb));
+}
+
+Status XsShardedStore::Watch(const Route& route, DomainId caller,
+                             std::string_view path, std::string_view token,
+                             WatchCallback cb) {
+  if (!route.spanning || shards_.size() == 1) {
+    return shards_[route.shard]->Watch(caller, path, token, std::move(cb));
   }
   // A spanning watch must observe mutations on every partition, so it
   // registers on all of them. Only the shard-0 registration delivers the
@@ -292,8 +319,13 @@ Status XsShardedStore::Watch(DomainId caller, std::string_view path,
 
 Status XsShardedStore::Unwatch(DomainId caller, std::string_view path,
                                std::string_view token) {
-  if (!IsSpanningPath(path) || shards_.size() == 1) {
-    return shards_[ShardIndexForPath(path)]->Unwatch(caller, path, token);
+  return Unwatch(RouteFor(path), caller, path, token);
+}
+
+Status XsShardedStore::Unwatch(const Route& route, DomainId caller,
+                               std::string_view path, std::string_view token) {
+  if (!route.spanning || shards_.size() == 1) {
+    return shards_[route.shard]->Unwatch(caller, path, token);
   }
   Status first_error = Status::Ok();
   bool any_ok = false;
@@ -374,8 +406,8 @@ void XsShardedStore::Restore(const std::vector<FlatNode>& nodes) {
   for (std::size_t i = 0; i < shards_.size(); ++i) {
     std::vector<FlatNode> part;
     for (const FlatNode& node : nodes) {
-      if (IsSpanningPath(node.path) ||
-          ShardIndexForPath(node.path) == static_cast<int>(i)) {
+      const Route route = RouteFor(node.path);
+      if (route.spanning || route.shard == static_cast<int>(i)) {
         part.push_back(node);
       }
     }
@@ -476,6 +508,14 @@ std::uint64_t XsShardedStore::cow_copies() const {
   std::uint64_t total = 0;
   for (const auto& shard : shards_) {
     total += shard->cow_copies();
+  }
+  return total;
+}
+
+std::uint64_t XsShardedStore::entries_visited() const {
+  std::uint64_t total = 0;
+  for (const auto& shard : shards_) {
+    total += shard->entries_visited();
   }
   return total;
 }

@@ -56,6 +56,14 @@ class XsShardedStore {
   XsStore& shard(int index) { return *shards_[index]; }
   const XsStore& shard(int index) const { return *shards_[index]; }
 
+  // Where a path lives: a spanning prefix on every shard, any other path
+  // on one. A request routes its path once; the service's shard gate and
+  // the routed operations below both take the result.
+  struct Route {
+    bool spanning = false;  // "/", "/local" or "/local/domain"
+    int shard = 0;          // the path's shard; 0 for a spanning prefix
+  };
+  Route RouteFor(std::string_view path) const;
   // Shard a path routes to. Spanning prefixes report shard 0 (their reads
   // resolve there); IsSpanningPath distinguishes them.
   int ShardIndexForPath(std::string_view path) const;
@@ -96,6 +104,23 @@ class XsShardedStore {
   Status Unwatch(DomainId caller, std::string_view path,
                  std::string_view token);
   std::size_t WatchCount() const;
+
+  // The same operations outside a transaction, on a path already routed
+  // by RouteFor.
+  StatusOr<std::string> Read(const Route& route, DomainId caller,
+                             std::string_view path);
+  Status Write(const Route& route, DomainId caller, std::string_view path,
+               std::string_view value);
+  Status Mkdir(const Route& route, DomainId caller, std::string_view path);
+  Status Remove(const Route& route, DomainId caller, std::string_view path);
+  StatusOr<std::vector<std::string>> List(const Route& route, DomainId caller,
+                                          std::string_view path);
+  Status SetPerms(const Route& route, DomainId caller, std::string_view path,
+                  const XsNodePerms& perms);
+  Status Watch(const Route& route, DomainId caller, std::string_view path,
+               std::string_view token, WatchCallback cb);
+  Status Unwatch(const Route& route, DomainId caller, std::string_view path,
+                 std::string_view token);
 
   // Transactions carry facade-level ids; each maps to (shard, local id),
   // pinned at start to the caller's home shard.
@@ -143,6 +168,7 @@ class XsShardedStore {
   std::size_t NodeCount() const;
   std::size_t NodesOwnedBy(DomainId domain) const;
   std::uint64_t cow_copies() const;
+  std::uint64_t entries_visited() const;
 
  private:
   struct TxHandle {
@@ -151,6 +177,9 @@ class XsShardedStore {
   };
 
   void ApplyConfig(XsStore* store);
+  // Runs `op` on every shard as one fan-out; the first error wins.
+  template <typename Op>
+  Status FanOut(Op op);
 
   Obs* obs_;
   Gauge* m_shard_count_;  // xs.shard.count

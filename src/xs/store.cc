@@ -13,14 +13,25 @@ namespace {
 // destruction), whatever path a guest sends.
 constexpr std::size_t kMaxPathBytes = 3072;
 
-StatusOr<std::string> Normalize(std::string_view path) {
-  std::string norm = NormalizePath(path);
-  if (norm.size() > kMaxPathBytes) {
+// `path` in canonical form. Every in-tree caller builds canonical paths,
+// which are used in place; any other path is rebuilt into `*rebuilt`.
+StatusOr<std::string_view> Canonical(std::string_view path,
+                                     std::string* rebuilt) {
+  if (!IsCanonicalPath(path)) {
+    *rebuilt = NormalizePath(path);
+    path = *rebuilt;
+  }
+  if (path.size() > kMaxPathBytes) {
     return InvalidArgumentError(
-        StrFormat("path of %zu bytes exceeds the %zu-byte limit", norm.size(),
+        StrFormat("path of %zu bytes exceeds the %zu-byte limit", path.size(),
                   kMaxPathBytes));
   }
-  return norm;
+  return path;
+}
+
+Status NoNode(std::string_view path) {
+  return NotFoundError(StrFormat("no node %.*s", static_cast<int>(path.size()),
+                                 path.data()));
 }
 
 // True if a mutation at `mutated` is visible to an access at `accessed`:
@@ -50,7 +61,7 @@ XsStore::Node* XsStore::Detach(NodePtr& slot) {
     // children map is a root pointer copy, so the entries and the subtree
     // stay shared until a deeper mutation detaches them too.
     slot = std::make_shared<Node>(*slot);
-    ++cow_copies_;
+    ++work_.copies;
   }
   return slot.get();
 }
@@ -58,7 +69,7 @@ XsStore::Node* XsStore::Detach(NodePtr& slot) {
 const XsStore::Node* XsStore::Find(const Node* root, std::string_view path) {
   const Node* node = root;
   for (std::string_view segment : PathSegments(path)) {
-    const NodePtr* child = node->children.Find(segment);
+    const NodePtr* child = node->children.Find(segment, &work_);
     if (child == nullptr) {
       return nullptr;
     }
@@ -67,16 +78,17 @@ const XsStore::Node* XsStore::Find(const Node* root, std::string_view path) {
   return node;
 }
 
-XsStore::Node* XsStore::ResolveMutable(NodePtr& root, std::string_view path) {
-  Node* node = Detach(root);
-  for (std::string_view segment : PathSegments(path)) {
-    NodePtr* child = node->children.FindMutable(segment, &cow_copies_);
+XsStore::Descent XsStore::Descend(NodePtr& root, std::string_view path) {
+  const PathSegments segments(path);
+  Descent at{Detach(root), segments.begin(), segments.end()};
+  for (; !at.found(); ++at.missing) {
+    NodePtr* child = at.node->children.FindMutable(*at.missing, &work_);
     if (child == nullptr) {
-      return nullptr;
+      break;
     }
-    node = Detach(*child);
+    at.node = Detach(*child);
   }
-  return node;
+  return at;
 }
 
 std::size_t XsStore::OwnedCount(DomainId owner,
@@ -112,32 +124,32 @@ void XsStore::RecountOwners() {
   });
 }
 
-StatusOr<XsStore::Node*> XsStore::ResolveOrCreate(NodePtr& root,
-                                                  std::string_view path,
-                                                  DomainId owner,
-                                                  OwnerCounts* delta) {
-  Node* node = Detach(root);
-  for (std::string_view segment : PathSegments(path)) {
-    NodePtr* child = node->children.FindMutable(segment, &cow_copies_);
-    if (child != nullptr) {
-      node = Detach(*child);
-      continue;
-    }
-    if (node_quota_ != 0 && owner.valid() && !IsManager(owner) &&
-        OwnedCount(owner, delta) >= node_quota_) {
-      return ResourceExhaustedError(
-          StrFormat("dom%u exceeded XenStore node quota (%zu)",
-                    owner.value(), node_quota_));
-    }
+StatusOr<XsStore::Node*> XsStore::CreateMissing(const Descent& at,
+                                                DomainId owner,
+                                                OwnerCounts* delta) {
+  std::size_t missing = 0;
+  for (PathSegments::Iterator it = at.missing; it != at.end; ++it) {
+    ++missing;
+  }
+  if (missing == 0) {
+    return at.node;
+  }
+  if (node_quota_ != 0 && owner.valid() && !IsManager(owner) &&
+      OwnedCount(owner, delta) + missing > node_quota_) {
+    return ResourceExhaustedError(
+        StrFormat("dom%u exceeded XenStore node quota (%zu)", owner.value(),
+                  node_quota_));
+  }
+  Node* node = at.node;
+  for (PathSegments::Iterator it = at.missing; it != at.end; ++it) {
     auto created = std::make_shared<Node>();
     created->perms.owner = owner;
-    if (delta != nullptr) {
-      ++(*delta)[owner];
-    } else {
-      AddOwned(owner, 1);
-    }
-    node = node->children.Insert(segment, std::move(created), &cow_copies_)
-               .get();
+    node = node->children.Insert(*it, std::move(created), &work_).get();
+  }
+  if (delta != nullptr) {
+    (*delta)[owner] += static_cast<std::int64_t>(missing);
+  } else {
+    AddOwned(owner, static_cast<std::int64_t>(missing));
   }
   return node;
 }
@@ -174,25 +186,12 @@ Status XsStore::CheckAccess(DomainId caller, const Node& node,
   return Status::Ok();
 }
 
-Status XsStore::CheckCreateAccess(DomainId caller, const Node* root,
-                                  std::string_view path) const {
-  const Node* ancestor = root;
-  for (std::string_view segment : PathSegments(path)) {
-    const NodePtr* child = ancestor->children.Find(segment);
-    if (child == nullptr) {
-      break;
-    }
-    ancestor = child->get();
-  }
-  return CheckAccess(caller, *ancestor, XsPerm::kWrite);
-}
-
 XsStore::Transaction* XsStore::FindTransaction(TxId tx) {
   auto it = transactions_.find(tx);
   return it == transactions_.end() ? nullptr : &it->second;
 }
 
-void XsStore::CommitMutation(const std::string& norm) {
+void XsStore::CommitMutation(std::string_view norm) {
   ++generation_;
   if (!transactions_.empty()) {
     mutation_log_.emplace_back(generation_, norm);
@@ -201,49 +200,40 @@ void XsStore::CommitMutation(const std::string& norm) {
 }
 
 Status XsStore::ApplyWrite(NodePtr& root, DomainId caller,
-                           const std::string& norm, std::string_view value,
+                           std::string_view norm, std::string_view value,
                            OwnerCounts* delta) {
-  const Node* existing = Find(root.get(), norm);
-  if (existing != nullptr) {
-    XOAR_RETURN_IF_ERROR(CheckAccess(caller, *existing, XsPerm::kWrite));
-    ResolveMutable(root, norm)->value = std::string(value);
-    return Status::Ok();
-  }
-  // Creating below an existing node requires write access to the deepest
-  // existing ancestor.
-  XOAR_RETURN_IF_ERROR(CheckCreateAccess(caller, root.get(), norm));
-  XOAR_ASSIGN_OR_RETURN(Node * node,
-                        ResolveOrCreate(root, norm, caller, delta));
-  node->value = std::string(value);
+  // Writing needs write access to the node, or, creating it, to its
+  // deepest existing ancestor.
+  const Descent at = Descend(root, norm);
+  XOAR_RETURN_IF_ERROR(CheckAccess(caller, *at.node, XsPerm::kWrite));
+  XOAR_ASSIGN_OR_RETURN(Node * node, CreateMissing(at, caller, delta));
+  node->value = value;
   return Status::Ok();
 }
 
 Status XsStore::ApplyMkdir(NodePtr& root, DomainId caller,
-                           const std::string& norm, OwnerCounts* delta) {
-  if (Find(root.get(), norm) != nullptr) {
+                           std::string_view norm, OwnerCounts* delta) {
+  const Descent at = Descend(root, norm);
+  if (at.found()) {
     return Status::Ok();  // mkdir is idempotent, as in xenstored
   }
-  XOAR_RETURN_IF_ERROR(CheckCreateAccess(caller, root.get(), norm));
-  XOAR_ASSIGN_OR_RETURN(Node * node,
-                        ResolveOrCreate(root, norm, caller, delta));
-  (void)node;
-  return Status::Ok();
+  XOAR_RETURN_IF_ERROR(CheckAccess(caller, *at.node, XsPerm::kWrite));
+  return CreateMissing(at, caller, delta).status();
 }
 
 Status XsStore::ApplyRemove(NodePtr& root, DomainId caller,
-                            const std::string& norm, OwnerCounts* delta) {
-  // `norm` is normalized: its leaf follows the last '/'.
+                            std::string_view norm, OwnerCounts* delta) {
+  // `norm` is canonical: its leaf follows the last '/'.
   const std::size_t slash = norm.rfind('/');
-  const std::string_view parent_path = std::string_view(norm).substr(0, slash);
-  const std::string_view leaf = std::string_view(norm).substr(slash + 1);
+  const std::string_view leaf = norm.substr(slash + 1);
   if (leaf.empty()) {
     return InvalidArgumentError("cannot remove the root");
   }
-  const Node* parent_view = Find(root.get(), parent_path);
+  const Descent parent = Descend(root, norm.substr(0, slash));
   const NodePtr* view =
-      parent_view == nullptr ? nullptr : parent_view->children.Find(leaf);
+      parent.found() ? parent.node->children.Find(leaf, &work_) : nullptr;
   if (view == nullptr) {
-    return NotFoundError(StrFormat("no node %s", norm.c_str()));
+    return NoNode(norm);
   }
   XOAR_RETURN_IF_ERROR(CheckAccess(caller, **view, XsPerm::kWrite));
   OwnerCounts removed;
@@ -256,7 +246,7 @@ Status XsStore::ApplyRemove(NodePtr& root, DomainId caller,
       AddOwned(owner, -n);
     }
   }
-  ResolveMutable(root, parent_path)->children.Erase(leaf, &cow_copies_);
+  parent.node->children.Erase(leaf, &work_);
   return Status::Ok();
 }
 
@@ -265,19 +255,20 @@ StatusOr<std::string> XsStore::Read(DomainId caller, std::string_view path,
   ++op_count_;
   m_reads_->Increment();
   obs_->tracer().Op(TraceCategory::kXenStore, "xs_read", caller.value());
-  XOAR_ASSIGN_OR_RETURN(const std::string norm, Normalize(path));
+  std::string rebuilt;
+  XOAR_ASSIGN_OR_RETURN(const std::string_view norm, Canonical(path, &rebuilt));
   const Node* root = root_.get();
   if (tx_id != kNoTransaction) {
     Transaction* tx = FindTransaction(tx_id);
     if (tx == nullptr) {
       return NotFoundError("no such transaction");
     }
-    tx->read_set.insert(norm);
+    tx->read_set.emplace(norm);
     root = tx->root.get();
   }
   const Node* node = Find(root, norm);
   if (node == nullptr) {
-    return NotFoundError(StrFormat("no node %s", norm.c_str()));
+    return NoNode(norm);
   }
   XOAR_RETURN_IF_ERROR(CheckAccess(caller, *node, XsPerm::kRead));
   return node->value;
@@ -288,7 +279,8 @@ Status XsStore::Write(DomainId caller, std::string_view path,
   ++op_count_;
   m_writes_->Increment();
   obs_->tracer().Op(TraceCategory::kXenStore, "xs_write", caller.value());
-  XOAR_ASSIGN_OR_RETURN(const std::string norm, Normalize(path));
+  std::string rebuilt;
+  XOAR_ASSIGN_OR_RETURN(const std::string_view norm, Canonical(path, &rebuilt));
   if (tx_id == kNoTransaction) {
     XOAR_RETURN_IF_ERROR(ApplyWrite(root_, caller, norm, value, nullptr));
     CommitMutation(norm);
@@ -300,8 +292,9 @@ Status XsStore::Write(DomainId caller, std::string_view path,
   }
   XOAR_RETURN_IF_ERROR(
       ApplyWrite(tx->root, caller, norm, value, &tx->owner_delta));
-  tx->write_set.insert(norm);
-  tx->ops.push_back(TxOp{TxOp::Kind::kWrite, norm, std::string(value)});
+  tx->write_set.emplace(norm);
+  tx->ops.push_back(
+      TxOp{TxOp::Kind::kWrite, std::string(norm), std::string(value)});
   return Status::Ok();
 }
 
@@ -309,7 +302,8 @@ Status XsStore::Mkdir(DomainId caller, std::string_view path, TxId tx_id) {
   ++op_count_;
   m_writes_->Increment();
   obs_->tracer().Op(TraceCategory::kXenStore, "xs_mkdir", caller.value());
-  XOAR_ASSIGN_OR_RETURN(const std::string norm, Normalize(path));
+  std::string rebuilt;
+  XOAR_ASSIGN_OR_RETURN(const std::string_view norm, Canonical(path, &rebuilt));
   if (tx_id == kNoTransaction) {
     XOAR_RETURN_IF_ERROR(ApplyMkdir(root_, caller, norm, nullptr));
     CommitMutation(norm);
@@ -320,8 +314,8 @@ Status XsStore::Mkdir(DomainId caller, std::string_view path, TxId tx_id) {
     return NotFoundError("no such transaction");
   }
   XOAR_RETURN_IF_ERROR(ApplyMkdir(tx->root, caller, norm, &tx->owner_delta));
-  tx->write_set.insert(norm);
-  tx->ops.push_back(TxOp{TxOp::Kind::kMkdir, norm, std::string()});
+  tx->write_set.emplace(norm);
+  tx->ops.push_back(TxOp{TxOp::Kind::kMkdir, std::string(norm), std::string()});
   return Status::Ok();
 }
 
@@ -329,7 +323,8 @@ Status XsStore::Remove(DomainId caller, std::string_view path, TxId tx_id) {
   ++op_count_;
   m_writes_->Increment();
   obs_->tracer().Op(TraceCategory::kXenStore, "xs_remove", caller.value());
-  XOAR_ASSIGN_OR_RETURN(const std::string norm, Normalize(path));
+  std::string rebuilt;
+  XOAR_ASSIGN_OR_RETURN(const std::string_view norm, Canonical(path, &rebuilt));
   if (tx_id == kNoTransaction) {
     XOAR_RETURN_IF_ERROR(ApplyRemove(root_, caller, norm, nullptr));
     CommitMutation(norm);
@@ -341,8 +336,9 @@ Status XsStore::Remove(DomainId caller, std::string_view path, TxId tx_id) {
   }
   XOAR_RETURN_IF_ERROR(
       ApplyRemove(tx->root, caller, norm, &tx->owner_delta));
-  tx->write_set.insert(norm);
-  tx->ops.push_back(TxOp{TxOp::Kind::kRemove, norm, std::string()});
+  tx->write_set.emplace(norm);
+  tx->ops.push_back(
+      TxOp{TxOp::Kind::kRemove, std::string(norm), std::string()});
   return Status::Ok();
 }
 
@@ -352,7 +348,8 @@ StatusOr<std::vector<std::string>> XsStore::List(DomainId caller,
   ++op_count_;
   m_lists_->Increment();
   obs_->tracer().Op(TraceCategory::kXenStore, "xs_list", caller.value());
-  XOAR_ASSIGN_OR_RETURN(const std::string norm, Normalize(path));
+  std::string rebuilt;
+  XOAR_ASSIGN_OR_RETURN(const std::string_view norm, Canonical(path, &rebuilt));
   const Node* root = root_.get();
   if (tx_id != kNoTransaction) {
     Transaction* tx = FindTransaction(tx_id);
@@ -361,12 +358,12 @@ StatusOr<std::vector<std::string>> XsStore::List(DomainId caller,
     }
     // Listing observes the children set, which any mutation below `norm`
     // changes — the prefix-overlap conflict check covers exactly that.
-    tx->read_set.insert(norm);
+    tx->read_set.emplace(norm);
     root = tx->root.get();
   }
   const Node* node = Find(root, norm);
   if (node == nullptr) {
-    return NotFoundError(StrFormat("no node %s", norm.c_str()));
+    return NoNode(norm);
   }
   XOAR_RETURN_IF_ERROR(CheckAccess(caller, *node, XsPerm::kRead));
   std::vector<std::string> names;
@@ -379,18 +376,19 @@ StatusOr<std::vector<std::string>> XsStore::List(DomainId caller,
 
 bool XsStore::Exists(DomainId caller, std::string_view path, TxId tx_id) {
   (void)caller;  // Existence probes are not ACL-gated, as in xenstored.
-  const StatusOr<std::string> normalized = Normalize(path);
-  if (!normalized.ok()) {
+  std::string rebuilt;
+  const StatusOr<std::string_view> canonical = Canonical(path, &rebuilt);
+  if (!canonical.ok()) {
     return false;  // no node has an overlong path
   }
-  const std::string& norm = *normalized;
+  const std::string_view norm = *canonical;
   const Node* root = root_.get();
   if (tx_id != kNoTransaction) {
     Transaction* tx = FindTransaction(tx_id);
     if (tx == nullptr) {
       return false;
     }
-    tx->read_set.insert(norm);
+    tx->read_set.emplace(norm);
     root = tx->root.get();
   }
   return Find(root, norm) != nullptr;
@@ -398,10 +396,11 @@ bool XsStore::Exists(DomainId caller, std::string_view path, TxId tx_id) {
 
 StatusOr<XsNodePerms> XsStore::GetPerms(DomainId caller,
                                         std::string_view path) {
-  XOAR_ASSIGN_OR_RETURN(const std::string norm, Normalize(path));
+  std::string rebuilt;
+  XOAR_ASSIGN_OR_RETURN(const std::string_view norm, Canonical(path, &rebuilt));
   const Node* node = Find(root_.get(), norm);
   if (node == nullptr) {
-    return NotFoundError(StrFormat("no node %s", norm.c_str()));
+    return NoNode(norm);
   }
   XOAR_RETURN_IF_ERROR(CheckAccess(caller, *node, XsPerm::kRead));
   return node->perms;
@@ -409,17 +408,19 @@ StatusOr<XsNodePerms> XsStore::GetPerms(DomainId caller,
 
 Status XsStore::SetPerms(DomainId caller, std::string_view path,
                          const XsNodePerms& perms) {
-  XOAR_ASSIGN_OR_RETURN(const std::string norm, Normalize(path));
-  const Node* view = Find(root_.get(), norm);
-  if (view == nullptr) {
-    return NotFoundError(StrFormat("no node %s", norm.c_str()));
+  std::string rebuilt;
+  XOAR_ASSIGN_OR_RETURN(const std::string_view norm, Canonical(path, &rebuilt));
+  const Descent at = Descend(root_, norm);
+  if (!at.found()) {
+    return NoNode(norm);
   }
+  Node* node = at.node;
   // Only the owner (or a manager) may change permissions.
-  if (!IsManager(caller) && view->perms.owner != caller) {
+  if (!IsManager(caller) && node->perms.owner != caller) {
     return PermissionDeniedError(
-        StrFormat("dom%u does not own %s", caller.value(), norm.c_str()));
+        StrFormat("dom%u does not own %.*s", caller.value(),
+                  static_cast<int>(norm.size()), norm.data()));
   }
-  Node* node = ResolveMutable(root_, norm);
   const DomainId old_owner = node->perms.owner;
   node->perms = perms;
   // The root is not a counted node (Serialize does not ship it either).
@@ -436,7 +437,8 @@ Status XsStore::SetPerms(DomainId caller, std::string_view path,
 
 Status XsStore::Watch(DomainId caller, std::string_view path,
                       std::string_view token, WatchCallback cb) {
-  XOAR_ASSIGN_OR_RETURN(const std::string norm, Normalize(path));
+  std::string rebuilt;
+  XOAR_ASSIGN_OR_RETURN(const std::string_view norm, Canonical(path, &rebuilt));
   WatchNode* node = &watch_root_;
   for (std::string_view segment : PathSegments(norm)) {
     auto it = node->children.find(segment);
@@ -453,21 +455,22 @@ Status XsStore::Watch(DomainId caller, std::string_view path,
     }
   }
   node->watches.push_back(
-      WatchEntry{caller, norm, std::string(token), std::move(cb)});
+      WatchEntry{caller, std::string(norm), std::string(token), std::move(cb)});
   ++watch_count_;
   // xenstored fires a watch immediately upon registration so the watcher can
   // pick up pre-existing state — split-driver negotiation depends on this.
   // Fire through local copies: the callback may register or remove watches
   // reentrantly, invalidating any reference into the trie.
   const WatchCallback fire = node->watches.back().cb;
-  const XsWatchEvent event{norm, std::string(token)};
+  const XsWatchEvent event{std::string(norm), std::string(token)};
   fire(event);
   return Status::Ok();
 }
 
 Status XsStore::Unwatch(DomainId caller, std::string_view path,
                         std::string_view token) {
-  XOAR_ASSIGN_OR_RETURN(const std::string norm, Normalize(path));
+  std::string rebuilt;
+  XOAR_ASSIGN_OR_RETURN(const std::string_view norm, Canonical(path, &rebuilt));
   // Remember the descent so empty trie nodes can be pruned afterwards.
   std::vector<std::pair<WatchNode*, std::string_view>> trail;
   WatchNode* node = &watch_root_;
@@ -550,6 +553,7 @@ StatusOr<XsStore::TxId> XsStore::TransactionStart(DomainId caller) {
   Transaction tx;
   tx.caller = caller;
   tx.start_generation = generation_;
+  tx.start_quota_sets = quota_sets_;
   tx.root = root_;  // O(1): shared copy-on-write with the live tree
   TxId id = next_tx_++;
   transactions_.emplace(id, std::move(tx));
@@ -607,12 +611,37 @@ Status XsStore::TransactionEnd(DomainId caller, TxId tx, bool commit) {
                            caller.value());
     return conflict;
   }
-  // Replay the transaction's mutations against the live tree. The saved
-  // root makes the tree side atomic: COW keeps it intact. Owner changes
-  // accumulate in a local delta (quota checks see live + delta) and reach
-  // the live counters only once every op succeeded. A guest can force the
-  // replay to fail (quota, permissions changed under it), so the rollback
-  // touches nothing but the root: O(ops), independent of owners and nodes.
+  if (transaction.start_generation == generation_ &&
+      transaction.start_quota_sets == quota_sets_) {
+    // Nothing committed and no quota set since the transaction began: the
+    // live tree and counters are the ones its ops ran against, so its tree
+    // and owner delta are exactly what a replay would build. Adopt them.
+    root_ = std::move(transaction.root);
+    for (const auto& [owner, n] : transaction.owner_delta) {
+      AddOwned(owner, n);
+    }
+  } else {
+    XOAR_RETURN_IF_ERROR(Replay(transaction));
+  }
+  m_tx_committed_->Increment();
+  obs_->tracer().Op(TraceCategory::kXenStore, "xs_tx_commit", caller.value());
+  ++generation_;
+  for (const auto& op : transaction.ops) {
+    if (!transactions_.empty()) {
+      mutation_log_.emplace_back(generation_, op.path);
+    }
+    FireWatches(op.path);
+  }
+  return Status::Ok();
+}
+
+Status XsStore::Replay(const Transaction& transaction) {
+  // The saved root makes the tree side atomic: COW keeps it intact. Owner
+  // changes accumulate in a local delta (quota checks see live + delta) and
+  // reach the live counters only once every op succeeded. A guest can
+  // force the replay to fail (quota, permissions changed under it), so the
+  // rollback touches nothing but the root: O(ops), independent of owners
+  // and nodes.
   NodePtr saved_root = root_;
   OwnerCounts delta;
   Status status = Status::Ok();
@@ -630,26 +659,14 @@ Status XsStore::TransactionEnd(DomainId caller, TxId tx, bool commit) {
         break;
     }
     if (!status.ok()) {
-      break;
+      root_ = std::move(saved_root);
+      m_tx_aborted_->Increment();
+      return AbortedError(StrFormat("transaction replay failed: %s",
+                                    status.message().c_str()));
     }
-  }
-  if (!status.ok()) {
-    root_ = std::move(saved_root);
-    m_tx_aborted_->Increment();
-    return AbortedError(StrFormat("transaction replay failed: %s",
-                                  status.message().c_str()));
   }
   for (const auto& [owner, n] : delta) {
     AddOwned(owner, n);
-  }
-  m_tx_committed_->Increment();
-  obs_->tracer().Op(TraceCategory::kXenStore, "xs_tx_commit", caller.value());
-  ++generation_;
-  for (const auto& op : transaction.ops) {
-    if (!transactions_.empty()) {
-      mutation_log_.emplace_back(generation_, op.path);
-    }
-    FireWatches(op.path);
   }
   return Status::Ok();
 }
@@ -679,12 +696,11 @@ void XsStore::Restore(const std::vector<FlatNode>& nodes) {
   for (const auto& flat : nodes) {
     Node* node = root_.get();
     for (std::string_view segment : PathSegments(flat.path)) {
-      NodePtr* child = node->children.FindMutable(segment, &cow_copies_);
+      NodePtr* child = node->children.FindMutable(segment, &work_);
       if (child == nullptr) {
         auto created = std::make_shared<Node>();
         created->perms.owner = flat.perms.owner;
-        child = &node->children.Insert(segment, std::move(created),
-                                       &cow_copies_);
+        child = &node->children.Insert(segment, std::move(created), &work_);
       }
       node = child->get();
     }

@@ -15,15 +15,27 @@
 //    anything unshared is mutated in place. Starting a transaction (or
 //    taking a Snapshot) is an O(1) pointer copy; a later mutation copies
 //    O(depth x log fan-out) nodes and entries on its path, and one with
-//    nothing shared copies none (cow_copies() counts them). Paths are
-//    walked as string_view segments, without allocating, and are capped at
-//    xenstored's 3072 bytes.
+//    nothing shared copies none (cow_copies() counts them).
+//  - A request resolves its path once. Paths are capped at xenstored's
+//    3072 bytes and walked as string_view segments; a canonical one (every
+//    in-tree caller builds them) is used in place, and only another is
+//    rebuilt. A mutation makes one copy-on-write descent, and checks
+//    permission on the node it reaches (or its deepest existing ancestor)
+//    and quota room for every missing segment before changing anything. A
+//    refused mutation may so have copied its path, and cow_copies() counts
+//    that, but it changes no value, perms, node, owner count or generation.
+//    entries_visited() counts the children-map entries every lookup and
+//    descent steps on.
 //  - Per-owner node counts are maintained incrementally on create/remove/
 //    chown, so quota checks and NodesOwnedBy are O(log #owners) instead of
-//    a full-tree flatten. Nothing on a request or commit path copies them:
-//    a commit replays into a local delta and folds it in only on success,
+//    a full-tree flatten. Nothing on a request or commit path copies them,
 //    and the counts are recounted from the tree only when Restore or a
 //    RestoreSnapshot actually replaces the contents (restart completion).
+//  - A commit that nothing raced (no mutation and no quota change since
+//    its transaction began) adopts the transaction's tree and owner delta:
+//    it walks no path. A raced commit replays the ops against the live
+//    tree into a local delta, folded in only on success. Either way the
+//    generation bump, mutation log and watch fires are the same.
 //  - Watches live in a path-segment trie; dispatching a mutation visits the
 //    ancestors of the mutated path plus the watch subtree below it, so cost
 //    scales with *matching* watches, not total watches.
@@ -44,6 +56,7 @@
 
 #include "src/base/ids.h"
 #include "src/base/status.h"
+#include "src/base/strings.h"
 #include "src/obs/obs.h"
 #include "src/xs/cow_map.h"
 
@@ -84,8 +97,13 @@ class XsStore {
   bool IsManager(DomainId domain) const { return managers_.count(domain) > 0; }
 
   // Per-owner node quota; guards against a guest monopolizing the store
-  // (the DoS vector the paper cites in §4.4). 0 disables the quota.
-  void set_node_quota(std::size_t quota) { node_quota_ = quota; }
+  // (the DoS vector the paper cites in §4.4). 0 disables the quota. A
+  // transaction open across a quota change replays its commit, so its ops
+  // are checked against the quota in force when it commits.
+  void set_node_quota(std::size_t quota) {
+    node_quota_ = quota;
+    ++quota_sets_;
+  }
 
   // --- Core operations. `tx` of kNoTransaction applies immediately. ---
 
@@ -185,7 +203,10 @@ class XsStore {
   std::size_t NodesOwnedBy(DomainId domain) const;
   // Copy-on-write work so far: nodes cloned plus children-map entries
   // copied because another version (transaction, snapshot) shared them.
-  std::uint64_t cow_copies() const { return cow_copies_; }
+  std::uint64_t cow_copies() const { return work_.copies; }
+  // Children-map entries every lookup and descent so far stepped on: the
+  // nodes visited by path walks, O(log fan-out) entries per segment.
+  std::uint64_t entries_visited() const { return work_.visits; }
 
  private:
   using NodePtr = std::shared_ptr<Node>;
@@ -214,7 +235,8 @@ class XsStore {
     std::map<std::string, std::unique_ptr<WatchNode>, std::less<>> children;
   };
 
-  // A transactional mutation, replayed against the live tree at commit.
+  // A transactional mutation, replayed against the live tree by a commit
+  // that raced another.
   struct TxOp {
     enum class Kind { kWrite, kMkdir, kRemove };
     Kind kind;
@@ -225,6 +247,7 @@ class XsStore {
   struct Transaction {
     DomainId caller;
     std::uint64_t start_generation;
+    std::uint64_t start_quota_sets;
     NodePtr root;  // copy-on-write snapshot of the tree at start
     std::set<std::string> read_set;
     std::set<std::string> write_set;
@@ -234,16 +257,27 @@ class XsStore {
     OwnerCounts owner_delta;
   };
 
+  // Where a copy-on-write descent along a path stopped.
+  struct Descent {
+    Node* node;  // the path's node, or its deepest existing ancestor
+    PathSegments::Iterator missing;  // the first absent segment, or `end`
+    PathSegments::Iterator end;
+    bool found() const { return missing == end; }
+  };
+
   // Makes `slot` exclusively owned (shallow-cloning if shared with a
   // snapshot or transaction) and returns the now-mutable node.
   Node* Detach(NodePtr& slot);
-  static const Node* Find(const Node* root, std::string_view path);
-  // COW walk to an existing node; nullptr if the path does not exist.
-  Node* ResolveMutable(NodePtr& root, std::string_view path);
-  // COW walk that creates missing intermediate nodes owned by `owner`,
+  const Node* Find(const Node* root, std::string_view path);
+  // The one walk a mutation makes: copy-on-write down `path` as far as it
+  // exists. Nothing changes but the copies, so a mutation refused after it
+  // leaves every value, node and owner count as it was.
+  Descent Descend(NodePtr& root, std::string_view path);
+  // Creates the segments a descent found missing, owned by `owner`,
   // charging them to the live counters (delta == nullptr) or to `delta`.
-  StatusOr<Node*> ResolveOrCreate(NodePtr& root, std::string_view path,
-                                  DomainId owner, OwnerCounts* delta);
+  // The quota must have room for all of them, or none is created.
+  StatusOr<Node*> CreateMissing(const Descent& at, DomainId owner,
+                                OwnerCounts* delta);
   static void TallySubtree(const Node& node, OwnerCounts* owners,
                            std::size_t* nodes);
   // Live count plus `delta` (if any): what a quota check sees.
@@ -254,25 +288,27 @@ class XsStore {
   void RecountOwners();
 
   Status CheckAccess(DomainId caller, const Node& node, XsPerm needed) const;
-  // Access check used when creating below existing nodes: write permission
-  // on the deepest existing ancestor of `path`.
-  Status CheckCreateAccess(DomainId caller, const Node* root,
-                           std::string_view path) const;
 
   // Mutation bodies shared by the direct path, transactions and commit
-  // replay. Owner changes go to the live counters (delta == nullptr) or to
-  // `delta`. They do not bump the generation or fire watches; callers do.
-  Status ApplyWrite(NodePtr& root, DomainId caller, const std::string& norm,
+  // replay; `norm` is canonical. Each makes one copy-on-write descent and
+  // checks permission (and quota) on what it reached before changing
+  // anything. Owner changes go to the live counters (delta == nullptr) or
+  // to `delta`. They do not bump the generation or fire watches; callers
+  // do.
+  Status ApplyWrite(NodePtr& root, DomainId caller, std::string_view norm,
                     std::string_view value, OwnerCounts* delta);
-  Status ApplyMkdir(NodePtr& root, DomainId caller, const std::string& norm,
+  Status ApplyMkdir(NodePtr& root, DomainId caller, std::string_view norm,
                     OwnerCounts* delta);
-  Status ApplyRemove(NodePtr& root, DomainId caller, const std::string& norm,
+  Status ApplyRemove(NodePtr& root, DomainId caller, std::string_view norm,
                      OwnerCounts* delta);
 
   Transaction* FindTransaction(TxId tx);
+  // Replays a raced commit's ops against the live tree; on failure the
+  // tree and counters stay as they were and the commit aborts.
+  Status Replay(const Transaction& transaction);
   // Post-mutation bookkeeping for the live tree: generation bump, mutation
   // log (only kept while transactions are active), watch dispatch.
-  void CommitMutation(const std::string& norm);
+  void CommitMutation(std::string_view norm);
   void FireWatches(std::string_view path);
   static void CollectSubtreeWatches(
       const WatchNode& node,
@@ -299,13 +335,14 @@ class XsStore {
   std::uint64_t generation_ = 0;
   std::uint64_t op_count_ = 0;
   std::size_t node_quota_ = 0;
+  std::uint64_t quota_sets_ = 0;  // set_node_quota calls so far
   // Incrementally maintained: #nodes per owning domain (no zero entries)
   // and their sum, the node total (root excluded). Kept in sync by create/
   // remove/chown/commit; recounted when Restore/RestoreSnapshot replace
   // the tree.
   OwnerCounts owner_counts_;
   std::size_t node_count_ = 0;
-  std::uint64_t cow_copies_ = 0;
+  CowWork work_;  // behind cow_copies() and entries_visited()
   // (generation, path) of committed mutations, recorded only while
   // transactions are active; cleared when the last transaction ends.
   std::vector<std::pair<std::uint64_t, std::string>> mutation_log_;

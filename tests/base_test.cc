@@ -131,6 +131,14 @@ TEST(StringsTest, NormalizePathRoundTrips) {
             "/local/backend-vbd-frontend-id");
 }
 
+TEST(StringsTest, IsCanonicalPathMatchesNormalizePath) {
+  for (std::string_view path :
+       {"/", "", "/a", "a", "/a/", "//a", "/a//b", "/a/b", "///", "a/b/c",
+        "/local/domain/3", "/local/domain/3/", "/x/y/z//", "//"}) {
+    EXPECT_EQ(IsCanonicalPath(path), NormalizePath(path) == path) << path;
+  }
+}
+
 TEST(StringsTest, PathHasPrefixRespectsBoundaries) {
   EXPECT_TRUE(PathHasPrefix("/a/b", "/a"));
   EXPECT_TRUE(PathHasPrefix("/a/b", "/a/b"));

@@ -142,6 +142,13 @@ TEST_F(XsShardTest, TransactionsPinToCallersHomeShard) {
   // Only the home shard did copy-on-write work, and the facade sums it.
   EXPECT_GT(store_.shard(1).cow_copies(), 0u);
   EXPECT_EQ(store_.cow_copies(), store_.shard(1).cow_copies());
+  // The facade sums the shards' path-walk visits the same way.
+  std::uint64_t visits = 0;
+  for (int i = 0; i < store_.shard_count(); ++i) {
+    visits += store_.shard(i).entries_visited();
+  }
+  EXPECT_GT(store_.shard(1).entries_visited(), 0u);
+  EXPECT_EQ(store_.entries_visited(), visits);
 }
 
 TEST_F(XsShardTest, ShardSnapshotRestoreIsolatesPartitions) {

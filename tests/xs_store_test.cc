@@ -559,6 +559,76 @@ TEST_F(XsStoreTest, CommitFailingQuotaOnReplayLeavesTreeAndCountersAsBefore) {
   EXPECT_EQ(store_.NodesOwnedBy(manager_), manager_owned);
 }
 
+// The quota is checked for every node a write or mkdir would create before
+// any is created: a refusal leaves no partial path, no owner count, no
+// generation bump and no watch fire.
+TEST_F(XsStoreTest, QuotaRefusalCreatesNothing) {
+  store_.set_node_quota(2);
+  ASSERT_TRUE(store_.Mkdir(manager_, "/g").ok());
+  XsNodePerms perms;
+  perms.owner = guest_;
+  ASSERT_TRUE(store_.SetPerms(manager_, "/g", perms).ok());
+  int fires = 0;
+  ASSERT_TRUE(store_
+                  .Watch(manager_, "/g", "tok",
+                         [&fires](const XsWatchEvent&) { ++fires; })
+                  .ok());
+  const std::uint64_t generation = store_.generation();
+
+  EXPECT_EQ(store_.Write(guest_, "/g/a/b/c", "v").code(),
+            StatusCode::kResourceExhausted);
+  EXPECT_EQ(store_.Mkdir(guest_, "/g/x/y").code(),
+            StatusCode::kResourceExhausted);
+  EXPECT_FALSE(store_.Exists(manager_, "/g/a"));
+  EXPECT_FALSE(store_.Exists(manager_, "/g/x"));
+  EXPECT_EQ(store_.NodesOwnedBy(guest_), 1u);
+  EXPECT_EQ(store_.NodeCount(), 1u);
+  EXPECT_EQ(store_.generation(), generation);
+  EXPECT_EQ(fires, 1);  // the registration fire only
+  // The refusals took none of the room the quota leaves.
+  ASSERT_TRUE(store_.Write(guest_, "/g/a", "v").ok());
+  EXPECT_EQ(store_.NodesOwnedBy(guest_), 2u);
+}
+
+// Inside a transaction a quota refusal leaves nothing in the transaction's
+// view either, so the commit publishes nothing of it.
+TEST_F(XsStoreTest, TransactionalQuotaRefusalCreatesNothing) {
+  store_.set_node_quota(2);
+  ASSERT_TRUE(store_.Mkdir(manager_, "/g").ok());
+  XsNodePerms perms;
+  perms.owner = guest_;
+  ASSERT_TRUE(store_.SetPerms(manager_, "/g", perms).ok());
+  auto tx = store_.TransactionStart(guest_);
+  ASSERT_TRUE(tx.ok());
+  EXPECT_EQ(store_.Write(guest_, "/g/a/b/c", "v", *tx).code(),
+            StatusCode::kResourceExhausted);
+  EXPECT_FALSE(store_.Exists(guest_, "/g/a", *tx));
+  ASSERT_TRUE(store_.Write(guest_, "/g/k", "v", *tx).ok());
+  ASSERT_TRUE(store_.TransactionEnd(guest_, *tx, /*commit=*/true).ok());
+  EXPECT_FALSE(store_.Exists(manager_, "/g/a"));
+  EXPECT_EQ(*store_.Read(guest_, "/g/k"), "v");
+  EXPECT_EQ(store_.NodesOwnedBy(guest_), 2u);
+  EXPECT_EQ(store_.NodeCount(), 2u);
+}
+
+// A quota set while a transaction is open applies to its commit, even
+// though no mutation raced the transaction.
+TEST_F(XsStoreTest, QuotaSetDuringTransactionAppliesAtCommit) {
+  ASSERT_TRUE(store_.Mkdir(manager_, "/g").ok());
+  XsNodePerms perms;
+  perms.owner = guest_;
+  ASSERT_TRUE(store_.SetPerms(manager_, "/g", perms).ok());
+  auto tx = store_.TransactionStart(guest_);
+  ASSERT_TRUE(tx.ok());
+  ASSERT_TRUE(store_.Write(guest_, "/g/a", "v", *tx).ok());
+  ASSERT_TRUE(store_.Write(guest_, "/g/b", "v", *tx).ok());
+  store_.set_node_quota(2);
+  EXPECT_EQ(store_.TransactionEnd(guest_, *tx, /*commit=*/true).code(),
+            StatusCode::kAborted);
+  EXPECT_FALSE(store_.Exists(manager_, "/g/a"));
+  EXPECT_EQ(store_.NodesOwnedBy(guest_), 1u);
+}
+
 TEST_F(XsStoreTest, TransactionReadsSeeSnapshot) {
   ASSERT_TRUE(store_.Write(manager_, "/k", "old").ok());
   auto tx = store_.TransactionStart(manager_);
@@ -755,6 +825,231 @@ TEST(XsStoreCopyTest, WriteWithNothingSharedCopiesNothing) {
   EXPECT_EQ(*store.Read(mgr, "/local/domain/500/k"), "w");
 }
 
+// Children-map entries visited by one Read of `key` below a directory of
+// `siblings` children.
+std::uint64_t ReadVisits(int siblings) {
+  Obs obs;
+  XsStore store(&obs);
+  const DomainId mgr(0);
+  store.AddManagerDomain(mgr);
+  for (int i = 0; i < siblings; ++i) {
+    EXPECT_TRUE(store.Mkdir(mgr, StrFormat("/local/domain/%d", i)).ok());
+  }
+  const std::string key = StrFormat("/local/domain/%d/key", siblings / 2);
+  EXPECT_TRUE(store.Write(mgr, key, "v").ok());
+  const std::uint64_t before = store.entries_visited();
+  EXPECT_EQ(*store.Read(mgr, key), "v");
+  return store.entries_visited() - before;
+}
+
+// A path walk steps on O(log fan-out) entries per segment: 10^3 times the
+// siblings may cost at most 3 times the visits.
+TEST(XsStoreVisitTest, ReadVisitsLogFanOut) {
+  const std::uint64_t narrow = ReadVisits(10);
+  const std::uint64_t wide = ReadVisits(10000);
+  EXPECT_GT(narrow, 0u);
+  EXPECT_LE(wide, 3 * narrow) << "10 siblings: " << narrow
+                              << " visits; 10^4 siblings: " << wide;
+}
+
+// A write resolves its path once: overwriting an existing node walks no
+// more of the tree than reading it, whether or not a transaction shares
+// the path (then the walk copies it on the way down).
+TEST(XsStoreVisitTest, WriteToAnExistingNodeVisitsNoMoreThanARead) {
+  Obs obs;
+  XsStore store(&obs);
+  const DomainId mgr(0);
+  store.AddManagerDomain(mgr);
+  for (int i = 0; i < 1000; ++i) {
+    ASSERT_TRUE(store.Write(mgr, StrFormat("/local/domain/%d/k", i), "v").ok());
+  }
+  const std::string key = "/local/domain/500/k";
+  std::uint64_t before = store.entries_visited();
+  ASSERT_TRUE(store.Read(mgr, key).ok());
+  const std::uint64_t read = store.entries_visited() - before;
+  EXPECT_GT(read, 0u);
+  for (bool shared : {false, true}) {
+    XsStore::Snapshot snapshot;
+    if (shared) {
+      snapshot = store.TakeSnapshot();
+    }
+    before = store.entries_visited();
+    ASSERT_TRUE(store.Write(mgr, key, shared ? "s" : "w").ok());
+    EXPECT_LE(store.entries_visited() - before, read) << "shared: " << shared;
+  }
+  EXPECT_EQ(*store.Read(mgr, key), "s");
+}
+
+// Nothing committed while a transaction ran: its commit adopts the
+// transaction's tree and walks no path at all.
+TEST(XsStoreVisitTest, UnracedCommitVisitsNothing) {
+  Obs obs;
+  XsStore store(&obs);
+  const DomainId mgr(0);
+  store.AddManagerDomain(mgr);
+  for (int i = 0; i < 100; ++i) {
+    ASSERT_TRUE(store.Write(mgr, StrFormat("/local/domain/%d/k", i), "v").ok());
+  }
+  auto tx = store.TransactionStart(mgr);
+  ASSERT_TRUE(store.Write(mgr, "/local/domain/7/k", "w", *tx).ok());
+  ASSERT_TRUE(store.Write(mgr, "/local/domain/8/new/leaf", "n", *tx).ok());
+  ASSERT_TRUE(store.Mkdir(mgr, "/local/domain/9/dir", *tx).ok());
+  ASSERT_TRUE(store.Remove(mgr, "/local/domain/10", *tx).ok());
+  const std::uint64_t before = store.entries_visited();
+  ASSERT_TRUE(store.TransactionEnd(mgr, *tx, /*commit=*/true).ok());
+  EXPECT_EQ(store.entries_visited(), before);
+  EXPECT_EQ(*store.Read(mgr, "/local/domain/7/k"), "w");
+  EXPECT_EQ(*store.Read(mgr, "/local/domain/8/new/leaf"), "n");
+  EXPECT_TRUE(store.Exists(mgr, "/local/domain/9/dir"));
+  EXPECT_FALSE(store.Exists(mgr, "/local/domain/10"));
+}
+
+// What one seeded transaction script left behind, committed either with
+// nothing racing it (the store adopts the transaction's tree) or after a
+// disjoint live write (the commit replays the ops).
+struct CommitOutcome {
+  std::vector<StatusCode> op_codes;  // the script's ops, in order
+  Status commit;
+  std::uint64_t commit_visits = 0;  // entries the commit itself walked
+  std::vector<XsStore::FlatNode> contents;  // without the disjoint node
+  std::map<DomainId, std::size_t> owned;
+  std::size_t nodes = 0;                 // without the disjoint node
+  std::vector<std::string> events;  // "path token" fired by the commit
+};
+
+constexpr std::string_view kDisjoint = "/elsewhere";
+
+CommitOutcome RunTransactionScript(std::uint64_t seed, bool raced) {
+  Obs obs;
+  XsStore store(&obs);
+  const DomainId mgr(0);
+  const DomainId guest(7);
+  const DomainId neighbour(8);
+  store.AddManagerDomain(mgr);
+  store.set_node_quota(6);
+  XsNodePerms home;
+  home.owner = guest;
+  EXPECT_TRUE(store.Mkdir(mgr, "/h").ok());
+  EXPECT_TRUE(store.SetPerms(mgr, "/h", home).ok());
+  XsNodePerms other = home;
+  other.owner = neighbour;
+  EXPECT_TRUE(store.Mkdir(mgr, "/n").ok());
+  EXPECT_TRUE(store.SetPerms(mgr, "/n", other).ok());
+  EXPECT_TRUE(store.Write(guest, "/h/k0", "a").ok());
+  EXPECT_TRUE(store.Write(guest, "/h/d/k1", "b").ok());
+  EXPECT_TRUE(store.Write(mgr, "/h/locked", "m").ok());  // the manager's
+  CommitOutcome out;
+  for (const char* path : {"/", "/h", "/h/d/k1"}) {
+    EXPECT_TRUE(store
+                    .Watch(mgr, path, path,
+                           [&out](const XsWatchEvent& event) {
+                             out.events.push_back(event.path + " " +
+                                                  event.token);
+                           })
+                    .ok());
+  }
+
+  std::uint64_t state = seed * 0x9E3779B97F4A7C15ULL + 11;
+  auto next = [&state] {
+    state = state * 6364136223846793005ULL + 1442695040888963407ULL;
+    return state >> 33;
+  };
+  const std::vector<std::string> keys = {"/h/k0",   "/h/k2",   "/h/d",
+                                         "/h/d/k1", "/h/d/e/f", "/h/x/y"};
+  auto tx = store.TransactionStart(guest);
+  EXPECT_TRUE(tx.ok());
+  // Each script writes an existing key first, then mixes seeded writes,
+  // mkdirs, removes and reads with one op refused for permission (a
+  // manager's node), one for quota (six new nodes beside the guest's own
+  // /h) and one for a missing node, at seeded places.
+  std::vector<int> kinds = {0, 4, 5, 6};
+  for (int i = 0; i < 10; ++i) {
+    kinds.insert(kinds.begin() + 1 + next() % kinds.size(), next() % 4);
+  }
+  auto run = [&](int kind) -> Status {
+    const std::string& key = keys[next() % keys.size()];
+    const std::string value = StrFormat("t%u", static_cast<unsigned>(next()));
+    switch (kind) {
+      case 0:
+        return store.Write(guest, key, value, *tx);
+      case 1:
+        return store.Mkdir(guest, key, *tx);
+      case 2:
+        return store.Remove(guest, key, *tx);
+      case 3:
+        return store.Read(guest, key, *tx).status();
+      case 4:
+        return store.Write(guest, "/h/locked", value, *tx);
+      case 5:
+        return store.Write(guest, "/h/q/r/s/t/u/v", value, *tx);
+      default:
+        return store.Remove(guest, "/h/missing/leaf", *tx);
+    }
+  };
+  out.op_codes.push_back(store.Write(guest, "/h/k0", "first", *tx).code());
+  for (int kind : kinds) {
+    out.op_codes.push_back(run(kind).code());
+  }
+  if (raced) {
+    EXPECT_TRUE(store.Write(mgr, StrFormat("%s/x", kDisjoint.data()), "v")
+                    .ok());
+  }
+  out.events.clear();
+  const std::uint64_t visits = store.entries_visited();
+  out.commit = store.TransactionEnd(guest, *tx, /*commit=*/true);
+  out.commit_visits = store.entries_visited() - visits;
+  for (XsStore::FlatNode& node : store.Serialize()) {
+    if (!PathHasPrefix(node.path, kDisjoint)) {
+      out.contents.push_back(std::move(node));
+    }
+  }
+  for (DomainId owner : {mgr, guest, neighbour}) {
+    out.owned[owner] = store.NodesOwnedBy(owner);
+  }
+  out.nodes = store.NodeCount() - (raced ? 2 : 0);
+  if (raced) {
+    out.owned[mgr] -= 2;  // the disjoint directory and its key
+  }
+  return out;
+}
+
+class XsCommitAdoptionTest : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(XsCommitAdoptionTest, AdoptedAndReplayedCommitsAgree) {
+  const CommitOutcome adopted = RunTransactionScript(GetParam(), false);
+  const CommitOutcome replayed = RunTransactionScript(GetParam(), true);
+  // Every refusal kind ran, and the two scripts saw the same store.
+  for (StatusCode code : {StatusCode::kPermissionDenied,
+                          StatusCode::kResourceExhausted,
+                          StatusCode::kNotFound}) {
+    EXPECT_NE(std::find(adopted.op_codes.begin(), adopted.op_codes.end(),
+                        code),
+              adopted.op_codes.end());
+  }
+  EXPECT_EQ(adopted.op_codes, replayed.op_codes);
+  ASSERT_TRUE(adopted.commit.ok()) << adopted.commit;
+  ASSERT_TRUE(replayed.commit.ok()) << replayed.commit;
+  // The unraced commit adopted (it walked nothing); the raced one replayed.
+  EXPECT_EQ(adopted.commit_visits, 0u);
+  EXPECT_GT(replayed.commit_visits, 0u);
+  ASSERT_EQ(adopted.contents.size(), replayed.contents.size());
+  for (std::size_t i = 0; i < adopted.contents.size(); ++i) {
+    const XsStore::FlatNode& a = adopted.contents[i];
+    const XsStore::FlatNode& r = replayed.contents[i];
+    EXPECT_EQ(a.path, r.path);
+    EXPECT_EQ(a.value, r.value) << a.path;
+    EXPECT_EQ(a.perms.owner, r.perms.owner) << a.path;
+    EXPECT_EQ(a.perms.acl, r.perms.acl) << a.path;
+  }
+  EXPECT_EQ(adopted.owned, replayed.owned);
+  EXPECT_EQ(adopted.nodes, replayed.nodes);
+  EXPECT_EQ(adopted.events, replayed.events);
+  EXPECT_FALSE(adopted.events.empty());
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, XsCommitAdoptionTest,
+                         ::testing::Range<std::uint64_t>(1, 13));
+
 // CowMap against std::map. Several live versions are kept: a version is
 // copied, then each copy is mutated on its own, and after every step each
 // version must still equal its own std::map twin, with AVL height.
@@ -785,7 +1080,7 @@ TEST_P(CowMapTest, VersionsMatchStdMap) {
     std::map<std::string, int> twin;
   };
   std::vector<Version> versions(1);
-  std::uint64_t copies = 0;
+  CowWork work;
   std::size_t inserted = 0;  // keys inserted in order, into some version
   for (int step = 0; step < 2000; ++step) {
     Version& v = versions[next() % versions.size()];
@@ -797,17 +1092,17 @@ TEST_P(CowMapTest, VersionsMatchStdMap) {
       case 2: {  // insert the next key in the chosen order
         const std::string& in_order = keys[inserted++ % keys.size()];
         if (v.twin.count(in_order) == 0) {
-          v.tree.Insert(in_order, value, &copies);
+          v.tree.Insert(in_order, value, &work);
           v.twin[in_order] = value;
         }
         break;
       }
       case 3:
       case 4:
-        EXPECT_EQ(v.tree.Erase(key, &copies), v.twin.erase(key) == 1);
+        EXPECT_EQ(v.tree.Erase(key, &work), v.twin.erase(key) == 1);
         break;
       case 5: {
-        int* found = v.tree.FindMutable(key, &copies);
+        int* found = v.tree.FindMutable(key, &work);
         ASSERT_EQ(found != nullptr, v.twin.count(key) == 1) << key;
         if (found != nullptr) {
           *found = value;
@@ -815,9 +1110,12 @@ TEST_P(CowMapTest, VersionsMatchStdMap) {
         }
         break;
       }
-      case 6: {
-        const int* found = v.tree.Find(key);
+      case 6: {  // a lookup steps on at most one entry per level
+        const std::uint64_t visits = work.visits;
+        const int* found = v.tree.Find(key, &work);
         ASSERT_EQ(found != nullptr, v.twin.count(key) == 1) << key;
+        EXPECT_LE(work.visits - visits,
+                  static_cast<std::uint64_t>(v.tree.height()));
         if (found != nullptr) {
           EXPECT_EQ(*found, v.twin[key]);
         }
@@ -846,7 +1144,8 @@ TEST_P(CowMapTest, VersionsMatchStdMap) {
           << "step " << step;
     }
   }
-  EXPECT_GT(copies, 0u);
+  EXPECT_GT(work.copies, 0u);
+  EXPECT_GT(work.visits, 0u);
 }
 
 // Keys arrive in sorted (0), reverse-sorted (1) or seeded random (2) order.
