@@ -24,7 +24,7 @@ std::string NormalizePath(std::string_view path) {
     out += segment;
   }
   if (out.empty()) {
-    out = "/";
+    out.assign(1, '/');
   }
   return out;
 }

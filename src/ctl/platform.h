@@ -144,7 +144,6 @@ class Platform {
 
   [[nodiscard]] IoStreamToken BeginIoStream(IoKind kind) {
     (kind == IoKind::kNet ? net_streams_ : disk_streams_) += 1;
-    OnIoStreamsChanged();
     return IoStreamToken(this, kind);
   }
 
@@ -156,11 +155,7 @@ class Platform {
 
   void EndIoStream(IoKind kind) {
     (kind == IoKind::kNet ? net_streams_ : disk_streams_) -= 1;
-    OnIoStreamsChanged();
   }
-
-  // Platforms react to concurrency changes (interference model).
-  virtual void OnIoStreamsChanged() {}
 
   Simulator sim_;
   Obs obs_;

@@ -115,65 +115,29 @@ Status BlkBack::BindImage(DomainId guest, const std::string& image) {
   if (img == images_.end()) {
     return NotFoundError(StrFormat("no image %s", image.c_str()));
   }
-  return xenbus_.Attach(guest, std::make_unique<Vbd>(&img->second),
-                        [this, guest] { ServiceRing(guest); });
-}
-
-void BlkBack::ServiceRing(DomainId guest) {
-  XenbusBackend::Channel* vbd = xenbus_.Live(guest);
-  if (vbd == nullptr || vbd->drain_scheduled) {
-    return;
-  }
-  // One drain event per kick, not one event per request: the demux overhead
-  // is charged once and the drain below batches every request on the ring
-  // (mirrors real netback/blkback, which process the whole ring per
-  // interrupt and re-check before sleeping).
-  vbd->drain_scheduled = true;
-  const SimDuration overhead = static_cast<SimDuration>(
-      static_cast<double>(kBlkBackPerOpOverhead) * overhead_multiplier_);
-  xenbus_.sim()->ScheduleAfter(overhead, [this, guest] { DrainRing(guest); });
-}
-
-void BlkBack::DrainRing(DomainId guest) {
-  auto* vbd = static_cast<Vbd*>(xenbus_.Find(guest));
-  if (vbd == nullptr) {
-    return;
-  }
-  vbd->drain_scheduled = false;
-  if (!vbd->connected || !xenbus_.available()) {
-    return;  // disconnected while the drain was in flight
-  }
-  const std::uint64_t base_offset = vbd->image->offset;
-  const std::uint64_t image_sectors = vbd->image->size / kSectorSize;
-  BlkRing ring = BlkRing::Attach(vbd->rings[0]);
-  bool pushed_response = false;
-  std::uint32_t budget = kBlkBackDrainBudget;
-  while (budget > 0) {
-    auto req = ring.PopRequest();
-    if (!req) {
-      break;
-    }
-    --budget;
-    const BlkRingRequest request = *req;
+  // Serves one request off the VBD's ring: the status to answer with now,
+  // or nullopt once it is on the disk (its completion answers it). A lambda
+  // so that the core's drain, instantiated here, inlines it.
+  auto serve = [this](XenbusBackend::Channel& channel,
+                      const BlkRingRequest& request)
+      -> std::optional<std::int8_t> {
+    const Vbd& vbd = static_cast<const Vbd&>(channel);
     // Every field is guest-written, so the range check does no arithmetic
     // on them: a byte offset computed from a far-away sector could wrap
     // back into the image.
+    const std::uint64_t image_sectors = vbd.image->size / kSectorSize;
     std::int8_t status = 0;
     if (request.sector_count > kMaxSectorsPerRequest ||
         request.sector_count > image_sectors ||
         request.sector > image_sectors - request.sector_count) {
       status = kBlkStatusFailed;  // malformed or out of range for this VBD
-    } else if (io_fault_hook_ && io_fault_hook_(guest, request)) {
+    } else if (io_fault_hook_ && io_fault_hook_(vbd.guest, request)) {
       status = kRingStatusTransient;  // injected EIO; frontend retries
     }
     ++requests_served_;
     m_requests_->Increment();
     if (status != 0) {
-      // Fail fast without touching the disk; one notification covers every
-      // response pushed by this drain.
-      ring.PushResponse(BlkRingResponse{request.id, status});
-      pushed_response = true;
-      continue;
+      return status;  // fail fast without touching the disk
     }
     const std::uint32_t byte_len = request.sector_count * kSectorSize;
     bytes_moved_ += byte_len;
@@ -181,28 +145,15 @@ void BlkBack::DrainRing(DomainId guest) {
     // The disk serializes per-request service times internally (seek +
     // transfer, in submission order), so submitting the whole batch at
     // drain time preserves each request's completion offset.
-    disk_->SubmitIo(base_offset + request.sector * kSectorSize, byte_len,
-                    request.is_write != 0, [this, guest, request] {
-                      XenbusBackend::Channel* live = xenbus_.Live(guest);
-                      if (live == nullptr) {
-                        return;  // completion lost; frontend retransmits
-                      }
-                      BlkRing r = BlkRing::Attach(live->rings[0]);
-                      if (r.PushResponse(BlkRingResponse{request.id, 0})) {
-                        (void)xenbus_.hv()->EvtchnSend(xenbus_.self(),
-                                                       live->port);
-                      }
+    disk_->SubmitIo(vbd.image->offset + request.sector * kSectorSize,
+                    byte_len, request.is_write != 0,
+                    [this, guest = vbd.guest, id = request.id] {
+                      xenbus_.Respond<BlkRing>(guest, id, 0);
                     });
-  }
-  if (pushed_response) {
-    (void)xenbus_.hv()->EvtchnSend(xenbus_.self(), vbd->port);
-  }
-  // RING_FINAL_CHECK_FOR_REQUESTS: the frontend may have pushed more while
-  // we drained (its kick was absorbed by drain_scheduled), or the budget
-  // ran out. Either way the leftovers get their own drain event.
-  if (ring.PendingRequests() > 0) {
-    ServiceRing(guest);
-  }
+    return std::nullopt;
+  };
+  return xenbus_.Attach<BlkRing>(guest, std::make_unique<Vbd>(&img->second),
+                                 serve);
 }
 
 // --- BlkFront ----------------------------------------------------------------

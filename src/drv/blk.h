@@ -3,11 +3,13 @@
 // BlkFront runs in a guest and exposes an asynchronous sector-I/O API; it
 // communicates with BlkBack over a grant-mapped I/O ring plus an event
 // channel, negotiated via XenStore per the XenBus protocol (xenbus.h, which
-// also holds the retry ladders). BlkBack hosts the physical disk driver: it
-// virtualizes one disk controller into per-guest virtual block devices
-// (VBDs), each backed by a byte range of the disk (a disk image). BlkBack
-// also runs the small proxy daemon the Toolstack uses to create/inspect
-// images after the Toolstack was split out of the driver domain (§5.4).
+// also holds the retry ladders and the backend's ring drain). BlkBack hosts
+// the physical disk driver: it virtualizes one disk controller into
+// per-guest virtual block devices (VBDs), each backed by a byte range of the
+// disk (a disk image), and checks and dispatches each ring request the
+// drain hands it. BlkBack also runs the small proxy daemon the Toolstack
+// uses to create/inspect images after the Toolstack was split out of the
+// driver domain (§5.4).
 //
 // BlkBack is restartable: Suspend() drops its device state and mappings
 // (requests in flight are lost); Resume() re-advertises the backend, and
@@ -55,7 +57,8 @@ using BlkRing = IoRing<BlkRingRequest, BlkRingResponse, 32>;
 // The request_timeout default must comfortably exceed worst-case queueing +
 // disk service time — a full 32-deep ring of random-offset requests queues
 // ~430 ms behind seek costs — or healthy requests get retransmitted as
-// duplicate disk writes.
+// duplicate disk writes. The kick overhead is BlkBack's request demux and
+// completion work per drain.
 inline constexpr XenbusDevice kVbdDevice = {
     .type = "vbd",
     .noun = "VBD",
@@ -67,19 +70,10 @@ inline constexpr XenbusDevice kVbdDevice = {
     .front_tag = "blkfront",
     .io = "block I/O",
     .request_timeout = 2 * kSecond,
+    .kick_overhead = 15 * kMicrosecond,
 };
 
 constexpr std::uint32_t kSectorSize = 512;
-
-// Per-request backend CPU overhead (request demux + completion).
-constexpr SimDuration kBlkBackPerOpOverhead = 15 * kMicrosecond;
-
-// Requests processed per scheduled ring drain. One notification schedules
-// one drain event that services up to this many requests (Xen's
-// RING_FINAL_CHECK_FOR_REQUESTS idiom) instead of one simulator event per
-// request; requests left over — or pushed while the drain ran — get a
-// follow-up drain event, so work per event stays bounded.
-constexpr std::uint32_t kBlkBackDrainBudget = BlkRing::kEntries;
 
 // First-fit extent allocator over the byte range [begin, end) of a disk.
 // Free space is kept as an offset-ordered map of maximal free runs: freeing
@@ -105,7 +99,7 @@ class ExtentAllocator {
 
 class BlkBack {
  public:
-  // Fault-injection hook (src/fault), consulted once per popped ring
+  // Fault-injection hook (src/fault), consulted once per in-range ring
   // request. Returning true makes the backend answer kRingStatusTransient
   // without touching the disk — a transient EIO the frontend absorbs via
   // retry/backoff.
@@ -152,10 +146,6 @@ class BlkBack {
     return xenbus_.IsConnected(guest);
   }
 
-  // Slowdown multiplier applied to per-op overhead (control-VM co-location
-  // interference; 1.0 = isolated driver domain).
-  void set_overhead_multiplier(double m) { overhead_multiplier_ = m; }
-
   void set_io_fault_hook(IoFaultHook hook) { io_fault_hook_ = std::move(hook); }
 
   std::uint64_t requests_served() const { return requests_served_; }
@@ -176,11 +166,7 @@ class BlkBack {
     Image* image;
   };
 
-  void ServiceRing(DomainId guest);
-  void DrainRing(DomainId guest);
-
   DiskDevice* disk_;
-  double overhead_multiplier_ = 1.0;
   IoFaultHook io_fault_hook_;
   std::map<std::string, Image> images_;
   // The first 64 MiB of the disk are reserved for metadata.

@@ -1,6 +1,5 @@
 #include "src/drv/net.h"
 
-#include <algorithm>
 #include <memory>
 #include <utility>
 
@@ -17,8 +16,35 @@ NetBack::NetBack(Hypervisor* hv, XenStoreService* xs, DomainId self,
       xenbus_(kVifDevice, hv, xs, self) {}
 
 Status NetBack::AttachVif(DomainId guest) {
-  return xenbus_.Attach(guest, std::make_unique<XenbusBackend::Channel>(),
-                        [this, guest] { ServiceTxRing(guest); });
+  // Serves one tx request: the status to answer with now, or nullopt once
+  // the frame is on the wire (its completion answers it) or dropped. A
+  // lambda so that the core's drain, instantiated here, inlines it.
+  auto serve = [this](XenbusBackend::Channel& vif,
+                      const NetRingRequest& request)
+      -> std::optional<std::int8_t> {
+    if (request.bytes > kMaxFrameBytes) {
+      // The size is guest-written: a "frame" of gigabytes would hold the
+      // shared NIC for seconds. Refuse it without touching the NIC.
+      Drop();
+      return kNetStatusFailed;
+    }
+    if (tx_fault_hook_ && tx_fault_hook_(vif.guest, request)) {
+      // Injected drop: the frame vanishes with no response, exactly like a
+      // frame lost mid-reboot. The frontend's deadline handles it.
+      Drop();
+      return std::nullopt;
+    }
+    ++frames_forwarded_;
+    m_tx_frames_->Increment();
+    // The NIC serializes frames at link rate internally, so submitting the
+    // whole batch at drain time preserves each frame's wire time.
+    nic_->Transmit(request.bytes, [this, guest = vif.guest, id = request.id] {
+      xenbus_.Respond<NetRing>(guest, id, 0);
+    });
+    return std::nullopt;
+  };
+  return xenbus_.Attach<NetRing>(
+      guest, std::make_unique<XenbusBackend::Channel>(), serve);
 }
 
 void NetBack::Suspend() {
@@ -29,79 +55,6 @@ void NetBack::Suspend() {
 void NetBack::Drop() {
   ++frames_dropped_;
   m_dropped_->Increment();
-}
-
-void NetBack::ServiceTxRing(DomainId guest) {
-  XenbusBackend::Channel* vif = xenbus_.Live(guest);
-  if (vif == nullptr || vif->drain_scheduled) {
-    return;
-  }
-  // One drain event per kick (demux overhead charged once per batch), not
-  // one simulator event per frame; see BlkBack::ServiceRing.
-  vif->drain_scheduled = true;
-  const SimDuration overhead = static_cast<SimDuration>(
-      static_cast<double>(kNetBackPerFrameOverhead) /
-      std::max(0.05, rate_multiplier_));
-  xenbus_.sim()->ScheduleAfter(overhead, [this, guest] { DrainTxRing(guest); });
-}
-
-void NetBack::DrainTxRing(DomainId guest) {
-  XenbusBackend::Channel* vif = xenbus_.Find(guest);
-  if (vif == nullptr) {
-    return;
-  }
-  vif->drain_scheduled = false;
-  if (!vif->connected || !xenbus_.available()) {
-    return;  // vif torn down while the drain was in flight
-  }
-  NetRing ring = NetRing::Attach(vif->rings[0]);
-  bool pushed_response = false;
-  std::uint32_t budget = kNetBackDrainBudget;
-  while (budget > 0) {
-    auto req = ring.PopRequest();
-    if (!req) {
-      break;
-    }
-    --budget;
-    const NetRingRequest request = *req;
-    if (request.bytes > kMaxFrameBytes) {
-      // The size is guest-written: a "frame" of gigabytes would hold the
-      // shared NIC for seconds. Refuse it without touching the NIC; one
-      // notification covers every refusal in this drain.
-      Drop();
-      ring.PushResponse(NetRingResponse{request.id, kNetStatusFailed});
-      pushed_response = true;
-      continue;
-    }
-    if (tx_fault_hook_ && tx_fault_hook_(guest, request)) {
-      // Injected drop: the frame vanishes with no response, exactly like a
-      // frame lost mid-reboot. The frontend's deadline handles it.
-      Drop();
-      continue;
-    }
-    ++frames_forwarded_;
-    m_tx_frames_->Increment();
-    // The NIC serializes frames at link rate internally, so submitting the
-    // whole batch at drain time preserves each frame's wire time.
-    nic_->Transmit(request.bytes, [this, guest, request] {
-      XenbusBackend::Channel* live = xenbus_.Live(guest);
-      if (live == nullptr) {
-        return;  // frame lost mid-reboot; the guest's TCP retransmits
-      }
-      NetRing r = NetRing::Attach(live->rings[0]);
-      if (r.PushResponse(NetRingResponse{request.id, 0})) {
-        (void)xenbus_.hv()->EvtchnSend(xenbus_.self(), live->port);
-      }
-    });
-  }
-  if (pushed_response) {
-    (void)xenbus_.hv()->EvtchnSend(xenbus_.self(), vif->port);
-  }
-  // Final re-check: frames pushed while we drained, or left by the budget,
-  // get their own drain event (RING_FINAL_CHECK_FOR_REQUESTS idiom).
-  if (ring.PendingRequests() > 0) {
-    ServiceTxRing(guest);
-  }
 }
 
 bool NetBack::InjectRx(DomainId guest, std::uint32_t bytes) {

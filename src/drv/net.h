@@ -4,6 +4,8 @@
 // driver and virtualizes it into per-guest virtual interfaces (vifs).
 // Negotiation follows the XenBus protocol over XenStore (xenbus.h) with two
 // rings per vif (tx and rx) in granted guest pages plus one event channel.
+// The XenBus core also drains the tx ring; NetBack keeps the check and
+// dispatch of one frame, and fills the rx ring itself (InjectRx).
 //
 // NetBack is the restartable component exercised by Fig 6.3 / Fig 6.5:
 // Suspend() detaches the NIC and breaks every vif (frames in flight are
@@ -46,17 +48,10 @@ constexpr std::uint32_t kMaxFrameBytes = 1514;
 
 using NetRing = IoRing<NetRingRequest, NetRingResponse, 32>;
 
-// Backend CPU overhead per forwarded frame (demux + bridge + copy grant).
-constexpr SimDuration kNetBackPerFrameOverhead = 4 * kMicrosecond;
-
-// Frames processed per scheduled tx-ring drain; see kBlkBackDrainBudget for
-// the batching rationale (one drain event per kick, final re-check for
-// frames pushed while draining).
-constexpr std::uint32_t kNetBackDrainBudget = NetRing::kEntries;
-
 // request_timeout is the per-frame acknowledgement deadline; it must
 // exceed normal backend forwarding latency (microseconds here) by a wide
-// margin or healthy frames get duplicated on the wire.
+// margin or healthy frames get duplicated on the wire. The kick overhead is
+// NetBack's demux, bridge and grant-copy work per tx drain.
 inline constexpr XenbusDevice kVifDevice = {
     .type = "vif",
     .noun = "vif",
@@ -68,6 +63,7 @@ inline constexpr XenbusDevice kVifDevice = {
     .front_tag = "netfront",
     .io = "tx",
     .request_timeout = 250 * kMillisecond,
+    .kick_overhead = 4 * kMicrosecond,
 };
 
 class NetBack {
@@ -109,15 +105,10 @@ class NetBack {
     return xenbus_.IsConnected(guest);
   }
 
-  // Rate multiplier on the effective data-path throughput; below 1.0 when
-  // the driver shares a control VM with other busy services (Fig 6.2's
-  // performance-isolation effect). 1.0 for a dedicated driver domain.
-  void set_rate_multiplier(double m) { rate_multiplier_ = m; }
-  double rate_multiplier() const { return rate_multiplier_; }
-  // Effective deliverable rate for one guest's flow, in bits/second.
-  double EffectiveRateBps() const {
-    return nic_->link_rate() * rate_multiplier_;
-  }
+  // Effective deliverable rate for one guest's flow, in bits/second: the
+  // link rate. Co-location interference (Fig 6.2) is the platform's to
+  // apply.
+  double EffectiveRateBps() const { return nic_->link_rate(); }
 
   void set_tx_fault_hook(TxFaultHook hook) { tx_fault_hook_ = std::move(hook); }
 
@@ -125,12 +116,9 @@ class NetBack {
   std::uint64_t frames_dropped() const { return frames_dropped_; }
 
  private:
-  void ServiceTxRing(DomainId guest);
-  void DrainTxRing(DomainId guest);
   void Drop();  // counts one dropped frame
 
   NicDevice* nic_;
-  double rate_multiplier_ = 1.0;
   TxFaultHook tx_fault_hook_;
   std::uint64_t frames_forwarded_ = 0;
   std::uint64_t frames_dropped_ = 0;

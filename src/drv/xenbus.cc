@@ -42,8 +42,7 @@ std::string XenbusBackend::WatchToken(DomainId guest) const {
   return StrFormat("%s-%u", device_.back_tag, guest.value());
 }
 
-Status XenbusBackend::Attach(DomainId guest, std::unique_ptr<Channel> channel,
-                             std::function<void()> kick) {
+Status XenbusBackend::Adopt(DomainId guest, std::unique_ptr<Channel> channel) {
   if (!guest.valid()) {
     return InvalidArgumentError("invalid guest domain");
   }
@@ -53,7 +52,6 @@ Status XenbusBackend::Attach(DomainId guest, std::unique_ptr<Channel> channel,
                   device_.noun));
   }
   channel->guest = guest;
-  channel->kick = std::move(kick);
   if (guest.value() >= channels_.size()) {
     channels_.resize(std::size_t{guest.value()} + 1);
   }
@@ -147,7 +145,8 @@ Status XenbusBackend::ConnectChannel(Channel& channel) {
     return port.status();
   }
   channel.port = *port;
-  (void)hv_->EvtchnSetHandler(self_, channel.port, channel.kick);
+  (void)hv_->EvtchnSetHandler(self_, channel.port,
+                              [this, guest] { Kick(guest); });
   const Status advertised = xs_->Write(
       self_, StatePath(guest), XenbusStateString(XenbusState::kConnected));
   if (!advertised.ok()) {
@@ -161,8 +160,36 @@ Status XenbusBackend::ConnectChannel(Channel& channel) {
   XLOG(kDebug) << "[" << device_.back_tag << "] " << device_.noun
                << " connected for dom" << guest.value();
   // Drain anything the frontend pushed before we connected.
-  channel.kick();
+  Kick(guest);
   return Status::Ok();
+}
+
+void XenbusBackend::Kick(DomainId guest) {
+  Channel* channel = Live(guest);
+  if (channel == nullptr || channel->drain_scheduled) {
+    return;
+  }
+  channel->drain_scheduled = true;
+  sim_->ScheduleAfter(device_.kick_overhead,
+                      [this, guest] { RunDrain(guest); });
+}
+
+void XenbusBackend::RunDrain(DomainId guest) {
+  Channel* channel = Find(guest);
+  if (channel == nullptr) {
+    return;
+  }
+  channel->drain_scheduled = false;
+  if (!channel->connected || !available_) {
+    return;  // disconnected while the drain was in flight
+  }
+  if (!channel->drain(*channel)) {
+    // The drain only reports it: Detach destroys the channel that holds it.
+    XLOG(kWarning) << "[" << device_.back_tag << "] dom" << guest.value()
+                   << " overflowed its " << device_.noun
+                   << " ring's producer index; detaching it";
+    (void)Detach(guest);
+  }
 }
 
 void XenbusBackend::Unmap(Channel& channel, int mapped) {

@@ -9,9 +9,13 @@
 //
 // The protocol is written once, here: XenbusBackend and XenbusFrontend own
 // every XenStore node, watch, grant and event-channel operation of the
-// handshake, and every retry ladder of DESIGN.md §5c. Each device class
-// drives them with one XenbusDevice constant; BlkBack/BlkFront (blk.h) and
-// NetBack/NetFront (net.h) keep only their data paths.
+// handshake, and every retry ladder of DESIGN.md §5c. XenbusBackend also
+// owns the backend data path: one drain event per kick, one drain of ring
+// 0 behind one check of the guest-written indices, one batched
+// notification, and one response push for completions. Each device class
+// drives them with one XenbusDevice constant; BlkBack (blk.h) and NetBack
+// (net.h) keep only their per-request check, BlkFront and NetFront their
+// request shapes.
 #ifndef XOAR_SRC_DRV_XENBUS_H_
 #define XOAR_SRC_DRV_XENBUS_H_
 
@@ -110,11 +114,25 @@ struct XenbusDevice {
   const char* front_tag;   // watch token and log prefix, "blkfront"
   const char* io;          // what a request is, in failure messages
   SimDuration request_timeout;  // default per-attempt response deadline
+  // Backend CPU time from a kick to its ring drain (demux, charged once
+  // per drain however many requests it serves).
+  SimDuration kick_overhead;
 };
 
 // Backend half of the protocol for one driver domain and device class:
 // advertises each attached guest's device, connects it when the frontend
-// reports Initialised, and re-runs the handshake across Suspend/Resume.
+// reports Initialised, re-runs the handshake across Suspend/Resume, and
+// drains ring 0 of every connected device.
+//
+// A kick (the port's notification, or a connect) schedules one drain after
+// the device's kick_overhead; kicks that arrive while it is pending are
+// absorbed by it. The drain first checks the guest-written ring indices: a
+// producer that overflowed the ring gets its device detached, and nothing
+// of it is served. Otherwise it hands every request to the driver's serve
+// function, which returns the status to answer with now, or nullopt when
+// the device answers later through Respond (or never). One notification
+// covers every answer of a drain. A checked ring holds at most kEntries
+// requests and nothing runs during a drain, so every drain empties it.
 class XenbusBackend {
  public:
   // One guest's device. A driver derives from it for per-device state.
@@ -128,10 +146,10 @@ class XenbusBackend {
     std::array<GrantRef, 2> grefs;
     std::array<std::byte*, 2> rings = {};  // mapped ring pages
     EvtchnPort port;                       // backend end of the channel
-    // Data path: a ring drain event is in flight, so further kicks are
-    // absorbed by that drain's final re-check.
+    // A drain event is in flight; it will serve what further kicks signal.
     bool drain_scheduled = false;
-    std::function<void()> kick;  // the port's handler: service the rings
+    // Serves ring 0 (Attach builds it); false when the producer overflowed.
+    std::function<bool(Channel&)> drain;
     // Connect retry state: a transiently failed connect (XenStore down
     // mid-handshake, injected grant-map failure) is retried on this ladder
     // because nothing else re-fires the frontend-state watch.
@@ -148,9 +166,22 @@ class XenbusBackend {
   // Creates the backend root in XenStore.
   Status Initialize();
   // Takes `channel` for `guest`, advertises the backend half and watches the
-  // frontend state. `kick` becomes the port's handler on every connect.
+  // frontend state. Each drain of the channel's ring 0, a Ring, calls
+  // `serve(channel, request)` once per request, in ring order; its result is
+  // a std::optional<std::int8_t> response status (see the class comment).
+  template <typename Ring, typename Serve>
   Status Attach(DomainId guest, std::unique_ptr<Channel> channel,
-                std::function<void()> kick);
+                Serve serve) {
+    channel->drain = [this, serve](Channel& live) {
+      return Drain<Ring>(live, serve);
+    };
+    return Adopt(guest, std::move(channel));
+  }
+  // Answers request `id` of `guest` on ring 0 and notifies, unless the
+  // channel went down since the request was served: the frontend then
+  // retransmits after it reconnects.
+  template <typename Ring>
+  void Respond(DomainId guest, std::uint64_t id, std::int8_t status);
   // Disconnects, drops the frontend-state watch and forgets the guest.
   Status Detach(DomainId guest);
   // Microreboot hooks: Suspend drops every mapping and port; Resume
@@ -160,16 +191,20 @@ class XenbusBackend {
 
   // Connected, backend available and its domain running.
   bool IsConnected(DomainId guest) const;
-  Channel* Find(DomainId guest) const;
   // The guest's channel while it is connected and the backend available.
   Channel* Live(DomainId guest);
 
   DomainId self() const { return self_; }
   bool available() const { return available_; }
   Hypervisor* hv() const { return hv_; }
-  Simulator* sim() const { return sim_; }
 
  private:
+  Channel* Find(DomainId guest) const;
+  Status Adopt(DomainId guest, std::unique_ptr<Channel> channel);
+  void Kick(DomainId guest);
+  void RunDrain(DomainId guest);
+  template <typename Ring, typename Serve>
+  bool Drain(Channel& channel, const Serve& serve);
   void OnFrontendStateChange(DomainId guest);
   Status ConnectChannel(Channel& channel);
   void ScheduleConnectRetry(DomainId guest);
@@ -200,6 +235,40 @@ class XenbusBackend {
 // Ring response status for a retryable backend-side fault (an injected
 // EIO): the frontend retries the request with backoff instead of failing it.
 constexpr std::int8_t kRingStatusTransient = -2;
+
+// --- XenbusBackend data path -------------------------------------------------
+
+template <typename Ring, typename Serve>
+bool XenbusBackend::Drain(Channel& channel, const Serve& serve) {
+  Ring ring = Ring::Attach(channel.rings[0]);
+  if (ring.RequestsOverflowed()) {
+    return false;
+  }
+  bool answered = false;
+  while (std::optional<typename Ring::Request> request = ring.PopRequest()) {
+    if (const std::optional<std::int8_t> status = serve(channel, *request)) {
+      ring.PushResponse(typename Ring::Response{request->id, *status});
+      answered = true;
+    }
+  }
+  if (answered) {
+    (void)hv_->EvtchnSend(self_, channel.port);
+  }
+  return true;
+}
+
+template <typename Ring>
+void XenbusBackend::Respond(DomainId guest, std::uint64_t id,
+                            std::int8_t status) {
+  Channel* channel = Live(guest);
+  if (channel == nullptr) {
+    return;
+  }
+  Ring ring = Ring::Attach(channel->rings[0]);
+  if (ring.PushResponse(typename Ring::Response{id, status})) {
+    (void)hv_->EvtchnSend(self_, channel->port);
+  }
+}
 
 // Frontend half of the protocol for one guest device of class kDevice whose
 // rings are Ring: allocates the ring pages, grants them and an unbound port

@@ -75,6 +75,12 @@ class IoRing {
 
   // --- Backend side ---
 
+  // Xen's RING_REQUEST_PROD_OVERFLOW. req_prod is guest-written: a
+  // producer more than kEntries ahead of the consumer names slots the ring
+  // does not have, and trusting it would pop up to 2^32 requests out of
+  // kEntries slots. A backend checks this before it consumes anything.
+  bool RequestsOverflowed() const { return PendingRequests() > kEntries; }
+
   std::optional<Req> PopRequest() {
     if (header()->req_cons == header()->req_prod) {
       return std::nullopt;
@@ -118,19 +124,9 @@ class IoRing {
     return *reinterpret_cast<Req*>(page_ + sizeof(ring_detail::RingHeader) +
                                    i * sizeof(Req));
   }
-  const Req& RequestAt(std::size_t i) const {
-    return *reinterpret_cast<const Req*>(
-        page_ + sizeof(ring_detail::RingHeader) + i * sizeof(Req));
-  }
   Rsp& ResponseAt(std::size_t i) {
     return *reinterpret_cast<Rsp*>(page_ + sizeof(ring_detail::RingHeader) +
                                    kEntries * sizeof(Req) + i * sizeof(Rsp));
-  }
-  const Rsp& ResponseAt(std::size_t i) const {
-    return *reinterpret_cast<const Rsp*>(page_ +
-                                         sizeof(ring_detail::RingHeader) +
-                                         kEntries * sizeof(Req) +
-                                         i * sizeof(Rsp));
   }
 
   std::byte* page_;

@@ -304,20 +304,23 @@ StatusOr<XsStore::TxId> XenStoreService::TransactionStart(DomainId caller) {
 
 Status XenStoreService::TransactionEnd(DomainId caller, XsStore::TxId tx,
                                        bool commit) {
-  XOAR_RETURN_IF_ERROR(AdmitShard(caller, store_.ShardOfTransaction(tx)));
+  XOAR_RETURN_IF_ERROR(
+      AdmitShard(caller, store_.ShardOfTransaction(caller, tx)));
   return store_.TransactionEnd(caller, tx, commit);
 }
 
 StatusOr<std::string> XenStoreService::ReadTx(DomainId caller,
                                               std::string_view path,
                                               XsStore::TxId tx) {
-  XOAR_RETURN_IF_ERROR(AdmitShard(caller, store_.ShardOfTransaction(tx)));
+  XOAR_RETURN_IF_ERROR(
+      AdmitShard(caller, store_.ShardOfTransaction(caller, tx)));
   return store_.Read(caller, path, tx);
 }
 
 Status XenStoreService::WriteTx(DomainId caller, std::string_view path,
                                 std::string_view value, XsStore::TxId tx) {
-  XOAR_RETURN_IF_ERROR(AdmitShard(caller, store_.ShardOfTransaction(tx)));
+  XOAR_RETURN_IF_ERROR(
+      AdmitShard(caller, store_.ShardOfTransaction(caller, tx)));
   return store_.Write(caller, path, value, tx);
 }
 

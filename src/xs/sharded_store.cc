@@ -126,11 +126,8 @@ Status XsShardedStore::FanOut(Op op) {
 StatusOr<std::string> XsShardedStore::Read(DomainId caller,
                                            std::string_view path, TxId tx) {
   if (tx != kNoTransaction) {
-    auto it = tx_map_.find(tx);
-    if (it == tx_map_.end()) {
-      return NotFoundError("no such transaction");
-    }
-    return shards_[it->second.shard]->Read(caller, path, it->second.local);
+    XOAR_ASSIGN_OR_RETURN(const TxHandle handle, FindTransaction(caller, tx));
+    return shards_[handle.shard]->Read(caller, path, handle.local);
   }
   return Read(RouteFor(path), caller, path);
 }
@@ -144,12 +141,8 @@ StatusOr<std::string> XsShardedStore::Read(const Route& route,
 Status XsShardedStore::Write(DomainId caller, std::string_view path,
                              std::string_view value, TxId tx) {
   if (tx != kNoTransaction) {
-    auto it = tx_map_.find(tx);
-    if (it == tx_map_.end()) {
-      return NotFoundError("no such transaction");
-    }
-    return shards_[it->second.shard]->Write(caller, path, value,
-                                            it->second.local);
+    XOAR_ASSIGN_OR_RETURN(const TxHandle handle, FindTransaction(caller, tx));
+    return shards_[handle.shard]->Write(caller, path, value, handle.local);
   }
   return Write(RouteFor(path), caller, path, value);
 }
@@ -165,11 +158,8 @@ Status XsShardedStore::Write(const Route& route, DomainId caller,
 
 Status XsShardedStore::Mkdir(DomainId caller, std::string_view path, TxId tx) {
   if (tx != kNoTransaction) {
-    auto it = tx_map_.find(tx);
-    if (it == tx_map_.end()) {
-      return NotFoundError("no such transaction");
-    }
-    return shards_[it->second.shard]->Mkdir(caller, path, it->second.local);
+    XOAR_ASSIGN_OR_RETURN(const TxHandle handle, FindTransaction(caller, tx));
+    return shards_[handle.shard]->Mkdir(caller, path, handle.local);
   }
   return Mkdir(RouteFor(path), caller, path);
 }
@@ -184,11 +174,8 @@ Status XsShardedStore::Mkdir(const Route& route, DomainId caller,
 
 Status XsShardedStore::Remove(DomainId caller, std::string_view path, TxId tx) {
   if (tx != kNoTransaction) {
-    auto it = tx_map_.find(tx);
-    if (it == tx_map_.end()) {
-      return NotFoundError("no such transaction");
-    }
-    return shards_[it->second.shard]->Remove(caller, path, it->second.local);
+    XOAR_ASSIGN_OR_RETURN(const TxHandle handle, FindTransaction(caller, tx));
+    return shards_[handle.shard]->Remove(caller, path, handle.local);
   }
   return Remove(RouteFor(path), caller, path);
 }
@@ -205,11 +192,8 @@ StatusOr<std::vector<std::string>> XsShardedStore::List(DomainId caller,
                                                         std::string_view path,
                                                         TxId tx) {
   if (tx != kNoTransaction) {
-    auto it = tx_map_.find(tx);
-    if (it == tx_map_.end()) {
-      return NotFoundError("no such transaction");
-    }
-    return shards_[it->second.shard]->List(caller, path, it->second.local);
+    XOAR_ASSIGN_OR_RETURN(const TxHandle handle, FindTransaction(caller, tx));
+    return shards_[handle.shard]->List(caller, path, handle.local);
   }
   return List(RouteFor(path), caller, path);
 }
@@ -242,11 +226,9 @@ StatusOr<std::vector<std::string>> XsShardedStore::List(
 
 bool XsShardedStore::Exists(DomainId caller, std::string_view path, TxId tx) {
   if (tx != kNoTransaction) {
-    auto it = tx_map_.find(tx);
-    if (it == tx_map_.end()) {
-      return false;
-    }
-    return shards_[it->second.shard]->Exists(caller, path, it->second.local);
+    const StatusOr<TxHandle> handle = FindTransaction(caller, tx);
+    return handle.ok() &&
+           shards_[handle->shard]->Exists(caller, path, handle->local);
   }
   const Route route = RouteFor(path);
   if (route.spanning && shards_.size() > 1) {
@@ -355,29 +337,29 @@ StatusOr<XsShardedStore::TxId> XsShardedStore::TransactionStart(
   const int shard = ShardIndexForDomain(caller);
   XOAR_ASSIGN_OR_RETURN(TxId local, shards_[shard]->TransactionStart(caller));
   const TxId id = next_tx_++;
-  tx_map_.emplace(id, TxHandle{shard, local});
+  tx_map_.emplace(id, TxHandle{caller, shard, local});
   return id;
 }
 
-Status XsShardedStore::TransactionEnd(DomainId caller, TxId tx, bool commit) {
+StatusOr<XsShardedStore::TxHandle> XsShardedStore::FindTransaction(
+    DomainId caller, TxId tx) const {
   auto it = tx_map_.find(tx);
-  if (it == tx_map_.end()) {
+  if (it == tx_map_.end() || it->second.caller != caller) {
     return NotFoundError("no such transaction");
   }
-  const TxHandle handle = it->second;
-  Status status = shards_[handle.shard]->TransactionEnd(caller, handle.local,
-                                                        commit);
-  // The shard refuses to end a transaction owned by another domain; keep
-  // the facade handle alive in that case so the owner can still finish it.
-  if (status.code() != StatusCode::kPermissionDenied) {
-    tx_map_.erase(it);
-  }
-  return status;
+  return it->second;
 }
 
-int XsShardedStore::ShardOfTransaction(TxId tx) const {
-  auto it = tx_map_.find(tx);
-  return it == tx_map_.end() ? -1 : it->second.shard;
+Status XsShardedStore::TransactionEnd(DomainId caller, TxId tx, bool commit) {
+  // A foreign attempt stops here, so it cannot retire the owner's handle.
+  XOAR_ASSIGN_OR_RETURN(const TxHandle handle, FindTransaction(caller, tx));
+  tx_map_.erase(tx);
+  return shards_[handle.shard]->TransactionEnd(caller, handle.local, commit);
+}
+
+int XsShardedStore::ShardOfTransaction(DomainId caller, TxId tx) const {
+  const StatusOr<TxHandle> handle = FindTransaction(caller, tx);
+  return handle.ok() ? handle->shard : -1;
 }
 
 // --- State shipping ---------------------------------------------------------

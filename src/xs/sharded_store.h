@@ -123,11 +123,13 @@ class XsShardedStore {
                  std::string_view token);
 
   // Transactions carry facade-level ids; each maps to (shard, local id),
-  // pinned at start to the caller's home shard.
+  // pinned at start to the caller's home shard. As in XsStore, an id is
+  // NOT_FOUND to every domain but the one that started it.
   StatusOr<TxId> TransactionStart(DomainId caller);
   Status TransactionEnd(DomainId caller, TxId tx, bool commit);
-  // Shard a live transaction is pinned to; -1 if unknown.
-  int ShardOfTransaction(TxId tx) const;
+  // Shard `caller`'s live transaction `tx` is pinned to; -1 if there is no
+  // such transaction of `caller`'s.
+  int ShardOfTransaction(DomainId caller, TxId tx) const;
 
   // --- State shipping across all shards ---
 
@@ -172,9 +174,14 @@ class XsShardedStore {
 
  private:
   struct TxHandle {
+    DomainId caller;
     int shard;
     TxId local;
   };
+
+  // `caller`'s own transaction `tx`; every transactional op resolves its id
+  // here, so a foreign id is answered exactly as an unknown one.
+  StatusOr<TxHandle> FindTransaction(DomainId caller, TxId tx) const;
 
   void ApplyConfig(XsStore* store);
   // Runs `op` on every shard as one fan-out; the first error wins.

@@ -186,9 +186,13 @@ Status XsStore::CheckAccess(DomainId caller, const Node& node,
   return Status::Ok();
 }
 
-XsStore::Transaction* XsStore::FindTransaction(TxId tx) {
+StatusOr<XsStore::Transaction*> XsStore::FindTransaction(DomainId caller,
+                                                         TxId tx) {
   auto it = transactions_.find(tx);
-  return it == transactions_.end() ? nullptr : &it->second;
+  if (it == transactions_.end() || it->second.caller != caller) {
+    return NotFoundError("no such transaction");
+  }
+  return &it->second;
 }
 
 void XsStore::CommitMutation(std::string_view norm) {
@@ -259,10 +263,7 @@ StatusOr<std::string> XsStore::Read(DomainId caller, std::string_view path,
   XOAR_ASSIGN_OR_RETURN(const std::string_view norm, Canonical(path, &rebuilt));
   const Node* root = root_.get();
   if (tx_id != kNoTransaction) {
-    Transaction* tx = FindTransaction(tx_id);
-    if (tx == nullptr) {
-      return NotFoundError("no such transaction");
-    }
+    XOAR_ASSIGN_OR_RETURN(Transaction* tx, FindTransaction(caller, tx_id));
     tx->read_set.emplace(norm);
     root = tx->root.get();
   }
@@ -286,10 +287,7 @@ Status XsStore::Write(DomainId caller, std::string_view path,
     CommitMutation(norm);
     return Status::Ok();
   }
-  Transaction* tx = FindTransaction(tx_id);
-  if (tx == nullptr) {
-    return NotFoundError("no such transaction");
-  }
+  XOAR_ASSIGN_OR_RETURN(Transaction* tx, FindTransaction(caller, tx_id));
   XOAR_RETURN_IF_ERROR(
       ApplyWrite(tx->root, caller, norm, value, &tx->owner_delta));
   tx->write_set.emplace(norm);
@@ -309,10 +307,7 @@ Status XsStore::Mkdir(DomainId caller, std::string_view path, TxId tx_id) {
     CommitMutation(norm);
     return Status::Ok();
   }
-  Transaction* tx = FindTransaction(tx_id);
-  if (tx == nullptr) {
-    return NotFoundError("no such transaction");
-  }
+  XOAR_ASSIGN_OR_RETURN(Transaction* tx, FindTransaction(caller, tx_id));
   XOAR_RETURN_IF_ERROR(ApplyMkdir(tx->root, caller, norm, &tx->owner_delta));
   tx->write_set.emplace(norm);
   tx->ops.push_back(TxOp{TxOp::Kind::kMkdir, std::string(norm), std::string()});
@@ -330,10 +325,7 @@ Status XsStore::Remove(DomainId caller, std::string_view path, TxId tx_id) {
     CommitMutation(norm);
     return Status::Ok();
   }
-  Transaction* tx = FindTransaction(tx_id);
-  if (tx == nullptr) {
-    return NotFoundError("no such transaction");
-  }
+  XOAR_ASSIGN_OR_RETURN(Transaction* tx, FindTransaction(caller, tx_id));
   XOAR_RETURN_IF_ERROR(
       ApplyRemove(tx->root, caller, norm, &tx->owner_delta));
   tx->write_set.emplace(norm);
@@ -352,10 +344,7 @@ StatusOr<std::vector<std::string>> XsStore::List(DomainId caller,
   XOAR_ASSIGN_OR_RETURN(const std::string_view norm, Canonical(path, &rebuilt));
   const Node* root = root_.get();
   if (tx_id != kNoTransaction) {
-    Transaction* tx = FindTransaction(tx_id);
-    if (tx == nullptr) {
-      return NotFoundError("no such transaction");
-    }
+    XOAR_ASSIGN_OR_RETURN(Transaction* tx, FindTransaction(caller, tx_id));
     // Listing observes the children set, which any mutation below `norm`
     // changes — the prefix-overlap conflict check covers exactly that.
     tx->read_set.emplace(norm);
@@ -375,7 +364,8 @@ StatusOr<std::vector<std::string>> XsStore::List(DomainId caller,
 }
 
 bool XsStore::Exists(DomainId caller, std::string_view path, TxId tx_id) {
-  (void)caller;  // Existence probes are not ACL-gated, as in xenstored.
+  // Existence probes are not ACL-gated, as in xenstored; only the
+  // transaction must be the caller's.
   std::string rebuilt;
   const StatusOr<std::string_view> canonical = Canonical(path, &rebuilt);
   if (!canonical.ok()) {
@@ -384,12 +374,12 @@ bool XsStore::Exists(DomainId caller, std::string_view path, TxId tx_id) {
   const std::string_view norm = *canonical;
   const Node* root = root_.get();
   if (tx_id != kNoTransaction) {
-    Transaction* tx = FindTransaction(tx_id);
-    if (tx == nullptr) {
+    const StatusOr<Transaction*> tx = FindTransaction(caller, tx_id);
+    if (!tx.ok()) {
       return false;
     }
-    tx->read_set.emplace(norm);
-    root = tx->root.get();
+    (*tx)->read_set.emplace(norm);
+    root = (*tx)->root.get();
   }
   return Find(root, norm) != nullptr;
 }
@@ -563,13 +553,7 @@ StatusOr<XsStore::TxId> XsStore::TransactionStart(DomainId caller) {
 }
 
 Status XsStore::TransactionEnd(DomainId caller, TxId tx, bool commit) {
-  auto it = transactions_.find(tx);
-  if (it == transactions_.end()) {
-    return NotFoundError("no such transaction");
-  }
-  if (it->second.caller != caller) {
-    return PermissionDeniedError("transaction belongs to another domain");
-  }
+  XOAR_ASSIGN_OR_RETURN(Transaction* pending, FindTransaction(caller, tx));
   // Per-path validation (run before the transaction — and with it possibly
   // the mutation log — is retired): a committed mutation since this
   // transaction began conflicts only if its path overlaps something this
@@ -577,17 +561,16 @@ Status XsStore::TransactionEnd(DomainId caller, TxId tx, bool commit) {
   // (no spurious EAGAIN, unlike a whole-store generation check).
   Status conflict = Status::Ok();
   if (commit) {
-    const Transaction& pending = it->second;
     for (const auto& [gen, mutated] : mutation_log_) {
-      if (gen <= pending.start_generation) {
+      if (gen <= pending->start_generation) {
         continue;
       }
       const auto overlaps = [&mutated](const std::string& accessed) {
         return PathsOverlap(mutated, accessed);
       };
-      if (std::any_of(pending.read_set.begin(), pending.read_set.end(),
+      if (std::any_of(pending->read_set.begin(), pending->read_set.end(),
                       overlaps) ||
-          std::any_of(pending.write_set.begin(), pending.write_set.end(),
+          std::any_of(pending->write_set.begin(), pending->write_set.end(),
                       overlaps)) {
         conflict = AbortedError(
             StrFormat("store path %s changed during transaction",
@@ -596,8 +579,8 @@ Status XsStore::TransactionEnd(DomainId caller, TxId tx, bool commit) {
       }
     }
   }
-  Transaction transaction = std::move(it->second);
-  transactions_.erase(it);
+  Transaction transaction = std::move(*pending);
+  transactions_.erase(tx);
   if (transactions_.empty()) {
     mutation_log_.clear();
   }

@@ -140,6 +140,9 @@ class XsStore {
   std::size_t WatchCount() const { return watch_count_; }
 
   // --- Transactions: snapshot-isolation with commit-time conflict check ---
+  //
+  // A transaction belongs to the domain that started it: to every other
+  // caller its id is NOT_FOUND, exactly like an id never issued.
 
   // O(1): the transaction shares the current tree copy-on-write.
   StatusOr<TxId> TransactionStart(DomainId caller);
@@ -302,7 +305,10 @@ class XsStore {
   Status ApplyRemove(NodePtr& root, DomainId caller, std::string_view norm,
                      OwnerCounts* delta);
 
-  Transaction* FindTransaction(TxId tx);
+  // `caller`'s own transaction `tx`; every transactional op resolves its id
+  // here. Ids are sequential, so a foreign id must get the NOT_FOUND an
+  // unknown one gets: it neither reveals nor reaches the transaction.
+  StatusOr<Transaction*> FindTransaction(DomainId caller, TxId tx);
   // Replays a raced commit's ops against the live tree; on failure the
   // tree and counters stay as they were and the commit aborts.
   Status Replay(const Transaction& transaction);

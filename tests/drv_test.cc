@@ -362,14 +362,58 @@ class HostileFrontendTest : public ::testing::Test {
 
   Hypervisor& hv() { return platform_.hv(); }
 
-  // Writes one node of the bad guest's VBD frontend, readable by BlkBack.
-  void Publish(const std::string& key, const std::string& value) {
-    const std::string path = FrontendDir(bad_, kVbdType) + "/" + key;
+  // Writes one node of the bad guest's `device` frontend, readable by the
+  // backend domain `backend`.
+  void Publish(const XenbusDevice& device, DomainId backend,
+               const std::string& key, const std::string& value) {
+    const std::string path = FrontendDir(bad_, device.type) + "/" + key;
     ASSERT_TRUE(platform_.xenstore().Write(bad_, path, value).ok());
     XsNodePerms perms;
     perms.owner = bad_;
-    perms.acl[blkback_->self()] = XsPerm::kRead;
+    perms.acl[backend] = XsPerm::kRead;
     ASSERT_TRUE(platform_.xenstore().SetPerms(bad_, path, perms).ok());
+  }
+  // The same for the bad guest's VBD on `blkback_`.
+  void Publish(const std::string& key, const std::string& value) {
+    Publish(kVbdDevice, blkback_->self(), key, value);
+  }
+
+  // Connects the bad guest's `device` on `backend` by hand: a granted page
+  // per ring, an unbound port, then state Initialised. Returns ring 0's
+  // page in `ring0` and the guest's end of the channel in `port`.
+  void ConnectBad(const XenbusDevice& device, DomainId backend,
+                  std::byte** ring0, EvtchnPort* port) {
+    for (int i = 0; i < device.rings; ++i) {
+      StatusOr<Pfn> pfn = hv().memory().AllocatePages(bad_, 1);
+      ASSERT_TRUE(pfn.ok());
+      StatusOr<GrantRef> gref =
+          hv().GrantAccess(bad_, backend, *pfn, /*writable=*/true);
+      ASSERT_TRUE(gref.ok());
+      Publish(device, backend, device.ring_keys[i],
+              std::to_string(gref->value()));
+      if (i == 0) {
+        *ring0 = hv().memory().PageData(*pfn);
+      }
+    }
+    StatusOr<EvtchnPort> unbound = hv().EvtchnAllocUnbound(bad_, backend);
+    ASSERT_TRUE(unbound.ok());
+    *port = *unbound;
+    Publish(device, backend, "event-channel", std::to_string(port->value()));
+    Publish(device, backend, "state", "3");
+    platform_.Settle();
+  }
+
+  // Fills the ring at `page` with `kEntries` copies of `request`, then
+  // moves its guest-written producer index 2^31 past the consumer, as a
+  // frontend that lies about how much it produced.
+  template <typename Ring>
+  static void OverflowProducer(std::byte* page,
+                               const typename Ring::Request& request) {
+    Ring ring = Ring::Attach(page);
+    while (ring.PushRequest(request)) {
+    }
+    auto* header = reinterpret_cast<ring_detail::RingHeader*>(page);
+    header->req_prod = header->req_cons + (1u << 31);
   }
 
   XoarPlatform platform_;
@@ -430,25 +474,18 @@ TEST_F(HostileFrontendTest, MalformedRingRefIsRefused) {
 // count beyond the frontend's own 64-sector chunk is refused outright.
 // Neither may reach the disk.
 TEST_F(HostileFrontendTest, BlkRequestFieldsAreRangeChecked) {
-  StatusOr<Pfn> pfn = hv().memory().AllocatePages(bad_, 1);
-  ASSERT_TRUE(pfn.ok());
-  BlkRing ring = BlkRing::Create(hv().memory().PageData(*pfn));
-  StatusOr<GrantRef> gref =
-      hv().GrantAccess(bad_, blkback_->self(), *pfn, /*writable=*/true);
-  ASSERT_TRUE(gref.ok());
-  StatusOr<EvtchnPort> port = hv().EvtchnAllocUnbound(bad_, blkback_->self());
-  ASSERT_TRUE(port.ok());
-  Publish("ring-ref", std::to_string(gref->value()));
-  Publish("event-channel", std::to_string(port->value()));
-  Publish("state", "3");
-  platform_.Settle();
+  std::byte* page = nullptr;
+  EvtchnPort port;
+  ASSERT_NO_FATAL_FAILURE(
+      ConnectBad(kVbdDevice, blkback_->self(), &page, &port));
   ASSERT_TRUE(blkback_->IsVbdConnected(bad_));
+  BlkRing ring = BlkRing::Attach(page);
 
   std::uint64_t next_id = 1;
   auto status_of = [&](std::uint64_t sector, std::uint32_t count) {
     const std::uint64_t id = next_id++;
     EXPECT_TRUE(ring.PushRequest(BlkRingRequest{id, sector, count, 0}));
-    EXPECT_TRUE(hv().EvtchnSend(bad_, *port).ok());
+    EXPECT_TRUE(hv().EvtchnSend(bad_, port).ok());
     platform_.Settle();
     std::optional<BlkRingResponse> rsp = ring.PopResponse();
     EXPECT_TRUE(rsp.has_value() && rsp->id == id) << "sector " << sector;
@@ -461,6 +498,76 @@ TEST_F(HostileFrontendTest, BlkRequestFieldsAreRangeChecked) {
   EXPECT_EQ(status_of(4 * kMiB / kSectorSize - 64, 64), 0);  // the last 32 KiB
   EXPECT_EQ(status_of(4 * kMiB / kSectorSize - 63, 64), kBlkStatusFailed);
   EXPECT_EQ(blkback_->bytes_moved(), (8 + 64) * kSectorSize);
+}
+
+// The ring's producer index is guest-written as well. A guest that fills its
+// 32 slots with valid one-sector reads and then claims 2^31 requests would
+// have BlkBack serve stale slots for about 1000 s of simulated time, ahead
+// of every neighbour on the shared disk. BlkBack must check the index once,
+// serve none of it, and disconnect that guest alone.
+TEST_F(HostileFrontendTest, OverflowingProducerIsDetachedNeighbourUnaffected) {
+  struct Written {
+    std::optional<Status> status;  // set when the write completes
+    SimDuration latency = 0;
+  };
+  Simulator& sim = platform_.sim();
+  auto write = [&](Written* written) {
+    const SimTime start = sim.Now();
+    platform_.blkfront(good_)->WriteBytes(
+        0, 4 * kKiB, [&sim, start, written](Status s) {
+          written->status = s;
+          written->latency = sim.Now() - start;
+        });
+    platform_.Settle();
+  };
+  Written unattacked;
+  write(&unattacked);
+  ASSERT_TRUE(unattacked.status.has_value());
+  ASSERT_TRUE(unattacked.status->ok()) << *unattacked.status;
+
+  std::byte* page = nullptr;
+  EvtchnPort port;
+  ASSERT_NO_FATAL_FAILURE(
+      ConnectBad(kVbdDevice, blkback_->self(), &page, &port));
+  ASSERT_TRUE(blkback_->IsVbdConnected(bad_));
+  OverflowProducer<BlkRing>(page, BlkRingRequest{1, 0, 1, 0});
+  const std::uint64_t served = blkback_->requests_served();
+  ASSERT_TRUE(hv().EvtchnSend(bad_, port).ok());
+  Written attacked;
+  write(&attacked);
+  ASSERT_TRUE(attacked.status.has_value());
+  EXPECT_TRUE(attacked.status->ok()) << *attacked.status;
+  EXPECT_LE(attacked.latency, unattacked.latency);
+  EXPECT_EQ(blkback_->requests_served(), served + 1);  // the neighbour's
+  EXPECT_FALSE(blkback_->IsVbdConnected(bad_));
+  EXPECT_TRUE(blkback_->IsVbdConnected(good_));
+}
+
+// The same check guards NetBack's tx ring: 32 valid frames behind a
+// producer 2^31 ahead put nothing on the wire and detach that vif alone.
+TEST_F(HostileFrontendTest, OverflowingTxProducerIsDetached) {
+  NetBack* netback = platform_.netback_of(good_);
+  const DomainId toolstack = platform_.shard_domain(ShardClass::kToolstack);
+  ASSERT_TRUE(hv().AuthorizeShardUse(toolstack, bad_, netback->self()).ok());
+  ASSERT_TRUE(netback->AttachVif(bad_).ok());
+  std::byte* page = nullptr;
+  EvtchnPort port;
+  ASSERT_NO_FATAL_FAILURE(
+      ConnectBad(kVifDevice, netback->self(), &page, &port));
+  ASSERT_TRUE(netback->IsVifConnected(bad_));
+  OverflowProducer<NetRing>(page, NetRingRequest{1, 1500});
+  const std::uint64_t forwarded = netback->frames_forwarded();
+  const std::uint64_t on_wire = platform_.nic().tx_frames();
+  ASSERT_TRUE(hv().EvtchnSend(bad_, port).ok());
+  std::optional<Status> sent;
+  platform_.netfront(good_)->SendFrame(1500, [&](Status s) { sent = s; });
+  platform_.Settle();
+  ASSERT_TRUE(sent.has_value());
+  EXPECT_TRUE(sent->ok()) << *sent;
+  EXPECT_EQ(netback->frames_forwarded(), forwarded + 1);  // the neighbour's
+  EXPECT_EQ(platform_.nic().tx_frames(), on_wire + 1);
+  EXPECT_FALSE(netback->IsVifConnected(bad_));
+  EXPECT_TRUE(netback->IsVifConnected(good_));
 }
 
 // A tx request's size is guest-written too. A 2^32 - 1 byte "frame" would

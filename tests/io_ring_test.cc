@@ -123,6 +123,32 @@ TEST_F(IoRingTest, IndependentRequestAndResponseStreams) {
   EXPECT_EQ(ring.PopResponse()->id, 100u);
 }
 
+// The backend's overflow check reads a guest-written producer index, so it
+// must hold modulo 2^32: a full ring whose indices wrapped is fine; one more
+// request, a producer 2^31 ahead, or one "behind" the consumer is not.
+TEST_F(IoRingTest, ProducerOverflowIsDetectedAcrossIndexWrap) {
+  TestRing ring = TestRing::Create(page_.data());
+  auto* header = reinterpret_cast<ring_detail::RingHeader*>(page_.data());
+  header->req_prod = header->req_cons = 0xFFFFFFFCu;
+  EXPECT_FALSE(ring.RequestsOverflowed());
+  for (std::uint64_t i = 0; i < TestRing::kEntries; ++i) {
+    ASSERT_TRUE(ring.PushRequest({i, 0}));
+  }
+  EXPECT_EQ(header->req_prod, 4u);  // wrapped
+  EXPECT_TRUE(ring.FullRequests());
+  EXPECT_FALSE(ring.RequestsOverflowed());
+  for (const std::uint32_t ahead : {9u, 1u << 31, 0xFFFFFFFFu}) {
+    header->req_prod = header->req_cons + ahead;
+    EXPECT_TRUE(ring.RequestsOverflowed()) << ahead;
+  }
+  header->req_prod = header->req_cons + TestRing::kEntries;
+  for (std::uint64_t i = 0; i < TestRing::kEntries; ++i) {
+    ASSERT_EQ(ring.PopRequest()->id, i);
+  }
+  EXPECT_EQ(header->req_cons, 4u);
+  EXPECT_FALSE(ring.RequestsOverflowed());
+}
+
 // Property sweep: for arbitrary interleavings driven by a parameterized
 // pattern, producer/consumer counters never diverge and no entry is lost.
 class IoRingPropertyTest : public ::testing::TestWithParam<int> {};

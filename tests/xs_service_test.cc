@@ -458,12 +458,52 @@ TEST_F(XsServiceTest, TransactionsPinnedToHomeShardInShardedDeployment) {
   SetUpSharded();
   auto tx = xs_->TransactionStart(guest_b_);
   ASSERT_TRUE(tx.ok());
-  EXPECT_EQ(xs_->store().ShardOfTransaction(*tx),
+  EXPECT_EQ(xs_->store().ShardOfTransaction(guest_b_, *tx),
             xs_->store().ShardIndexForDomain(guest_b_));
   ASSERT_TRUE(
       xs_->WriteTx(guest_b_, TenantDir(guest_b_) + "/k", "tv", *tx).ok());
   ASSERT_TRUE(xs_->TransactionEnd(guest_b_, *tx, true).ok());
   EXPECT_EQ(*xs_->Read(guest_b_, TenantDir(guest_b_) + "/k"), "tv");
+}
+
+// Transaction ids are sequential, so any guest can name another's. A guest
+// on the owner's shard and one on the other shard each get NOT_FOUND from
+// every transactional request through a foreign id, as for an id never
+// issued; nothing they send reaches the transaction, and the owner can
+// still commit it.
+TEST_F(XsServiceTest, ForeignTransactionIdIsUnknownToEveryRequest) {
+  SetUpSharded();
+  const DomainId guest_c = NewDomain("guest-c", false);
+  ASSERT_TRUE(hv_->AuthorizeShardUse(boot_, guest_c, logic_).ok());
+  ASSERT_EQ(xs_->store().ShardIndexForDomain(guest_c),
+            xs_->store().ShardIndexForDomain(guest_));
+  ASSERT_TRUE(xs_->Connect(guest_c).ok());
+  MakeTenantDir(guest_c);
+  auto tx = xs_->TransactionStart(guest_);
+  ASSERT_TRUE(tx.ok());
+  const XsStore::TxId never_issued = *tx + 100;
+  for (const DomainId foreign : {guest_c, guest_b_}) {
+    const std::string planted = TenantDir(foreign) + "/planted";
+    for (const XsStore::TxId id : {*tx, never_issued}) {
+      SCOPED_TRACE(testing::Message() << "dom" << foreign.value() << " tx "
+                                      << id);
+      const Status write = xs_->WriteTx(foreign, planted, "evil", id);
+      EXPECT_EQ(write.code(), StatusCode::kNotFound);
+      EXPECT_EQ(write.message(), "no such transaction");
+      EXPECT_EQ(xs_->ReadTx(foreign, planted, id).status().code(),
+                StatusCode::kNotFound);
+      EXPECT_EQ(xs_->TransactionEnd(foreign, id, /*commit=*/true).code(),
+                StatusCode::kNotFound);
+    }
+  }
+  ASSERT_TRUE(
+      xs_->WriteTx(guest_, TenantDir(guest_) + "/mine", "ok", *tx).ok());
+  ASSERT_TRUE(xs_->TransactionEnd(guest_, *tx, /*commit=*/true).ok());
+  EXPECT_EQ(*xs_->Read(guest_, TenantDir(guest_) + "/mine"), "ok");
+  for (const DomainId foreign : {guest_c, guest_b_}) {
+    EXPECT_FALSE(
+        xs_->store().Exists(logic_, TenantDir(foreign) + "/planted"));
+  }
 }
 
 // The wire protocol: push a request through an actual grant-mapped ring

@@ -132,13 +132,14 @@ TEST_F(XsShardTest, TransactionsPinToCallersHomeShard) {
   const DomainId guest = NewTenant(5);
   auto tx = store_.TransactionStart(guest);
   ASSERT_TRUE(tx.ok());
-  EXPECT_EQ(store_.ShardOfTransaction(*tx), store_.ShardIndexForDomain(guest));
+  EXPECT_EQ(store_.ShardOfTransaction(guest, *tx),
+            store_.ShardIndexForDomain(guest));
   ASSERT_TRUE(store_.Write(guest, "/local/domain/5/k", "txv", *tx).ok());
   // Not visible outside the transaction until commit.
   EXPECT_FALSE(store_.Exists(manager_, "/local/domain/5/k"));
   ASSERT_TRUE(store_.TransactionEnd(guest, *tx, true).ok());
   EXPECT_EQ(*store_.Read(manager_, "/local/domain/5/k"), "txv");
-  EXPECT_EQ(store_.ShardOfTransaction(*tx), -1);  // handle retired
+  EXPECT_EQ(store_.ShardOfTransaction(guest, *tx), -1);  // handle retired
   // Only the home shard did copy-on-write work, and the facade sums it.
   EXPECT_GT(store_.shard(1).cow_copies(), 0u);
   EXPECT_EQ(store_.cow_copies(), store_.shard(1).cow_copies());

@@ -639,7 +639,45 @@ TEST_F(XsStoreTest, TransactionReadsSeeSnapshot) {
 TEST_F(XsStoreTest, ForeignTransactionEndDenied) {
   auto tx = store_.TransactionStart(guest_);
   EXPECT_EQ(store_.TransactionEnd(other_, *tx, true).code(),
-            StatusCode::kPermissionDenied);
+            StatusCode::kNotFound);
+}
+
+// Ids are sequential, so a guest can name another guest's transaction.
+// Every transactional op must answer a foreign id exactly as an id never
+// issued, and leave the transaction as its owner left it.
+TEST_F(XsStoreTest, ForeignTransactionIdIsUnknownToEveryOp) {
+  for (const DomainId owner : {guest_, other_}) {
+    const std::string dir = StrFormat("/d%u", owner.value());
+    ASSERT_TRUE(store_.Mkdir(manager_, dir).ok());
+    XsNodePerms perms;
+    perms.owner = owner;
+    ASSERT_TRUE(store_.SetPerms(manager_, dir, perms).ok());
+  }
+  auto tx = store_.TransactionStart(guest_);
+  ASSERT_TRUE(tx.ok());
+  ASSERT_TRUE(store_.Write(guest_, "/d5/mine", "ok", *tx).ok());
+  const XsStore::TxId never_issued = *tx + 100;
+  for (const XsStore::TxId id : {*tx, never_issued}) {
+    SCOPED_TRACE(testing::Message() << "tx " << id);
+    const Status write = store_.Write(other_, "/d6/planted", "evil", id);
+    EXPECT_EQ(write.code(), StatusCode::kNotFound);
+    EXPECT_EQ(write.message(), "no such transaction");
+    EXPECT_EQ(store_.Read(other_, "/d6", id).status().code(),
+              StatusCode::kNotFound);
+    EXPECT_EQ(store_.Mkdir(other_, "/d6/dir", id).code(),
+              StatusCode::kNotFound);
+    EXPECT_EQ(store_.Remove(other_, "/d6", id).code(), StatusCode::kNotFound);
+    EXPECT_EQ(store_.List(other_, "/d6", id).status().code(),
+              StatusCode::kNotFound);
+    EXPECT_FALSE(store_.Exists(other_, "/d6", id));
+    EXPECT_EQ(store_.TransactionEnd(other_, id, /*commit=*/false).code(),
+              StatusCode::kNotFound);
+  }
+  ASSERT_TRUE(store_.TransactionEnd(guest_, *tx, /*commit=*/true).ok());
+  EXPECT_EQ(*store_.Read(manager_, "/d5/mine"), "ok");
+  EXPECT_FALSE(store_.Exists(manager_, "/d6/planted"));
+  EXPECT_FALSE(store_.Exists(manager_, "/d6/dir"));
+  EXPECT_TRUE(store_.Exists(manager_, "/d6"));
 }
 
 TEST_F(XsStoreTest, CommittedTransactionFiresWatches) {
