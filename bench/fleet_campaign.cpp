@@ -165,12 +165,13 @@ int ReportFailures(const Options& options,
   if (summary.violations != 0) {
     std::fprintf(stderr,
                  "INVARIANT VIOLATIONS: leaked=%llu placement=%llu "
-                 "budget=%llu controller=%llu\n",
+                 "budget=%llu controller=%llu xenstore=%llu\n",
                  static_cast<unsigned long long>(summary.leaked_domains),
                  static_cast<unsigned long long>(summary.placement_errors),
                  static_cast<unsigned long long>(summary.budget_breaches),
+                 static_cast<unsigned long long>(summary.controller_failures),
                  static_cast<unsigned long long>(
-                     summary.controller_failures));
+                     summary.stale_xenstore_dirs));
     ++failures;
   }
   if (summary.evac_failed != 0 || summary.evac_moved == 0) {

@@ -15,9 +15,7 @@ using namespace xoar;
 int main() {
   Logger::Get().set_level(LogLevel::kWarning);
 
-  XoarPlatform::Config config;
-  config.num_toolstacks = 1;  // engineering gets the boot-time toolstack
-  XoarPlatform platform(config);
+  XoarPlatform platform;  // engineering gets the boot-time toolstack
   if (!platform.Boot().ok()) {
     return 1;
   }

@@ -4,6 +4,14 @@
 #include "src/base/strings.h"
 
 namespace xoar {
+namespace {
+
+// Cost model for a rollback: fixed overhead plus a per-byte copy charge
+// (the CoW page restore).
+constexpr SimDuration kRollbackFixed = 2 * kMillisecond;
+constexpr double kRollbackNsPerByte = 0.25;  // ~4 GB/s page-copy bandwidth
+
+}  // namespace
 
 std::uint64_t RecoveryBox::EntryChecksum(const std::string& key,
                                          const std::string& value) {
@@ -75,8 +83,8 @@ StatusOr<SimDuration> SnapshotManager::Rollback(DomainId domain) {
   it->second.component->RestoreState(it->second.image);
   ++rollbacks_;
   const SimDuration cost =
-      cost_model_.fixed +
-      static_cast<SimDuration>(cost_model_.ns_per_byte *
+      kRollbackFixed +
+      static_cast<SimDuration>(kRollbackNsPerByte *
                                static_cast<double>(it->second.image.size()));
   return cost;
 }

@@ -89,14 +89,6 @@ class RecoveryBox {
 
 class SnapshotManager {
  public:
-  // Cost model for a rollback: fixed overhead plus a per-byte copy charge
-  // (the CoW page restore). Exposed so the microreboot ablation bench can
-  // sweep state sizes.
-  struct CostModel {
-    SimDuration fixed = 2 * kMillisecond;
-    double ns_per_byte = 0.25;  // ~4 GB/s page-copy bandwidth
-  };
-
   // vm_snapshot(): captures the component's post-init image.
   Status TakeSnapshot(DomainId domain, Snapshottable* component);
 
@@ -107,7 +99,6 @@ class SnapshotManager {
   RecoveryBox& recovery_box(DomainId domain) { return boxes_[domain]; }
 
   std::uint64_t rollbacks() const { return rollbacks_; }
-  CostModel& cost_model() { return cost_model_; }
 
  private:
   struct Snapshot {
@@ -117,7 +108,6 @@ class SnapshotManager {
 
   std::map<DomainId, Snapshot> snapshots_;
   std::map<DomainId, RecoveryBox> boxes_;
-  CostModel cost_model_;
   std::uint64_t rollbacks_ = 0;
 };
 

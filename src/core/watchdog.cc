@@ -6,15 +6,22 @@
 #include "src/base/strings.h"
 
 namespace xoar {
+namespace {
+
+// Escalation: detections while the sliding-window history holds fewer than
+// this many entries use the fast (recovery-box) path; after that, the slow
+// full-renegotiation path.
+constexpr int kFastRestartsBeforeSlow = 2;
+// Quarantine once a detection would push the sliding-window history past
+// this budget — bounded restarts, not a restart storm.
+constexpr int kMaxRestartsInWindow = 5;
+constexpr SimDuration kBudgetWindow = 10 * kSecond;
+
+}  // namespace
 
 Watchdog::Watchdog(Simulator* sim, Hypervisor* hv, RestartEngine* engine,
-                   AuditLog* audit, Obs* obs, WatchdogConfig config)
-    : sim_(sim),
-      hv_(hv),
-      engine_(engine),
-      audit_(audit),
-      obs_(obs),
-      config_(config) {}
+                   AuditLog* audit, Obs* obs)
+    : sim_(sim), hv_(hv), engine_(engine), audit_(audit), obs_(obs) {}
 
 Status Watchdog::Supervise(const std::string& name) {
   if (entries_.count(name) > 0) {
@@ -52,9 +59,9 @@ Status Watchdog::Supervise(const std::string& name) {
       Histogram::ExponentialBounds(1.0, 2.0, 12));
   // The supervised component's service loop, beating while it can serve.
   entry.emitter = std::make_unique<PeriodicTimer>(
-      sim_, config_.heartbeat_interval, [this, &entry] { RecordBeat(entry); });
+      sim_, kHeartbeatInterval, [this, &entry] { RecordBeat(entry); });
   entry.emitter->Start();
-  ScheduleDeadline(entry, sim_->Now() + config_.heartbeat_timeout);
+  ScheduleDeadline(entry, sim_->Now() + kHeartbeatTimeout);
   return Status::Ok();
 }
 
@@ -110,7 +117,7 @@ void Watchdog::CheckDeadline(Entry& entry, std::uint64_t generation) {
     return;  // this chain was invalidated; a newer one (if any) owns it
   }
   const SimTime now = sim_->Now();
-  const SimTime deadline = entry.last_beat + config_.heartbeat_timeout;
+  const SimTime deadline = entry.last_beat + kHeartbeatTimeout;
   if (now < deadline) {
     // Beats are fresh; sleep until the current beat would go stale.
     ScheduleDeadline(entry, deadline);
@@ -119,7 +126,7 @@ void Watchdog::CheckDeadline(Entry& entry, std::uint64_t generation) {
   if (entry.component.restarting()) {
     // A restart (ours or a fault-injected crash cycle) legitimately
     // silences heartbeats; grace-extend rather than double-trigger.
-    ScheduleDeadline(entry, now + config_.heartbeat_timeout);
+    ScheduleDeadline(entry, now + kHeartbeatTimeout);
     return;
   }
   HandleFailure(entry);
@@ -139,11 +146,11 @@ void Watchdog::HandleFailure(Entry& entry) {
 
   // Restart budget over the sliding window.
   while (!entry.history.empty() &&
-         entry.history.front() + config_.budget_window <= now) {
+         entry.history.front() + kBudgetWindow <= now) {
     entry.history.pop_front();
   }
   if (static_cast<int>(entry.history.size()) >=
-      config_.max_restarts_in_window) {
+      kMaxRestartsInWindow) {
     if (dead) {
       ++deaths_detected_;
       entry.m_deaths->Increment();
@@ -164,13 +171,13 @@ void Watchdog::HandleFailure(Entry& entry) {
   }
 
   const bool fast = static_cast<int>(entry.history.size()) <
-                    config_.fast_restarts_before_slow;
+                    kFastRestartsBeforeSlow;
   Status status = engine_->RestartNow(name, fast);
   if (!status.ok()) {
     // Transient refusal (e.g. the domain is paused); keep watching.
     XLOG(kWarning) << "[watchdog] restart of " << name
                    << " refused, retrying next deadline: " << status;
-    ScheduleDeadline(entry, now + config_.heartbeat_timeout);
+    ScheduleDeadline(entry, now + kHeartbeatTimeout);
     return;
   }
 
@@ -213,7 +220,7 @@ void Watchdog::HandleFailure(Entry& entry) {
                                    name.c_str(), fast ? "fast" : "slow",
                                    cause),
                          entry.domain.value());
-  ScheduleDeadline(entry, now + config_.heartbeat_timeout);
+  ScheduleDeadline(entry, now + kHeartbeatTimeout);
 }
 
 void Watchdog::Quarantine(Entry& entry, const std::string& cause) {
@@ -233,7 +240,7 @@ void Watchdog::Quarantine(Entry& entry, const std::string& cause) {
                          entry.domain.value());
   RecordAudit(AuditEventKind::kShardQuarantined, entry,
               StrFormat("%s cause=%s budget=%d", name.c_str(), cause.c_str(),
-                        config_.max_restarts_in_window));
+                        kMaxRestartsInWindow));
   XLOG(kWarning) << "[watchdog] " << name
                  << " exhausted its restart budget; quarantined (" << cause
                  << ")";
@@ -297,7 +304,7 @@ Status Watchdog::Unquarantine(const std::string& name) {
               StrFormat("%s cause=unquarantine grade=slow", name.c_str()));
   entry.last_beat = sim_->Now();
   entry.emitter->Start();
-  ScheduleDeadline(entry, sim_->Now() + config_.heartbeat_timeout);
+  ScheduleDeadline(entry, sim_->Now() + kHeartbeatTimeout);
   return Status::Ok();
 }
 

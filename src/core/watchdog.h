@@ -47,28 +47,18 @@
 
 namespace xoar {
 
-struct WatchdogConfig {
-  // Heartbeat cadence of a healthy service loop.
-  SimDuration heartbeat_interval = 10 * kMillisecond;
-  // A component whose last heartbeat is older than this is failed. Must
-  // exceed heartbeat_interval or a healthy component looks hung.
-  SimDuration heartbeat_timeout = 50 * kMillisecond;
-  // Escalation: detections while the sliding-window history holds fewer
-  // than this many entries use the fast (recovery-box) path; after that,
-  // the slow full-renegotiation path.
-  int fast_restarts_before_slow = 2;
-  // Quarantine once a detection would push the sliding-window history past
-  // this budget — bounded restarts, not a restart storm.
-  int max_restarts_in_window = 5;
-  SimDuration budget_window = 10 * kSecond;
-};
+// Heartbeat cadence of a healthy service loop.
+inline constexpr SimDuration kHeartbeatInterval = 10 * kMillisecond;
+// A component whose last heartbeat is older than this is failed. Must
+// exceed kHeartbeatInterval or a healthy component looks hung.
+inline constexpr SimDuration kHeartbeatTimeout = 50 * kMillisecond;
 
 // One watchdog per platform; components already registered with the
 // RestartEngine are placed under supervision by Supervise().
 class Watchdog {
  public:
   Watchdog(Simulator* sim, Hypervisor* hv, RestartEngine* engine,
-           AuditLog* audit, Obs* obs, WatchdogConfig config = {});
+           AuditLog* audit, Obs* obs);
 
   // Starts supervising a component registered with the RestartEngine
   // (NOT_FOUND otherwise). When its restart budget is exhausted, the
@@ -101,12 +91,10 @@ class Watchdog {
   std::uint64_t quarantines() const { return quarantines_; }
   // Worst observed injected-hang detection latency (stall start to
   // watchdog reaction). The invariant a campaign checks: never exceeds
-  // heartbeat_timeout.
+  // kHeartbeatTimeout.
   SimDuration max_hang_detection_latency() const {
     return max_hang_detection_latency_;
   }
-
-  const WatchdogConfig& config() const { return config_; }
 
  private:
   // The heartbeat and deadline callbacks hold the Entry itself: entries_
@@ -154,7 +142,6 @@ class Watchdog {
   RestartEngine* engine_;
   AuditLog* audit_;
   Obs* obs_;
-  WatchdogConfig config_;
   std::map<std::string, Entry> entries_;
 
   std::uint64_t hangs_detected_ = 0;

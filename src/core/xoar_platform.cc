@@ -7,6 +7,41 @@
 #include "src/ctl/monolithic_platform.h"  // canonical PCI slots
 
 namespace xoar {
+namespace {
+
+constexpr double kNicRateBps = 1e9;  // GbE
+
+// Boot phase durations, calibrated so the parallel-boot totals land on
+// Table 6.2 (25.9 s to console, 36.6 s to ping).
+constexpr SimDuration kHypervisorBoot = FromSeconds(4.0);
+constexpr SimDuration kBootstrapperBoot = FromSeconds(1.5);
+constexpr SimDuration kXenStoreBoot = FromSeconds(2.4);
+// The Console Manager runs Linux without PCI enumeration (§5.5).
+constexpr SimDuration kConsoleBoot = FromSeconds(14.5);
+constexpr SimDuration kConsoleLogin = FromSeconds(3.5);
+constexpr SimDuration kBuilderBoot = FromSeconds(1.6);  // nanOS
+constexpr SimDuration kPciBackBoot = FromSeconds(8.0);
+constexpr SimDuration kHardwareInit = FromSeconds(13.5);
+constexpr SimDuration kDriverDomainBoot = FromSeconds(4.5);
+constexpr SimDuration kNetworkNegotiation = FromSeconds(1.1);
+constexpr SimDuration kToolstackBoot = FromSeconds(2.5);
+
+// A shard's build request from its Table 5.1 descriptor; the domain is
+// named after the descriptor plus `name_suffix`.
+BuildRequest ShardRequest(ShardClass cls, const std::string& name_suffix) {
+  const ShardDescriptor& d = DescriptorFor(cls);
+  BuildRequest request;
+  request.config.name = std::string(d.name) + name_suffix;
+  request.config.memory_mb = d.memory_mb;
+  request.config.vcpus = 1;  // every shard runs a single VCPU (§6.1)
+  request.config.os = d.os;
+  request.config.is_shard = true;
+  request.image = "shard-linux";
+  request.connect_console = false;
+  return request;
+}
+
+}  // namespace
 
 XoarPlatform::XoarPlatform(Config config) : config_(config) {
   Hypervisor::Options options;
@@ -23,7 +58,7 @@ XoarPlatform::XoarPlatform(Config config) : config_(config) {
     const PciSlot slot{kNicSlot.pci_domain, kNicSlot.bus,
                        static_cast<std::uint8_t>(kNicSlot.slot + i)};
     nics_.push_back(
-        std::make_unique<NicDevice>(&sim_, slot, config_.nic_rate_bps));
+        std::make_unique<NicDevice>(&sim_, slot, kNicRateBps));
     (void)pci_bus_.AddDevice({slot, 0x14e4, 0x1659, PciClass::kNetwork,
                               StrFormat("Tigon3 GbE #%d", i)});
   }
@@ -47,14 +82,9 @@ XoarPlatform::XoarPlatform(Config config) : config_(config) {
 
 StatusOr<DomainId> XoarPlatform::CreateShardDomainDirect(
     ShardClass cls, const std::string& name_suffix) {
-  const ShardDescriptor& descriptor = DescriptorFor(cls);
-  DomainConfig config;
-  config.name = std::string(descriptor.name) + name_suffix;
-  config.memory_mb = descriptor.memory_mb;
-  config.vcpus = 1;  // every shard runs a single VCPU (§6.1)
-  config.os = descriptor.os;
-  config.is_shard = true;
-  XOAR_ASSIGN_OR_RETURN(DomainId id, hv_->CreateDomain(bootstrapper_, config));
+  XOAR_ASSIGN_OR_RETURN(
+      DomainId id,
+      hv_->CreateDomain(bootstrapper_, ShardRequest(cls, name_suffix).config));
   XOAR_RETURN_IF_ERROR(hv_->FinishBuild(bootstrapper_, id));
   XOAR_RETURN_IF_ERROR(hv_->UnpauseDomain(bootstrapper_, id));
   return id;
@@ -67,30 +97,30 @@ Status XoarPlatform::Boot() {
   const Config& c = config_;
 
   // --- Compute the §5.2 dependency schedule (absolute completion times) ---
-  const SimTime t_hv = c.hypervisor_boot;
-  const SimTime t_bootstrapper = t_hv + c.bootstrapper_boot;
-  const SimTime t_xenstore = t_bootstrapper + c.xenstore_boot;
+  const SimTime t_hv = kHypervisorBoot;
+  const SimTime t_bootstrapper = t_hv + kBootstrapperBoot;
+  const SimTime t_xenstore = t_bootstrapper + kXenStoreBoot;
   SimTime t_console, t_builder, t_pciback, t_drivers, t_network, t_toolstacks;
   SimTime t_console_ready;
   if (!c.serialize_boot) {
     // Parallel boot: independent shards overlap (the Table 6.2 speedup).
-    t_console = t_xenstore + c.console_boot;
-    t_builder = t_xenstore + c.builder_boot;
-    t_pciback = t_builder + c.pciback_boot + c.hardware_init;
-    t_drivers = t_pciback + c.driver_domain_boot;  // NetBack ∥ BlkBack
-    t_network = t_drivers + c.network_negotiation;
-    t_toolstacks = t_drivers + c.toolstack_boot;
-    t_console_ready = t_console + c.console_login;
+    t_console = t_xenstore + kConsoleBoot;
+    t_builder = t_xenstore + kBuilderBoot;
+    t_pciback = t_builder + kPciBackBoot + kHardwareInit;
+    t_drivers = t_pciback + kDriverDomainBoot;  // NetBack ∥ BlkBack
+    t_network = t_drivers + kNetworkNegotiation;
+    t_toolstacks = t_drivers + kToolstackBoot;
+    t_console_ready = t_console + kConsoleLogin;
   } else {
     // Ablation: strict serialization, Dom0-style — the login prompt only
     // appears once every service has come up.
-    t_console = t_xenstore + c.console_boot;
-    t_builder = t_console + c.builder_boot;
-    t_pciback = t_builder + c.pciback_boot + c.hardware_init;
-    t_drivers = t_pciback + 2 * c.driver_domain_boot;  // one after the other
-    t_network = t_drivers + c.network_negotiation;
-    t_toolstacks = t_network + c.toolstack_boot;
-    t_console_ready = t_toolstacks + c.console_login;
+    t_console = t_xenstore + kConsoleBoot;
+    t_builder = t_console + kBuilderBoot;
+    t_pciback = t_builder + kPciBackBoot + kHardwareInit;
+    t_drivers = t_pciback + 2 * kDriverDomainBoot;  // one after the other
+    t_network = t_drivers + kNetworkNegotiation;
+    t_toolstacks = t_network + kToolstackBoot;
+    t_console_ready = t_toolstacks + kConsoleLogin;
   }
 
   // --- Phase 1: hypervisor, then the Bootstrapper (the initial domain) ---
@@ -124,7 +154,6 @@ Status XoarPlatform::Boot() {
     xenstore_state_doms_.push_back(state_dom);
     control_plane_doms_.insert(state_dom);
   }
-  xenstore_state_dom_ = xenstore_state_doms_.front();
   XOAR_ASSIGN_OR_RETURN(xenstore_logic_dom_,
                         CreateShardDomainDirect(ShardClass::kXenStoreLogic));
   control_plane_doms_.insert(xenstore_logic_dom_);
@@ -176,19 +205,10 @@ Status XoarPlatform::Boot() {
   sim_.RunUntil(t_builder);
 
   // --- Phase 4: PCIBack — hardware init and PCI enumeration ---
-  BuildRequest pciback_request;
-  {
-    const ShardDescriptor& d = DescriptorFor(ShardClass::kPciBack);
-    pciback_request.config.name = std::string(d.name);
-    pciback_request.config.memory_mb = d.memory_mb;
-    pciback_request.config.vcpus = 1;
-    pciback_request.config.os = d.os;
-    pciback_request.config.is_shard = true;
-    pciback_request.image = "shard-linux";
-    pciback_request.connect_console = false;
-  }
-  XOAR_ASSIGN_OR_RETURN(pciback_dom_,
-                        builder_->BuildVm(bootstrapper_, pciback_request));
+  XOAR_ASSIGN_OR_RETURN(
+      pciback_dom_,
+      builder_->BuildVm(bootstrapper_,
+                        ShardRequest(ShardClass::kPciBack, std::string())));
   control_plane_doms_.insert(pciback_dom_);
   // kDomctlDestroy covers PCIBack's own §5.3 self-destruction.
   for (Hypercall hc : {Hypercall::kDomctlSetPrivileges, Hypercall::kPhysdevOp,
@@ -205,19 +225,10 @@ Status XoarPlatform::Boot() {
   Status udev_status = Status::Ok();
   pci_service_->set_udev_rule([this, &udev_status](const PciDeviceInfo& dev) {
     const bool is_net = dev.device_class == PciClass::kNetwork;
-    const ShardDescriptor& d =
-        DescriptorFor(is_net ? ShardClass::kNetBack : ShardClass::kBlkBack);
-    BuildRequest request;
-    request.config.name =
-        StrFormat("%s-%s", std::string(d.name).c_str(),
-                  dev.slot.ToString().c_str());
-    request.config.memory_mb = d.memory_mb;
-    request.config.vcpus = 1;
-    request.config.os = d.os;
-    request.config.is_shard = true;
-    request.image = "shard-linux";
-    request.connect_console = false;
-    StatusOr<DomainId> dom = builder_->BuildVm(pciback_dom_, request);
+    StatusOr<DomainId> dom = builder_->BuildVm(
+        pciback_dom_,
+        ShardRequest(is_net ? ShardClass::kNetBack : ShardClass::kBlkBack,
+                     "-" + dev.slot.ToString()));
     if (!dom.ok()) {
       udev_status = dom.status();
       return;
@@ -234,10 +245,8 @@ Status XoarPlatform::Boot() {
           nic = candidate.get();
         }
       }
-      netback_doms_.push_back(*dom);
       netbacks_.push_back(std::make_unique<NetBack>(hv_.get(), xs_.get(),
                                                     *dom, nic));
-      netback_index_[*dom] = netbacks_.back().get();
       control_plane_doms_.insert(*dom);
       udev_status = netbacks_.back()->Initialize();
     } else {
@@ -247,10 +256,8 @@ Status XoarPlatform::Boot() {
           disk = candidate.get();
         }
       }
-      blkback_doms_.push_back(*dom);
       blkbacks_.push_back(std::make_unique<BlkBack>(hv_.get(), xs_.get(),
                                                     *dom, disk));
-      blkback_index_[*dom] = blkbacks_.back().get();
       control_plane_doms_.insert(*dom);
       udev_status = blkbacks_.back()->Initialize();
     }
@@ -262,10 +269,8 @@ Status XoarPlatform::Boot() {
   }
   sim_.RunUntil(t_drivers);
 
-  // --- Phase 6: Toolstacks ---
-  for (int i = 0; i < c.num_toolstacks; ++i) {
-    XOAR_RETURN_IF_ERROR(AddToolstack().status());
-  }
+  // --- Phase 6: the Toolstack ---
+  XOAR_RETURN_IF_ERROR(AddToolstack().status());
   sim_.RunUntil(t_toolstacks);
 
   // --- Milestones ---
@@ -287,7 +292,7 @@ Status XoarPlatform::Boot() {
   // silence.
   watchdog_ = std::make_unique<Watchdog>(&sim_, hv_.get(),
                                          restart_engine_.get(), &audit_,
-                                         &obs_, config_.watchdog);
+                                         &obs_);
   auto restartable = [this](const std::string& name, DomainId dom,
                             RestartEngine::ComponentHooks hooks) -> Status {
     XOAR_RETURN_IF_ERROR(
@@ -300,7 +305,7 @@ Status XoarPlatform::Boot() {
   // by the renegotiation the slow path forces.
   for (std::size_t i = 0; i < netbacks_.size(); ++i) {
     NetBack* netback = netbacks_[i].get();
-    const DomainId dom = netback_doms_[i];
+    const DomainId dom = netback->self();
     const std::string name =
         i == 0 ? "NetBack" : StrFormat("NetBack-%zu", i);
     const std::string nic_config =
@@ -319,7 +324,7 @@ Status XoarPlatform::Boot() {
   }
   for (std::size_t i = 0; i < blkbacks_.size(); ++i) {
     BlkBack* blkback = blkbacks_[i].get();
-    const DomainId dom = blkback_doms_[i];
+    const DomainId dom = blkback->self();
     const std::string name =
         i == 0 ? "BlkBack" : StrFormat("BlkBack-%zu", i);
     const std::string disk_config =
@@ -359,7 +364,7 @@ Status XoarPlatform::Boot() {
   XOAR_RETURN_IF_ERROR(restartable(
       "Builder", builder_dom_, {nullptr, nullptr, nullptr}));
   XOAR_RETURN_IF_ERROR(restartable(
-      "Toolstack", toolstack_doms_.front(), {nullptr, nullptr, nullptr}));
+      "Toolstack", toolstacks_.front()->self(), {nullptr, nullptr, nullptr}));
 
   if (c.destroy_pciback_after_boot) {
     XOAR_RETURN_IF_ERROR(pci_service_->SelfDestruct());
@@ -386,21 +391,19 @@ Status XoarPlatform::Boot() {
               builder_dom_.value());
   tracer.Span(TraceCategory::kBoot, "phase:pciback+hw-init", t_builder,
               t_pciback, pciback_dom_.value());
-  for (DomainId dom : netback_doms_) {
+  for (const auto& netback : netbacks_) {
     tracer.Span(TraceCategory::kBoot, "phase:netback", t_pciback, t_drivers,
-                dom.value());
+                netback->self().value());
   }
-  for (DomainId dom : blkback_doms_) {
+  for (const auto& blkback : blkbacks_) {
     tracer.Span(TraceCategory::kBoot, "phase:blkback", t_pciback, t_drivers,
-                dom.value());
+                blkback->self().value());
   }
   tracer.Span(TraceCategory::kBoot, "phase:network-negotiation", t_drivers,
-              t_network, netback_doms_.front().value());
-  for (DomainId dom : toolstack_doms_) {
-    tracer.Span(TraceCategory::kBoot, "phase:toolstack",
-                c.serialize_boot ? t_network : t_drivers, t_toolstacks,
-                dom.value());
-  }
+              t_network, netbacks_.front()->self().value());
+  tracer.Span(TraceCategory::kBoot, "phase:toolstack",
+              c.serialize_boot ? t_network : t_drivers, t_toolstacks,
+              toolstacks_.front()->self().value());
   obs_.metrics()
       .GetGauge("platform.boot.console_ready_s")
       ->Set(ToSeconds(console_ready_at_));
@@ -408,7 +411,6 @@ Status XoarPlatform::Boot() {
       .GetGauge("platform.boot.network_ready_s")
       ->Set(ToSeconds(network_ready_at_));
 
-  boot_complete_at_ = sim_.Now();
   booted_ = true;
   XLOG(kInfo) << "[xoar] boot complete: console at "
               << ToSeconds(console_ready_at_) << "s, ping at "
@@ -417,21 +419,12 @@ Status XoarPlatform::Boot() {
 }
 
 StatusOr<int> XoarPlatform::AddToolstack(std::uint64_t memory_quota_mb) {
-  BuildRequest request;
-  const ShardDescriptor& d = DescriptorFor(ShardClass::kToolstack);
-  request.config.name =
-      StrFormat("%s-%zu", std::string(d.name).c_str(), toolstacks_.size());
-  request.config.memory_mb = d.memory_mb;
-  request.config.vcpus = 1;
-  request.config.os = d.os;
-  request.config.is_shard = true;
-  request.image = "shard-linux";
-  request.connect_console = false;
-  XOAR_ASSIGN_OR_RETURN(DomainId ts_dom,
-                        builder_->BuildVm(bootstrapper_.valid()
-                                              ? bootstrapper_
-                                              : builder_dom_,
-                                          request));
+  XOAR_ASSIGN_OR_RETURN(
+      DomainId ts_dom,
+      builder_->BuildVm(
+          bootstrapper_.valid() ? bootstrapper_ : builder_dom_,
+          ShardRequest(ShardClass::kToolstack,
+                       StrFormat("-%zu", toolstacks_.size()))));
   // §5.6: VM-management (but not creation or memory) privileges.
   for (Hypercall hc : {Hypercall::kDomctlPause, Hypercall::kDomctlUnpause,
                        Hypercall::kDomctlDestroy}) {
@@ -444,18 +437,16 @@ StatusOr<int> XoarPlatform::AddToolstack(std::uint64_t memory_quota_mb) {
     toolstack->set_memory_quota_mb(memory_quota_mb);
   }
   // Delegate the platform's driver domains to this toolstack (Fig 3.1).
-  for (std::size_t i = 0; i < netbacks_.size(); ++i) {
+  for (const auto& netback : netbacks_) {
     XOAR_RETURN_IF_ERROR(
-        hv_->AllowDelegation(builder_dom_, netback_doms_[i], ts_dom));
-    toolstack->AddNetBack(netbacks_[i].get());
+        hv_->AllowDelegation(builder_dom_, netback->self(), ts_dom));
+    toolstack->AddNetBack(netback.get());
   }
-  for (std::size_t i = 0; i < blkbacks_.size(); ++i) {
+  for (const auto& blkback : blkbacks_) {
     XOAR_RETURN_IF_ERROR(
-        hv_->AllowDelegation(builder_dom_, blkback_doms_[i], ts_dom));
-    toolstack->AddBlkBack(blkbacks_[i].get());
+        hv_->AllowDelegation(builder_dom_, blkback->self(), ts_dom));
+    toolstack->AddBlkBack(blkback.get());
   }
-  toolstack_doms_.push_back(ts_dom);
-  toolstack_index_[ts_dom] = toolstack.get();
   control_plane_doms_.insert(ts_dom);
   toolstacks_.push_back(std::move(toolstack));
   return static_cast<int>(toolstacks_.size()) - 1;
@@ -493,15 +484,13 @@ StatusOr<DomainId> XoarPlatform::CreateGuest(const GuestSpec& spec) {
     return FailedPreconditionError("platform not booted");
   }
   XOAR_ASSIGN_OR_RETURN(DomainId guest, toolstacks_.at(0)->CreateGuest(spec));
-  guest_toolstack_[guest] = 0;
   Settle();
-  const Toolstack::GuestRecord* record = toolstacks_.at(0)->guest(guest);
-  RecordGuestAudit(guest, spec, *record);
+  RecordGuestAudit(guest, spec, *toolstacks_.at(0)->guest(guest));
   return guest;
 }
 
 void XoarPlatform::RecordGuestAudit(DomainId guest, const GuestSpec& spec,
-                                    const Toolstack::GuestRecord& record) {
+                                    const GuestRecord& record) {
   AuditEvent created;
   created.time = sim_.Now();
   created.kind = AuditEventKind::kVmCreated;
@@ -533,67 +522,28 @@ void XoarPlatform::RecordGuestAudit(DomainId guest, const GuestSpec& spec,
 }
 
 Status XoarPlatform::DestroyGuest(DomainId guest) {
-  Toolstack* toolstack = OwningToolstack(guest);
-  if (toolstack == nullptr) {
-    return NotFoundError("guest not found on any toolstack");
+  for (auto& toolstack : toolstacks_) {
+    if (toolstack->guest(guest) == nullptr) {
+      continue;
+    }
+    XOAR_RETURN_IF_ERROR(toolstack->DestroyGuest(guest));
+    AuditEvent event;
+    event.time = sim_.Now();
+    event.kind = AuditEventKind::kVmDestroyed;
+    event.subject = guest;
+    audit_.Record(std::move(event));
+    return Status::Ok();
   }
-  XOAR_RETURN_IF_ERROR(toolstack->DestroyGuest(guest));
-  guest_toolstack_.erase(guest);
-  AuditEvent event;
-  event.time = sim_.Now();
-  event.kind = AuditEventKind::kVmDestroyed;
-  event.subject = guest;
-  audit_.Record(std::move(event));
-  return Status::Ok();
+  return NotFoundError("guest not found on any toolstack");
 }
 
-Toolstack* XoarPlatform::OwningToolstack(DomainId guest) {
-  auto it = guest_toolstack_.find(guest);
-  if (it != guest_toolstack_.end()) {
-    return toolstacks_.at(it->second).get();
-  }
+GuestRecord* XoarPlatform::FindGuest(DomainId guest) {
   for (auto& toolstack : toolstacks_) {
-    if (toolstack->guest(guest) != nullptr) {
-      return toolstack.get();
+    if (GuestRecord* record = toolstack->guest(guest)) {
+      return record;
     }
   }
   return nullptr;
-}
-
-NetFront* XoarPlatform::netfront(DomainId guest) {
-  Toolstack* toolstack = OwningToolstack(guest);
-  if (toolstack == nullptr) {
-    return nullptr;
-  }
-  Toolstack::GuestRecord* record = toolstack->guest(guest);
-  return record == nullptr ? nullptr : record->netfront.get();
-}
-
-BlkFront* XoarPlatform::blkfront(DomainId guest) {
-  Toolstack* toolstack = OwningToolstack(guest);
-  if (toolstack == nullptr) {
-    return nullptr;
-  }
-  Toolstack::GuestRecord* record = toolstack->guest(guest);
-  return record == nullptr ? nullptr : record->blkfront.get();
-}
-
-NetBack* XoarPlatform::netback_of(DomainId guest) {
-  Toolstack* toolstack = OwningToolstack(guest);
-  if (toolstack == nullptr) {
-    return nullptr;
-  }
-  Toolstack::GuestRecord* record = toolstack->guest(guest);
-  return record == nullptr ? nullptr : record->netback;
-}
-
-BlkBack* XoarPlatform::blkback_of(DomainId guest) {
-  Toolstack* toolstack = OwningToolstack(guest);
-  if (toolstack == nullptr) {
-    return nullptr;
-  }
-  Toolstack::GuestRecord* record = toolstack->guest(guest);
-  return record == nullptr ? nullptr : record->blkback;
 }
 
 namespace {
@@ -625,11 +575,7 @@ double XoarPlatform::EffectiveDiskRateBps(DomainId guest) {
 DomainId XoarPlatform::ServiceDomainOf(ServiceKind kind, DomainId guest) {
   switch (kind) {
     case ServiceKind::kDeviceEmulator: {
-      Toolstack* toolstack = OwningToolstack(guest);
-      if (toolstack == nullptr) {
-        return DomainId::Invalid();
-      }
-      Toolstack::GuestRecord* record = toolstack->guest(guest);
+      const GuestRecord* record = FindGuest(guest);
       return record == nullptr ? DomainId::Invalid() : record->qemu_domain;
     }
     case ServiceKind::kNetBack: {
@@ -652,21 +598,13 @@ DomainId XoarPlatform::ServiceDomainOf(ServiceKind kind, DomainId guest) {
   return DomainId::Invalid();
 }
 
-const GuestSpec* XoarPlatform::guest_spec(DomainId guest) {
-  Toolstack* toolstack = OwningToolstack(guest);
-  if (toolstack == nullptr) {
-    return nullptr;
-  }
-  Toolstack::GuestRecord* record = toolstack->guest(guest);
-  return record == nullptr ? nullptr : &record->spec;
-}
-
 DomainId XoarPlatform::shard_domain(ShardClass cls) const {
   switch (cls) {
     case ShardClass::kBootstrapper:
       return bootstrapper_;
     case ShardClass::kXenStoreState:
-      return xenstore_state_dom_;
+      return xenstore_state_doms_.empty() ? DomainId::Invalid()
+                                          : xenstore_state_doms_.front();
     case ShardClass::kXenStoreLogic:
       return xenstore_logic_dom_;
     case ShardClass::kConsoleManager:
@@ -676,34 +614,17 @@ DomainId XoarPlatform::shard_domain(ShardClass cls) const {
     case ShardClass::kPciBack:
       return pciback_dom_;
     case ShardClass::kNetBack:
-      return netback_doms_.empty() ? DomainId::Invalid()
-                                   : netback_doms_.front();
+      return netbacks_.empty() ? DomainId::Invalid() : netbacks_.front()->self();
     case ShardClass::kBlkBack:
-      return blkback_doms_.empty() ? DomainId::Invalid()
-                                   : blkback_doms_.front();
+      return blkbacks_.empty() ? DomainId::Invalid() : blkbacks_.front()->self();
     case ShardClass::kToolstack:
-      return toolstack_doms_.empty() ? DomainId::Invalid()
-                                     : toolstack_doms_.front();
+      return toolstacks_.empty() ? DomainId::Invalid()
+                                 : toolstacks_.front()->self();
     case ShardClass::kQemuVm:
     case ShardClass::kCount:
       break;
   }
   return DomainId::Invalid();
-}
-
-NetBack* XoarPlatform::netback_for_domain(DomainId dom) const {
-  auto it = netback_index_.find(dom);
-  return it == netback_index_.end() ? nullptr : it->second;
-}
-
-BlkBack* XoarPlatform::blkback_for_domain(DomainId dom) const {
-  auto it = blkback_index_.find(dom);
-  return it == blkback_index_.end() ? nullptr : it->second;
-}
-
-Toolstack* XoarPlatform::toolstack_for_domain(DomainId dom) const {
-  auto it = toolstack_index_.find(dom);
-  return it == toolstack_index_.end() ? nullptr : it->second;
 }
 
 std::uint64_t XoarPlatform::ControlPlaneMemoryMb() const {

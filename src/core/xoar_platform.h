@@ -4,8 +4,8 @@
 // Xen creates the Bootstrapper, which starts XenStore first, then the
 // Console Manager, then the Builder; the Builder instantiates PCIBack,
 // which initializes the hardware and fires udev rules creating one
-// NetBack/BlkBack per controller; finally a configurable number of
-// Toolstacks come up. Independent shards boot in parallel, which is where
+// NetBack/BlkBack per controller; finally a Toolstack comes up (more can
+// be added at runtime). Independent shards boot in parallel, which is where
 // the Table 6.2 boot-time win comes from. The Bootstrapper self-destructs
 // when boot completes; PCIBack may optionally be destroyed too (§5.3).
 //
@@ -15,7 +15,6 @@
 #ifndef XOAR_SRC_CORE_XOAR_PLATFORM_H_
 #define XOAR_SRC_CORE_XOAR_PLATFORM_H_
 
-#include <map>
 #include <memory>
 #include <set>
 #include <string>
@@ -41,13 +40,11 @@ namespace xoar {
 class XoarPlatform : public Platform {
  public:
   // Deployment knobs. The defaults reproduce the paper's evaluated
-  // configuration: one NIC, one disk controller, one toolstack, console
-  // enabled, parallel boot, Table 6.2 phase durations.
+  // configuration: one NIC, one disk controller, console enabled, parallel
+  // boot. One toolstack boots; AddToolstack adds more at runtime.
   struct Config {
     std::uint64_t machine_memory_gb = 4;
-    double nic_rate_bps = 1e9;
     DiskGeometry disk;
-    int num_toolstacks = 1;
     // §6.1.1: "systems with multiple network or disk controllers can have
     // several instances of the NetBack and BlkBack shards" — one driver
     // domain is created per controller by the udev rules.
@@ -66,28 +63,9 @@ class XoarPlatform : public Platform {
     // 1 = the paper's evaluated single-State configuration.
     int xenstore_state_shards = 1;
 
-    // Self-healing supervision (DESIGN.md §5d): every restartable shard
-    // emits heartbeats and a watchdog drives automatic microreboots with
-    // escalation and quarantine.
-    WatchdogConfig watchdog;
-
     // Ablation: boot shards strictly sequentially instead of in parallel
     // (bench/ablation_boot_parallelism).
     bool serialize_boot = false;
-
-    // Boot phase durations, calibrated so the parallel-boot totals land on
-    // Table 6.2 (25.9 s to console, 36.6 s to ping).
-    SimDuration hypervisor_boot = FromSeconds(4.0);
-    SimDuration bootstrapper_boot = FromSeconds(1.5);
-    SimDuration xenstore_boot = FromSeconds(2.4);
-    SimDuration console_boot = FromSeconds(14.5);  // Linux, no PCI enum (§5.5)
-    SimDuration console_login = FromSeconds(3.5);
-    SimDuration builder_boot = FromSeconds(1.6);   // nanOS
-    SimDuration pciback_boot = FromSeconds(8.0);
-    SimDuration hardware_init = FromSeconds(13.5);
-    SimDuration driver_domain_boot = FromSeconds(4.5);
-    SimDuration network_negotiation = FromSeconds(1.1);
-    SimDuration toolstack_boot = FromSeconds(2.5);
   };
 
   XoarPlatform() : XoarPlatform(Config()) {}
@@ -108,19 +86,12 @@ class XoarPlatform : public Platform {
   StatusOr<DomainId> CreateGuest(const GuestSpec& spec) override;
   Status DestroyGuest(DomainId guest) override;
 
-  // Per-guest device endpoints; null if the guest has no such device.
-  NetFront* netfront(DomainId guest) override;
-  BlkFront* blkfront(DomainId guest) override;
-  NetBack* netback_of(DomainId guest) override;
-  BlkBack* blkback_of(DomainId guest) override;
-
   // Steady-state throughput the guest currently sees, after driver-domain
   // sharing and any in-flight microreboot outage.
   double EffectiveNetRateBps(DomainId guest) override;
   double EffectiveDiskRateBps(DomainId guest) override;
 
   DomainId ServiceDomainOf(ServiceKind kind, DomainId guest) override;
-  const GuestSpec* guest_spec(DomainId guest) override;
 
   // --- Shard access ---
   // Accessors return references into platform-owned shards; they stay
@@ -129,22 +100,14 @@ class XoarPlatform : public Platform {
 
   // Domain id of a singleton shard, or an invalid id if that shard is not
   // resident (e.g. the Bootstrapper after self-destruction). For
-  // XenStore-State this is shard 0; xenstore_state_domains() lists all.
+  // XenStore-State this is shard 0.
   DomainId shard_domain(ShardClass cls) const;
-  const std::vector<DomainId>& xenstore_state_domains() const {
-    return xenstore_state_doms_;
-  }
   Builder& builder() { return *builder_; }
   Toolstack& toolstack(int index = 0) { return *toolstacks_.at(index); }
-  int toolstack_count() const { return static_cast<int>(toolstacks_.size()); }
   ConsoleBackend* console() { return console_.get(); }
   PciBackService& pci_service() { return *pci_service_; }
   NetBack& netback(int index = 0) { return *netbacks_.at(index); }
   BlkBack& blkback(int index = 0) { return *blkbacks_.at(index); }
-  // DomainId-keyed shard lookups (no O(n) scan of the shard vectors).
-  NetBack* netback_for_domain(DomainId dom) const;
-  BlkBack* blkback_for_domain(DomainId dom) const;
-  Toolstack* toolstack_for_domain(DomainId dom) const;
   int netback_count() const { return static_cast<int>(netbacks_.size()); }
   int blkback_count() const { return static_cast<int>(blkbacks_.size()); }
   RestartEngine& restarts() { return *restart_engine_; }
@@ -177,15 +140,14 @@ class XoarPlatform : public Platform {
 
   // §6.1.1: total memory held by live control-plane shards, in MiB.
   std::uint64_t ControlPlaneMemoryMb() const;
-  SimTime boot_complete_at() const { return boot_complete_at_; }
 
  private:
+  GuestRecord* FindGuest(DomainId guest) override;
   StatusOr<DomainId> CreateShardDomainDirect(ShardClass cls,
                                              const std::string& name_suffix =
                                                  std::string());
   void RecordGuestAudit(DomainId guest, const GuestSpec& spec,
-                        const Toolstack::GuestRecord& record);
-  Toolstack* OwningToolstack(DomainId guest);
+                        const GuestRecord& record);
 
   Config config_;
   bool booted_ = false;
@@ -195,21 +157,12 @@ class XoarPlatform : public Platform {
   std::unique_ptr<SerialDevice> serial_;
 
   DomainId bootstrapper_;
-  DomainId xenstore_state_dom_;  // shard 0 of xenstore_state_doms_
   std::vector<DomainId> xenstore_state_doms_;
   DomainId xenstore_logic_dom_;
   DomainId console_dom_;
   DomainId builder_dom_;
   DomainId pciback_dom_;
-  std::vector<DomainId> netback_doms_;
-  std::vector<DomainId> blkback_doms_;
-  std::vector<DomainId> toolstack_doms_;
-  // DomainId-keyed indexes over the shard vectors above, plus the set of
-  // all control-plane domains (drives ControlPlaneMemoryMb without
-  // re-concatenating vectors).
-  std::map<DomainId, NetBack*> netback_index_;
-  std::map<DomainId, BlkBack*> blkback_index_;
-  std::map<DomainId, Toolstack*> toolstack_index_;
+  // Every control-plane domain (drives ControlPlaneMemoryMb).
   std::set<DomainId> control_plane_doms_;
 
   std::unique_ptr<ConsoleBackend> console_;
@@ -218,13 +171,11 @@ class XoarPlatform : public Platform {
   std::vector<std::unique_ptr<NetBack>> netbacks_;
   std::vector<std::unique_ptr<BlkBack>> blkbacks_;
   std::vector<std::unique_ptr<Toolstack>> toolstacks_;
-  std::map<DomainId, int> guest_toolstack_;  // guest -> toolstack index
 
   SnapshotManager snapshots_;
   AuditLog audit_;
   std::unique_ptr<RestartEngine> restart_engine_;
   std::unique_ptr<Watchdog> watchdog_;
-  SimTime boot_complete_at_ = 0;
 };
 
 }  // namespace xoar

@@ -37,7 +37,45 @@ StatusOr<DomainId> Builder::BuildVm(DomainId toolstack,
   XOAR_ASSIGN_OR_RETURN(
       DomainId guest,
       hv_->CreateDomain(self_, request.config, /*on_behalf_of=*/toolstack));
+  bool registered = false;
+  const Status built = Populate(toolstack, guest, request, image, &registered);
+  if (!built.ok()) {
+    // Undo the build, so a refused one leaks neither the domain and its
+    // memory nor its connections and XenStore directory.
+    if (console_ != nullptr) {
+      console_->Disconnect(guest);
+    }
+    xs_->Disconnect(guest);
+    (void)hv_->DestroyDomain(self_, guest);
+    if (registered) {
+      xs_->RetryWhileUnavailable(
+          [xs = xs_, self = self_, dir = DomainDir(guest)] {
+            return xs->Remove(self, dir);
+          });
+    }
+    return built;
+  }
 
+  ++builds_;
+  if (audit_ != nullptr) {
+    AuditEvent event;
+    event.time = hv_->sim()->Now();
+    event.kind = AuditEventKind::kVmBuilt;
+    event.subject = guest;
+    event.object = self_;
+    event.detail = StrFormat("image=%s name=%s toolstack=%u", image.c_str(),
+                             request.config.name.c_str(), toolstack.value());
+    audit_->Record(std::move(event));
+  }
+  XLOG(kDebug) << "[builder] built dom" << guest.value() << " ("
+               << request.config.name << ") for toolstack dom"
+               << toolstack.value();
+  return guest;
+}
+
+Status Builder::Populate(DomainId toolstack, DomainId guest,
+                         const BuildRequest& request, const std::string& image,
+                         bool* registered) {
   // Guest page tables / start-info setup: the heightened-privilege part of
   // building (kForeignMemoryMap class). Touch the guest's first page the
   // way the real builder writes the start-info frame.
@@ -45,7 +83,6 @@ StatusOr<DomainId> Builder::BuildVm(DomainId toolstack,
   StatusOr<MappedPage> start_info =
       hv_->ForeignMap(self_, guest, dom->first_pfn());
   if (!start_info.ok()) {
-    (void)hv_->DestroyDomain(self_, guest);
     return start_info.status();
   }
   start_info->data[0] = std::byte{0x58};  // 'X': start_info magic
@@ -54,6 +91,7 @@ StatusOr<DomainId> Builder::BuildVm(DomainId toolstack,
   // with read/write for its parent toolstack.
   const std::string dom_dir = DomainDir(guest);
   XOAR_RETURN_IF_ERROR(xs_->Mkdir(self_, dom_dir));
+  *registered = true;
   XOAR_RETURN_IF_ERROR(xs_->Write(self_, dom_dir + "/name",
                                   request.config.name));
   XOAR_RETURN_IF_ERROR(xs_->Write(self_, dom_dir + "/image", image));
@@ -95,22 +133,7 @@ StatusOr<DomainId> Builder::BuildVm(DomainId toolstack,
   if (request.start_paused) {
     XOAR_RETURN_IF_ERROR(hv_->PauseDomain(self_, guest));
   }
-
-  ++builds_;
-  if (audit_ != nullptr) {
-    AuditEvent event;
-    event.time = hv_->sim()->Now();
-    event.kind = AuditEventKind::kVmBuilt;
-    event.subject = guest;
-    event.object = self_;
-    event.detail = StrFormat("image=%s name=%s toolstack=%u", image.c_str(),
-                             request.config.name.c_str(), toolstack.value());
-    audit_->Record(std::move(event));
-  }
-  XLOG(kDebug) << "[builder] built dom" << guest.value() << " ("
-               << request.config.name << ") for toolstack dom"
-               << toolstack.value();
-  return guest;
+  return Status::Ok();
 }
 
 StatusOr<DomainId> Builder::BuildEmulatorDomain(DomainId toolstack,

@@ -66,6 +66,13 @@ class Builder {
   std::uint64_t builds() const { return builds_; }
 
  private:
+  // Everything of a build after the domain exists: start info, the
+  // XenStore directory (`*registered` once it is written), the domain's
+  // start, and its XenStore and console connections.
+  Status Populate(DomainId toolstack, DomainId guest,
+                  const BuildRequest& request, const std::string& image,
+                  bool* registered);
+
   Hypervisor* hv_;
   XenStoreService* xs_;
   DomainId self_;

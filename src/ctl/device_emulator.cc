@@ -31,7 +31,6 @@ Status DeviceEmulator::HandleIoExit(EmulatedDevice device) {
   if (host == nullptr || host->state() != DomainState::kRunning) {
     return UnavailableError("emulator domain is not running");
   }
-  ++io_exits_;
   return Status::Ok();
 }
 

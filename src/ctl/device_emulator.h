@@ -44,10 +44,9 @@ class DeviceEmulator {
   // the privileged-for flag (§5.6).
   StatusOr<MappedPage> EmulateDma(Pfn guest_pfn);
 
-  // Port I/O trap servicing; counts per-device activity.
+  // Port I/O trap servicing: UNAVAILABLE unless the emulator's domain runs.
   Status HandleIoExit(EmulatedDevice device);
 
-  std::uint64_t io_exits() const { return io_exits_; }
   std::uint64_t dma_maps() const { return dma_maps_; }
 
   static std::vector<EmulatedDevice> DeviceModel();
@@ -56,7 +55,6 @@ class DeviceEmulator {
   Hypervisor* hv_;
   DomainId host_;
   DomainId guest_;
-  std::uint64_t io_exits_ = 0;
   std::uint64_t dma_maps_ = 0;
 };
 

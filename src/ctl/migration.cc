@@ -9,6 +9,15 @@ namespace xoar {
 
 namespace {
 
+// Migration-stream rate: the link, less stream framing and page metadata.
+// The source's network path bounds it when the guest has one.
+constexpr double kLinkBps = 1e9;
+constexpr double kProtocolEfficiency = 0.9;
+// Stop-and-copy once the residue drops below this.
+constexpr std::uint64_t kStopCopyThresholdBytes = 1 * kMiB;
+// Fixed switch-over cost (device reattach, ARP, resume).
+constexpr SimDuration kSwitchoverOverhead = FromMilliseconds(30);
+
 // Abort helper: tear the receiving shell back down so a failed migration
 // never leaks a half-built domain on the destination. Teardown failure is
 // itself an invariant breach, so it overrides the original error.
@@ -40,16 +49,12 @@ StatusOr<MigrationResult> LiveMigrate(Platform* source, DomainId guest,
   if (dom == nullptr || dom->state() != DomainState::kRunning) {
     return FailedPreconditionError("only running guests can live-migrate");
   }
-  if (params.link_bps <= 0 || params.protocol_efficiency <= 0) {
-    return InvalidArgumentError("migration stream rate must be positive");
-  }
-
   // The stream cannot exceed the source's network data path when the guest
   // shares it with the migration client.
-  double stream_bps = params.link_bps * params.protocol_efficiency;
+  double stream_bps = kLinkBps * kProtocolEfficiency;
   const double guest_net = source->EffectiveNetRateBps(guest);
   if (guest_net > 0) {
-    stream_bps = std::min(stream_bps, guest_net * params.protocol_efficiency);
+    stream_bps = std::min(stream_bps, guest_net * kProtocolEfficiency);
   }
   const double stream_bytes_per_sec = stream_bps / 8.0;
 
@@ -112,7 +117,7 @@ StatusOr<MigrationResult> LiveMigrate(Platform* source, DomainId guest,
         static_cast<std::uint64_t>(params.dirty_rate_bytes_per_sec *
                                    round_seconds));
     to_send = dirtied;
-    if (to_send <= params.stop_copy_threshold_bytes) {
+    if (to_send <= kStopCopyThresholdBytes) {
       result.converged = true;
       break;
     }
@@ -132,7 +137,7 @@ StatusOr<MigrationResult> LiveMigrate(Platform* source, DomainId guest,
   const double residue_seconds =
       static_cast<double>(to_send) / stream_bytes_per_sec;
   const SimDuration projected_downtime =
-      FromSeconds(residue_seconds) + params.switchover_overhead;
+      FromSeconds(residue_seconds) + kSwitchoverOverhead;
   if (!result.converged && params.max_downtime > 0 &&
       projected_downtime > params.max_downtime) {
     return AbortMigration(

@@ -32,17 +32,9 @@
 namespace xoar {
 
 struct MigrationParams {
-  // Effective migration-stream rate; bounded by the source's network path
-  // when the guest has one.
-  double link_bps = 1e9;
-  double protocol_efficiency = 0.9;  // stream framing + page metadata
   // How fast the running guest dirties memory during pre-copy.
   double dirty_rate_bytes_per_sec = 50.0 * 1e6;
   int max_precopy_rounds = 30;
-  // Stop-and-copy once the residue drops below this.
-  std::uint64_t stop_copy_threshold_bytes = 1 * kMiB;
-  // Fixed switch-over cost (device reattach, ARP, resume).
-  SimDuration switchover_overhead = FromMilliseconds(30);
 
   // Total migration time budget, checked at round boundaries and before
   // committing to stop-and-copy. 0 = unlimited. On breach the migration

@@ -31,41 +31,13 @@ inline constexpr PciSlot kSerialSlot{0, 0, 3};
 
 class MonolithicPlatform : public Platform {
  public:
-  struct Config {
-    std::uint64_t dom0_memory_mb = 750;  // XenServer's default Dom0 size
-    int dom0_vcpus = 2;
-    std::uint64_t machine_memory_gb = 4;
-    double nic_rate_bps = 1e9;  // GbE
-    DiskGeometry disk;
-
-    // Boot phase durations, calibrated so the totals land on Table 6.2's
-    // measurements (38.9 s to console, 42.2 s to ping).
-    SimDuration hypervisor_boot = FromSeconds(4.0);
-    SimDuration dom0_kernel_boot = FromSeconds(9.5);
-    SimDuration hardware_init = FromSeconds(13.5);
-    SimDuration service_startup = FromSeconds(8.4);
-    SimDuration login_prompt = FromSeconds(3.5);
-    SimDuration network_negotiation = FromSeconds(3.3);
-
-    // Fractional slowdown when the network and disk data paths are active
-    // simultaneously inside the one control VM (Fig 6.2: Xoar's separated
-    // driver domains avoid this and win ~6.5% on the combined workload).
-    double co_location_penalty = 0.061;
-  };
-
-  MonolithicPlatform() : MonolithicPlatform(Config()) {}
-  explicit MonolithicPlatform(Config config);
+  MonolithicPlatform();
 
   std::string_view name() const override { return "Dom0 (stock Xen)"; }
 
   Status Boot() override;
   StatusOr<DomainId> CreateGuest(const GuestSpec& spec) override;
   Status DestroyGuest(DomainId guest) override;
-
-  NetFront* netfront(DomainId guest) override;
-  BlkFront* blkfront(DomainId guest) override;
-  NetBack* netback_of(DomainId guest) override;
-  BlkBack* blkback_of(DomainId guest) override;
 
   double EffectiveNetRateBps(DomainId guest) override;
   double EffectiveDiskRateBps(DomainId guest) override;
@@ -77,13 +49,7 @@ class MonolithicPlatform : public Platform {
     return dom0_;
   }
 
-  const GuestSpec* guest_spec(DomainId guest) override {
-    Toolstack::GuestRecord* record = toolstack_->guest(guest);
-    return record == nullptr ? nullptr : &record->spec;
-  }
-
   DomainId dom0() const { return dom0_; }
-  const Config& config() const { return config_; }
   PciBus& pci_bus() { return pci_bus_; }
   NicDevice& nic() { return *nic_; }
   DiskDevice& disk() { return *disk_; }
@@ -94,14 +60,16 @@ class MonolithicPlatform : public Platform {
   PciBackService& pci_service() { return *pci_service_; }
 
   // Total control-plane memory: one number, Dom0's allocation (§6.1.1).
-  std::uint64_t ControlPlaneMemoryMb() const { return config_.dom0_memory_mb; }
+  std::uint64_t ControlPlaneMemoryMb() const;
 
  private:
+  GuestRecord* FindGuest(DomainId guest) override {
+    return toolstack_->guest(guest);
+  }
   bool CoLocationActive() const {
     return net_streams_ > 0 && disk_streams_ > 0;
   }
 
-  Config config_;
   bool booted_ = false;
   DomainId dom0_;
   PciBus pci_bus_;

@@ -39,7 +39,6 @@ class PciBackService {
   // capabilities (the Bootstrapper in Xoar, Dom0 itself in stock Xen).
   Status InitializeHardware(DomainId grantor);
 
-  bool hardware_initialized() const { return hardware_initialized_; }
   const std::vector<PciDeviceInfo>& discovered() const { return discovered_; }
 
   // Audit sink for kPciAssigned records (§3.2.2); optional, set by the

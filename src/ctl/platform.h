@@ -16,6 +16,7 @@
 #include "src/base/ids.h"
 #include "src/base/status.h"
 #include "src/base/units.h"
+#include "src/ctl/device_emulator.h"
 #include "src/drv/blk.h"
 #include "src/drv/net.h"
 #include "src/hv/hypervisor.h"
@@ -43,9 +44,8 @@ struct GuestSpec {
   // §3.2.1 constraint tag: shards are shared only among guests with the
   // same tag. Empty = the default (unconstrained) group.
   std::string constraint_tag{};
-  // Cloud-density tenant label (SCALING.md): guests with the same tenant
-  // land in the same per-tenant Toolstack slice, which keeps bookkeeping
-  // and accounting O(slice) rather than O(host). Empty = default tenant.
+  // Cloud-density tenant label (SCALING.md): the toolstack counts guests
+  // per tenant for its `toolstack.slice.*` gauges. Empty = default tenant.
   std::string tenant{};
   bool with_net = true;
   bool with_disk = true;
@@ -53,6 +53,18 @@ struct GuestSpec {
   bool hvm = false;  // needs a device-emulation (QEMU) instance
   std::string image = "guest-linux";
   bool allow_bootloader = false;
+};
+
+// What a toolstack keeps for one guest it created: its spec, the shards
+// serving it, its frontends and, for an HVM guest, its emulator.
+struct GuestRecord {
+  GuestSpec spec;
+  NetBack* netback = nullptr;
+  BlkBack* blkback = nullptr;
+  std::unique_ptr<NetFront> netfront;
+  std::unique_ptr<BlkFront> blkfront;
+  DomainId qemu_domain;
+  std::unique_ptr<DeviceEmulator> emulator;
 };
 
 class Platform {
@@ -70,11 +82,24 @@ class Platform {
   virtual StatusOr<DomainId> CreateGuest(const GuestSpec& spec) = 0;
   virtual Status DestroyGuest(DomainId guest) = 0;
 
-  // Data-path access for a guest's workloads.
-  virtual NetFront* netfront(DomainId guest) = 0;
-  virtual BlkFront* blkfront(DomainId guest) = 0;
-  virtual NetBack* netback_of(DomainId guest) = 0;
-  virtual BlkBack* blkback_of(DomainId guest) = 0;
+  // Data-path access for a guest's workloads; null if the guest has no
+  // such device.
+  NetFront* netfront(DomainId guest) {
+    GuestRecord* record = FindGuest(guest);
+    return record == nullptr ? nullptr : record->netfront.get();
+  }
+  BlkFront* blkfront(DomainId guest) {
+    GuestRecord* record = FindGuest(guest);
+    return record == nullptr ? nullptr : record->blkfront.get();
+  }
+  NetBack* netback_of(DomainId guest) {
+    GuestRecord* record = FindGuest(guest);
+    return record == nullptr ? nullptr : record->netback;
+  }
+  BlkBack* blkback_of(DomainId guest) {
+    GuestRecord* record = FindGuest(guest);
+    return record == nullptr ? nullptr : record->blkback;
+  }
 
   // The domain hosting the given service for `guest` (Dom0 for everything
   // on the stock platform; the shard or QemuVM on Xoar).
@@ -82,7 +107,10 @@ class Platform {
 
   // The spec the guest was created from (nullptr if unknown). Used by live
   // migration to rebuild the guest on the destination host.
-  virtual const GuestSpec* guest_spec(DomainId guest) = 0;
+  const GuestSpec* guest_spec(DomainId guest) {
+    GuestRecord* record = FindGuest(guest);
+    return record == nullptr ? nullptr : &record->spec;
+  }
 
   // Effective bulk rates (bits/second for net, bytes/second for disk) for
   // flow-level workloads, including any co-location interference.
@@ -147,11 +175,12 @@ class Platform {
     return IoStreamToken(this, kind);
   }
 
-  int net_streams() const { return net_streams_; }
-  int disk_streams() const { return disk_streams_; }
-
  protected:
   Platform() { obs_.tracer().set_sim(&sim_); }
+
+  // The record of `guest` in whichever of the platform's toolstacks
+  // created it; null if none did.
+  virtual GuestRecord* FindGuest(DomainId guest) = 0;
 
   void EndIoStream(IoKind kind) {
     (kind == IoKind::kNet ? net_streams_ : disk_streams_) -= 1;

@@ -4,6 +4,14 @@
 #include "src/base/strings.h"
 
 namespace xoar {
+namespace {
+
+// The guest's disk image in its BlkBack shard.
+std::string ImageName(DomainId guest) {
+  return StrFormat("vm-%u-disk0", guest.value());
+}
+
+}  // namespace
 
 Toolstack::Toolstack(Hypervisor* hv, XenStoreService* xs, Simulator* sim,
                      DomainId self, Builder* builder, Obs* obs)
@@ -83,28 +91,15 @@ StatusOr<DomainId> Toolstack::CreateGuest(const GuestSpec& spec) {
   request.allow_bootloader = spec.allow_bootloader;
   XOAR_ASSIGN_OR_RETURN(DomainId guest, builder_->BuildVm(self_, request));
 
-  GuestRecord record;
-  record.id = guest;
-  record.spec = spec;
-
   // Unwind for any failure past this point: the domain is already built,
   // so a rejected attach/image/emulator step must tear everything back
   // down — a create that fails and leaks a half-built guest breaks the
   // same invariant as a migration abort that leaks its destination shell.
-  const std::string image_name = StrFormat("vm-%u-disk0", guest.value());
-  bool image_created = false;
+  // The record holds exactly what has been set up so far.
+  GuestRecord record;
+  record.spec = spec;
   auto unwind = [&](Status cause) -> Status {
-    if (record.blkback != nullptr) {
-      (void)record.blkback->DetachVbd(guest);
-    }
-    if (image_created) {
-      (void)blkback->DeleteImage(image_name);
-    }
-    if (record.netback != nullptr) {
-      (void)record.netback->DetachVif(guest);
-    }
-    xs_->Disconnect(guest);
-    (void)hv_->DestroyDomain(self_, guest);
+    (void)Teardown(guest, record);
     return cause;
   };
 
@@ -115,6 +110,7 @@ StatusOr<DomainId> Toolstack::CreateGuest(const GuestSpec& spec) {
     }
     if (Status s = netback->AttachVif(guest); !s.ok()) return unwind(s);
     record.netback = netback;
+    shard_tags_[netback->self()][spec.constraint_tag] += 1;
     record.netfront = std::make_unique<NetFront>(hv_, xs_, guest, netback->self());
     if (Status s = record.netfront->Connect(); !s.ok()) return unwind(s);
   }
@@ -125,15 +121,16 @@ StatusOr<DomainId> Toolstack::CreateGuest(const GuestSpec& spec) {
     }
     // §5.4: disk images live in BlkBack; the Toolstack proxies requests to
     // the daemon there instead of mounting files itself.
-    if (Status s = blkback->CreateImage(image_name, spec.disk_image_mb * kMiB);
+    if (Status s = blkback->CreateImage(ImageName(guest),
+                                        spec.disk_image_mb * kMiB);
         !s.ok()) {
       return unwind(s);
     }
-    image_created = true;
-    if (Status s = blkback->BindImage(guest, image_name); !s.ok()) {
+    record.blkback = blkback;
+    shard_tags_[blkback->self()][spec.constraint_tag] += 1;
+    if (Status s = blkback->BindImage(guest, ImageName(guest)); !s.ok()) {
       return unwind(s);
     }
-    record.blkback = blkback;
     record.blkfront = std::make_unique<BlkFront>(hv_, xs_, guest, blkback->self());
     if (Status s = record.blkfront->Connect(); !s.ok()) return unwind(s);
   }
@@ -144,24 +141,14 @@ StatusOr<DomainId> Toolstack::CreateGuest(const GuestSpec& spec) {
     record.emulator =
         std::make_unique<DeviceEmulator>(hv_, record.qemu_domain, guest);
   }
-  if (spec.with_net) {
-    shard_tags_[netback->self()][spec.constraint_tag] += 1;
-  }
-  if (spec.with_disk) {
-    shard_tags_[blkback->self()][spec.constraint_tag] += 1;
-  }
 
-  // File the guest under its tenant's slice; all aggregates move
-  // incrementally (no O(host) rescan on the create path).
-  TenantSlice& slice = slices_[spec.tenant];
-  if (slice.guests.empty()) {
+  // Every aggregate moves incrementally (no O(host) rescan on the create
+  // path).
+  if (tenant_guests_[spec.tenant]++ == 0) {
     m_slice_count_->Add(1);
   }
-  slice.guests.emplace(guest, std::move(record));
-  slice.memory_in_use_mb += spec.memory_mb;
-  guest_tenant_[guest] = spec.tenant;
+  guests_.emplace(guest, std::move(record));
   memory_in_use_mb_ += spec.memory_mb;
-  ++guest_count_;
   m_slice_guests_->Add(1);
   m_slice_mem_->Add(static_cast<double>(spec.memory_mb));
   XLOG(kDebug) << "[toolstack dom" << self_.value() << "] created guest dom"
@@ -169,47 +156,55 @@ StatusOr<DomainId> Toolstack::CreateGuest(const GuestSpec& spec) {
   return guest;
 }
 
-Status Toolstack::DestroyGuest(DomainId guest) {
-  auto tenant_it = guest_tenant_.find(guest);
-  if (tenant_it == guest_tenant_.end()) {
-    return NotFoundError(
-        StrFormat("dom%u is not managed by this toolstack", guest.value()));
-  }
-  TenantSlice& slice = slices_[tenant_it->second];
-  auto it = slice.guests.find(guest);
-  GuestRecord& record = it->second;
+Status Toolstack::Teardown(DomainId guest, const GuestRecord& record) {
+  // The guest's watches go first, so removing its directories fires
+  // nothing for it.
+  xs_->Disconnect(guest);
   if (record.netback != nullptr) {
-    auto& tags = shard_tags_[record.netback->self()];
-    tags[record.spec.constraint_tag] -= 1;
+    shard_tags_[record.netback->self()][record.spec.constraint_tag] -= 1;
     (void)record.netback->DetachVif(guest);
   }
   if (record.blkback != nullptr) {
-    auto& tags = shard_tags_[record.blkback->self()];
-    tags[record.spec.constraint_tag] -= 1;
+    shard_tags_[record.blkback->self()][record.spec.constraint_tag] -= 1;
     // Drop the VBD before the image so the delete never sees a live
     // binding; without the delete, create/destroy churn (migration!)
     // fills the disk with orphaned images.
     (void)record.blkback->DetachVbd(guest);
-    (void)record.blkback->DeleteImage(
-        StrFormat("vm-%u-disk0", guest.value()));
+    (void)record.blkback->DeleteImage(ImageName(guest));
   }
   if (record.qemu_domain.valid()) {
-    (void)hv_->DestroyDomain(self_, record.qemu_domain);
+    xs_->Disconnect(record.qemu_domain);
+    (void)DestroyDomain(record.qemu_domain);
   }
-  xs_->Disconnect(guest);
-  XOAR_RETURN_IF_ERROR(hv_->DestroyDomain(self_, guest));
-  const std::uint64_t mem = record.spec.memory_mb;
-  slice.guests.erase(it);
-  slice.memory_in_use_mb -= mem;
-  memory_in_use_mb_ -= mem;
-  --guest_count_;
+  return DestroyDomain(guest);
+}
+
+Status Toolstack::DestroyDomain(DomainId dom) {
+  XOAR_RETURN_IF_ERROR(hv_->DestroyDomain(self_, dom));
+  xs_->RetryWhileUnavailable(
+      [xs = xs_, self = self_, dir = DomainDir(dom)] {
+        return xs->Remove(self, dir);
+      });
+  return Status::Ok();
+}
+
+Status Toolstack::DestroyGuest(DomainId guest) {
+  auto it = guests_.find(guest);
+  if (it == guests_.end()) {
+    return NotFoundError(
+        StrFormat("dom%u is not managed by this toolstack", guest.value()));
+  }
+  XOAR_RETURN_IF_ERROR(Teardown(guest, it->second));
+  const GuestSpec& spec = it->second.spec;
+  memory_in_use_mb_ -= spec.memory_mb;
   m_slice_guests_->Add(-1);
-  m_slice_mem_->Add(-static_cast<double>(mem));
-  if (slice.guests.empty()) {
-    slices_.erase(tenant_it->second);
+  m_slice_mem_->Add(-static_cast<double>(spec.memory_mb));
+  auto tenant = tenant_guests_.find(spec.tenant);
+  if (--tenant->second == 0) {
+    tenant_guests_.erase(tenant);
     m_slice_count_->Add(-1);
   }
-  guest_tenant_.erase(tenant_it);
+  guests_.erase(it);
   return Status::Ok();
 }
 
@@ -221,37 +216,9 @@ Status Toolstack::UnpauseGuest(DomainId guest) {
   return hv_->UnpauseDomain(self_, guest);
 }
 
-Toolstack::GuestRecord* Toolstack::guest(DomainId id) {
-  auto tenant_it = guest_tenant_.find(id);
-  if (tenant_it == guest_tenant_.end()) {
-    return nullptr;
-  }
-  auto slice_it = slices_.find(tenant_it->second);
-  auto it = slice_it->second.guests.find(id);
-  return &it->second;
-}
-
-std::vector<DomainId> Toolstack::Guests() const {
-  std::vector<DomainId> out;
-  out.reserve(guest_count_);
-  for (const auto& [id, tenant] : guest_tenant_) {
-    out.push_back(id);
-  }
-  return out;
-}
-
-const Toolstack::TenantSlice* Toolstack::slice(const std::string& tenant) const {
-  auto it = slices_.find(tenant);
-  return it == slices_.end() ? nullptr : &it->second;
-}
-
-std::vector<std::string> Toolstack::Tenants() const {
-  std::vector<std::string> out;
-  out.reserve(slices_.size());
-  for (const auto& [tenant, slice] : slices_) {
-    out.push_back(tenant);
-  }
-  return out;
+GuestRecord* Toolstack::guest(DomainId id) {
+  auto it = guests_.find(id);
+  return it == guests_.end() ? nullptr : &it->second;
 }
 
 }  // namespace xoar

@@ -11,14 +11,12 @@
 #define XOAR_SRC_CTL_TOOLSTACK_H_
 
 #include <map>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "src/base/ids.h"
 #include "src/base/status.h"
 #include "src/ctl/builder.h"
-#include "src/ctl/device_emulator.h"
 #include "src/ctl/platform.h"
 #include "src/drv/blk.h"
 #include "src/drv/net.h"
@@ -28,26 +26,6 @@ namespace xoar {
 
 class Toolstack {
  public:
-  struct GuestRecord {
-    DomainId id;
-    GuestSpec spec;
-    NetBack* netback = nullptr;
-    BlkBack* blkback = nullptr;
-    std::unique_ptr<NetFront> netfront;
-    std::unique_ptr<BlkFront> blkfront;
-    DomainId qemu_domain;
-    std::unique_ptr<DeviceEmulator> emulator;
-  };
-
-  // Guests are grouped into per-tenant slices (GuestSpec::tenant,
-  // SCALING.md): bookkeeping for one tenant never scans another tenant's
-  // guests, and host-wide aggregates (guest count, memory in use) are
-  // maintained incrementally so quota checks stay O(1) at cloud density.
-  struct TenantSlice {
-    std::map<DomainId, GuestRecord> guests;
-    std::uint64_t memory_in_use_mb = 0;
-  };
-
   // `obs` receives the `toolstack.slice.*` gauges.
   Toolstack(Hypervisor* hv, XenStoreService* xs, Simulator* sim, DomainId self,
             Builder* builder, Obs* obs);
@@ -71,18 +49,11 @@ class Toolstack {
   Status PauseGuest(DomainId guest);
   Status UnpauseGuest(DomainId guest);
 
-  // Indexed lookup: tenant via guest_tenant_, record inside its slice.
+  // The record of a guest this toolstack created; null for any other.
   GuestRecord* guest(DomainId id);
-  std::vector<DomainId> Guests() const;
   // O(1): maintained incrementally on create/destroy, never recomputed by
   // scanning guests.
   std::uint64_t guest_memory_in_use_mb() const { return memory_in_use_mb_; }
-  std::size_t guest_count() const { return guest_count_; }
-
-  // --- Tenant slices ---
-  const TenantSlice* slice(const std::string& tenant) const;
-  std::size_t slice_count() const { return slices_.size(); }
-  std::vector<std::string> Tenants() const;
 
  private:
   // Constraint-group selection (§3.2.1): a shard qualifies if every guest
@@ -92,6 +63,15 @@ class Toolstack {
                                   const std::string& tag,
                                   const char* kind) const;
   bool ShardTagCompatible(DomainId shard, const std::string& tag) const;
+  // Undoes whatever of `record` a create got through, in one order: the
+  // guest's XenStore connection with its watches and transactions, the
+  // shards' devices with their constraint tags and directories, the disk
+  // image, the emulator, then the domain and its directory. Shared by
+  // DestroyGuest and a create that fails part way.
+  Status Teardown(DomainId guest, const GuestRecord& record);
+  // Destroys `dom` and, once XenStore serves the request, removes its
+  // /local/domain/<id>, where this toolstack holds write access.
+  Status DestroyDomain(DomainId dom);
 
   Hypervisor* hv_;
   XenStoreService* xs_;
@@ -99,16 +79,14 @@ class Toolstack {
   DomainId self_;
   Builder* builder_;
   Obs* obs_;
-  Gauge* m_slice_count_;   // toolstack.slice.count
+  Gauge* m_slice_count_;   // toolstack.slice.count: tenants with a guest
   Gauge* m_slice_guests_;  // toolstack.slice.guests
   Gauge* m_slice_mem_;     // toolstack.slice.mem_mb
   std::vector<NetBack*> netbacks_;
   std::vector<BlkBack*> blkbacks_;
-  // Per-tenant slices plus a DomainId-keyed index into them.
-  std::map<std::string, TenantSlice> slices_;
-  std::map<DomainId, std::string> guest_tenant_;
+  std::map<DomainId, GuestRecord> guests_;
+  std::map<std::string, std::size_t> tenant_guests_;  // tenant -> its guests
   std::uint64_t memory_in_use_mb_ = 0;
-  std::size_t guest_count_ = 0;
   // shard domain -> constraint tags of guests attached through us
   std::map<DomainId, std::map<std::string, int>> shard_tags_;
   std::uint64_t memory_quota_mb_ = 0;

@@ -40,7 +40,6 @@ class NicDevice {
 
   void set_rx_handler(RxHandler handler) { rx_handler_ = std::move(handler); }
   void clear_rx_handler() { rx_handler_ = nullptr; }
-  bool has_rx_handler() const { return static_cast<bool>(rx_handler_); }
 
   std::uint64_t tx_bytes() const { return tx_bytes_; }
   std::uint64_t rx_bytes() const { return rx_bytes_; }

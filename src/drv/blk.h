@@ -216,7 +216,6 @@ class BlkFront {
   }
   const RetryConfig& retry_config() const { return xenbus_.retry_config(); }
 
-  std::uint64_t completed_ios() const { return xenbus_.completed(); }
   std::uint64_t retransmitted_ios() const { return xenbus_.retransmits(); }
   std::size_t outstanding_ios() const { return xenbus_.outstanding(); }
   std::uint64_t retry_attempts() const { return xenbus_.retry_attempts(); }

@@ -52,8 +52,6 @@ class ConsoleBackend {
   // Characters received from the physical console since the last drain.
   std::string DrainPhysicalInput();
 
-  std::uint64_t guest_writes() const { return guest_writes_; }
-
  private:
   struct GuestConsole {
     Pfn ring_pfn;
@@ -70,7 +68,6 @@ class ConsoleBackend {
   bool initialized_ = false;
   EvtchnPort virq_port_;
   std::map<DomainId, GuestConsole> guests_;
-  std::uint64_t guest_writes_ = 0;
 };
 
 }  // namespace xoar

@@ -162,9 +162,7 @@ class NetFront {
   }
   const RetryConfig& retry_config() const { return xenbus_.retry_config(); }
 
-  std::uint64_t tx_completed() const { return xenbus_.completed(); }
   std::uint64_t rx_frames() const { return rx_frames_; }
-  std::uint64_t retransmitted_frames() const { return xenbus_.retransmits(); }
   std::uint64_t retry_attempts() const { return xenbus_.retry_attempts(); }
   std::uint64_t retry_recovered() const { return xenbus_.retry_recovered(); }
   std::uint64_t retry_exhausted() const { return xenbus_.retry_exhausted(); }

@@ -239,8 +239,19 @@ Status XenbusBackend::Detach(DomainId guest) {
                                    guest.value(), device_.noun));
   }
   Disconnect(*channel);
-  (void)xs_->Unwatch(self_, FrontendDir(guest, device_.type) + "/state",
-                     WatchToken(guest));
+  // The watch goes before the directory, so the removal fires nothing
+  // here; a retry finds the watch already gone.
+  xs_->RetryWhileUnavailable(
+      [xs = xs_, self = self_,
+       state = FrontendDir(guest, device_.type) + "/state",
+       token = WatchToken(guest),
+       dir = BackendGuestDir(self_, guest, device_.type)] {
+        const Status unwatched = xs->Unwatch(self, state, token);
+        if (unwatched.code() == StatusCode::kUnavailable) {
+          return unwatched;
+        }
+        return xs->Remove(self, dir);
+      });
   channels_[guest.value()].reset();
   return Status::Ok();
 }

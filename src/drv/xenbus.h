@@ -97,6 +97,13 @@ inline std::string BackendRoot(DomainId backend, std::string_view type) {
                    std::string(type).c_str());
 }
 
+// /local/domain/<backend>/backend/<type>/<guest>: all the backend
+// advertises for one guest.
+inline std::string BackendGuestDir(DomainId backend, DomainId guest,
+                                   std::string_view type) {
+  return StrFormat("%s/%u", BackendRoot(backend, type).c_str(), guest.value());
+}
+
 inline std::string DomainDir(DomainId domain) {
   return StrFormat("/local/domain/%u", domain.value());
 }
@@ -182,7 +189,9 @@ class XenbusBackend {
   // retransmits after it reconnects.
   template <typename Ring>
   void Respond(DomainId guest, std::uint64_t id, std::int8_t status);
-  // Disconnects, drops the frontend-state watch and forgets the guest.
+  // Disconnects, drops the frontend-state watch, removes the guest's
+  // directory that Attach wrote and forgets the guest. The XenStore steps
+  // are retried while XenStore is down.
   Status Detach(DomainId guest);
   // Microreboot hooks: Suspend drops every mapping and port; Resume
   // re-advertises so the frontends renegotiate.

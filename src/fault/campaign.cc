@@ -210,14 +210,13 @@ StatusOr<CampaignSummary> RunProbeCampaign(const CampaignRunOptions& options) {
   const std::uint64_t boxes_rejected =
       static_cast<std::uint64_t>(platform.restarts().TotalBoxesRejected());
   std::uint64_t supervision_failures = 0;
-  const SimDuration heartbeat_timeout = watchdog.config().heartbeat_timeout;
   const SimDuration hang_detection_max =
       watchdog.max_hang_detection_latency();
   if (watchdog.hangs_detected() + watchdog.hangs_absorbed() !=
       hangs_injected) {
     ++supervision_failures;
   }
-  if (hang_detection_max > heartbeat_timeout) {
+  if (hang_detection_max > kHeartbeatTimeout) {
     ++supervision_failures;
   }
   if (boxes_rejected != box_corrupts_injected) {
@@ -251,7 +250,7 @@ StatusOr<CampaignSummary> RunProbeCampaign(const CampaignRunOptions& options) {
   metrics.GetGauge("campaign.boxes_rejected")
       ->Set(static_cast<double>(boxes_rejected));
   metrics.GetGauge("campaign.heartbeat_timeout_ms")
-      ->Set(static_cast<double>(heartbeat_timeout) /
+      ->Set(static_cast<double>(kHeartbeatTimeout) /
             static_cast<double>(kMillisecond));
   metrics.GetGauge("campaign.hang_detection_max_ms")
       ->Set(static_cast<double>(hang_detection_max) /
@@ -283,7 +282,7 @@ StatusOr<CampaignSummary> RunProbeCampaign(const CampaignRunOptions& options) {
   summary.deaths_detected = watchdog.deaths_detected();
   summary.auto_restarts = watchdog.auto_restarts();
   summary.quarantines = watchdog.quarantines();
-  summary.heartbeat_timeout = heartbeat_timeout;
+  summary.heartbeat_timeout = kHeartbeatTimeout;
   summary.hang_detection_max = hang_detection_max;
   summary.box_corrupts_injected = box_corrupts_injected;
   summary.boxes_rejected = boxes_rejected;

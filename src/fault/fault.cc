@@ -19,6 +19,22 @@ constexpr FaultType kTransientTypes[] = {
     FaultType::kNetDropBurst, FaultType::kXsTimeout,
 };
 
+// The layout of FaultPlan::Randomized. Transient windows inject with this
+// per-op probability (net drop bursts drop every frame).
+constexpr double kWindowProbability = 0.75;
+constexpr SimDuration kMinWindow = 10 * kMillisecond;
+constexpr SimDuration kMaxWindow = 60 * kMillisecond;
+// Crashes, hangs and box corruptions each rotate through their targets
+// with the seed; crashes and hangs share theirs. Crashes restart on the
+// fast path.
+constexpr std::string_view kCrashAndHangTargets[] = {"NetBack", "BlkBack",
+                                                     "XenStore-Logic"};
+constexpr SimDuration kMinHang = 120 * kMillisecond;
+constexpr SimDuration kMaxHang = 280 * kMillisecond;
+// Only components whose recovery boxes hold real config are worth
+// poisoning; an empty box is skipped at fire time.
+constexpr std::string_view kBoxCorruptTargets[] = {"NetBack", "BlkBack"};
+
 }  // namespace
 
 std::string_view FaultTypeName(FaultType type) {
@@ -68,28 +84,26 @@ FaultPlan FaultPlan::Randomized(const CampaignConfig& config) {
     // Round-robin guarantees every transient type appears once whenever
     // fault_count >= 6; the rest of the layout is seeded-random.
     spec.type = kTransientTypes[static_cast<std::size_t>(i) % kNumTransient];
-    spec.duration = layout.NextInRange(config.min_window, config.max_window);
+    spec.duration = layout.NextInRange(kMinWindow, kMaxWindow);
     const SimDuration placeable =
         span > spec.duration ? span - spec.duration : 1;
     spec.at = start + layout.NextBelow(placeable);
     spec.probability =
-        spec.type == FaultType::kNetDropBurst ? 1.0 : config.probability;
+        spec.type == FaultType::kNetDropBurst ? 1.0 : kWindowProbability;
     spec.delay = layout.NextInRange(2, 8) * kMillisecond;
     plan.Add(std::move(spec));
   }
   // Crashes are spread evenly so recovery windows rarely overlap; which
   // component crashes when still rotates with the seed.
-  const std::size_t n_targets = config.crash_targets.size();
-  const std::uint64_t rotation = n_targets > 0 ? layout.NextU64() : 0;
-  for (int j = 0; j < config.crash_count && n_targets > 0; ++j) {
+  const std::uint64_t rotation = layout.NextU64();
+  for (int j = 0; j < config.crash_count; ++j) {
     FaultSpec spec;
     spec.type = FaultType::kShardCrash;
-    spec.target = config.crash_targets[(rotation + static_cast<std::uint64_t>(
-                                                       j)) %
-                                       n_targets];
+    spec.target =
+        kCrashAndHangTargets[(rotation + static_cast<std::uint64_t>(j)) %
+                             std::size(kCrashAndHangTargets)];
     spec.at = start + (span * static_cast<std::uint64_t>(j + 1)) /
                           static_cast<std::uint64_t>(config.crash_count + 1);
-    spec.fast_recovery = config.fast_recovery;
     plan.Add(std::move(spec));
   }
   // Hangs sit at odd half-slots ((2k+1)/(2(h+1)) of the span) so they fall
@@ -97,29 +111,27 @@ FaultPlan FaultPlan::Randomized(const CampaignConfig& config) {
   // a target that is mid-crash-recovery would be refused and skipped.
   // These draws come after every pre-existing draw, so adding supervision
   // faults does not perturb the transient/crash layout of older seeds.
-  const std::size_t n_hang_targets = config.hang_targets.size();
-  const std::uint64_t hang_rotation =
-      n_hang_targets > 0 ? layout.NextU64() : 0;
-  for (int k = 0; k < config.hang_count && n_hang_targets > 0; ++k) {
+  const std::uint64_t hang_rotation = layout.NextU64();
+  for (int k = 0; k < config.hang_count; ++k) {
     FaultSpec spec;
     spec.type = FaultType::kShardHang;
     spec.target =
-        config.hang_targets[(hang_rotation + static_cast<std::uint64_t>(k)) %
-                            n_hang_targets];
-    spec.duration = layout.NextInRange(config.min_hang, config.max_hang);
+        kCrashAndHangTargets[(hang_rotation + static_cast<std::uint64_t>(k)) %
+                             std::size(kCrashAndHangTargets)];
+    spec.duration = layout.NextInRange(kMinHang, kMaxHang);
     spec.at = start + (span * static_cast<std::uint64_t>(2 * k + 1)) /
                           static_cast<std::uint64_t>(2 * (config.hang_count + 1));
     plan.Add(std::move(spec));
   }
   // Box corruptions poison the box and immediately force a fast restart,
   // so the validation rejection is observed inside the campaign window.
-  const std::size_t n_box_targets = config.box_corrupt_targets.size();
-  const std::uint64_t box_rotation = n_box_targets > 0 ? layout.NextU64() : 0;
-  for (int k = 0; k < config.box_corrupt_count && n_box_targets > 0; ++k) {
+  const std::uint64_t box_rotation = layout.NextU64();
+  for (int k = 0; k < config.box_corrupt_count; ++k) {
     FaultSpec spec;
     spec.type = FaultType::kRecoveryBoxCorrupt;
-    spec.target = config.box_corrupt_targets
-        [(box_rotation + static_cast<std::uint64_t>(k)) % n_box_targets];
+    spec.target =
+        kBoxCorruptTargets[(box_rotation + static_cast<std::uint64_t>(k)) %
+                           std::size(kBoxCorruptTargets)];
     spec.at = start +
               (span * static_cast<std::uint64_t>(2 * k + 1)) /
                   static_cast<std::uint64_t>(2 * (config.box_corrupt_count + 1)) +
@@ -139,7 +151,7 @@ FaultPlan FaultPlan::Randomized(const CampaignConfig& config) {
     spec.at = start + (span * static_cast<std::uint64_t>(k + 1)) /
                           static_cast<std::uint64_t>(
                               config.migration_drop_count + 1);
-    spec.probability = config.probability;
+    spec.probability = kWindowProbability;
     plan.Add(std::move(spec));
   }
   std::stable_sort(plan.specs_.begin(), plan.specs_.end(),
@@ -326,7 +338,6 @@ void FaultInjector::FireHang(const FaultSpec& spec) {
   Status status = platform_->watchdog()->InjectHang(spec.target,
                                                    spec.duration);
   if (!status.ok()) {
-    ++hangs_skipped_;
     m_hangs_skipped_->Increment();
     XLOG(kInfo) << "[fault] hang of " << spec.target
                 << " skipped: " << status;
@@ -340,7 +351,6 @@ void FaultInjector::FireHang(const FaultSpec& spec) {
 
 void FaultInjector::FireBoxCorrupt(const FaultSpec& spec) {
   const auto skip = [this, &spec](std::string_view why) {
-    ++box_corrupts_skipped_;
     m_box_corrupts_skipped_->Increment();
     XLOG(kInfo) << "[fault] box corruption of " << spec.target
                 << " skipped: " << why;

@@ -73,34 +73,21 @@ struct CampaignConfig {
   int fault_count = 16;        // transient windows to lay out
   SimTime start = 0;           // campaign window in simulated time
   SimTime end = 10 * kSecond;
-  double probability = 0.75;   // per-op probability inside a window
-  SimDuration min_window = 10 * kMillisecond;
-  SimDuration max_window = 60 * kMillisecond;
   int crash_count = 2;         // shard crashes spread over the campaign
-  std::vector<std::string> crash_targets = {"NetBack", "BlkBack",
-                                            "XenStore-Logic"};
-  bool fast_recovery = true;
 
-  // Supervision faults (PR 4). Hangs stall a service loop long enough
-  // (>> the watchdog timeout) that detection, not luck, ends the outage;
-  // box corruptions poison a recovery box and immediately exercise the
-  // fast-restart validation path. Targets rotate with the seed like
-  // crash_targets. Set the counts to 0 for a pre-supervision campaign.
+  // Supervision faults. Hangs stall a service loop long enough (>> the
+  // watchdog timeout) that detection, not luck, ends the outage; box
+  // corruptions poison a recovery box and immediately exercise the
+  // fast-restart validation path. Set the counts to 0 for a
+  // pre-supervision campaign.
   int hang_count = 2;
-  std::vector<std::string> hang_targets = {"NetBack", "BlkBack",
-                                           "XenStore-Logic"};
-  SimDuration min_hang = 120 * kMillisecond;
-  SimDuration max_hang = 280 * kMillisecond;
   int box_corrupt_count = 1;
-  // Only components whose recovery boxes hold real config are worth
-  // poisoning; an empty box is skipped at fire time.
-  std::vector<std::string> box_corrupt_targets = {"NetBack", "BlkBack"};
 
   // Fleet migration faults (src/fleet). Windows during which the
-  // live-migration stream off this host breaks per-round with
-  // `probability`. 0 keeps single-host campaigns (and every pre-existing
-  // seed's layout) untouched: like the supervision faults above, these
-  // draws come after every older draw in Randomized().
+  // live-migration stream off this host breaks per-round with the
+  // campaign's window probability. 0 keeps single-host campaigns (and
+  // every pre-existing seed's layout) untouched: like the supervision
+  // faults above, these draws come after every older draw in Randomized().
   int migration_drop_count = 0;
   SimDuration min_migration_drop_window = 40 * kMillisecond;
   SimDuration max_migration_drop_window = 120 * kMillisecond;
@@ -173,11 +160,6 @@ class FaultInjector {
   std::uint64_t windows_opened() const { return windows_opened_; }
   // Crashes whose RestartNow was rejected (component already mid-restart).
   std::uint64_t crashes_skipped() const { return crashes_skipped_; }
-  // Hangs the watchdog refused (target restarting/quarantined, or no
-  // watchdog on the platform) and box corruptions that could not fire
-  // (empty box / target mid-restart).
-  std::uint64_t hangs_skipped() const { return hangs_skipped_; }
-  std::uint64_t box_corrupts_skipped() const { return box_corrupts_skipped_; }
 
  private:
   struct TypeState {
@@ -204,8 +186,6 @@ class FaultInjector {
   std::array<std::uint64_t, kFaultTypeCount> injected_{};
   std::uint64_t windows_opened_ = 0;
   std::uint64_t crashes_skipped_ = 0;
-  std::uint64_t hangs_skipped_ = 0;
-  std::uint64_t box_corrupts_skipped_ = 0;
   Obs* obs_;
   std::array<Counter*, kFaultTypeCount> m_injected_{};  // fault.injected.<type>
   Counter* m_windows_opened_;   // fault.windows.opened

@@ -8,6 +8,44 @@
 #include "src/base/strings.h"
 
 namespace xoar {
+namespace {
+
+// Admission headroom: a host is feasible for a new guest only while its
+// committed memory and net demand stay under this fraction of capacity.
+constexpr double kHeadroom = 0.92;
+
+// Counts the XenStore directories on `host` named after a domain that is
+// not alive: /local/domain/<id>, and backend/<type>/<id> under each of the
+// host's driver domains.
+std::uint64_t StaleXenStoreDirs(XoarPlatform& host) {
+  XsShardedStore& store = host.xenstore().store();
+  const DomainId reader = host.shard_domain(ShardClass::kXenStoreLogic);
+  std::uint64_t stale = 0;
+  const auto count = [&](const std::string& dir) {
+    const StatusOr<std::vector<std::string>> names = store.List(reader, dir);
+    if (!names.ok()) {
+      return;
+    }
+    for (const std::string& name : *names) {
+      const std::optional<std::uint32_t> id = ParseXenbusU32(name);
+      const Domain* dom =
+          id.has_value() ? host.hv().domain(DomainId(*id)) : nullptr;
+      if (dom == nullptr || !dom->alive()) {
+        ++stale;
+      }
+    }
+  };
+  count("/local/domain");
+  for (int i = 0; i < host.netback_count(); ++i) {
+    count(BackendRoot(host.netback(i).self(), kVifType));
+  }
+  for (int i = 0; i < host.blkback_count(); ++i) {
+    count(BackendRoot(host.blkback(i).self(), kVbdType));
+  }
+  return stale;
+}
+
+}  // namespace
 
 Fleet::Fleet(FleetConfig config) : config_(std::move(config)) {
   if (config_.hosts < 1) {
@@ -18,7 +56,7 @@ Fleet::Fleet(FleetConfig config) : config_(std::move(config)) {
   // event stream — see scenarios.h).
   hosts_.reserve(static_cast<std::size_t>(config_.hosts));
   for (int i = 0; i < config_.hosts; ++i) {
-    hosts_.push_back(std::make_unique<XoarPlatform>(config_.host));
+    hosts_.push_back(std::make_unique<XoarPlatform>());
   }
   host_state_.resize(hosts_.size());
 
@@ -81,15 +119,11 @@ Status Fleet::Boot() {
   hosts_[0]->Settle();
   SyncClocks();
 
-  const double derived_net_cap =
-      config_.net_capacity_bps > 0
-          ? config_.net_capacity_bps
-          : config_.host.nic_rate_bps * config_.host.num_nics;
   for (int i = 0; i < host_count(); ++i) {
     HostState& state = host_state_[static_cast<std::size_t>(i)];
     state.capacity_mb =
         hosts_[i]->hv().memory().free_pages() * kPageSize / kMiB;
-    state.net_capacity_bps = derived_net_cap;
+    state.net_capacity_bps = hosts_[i]->nic().link_rate();  // one NIC
     state.baseline_live_domains = hosts_[i]->hv().LiveDomainCount();
     // One fault injector per host, armed on demand by campaigns. Installed
     // after boot so every shard's hooks exist.
@@ -139,8 +173,8 @@ bool Fleet::HostFeasible(int host, const GuestSpec& spec,
                          double net_demand_bps) const {
   const HostState& state = host_state_[static_cast<std::size_t>(host)];
   const double mem_budget =
-      config_.headroom * static_cast<double>(state.capacity_mb);
-  const double net_budget = config_.headroom * state.net_capacity_bps;
+      kHeadroom * static_cast<double>(state.capacity_mb);
+  const double net_budget = kHeadroom * state.net_capacity_bps;
   return static_cast<double>(state.committed_mb + spec.memory_mb) <=
              mem_budget &&
          state.net_committed_bps + net_demand_bps <= net_budget;
@@ -150,8 +184,8 @@ double Fleet::LoadFractionAfter(int host, std::uint64_t extra_mb,
                                 double extra_bps) const {
   const HostState& state = host_state_[static_cast<std::size_t>(host)];
   const double mem_budget =
-      config_.headroom * static_cast<double>(state.capacity_mb);
-  const double net_budget = config_.headroom * state.net_capacity_bps;
+      kHeadroom * static_cast<double>(state.capacity_mb);
+  const double net_budget = kHeadroom * state.net_capacity_bps;
   const double mem_frac =
       mem_budget > 0
           ? static_cast<double>(state.committed_mb + extra_mb) / mem_budget
@@ -489,6 +523,9 @@ Fleet::InvariantReport Fleet::CheckInvariants() {
       XLOG(kWarning) << "[fleet] host " << i << " live domains " << actual
                   << " != expected " << expected;
     }
+  }
+  for (int i = 0; i < host_count(); ++i) {
+    report.stale_xenstore_dirs += StaleXenStoreDirs(*hosts_[i]);
   }
   // No double-placed or dangling guests.
   std::set<std::pair<int, std::uint32_t>> seen;

@@ -16,7 +16,7 @@
 //   - placement: bin-pack by memory + net demand with tenant anti-affinity
 //     (same-tenant guests spread across hosts to bound blast radius);
 //   - admission control: a create that no host can absorb within the
-//     configured headroom is *shed* (RESOURCE_EXHAUSTED), never
+//     admission headroom is *shed* (RESOURCE_EXHAUSTED), never
 //     overcommitted;
 //   - migration orchestration: per-migration deadlines, bounded
 //     exponential retry (src/base/backoff.h), kMigrationStreamDrop fault
@@ -57,26 +57,14 @@ namespace xoar {
 using FleetGuestId = std::uint32_t;
 
 struct FleetConfig {
+  // Identical hosts (the homogeneous-rack assumption), each a default
+  // XoarPlatform.
   int hosts = 8;
-  // Per-host platform configuration (every host is identical — the
-  // homogeneous-rack assumption).
-  XoarPlatform::Config host;
-  // Admission headroom: a host is feasible for a new guest only while its
-  // committed memory and net demand stay under this fraction of capacity.
-  double headroom = 0.92;
-  // Per-host net capacity for placement accounting; 0 derives
-  // host.nic_rate_bps * host.num_nics.
-  double net_capacity_bps = 0;
 
   // Migration orchestration.
   MigrationParams migration = DefaultMigrationParams();
   BackoffPolicy migration_backoff = DefaultMigrationBackoff();
   int migration_attempts = 5;  // 1 try + up to 4 backed-off retries
-  // Pre-migration quiesce: advance the fleet in these slices until the
-  // guest's in-flight requests drain (bounded by drain_slices_max).
-  SimDuration drain_slice = 64 * kMillisecond;
-  int drain_slices_max = 32;
-
 
   static MigrationParams DefaultMigrationParams() {
     MigrationParams params;
@@ -204,14 +192,18 @@ class Fleet {
     std::uint64_t placement_errors = 0;   // double/dangling placements
     std::uint64_t budget_breaches = 0;    // watchdog quarantines
     std::uint64_t controller_failures = 0;
+    // /local/domain/<id> or backend/<type>/<id> directories of domains
+    // that are not alive.
+    std::uint64_t stale_xenstore_dirs = 0;
     std::uint64_t violations() const {
       return leaked_domains + placement_errors + budget_breaches +
-             controller_failures;
+             controller_failures + stale_xenstore_dirs;
     }
   };
   // Reconciles fleet records against every host: no leaked (half-built)
-  // domains, no double-placed guests, restart budgets respected, the
-  // controller alive and supervised. Also refreshed into fleet.* gauges.
+  // domains, no double-placed guests, no XenStore directory outliving its
+  // domain, restart budgets respected, the controller alive and
+  // supervised. Also refreshed into fleet.* gauges.
   InvariantReport CheckInvariants();
 
   // --- Observability ---

@@ -11,6 +11,20 @@
 namespace xoar {
 namespace {
 
+// Every guest is a small web server.
+constexpr std::uint64_t kGuestMemoryMb = 192;
+constexpr double kGuestNetDemandBps = 40e6;
+// Scenario 2: how long each upgrade-wave step runs before the health gate
+// judges it, and how long the storm's wall-to-wall drop windows last on
+// every host.
+constexpr SimDuration kWaveStepWindow = 1500 * kMillisecond;
+constexpr double kStormSeconds = 20.0;
+// Scenario 3: the spiked host, its traffic multiplier, and the load spread
+// every rebalance drives under.
+constexpr int kSpikeHost = 2;
+constexpr double kSpikeMultiplier = 4.0;
+constexpr double kSpreadThreshold = 0.18;
+
 // Load spread (max - min host load fraction) — the quantity Rebalance
 // drives under its threshold.
 double Spread(Fleet& fleet) {
@@ -73,7 +87,7 @@ WaveOutcome RunUpgradeWave(Fleet& fleet, FleetWorkload& workload,
                     << " restart " << name << ": " << restarted;
       }
     }
-    fleet.AdvanceAll(options.wave_step_window);
+    fleet.AdvanceAll(kWaveStepWindow);
     ++outcome.steps;
     const double p99 = window.Percentile(0.99);
     const double p999 = window.Percentile(0.999);
@@ -101,7 +115,7 @@ WaveOutcome RunUpgradeWave(Fleet& fleet, FleetWorkload& workload,
       // Abort the wave and put the fleet back into a healthy spread: the
       // evacuations this wave did complete left load lopsided.
       outcome.rebalance_moves =
-          fleet.Rebalance(options.spread_threshold);
+          fleet.Rebalance(kSpreadThreshold);
       break;
     }
   }
@@ -147,11 +161,11 @@ StatusOr<FleetScenarioSummary> RunFleetCampaign(
   for (int g = 0; g < target_guests; ++g) {
     GuestSpec spec;
     spec.name = StrFormat("web-%d", g);
-    spec.memory_mb = options.guest_memory_mb;
+    spec.memory_mb = kGuestMemoryMb;
     spec.vcpus = 1;
     spec.tenant = StrFormat("tenant-%d", g % std::max(1, options.tenants));
     StatusOr<FleetGuestId> id =
-        fleet.CreateGuest(spec, options.guest_net_demand_bps);
+        fleet.CreateGuest(spec, kGuestNetDemandBps);
     if (!id.ok()) {
       return InternalError(StrFormat("guest %d placement failed: %s", g,
                                      id.status().ToString().c_str()));
@@ -216,7 +230,7 @@ StatusOr<FleetScenarioSummary> RunFleetCampaign(
       const SimTime storm_start = fleet.Now();
       for (int i = 0; i < fleet.host_count(); ++i) {
         fleet.injector(i)->Arm(
-            StormPlan(storm_start, options.storm_seconds));
+            StormPlan(storm_start, kStormSeconds));
       }
       summary.storm_wave =
           RunUpgradeWave(fleet, workload, options, "storm");
@@ -226,25 +240,25 @@ StatusOr<FleetScenarioSummary> RunFleetCampaign(
       fleet.AdvanceAll(2 * kSecond);
       // Converge back: with the streams healthy again the balancer must
       // restore a tight spread.
-      fleet.Rebalance(options.spread_threshold);
+      fleet.Rebalance(kSpreadThreshold);
       fleet.AdvanceAll(1 * kSecond);
-      summary.storm_converged = Spread(fleet) <= options.spread_threshold;
+      summary.storm_converged = Spread(fleet) <= kSpreadThreshold;
     }
   }
 
   // --- Scenario 3: rebalance after a traffic spike ---
   if (options.run_rebalance) {
     const int spike_host =
-        std::clamp(options.spike_host, 0, fleet.host_count() - 1);
+        std::clamp(kSpikeHost, 0, fleet.host_count() - 1);
     for (FleetGuestId id : fleet.GuestsOnHost(spike_host)) {
       const FleetGuestRecord* record = fleet.guest(id);
-      workload.SetDemandMultiplier(id, options.spike_multiplier);
+      workload.SetDemandMultiplier(id, kSpikeMultiplier);
       XOAR_RETURN_IF_ERROR(fleet.SetNetDemand(
-          id, record->net_demand_bps * options.spike_multiplier));
+          id, record->net_demand_bps * kSpikeMultiplier));
     }
     fleet.AdvanceAll(1 * kSecond);
     summary.spread_before = Spread(fleet);
-    summary.rebalance_moves = fleet.Rebalance(options.spread_threshold);
+    summary.rebalance_moves = fleet.Rebalance(kSpreadThreshold);
     fleet.AdvanceAll(1 * kSecond);
     summary.spread_after = Spread(fleet);
   }
@@ -276,6 +290,7 @@ StatusOr<FleetScenarioSummary> RunFleetCampaign(
   summary.placement_errors = invariants.placement_errors;
   summary.budget_breaches = invariants.budget_breaches;
   summary.controller_failures = invariants.controller_failures;
+  summary.stale_xenstore_dirs = invariants.stale_xenstore_dirs;
   summary.violations = invariants.violations();
   if (workload.total_pending() > 0) {
     summary.violations += static_cast<std::uint64_t>(

@@ -43,8 +43,6 @@ struct FleetScenarioOptions {
   int hosts = 8;
   int tenants = 4;
   int guests_per_host = 4;
-  std::uint64_t guest_memory_mb = 192;
-  double guest_net_demand_bps = 40e6;
 
   // Scenario 1: evacuation under an active fault campaign on the victim.
   bool run_evacuation = true;
@@ -56,19 +54,14 @@ struct FleetScenarioOptions {
   // Scenario 2: rolling upgrade waves.
   bool run_wave = true;
   bool run_storm_wave = true;
-  SimDuration wave_step_window = 1500 * kMillisecond;
   // Healthy steps sit near ~11 ms p99 (guests evacuated before the
   // restarts); a storm step where evacuations fail and resident guests
   // ride through slow shard restarts lands near ~140 ms — the gate splits
   // the two regimes with wide margin on both sides.
   double gate_p99_ms = 100.0;
-  double storm_seconds = 20.0;  // wall-to-wall drop windows on every host
 
   // Scenario 3: rebalance after a traffic spike.
   bool run_rebalance = true;
-  int spike_host = 2;
-  double spike_multiplier = 4.0;
-  double spread_threshold = 0.18;
 
   // Full-stream trace observer attached to the victim host's tracer
   // before Boot (JournalRecorder to record, ReplayVerifier to verify).
@@ -121,6 +114,7 @@ struct FleetScenarioSummary {
   std::uint64_t placement_errors = 0;
   std::uint64_t budget_breaches = 0;
   std::uint64_t controller_failures = 0;
+  std::uint64_t stale_xenstore_dirs = 0;
   std::uint64_t violations = 0;
 };
 

@@ -7,6 +7,21 @@
 #include "src/drv/net.h"
 
 namespace xoar {
+namespace {
+
+constexpr SimDuration kTick = 9 * kMillisecond;  // off-phase with fault windows
+// Block write every Nth tick. The disk model charges ~13 ms per
+// non-sequential 4 KiB write (~76 IOPS per host), so the per-guest block
+// rate must leave headroom even when migrations concentrate a dozen guests
+// on one host: 111 ticks/s / 24 ≈ 4.6 IOPS per guest.
+constexpr int kBlkEvery = 24;
+constexpr std::uint32_t kFrameBytes = 1500;
+// Pre-migration quiesce: advance the fleet in these slices until the
+// guest's in-flight requests drain, for at most kDrainSlicesMax slices.
+constexpr SimDuration kDrainSlice = 64 * kMillisecond;
+constexpr int kDrainSlicesMax = 32;
+
+}  // namespace
 
 // --- HistWindow -------------------------------------------------------------
 
@@ -67,11 +82,7 @@ std::vector<double> FleetWorkload::LatencyBoundsMs() {
   return Histogram::ExponentialBounds(0.25, 2.0, 16);  // 0.25ms .. ~8.2s
 }
 
-FleetWorkload::FleetWorkload(Fleet* fleet)
-    : FleetWorkload(fleet, Config()) {}
-
-FleetWorkload::FleetWorkload(Fleet* fleet, Config config)
-    : fleet_(fleet), config_(config) {
+FleetWorkload::FleetWorkload(Fleet* fleet) : fleet_(fleet) {
   MetricRegistry& metrics = fleet_->metrics();
   latency_ = metrics.GetHistogram("fleet.workload.latency_ms",
                                   LatencyBoundsMs());
@@ -106,7 +117,7 @@ Status FleetWorkload::Attach(FleetGuestId guest) {
   Bind(loop, *record);
   loop.running = true;
   ++loop.epoch;
-  ScheduleTick(loop, config_.tick + loop.stagger);
+  ScheduleTick(loop, kTick + loop.stagger);
   return Status::Ok();
 }
 
@@ -126,9 +137,8 @@ Status FleetWorkload::QuiesceGuest(FleetGuestId guest) {
   }
   GuestLoop& loop = it->second;
   ++loop.epoch;  // stops the loop; `running` still says whether to resume
-  const FleetConfig& config = fleet_->config();
-  for (int i = 0; i < config.drain_slices_max && loop.pending > 0; ++i) {
-    fleet_->AdvanceAll(config.drain_slice);
+  for (int i = 0; i < kDrainSlicesMax && loop.pending > 0; ++i) {
+    fleet_->AdvanceAll(kDrainSlice);
   }
   if (loop.pending > 0) {
     return AbortedError(StrFormat(
@@ -153,7 +163,7 @@ void FleetWorkload::ResumeGuest(FleetGuestId guest) {
     return;
   }
   ++loop.epoch;
-  ScheduleTick(loop, config_.tick + loop.stagger);
+  ScheduleTick(loop, kTick + loop.stagger);
 }
 
 void FleetWorkload::SetDemandMultiplier(FleetGuestId guest,
@@ -170,11 +180,6 @@ int FleetWorkload::total_pending() const {
     pending += loop.pending;
   }
   return pending;
-}
-
-const Histogram* FleetWorkload::tenant_hist(const std::string& tenant) const {
-  auto it = tenant_hists_.find(tenant);
-  return it == tenant_hists_.end() ? nullptr : it->second;
 }
 
 double FleetWorkload::TenantP99Ratio() const {
@@ -221,25 +226,22 @@ void FleetWorkload::Tick(GuestLoop& loop, std::uint64_t epoch) {
   }
   ++loop.ticks;
   if (loop.netfront != nullptr) {
-    loop.netfront->SendFrame(config_.frame_bytes, NewRequest(loop));
+    loop.netfront->SendFrame(kFrameBytes, NewRequest(loop));
   }
   // A traffic spike multiplies the tick rate; stretch the block period by
   // the same factor so the spike is a *network* spike — the disk's ~76
   // IOPS budget is a hard host-wide ceiling the workload must respect.
-  const int blk_period =
-      config_.blk_every > 0
-          ? std::max(1, static_cast<int>(static_cast<double>(
-                            config_.blk_every) * loop.multiplier + 0.5))
-          : 0;
-  if (blk_period > 0 && loop.ticks % blk_period == 0 &&
-      loop.blkfront != nullptr) {
+  const int blk_period = std::max(
+      1, static_cast<int>(static_cast<double>(kBlkEvery) * loop.multiplier +
+                          0.5));
+  if (loop.ticks % blk_period == 0 && loop.blkfront != nullptr) {
     loop.blkfront->WriteBytes((loop.ticks * 4096) % (1 * kMiB), 4096,
                               NewRequest(loop));
   }
 
   const SimDuration interval = std::max<SimDuration>(
       kMillisecond, static_cast<SimDuration>(
-                        static_cast<double>(config_.tick) / loop.multiplier));
+                        static_cast<double>(kTick) / loop.multiplier));
   ScheduleTick(loop, interval);
 }
 

@@ -56,18 +56,7 @@ class HistWindow {
 
 class FleetWorkload : public MigrationQuiescer {
  public:
-  struct Config {
-    SimDuration tick = 9 * kMillisecond;  // off-phase with fault windows
-    // Block write every Nth tick. The disk model charges ~13 ms per
-    // non-sequential 4 KiB write (~76 IOPS per host), so the per-guest
-    // block rate must leave headroom even when migrations concentrate a
-    // dozen guests on one host: 111 ticks/s / 24 ≈ 4.6 IOPS per guest.
-    int blk_every = 24;
-    std::uint32_t frame_bytes = 1500;
-  };
-
   explicit FleetWorkload(Fleet* fleet);
-  FleetWorkload(Fleet* fleet, Config config);
 
   // Starts the request loop for a fleet guest (spec must have a net
   // frontend). Ticks are staggered per guest so loops never phase-lock.
@@ -77,7 +66,7 @@ class FleetWorkload : public MigrationQuiescer {
   void Detach(FleetGuestId guest);
 
   // MigrationQuiescer: stop the loop, drain in-flight requests by
-  // advancing the fleet (bounded by the fleet's drain config), ABORTED if
+  // advancing the fleet (for a bounded number of slices), ABORTED if
   // they do not drain. Resume restarts the loop on the current host if it
   // was running when quiesced; a detached guest stays detached.
   Status QuiesceGuest(FleetGuestId guest) override;
@@ -93,7 +82,6 @@ class FleetWorkload : public MigrationQuiescer {
   int total_pending() const;
 
   Histogram* latency_hist() { return latency_; }
-  const Histogram* tenant_hist(const std::string& tenant) const;
   // Cross-tenant interference: max over tenants of p99 divided by min over
   // tenants of p99 (tenants with no observations skipped; 0 if fewer than
   // two tenants have data). 1.0 means perfectly fair.
@@ -133,7 +121,6 @@ class FleetWorkload : public MigrationQuiescer {
                 Status status);
 
   Fleet* fleet_;
-  Config config_;
   std::map<FleetGuestId, GuestLoop> loops_;
   std::uint64_t issued_ = 0;
   std::uint64_t ok_ = 0;

@@ -105,7 +105,6 @@ class Domain {
   }
 
   // Domains whose memory this domain may map (QemuVM ↔ its guest, §5.6).
-  const std::set<DomainId>& privileged_for() const { return privileged_for_; }
   void AddPrivilegedFor(DomainId target) { privileged_for_.insert(target); }
   bool IsPrivilegedFor(DomainId target) const {
     return privileged_for_.count(target) > 0;
@@ -113,7 +112,6 @@ class Domain {
 
   // Shards this (guest) domain has been authorized to consume; IVC setup to
   // any other shard is blocked by the hypervisor (§5.6).
-  const std::set<DomainId>& usable_shards() const { return usable_shards_; }
   void AuthorizeShard(DomainId shard) { usable_shards_.insert(shard); }
   bool MayUseShard(DomainId shard) const {
     return usable_shards_.count(shard) > 0;
@@ -138,8 +136,6 @@ class Domain {
   // --- Lifecycle accounting ---
   int reboot_count() const { return reboot_count_; }
   void IncrementRebootCount() { ++reboot_count_; }
-  SimTime created_at() const { return created_at_; }
-  void set_created_at(SimTime t) { created_at_ = t; }
 
  private:
   DomainId id_;
@@ -160,7 +156,6 @@ class Domain {
   std::uint64_t page_count_ = 0;
   std::uint64_t ballooned_out_pages_ = 0;
   int reboot_count_ = 0;
-  SimTime created_at_ = 0;
 };
 
 }  // namespace xoar

@@ -206,7 +206,6 @@ StatusOr<DomainId> Hypervisor::CreateInitialDomain(const DomainConfig& config,
   DomainId id = NextDomainId();
   auto dom = std::make_unique<Domain>(id, config);
   dom->set_control_domain(as_control_domain);
-  dom->set_created_at(sim_->Now());
   XOAR_ASSIGN_OR_RETURN(
       Pfn first,
       memory_.AllocatePages(id, config.memory_mb * kMiB / kPageSize));
@@ -230,7 +229,6 @@ StatusOr<DomainId> Hypervisor::CreateDomain(DomainId caller,
   }
   DomainId id = NextDomainId();
   auto dom = std::make_unique<Domain>(id, config);
-  dom->set_created_at(sim_->Now());
   dom->set_parent_toolstack(on_behalf_of.valid() ? on_behalf_of : caller);
   dom->set_creator(caller);
   StatusOr<Pfn> first =

@@ -91,7 +91,7 @@ class IoRing {
   }
 
   bool PushResponse(const Rsp& rsp) {
-    if (FullResponses()) {
+    if (PendingResponses() >= kEntries) {
       return false;
     }
     ResponseAt(header()->rsp_prod % kEntries) = rsp;
@@ -108,7 +108,6 @@ class IoRing {
     return header()->rsp_prod - header()->rsp_cons;
   }
   bool FullRequests() const { return PendingRequests() >= kEntries; }
-  bool FullResponses() const { return PendingResponses() >= kEntries; }
   std::uint32_t FreeRequestSlots() const { return kEntries - PendingRequests(); }
 
  private:

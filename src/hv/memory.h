@@ -34,7 +34,7 @@ namespace xoar {
 class MemoryManager {
  public:
   explicit MemoryManager(std::uint64_t total_bytes)
-      : total_pages_(total_bytes / kPageSize), free_pages_(total_pages_) {}
+      : free_pages_(total_bytes / kPageSize) {}
 
   MemoryManager(const MemoryManager&) = delete;
   MemoryManager& operator=(const MemoryManager&) = delete;
@@ -61,13 +61,7 @@ class MemoryManager {
   std::byte* PageData(Pfn pfn);
 
   std::uint64_t PagesOwnedBy(DomainId owner) const;
-  std::uint64_t total_pages() const { return total_pages_; }
   std::uint64_t free_pages() const { return free_pages_; }
-
-  // Number of ownership records currently held (extents, not frames). The
-  // density bench reads this to show control-plane memory stays flat as the
-  // guest count grows.
-  std::uint64_t extent_count() const { return extents_.size(); }
 
  private:
   struct Extent {
@@ -82,7 +76,6 @@ class MemoryManager {
   // Drops the backing bytes for [first, first + count).
   void DropPageData(std::uint64_t first, std::uint64_t count);
 
-  std::uint64_t total_pages_;
   std::uint64_t free_pages_;
   std::uint64_t next_pfn_ = 0x1000;  // low frames reserved for the hypervisor
 

@@ -173,43 +173,6 @@ class Tracer {
   std::map<std::uint32_t, std::string> track_names_;
 };
 
-// RAII helper for call-scoped spans: begins on construction, ends on
-// destruction. Move-only.
-class ScopedSpan {
- public:
-  ScopedSpan(Tracer* tracer, TraceCategory cat, std::string name,
-             std::uint32_t track = 0)
-      : tracer_(tracer),
-        id_(tracer == nullptr
-                ? Tracer::kInvalidSpan
-                : tracer->BeginSpan(cat, std::move(name), track)) {}
-  ScopedSpan(ScopedSpan&& other) noexcept
-      : tracer_(other.tracer_), id_(other.id_) {
-    other.tracer_ = nullptr;
-  }
-  ScopedSpan& operator=(ScopedSpan&& other) noexcept {
-    End();
-    tracer_ = other.tracer_;
-    id_ = other.id_;
-    other.tracer_ = nullptr;
-    return *this;
-  }
-  ScopedSpan(const ScopedSpan&) = delete;
-  ScopedSpan& operator=(const ScopedSpan&) = delete;
-  ~ScopedSpan() { End(); }
-
-  void End() {
-    if (tracer_ != nullptr) {
-      tracer_->EndSpan(id_);
-      tracer_ = nullptr;
-    }
-  }
-
- private:
-  Tracer* tracer_;
-  Tracer::SpanId id_;
-};
-
 }  // namespace xoar
 
 #endif  // XOAR_SRC_OBS_TRACE_H_

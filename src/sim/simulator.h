@@ -446,7 +446,6 @@ class PeriodicTimer {
   void Stop();
   bool running() const { return running_; }
   SimDuration period() const { return period_; }
-  void set_period(SimDuration period) { period_ = period; }
 
  private:
   void Arm();

@@ -31,9 +31,6 @@ void XenStoreService::DeploySplit(DomainId logic_domain,
 void XenStoreService::DeploySplit(
     DomainId logic_domain, const std::vector<DomainId>& state_domains) {
   logic_domain_ = logic_domain;
-  state_domains_ = state_domains;
-  state_domain_ =
-      state_domains.empty() ? DomainId::Invalid() : state_domains.front();
   monolithic_ = false;
   logic_available_ = true;
   shard_available_.assign(store_.shard_count(), true);
@@ -46,8 +43,6 @@ void XenStoreService::DeploySplit(
 
 void XenStoreService::DeployMonolithic(DomainId control_domain) {
   logic_domain_ = control_domain;
-  state_domain_ = control_domain;
-  state_domains_ = {control_domain};
   monolithic_ = true;
   logic_available_ = true;
   shard_available_.assign(store_.shard_count(), true);
@@ -153,8 +148,24 @@ void XenStoreService::Disconnect(DomainId client) {
   // The logic domain's own row holds no ring, grant or ports, so releasing
   // it is a no-op.
   Connection& conn = connections_[client.value()];
+  for (const auto& [path, token] : conn.watches) {
+    (void)store_.Unwatch(client, path, token);
+  }
+  store_.AbortTransactionsOf(client);
   Release(client, conn);
   conn = Connection{};
+}
+
+void XenStoreService::RetryWhileUnavailable(std::function<Status()> request,
+                                            ExponentialBackoff backoff) {
+  if (request().code() != StatusCode::kUnavailable) {
+    return;
+  }
+  const SimDuration delay = backoff.NextDelay();
+  sim_->ScheduleAfter(delay, [this, request = std::move(request),
+                              backoff]() mutable {
+    RetryWhileUnavailable(std::move(request), backoff);
+  });
 }
 
 Status XenStoreService::CheckRequest(DomainId caller) {
@@ -283,18 +294,23 @@ Status XenStoreService::Watch(DomainId caller, std::string_view path,
   // Watch registrations live in the store itself (XenStore-State), so they
   // survive Logic restarts. Deliveries are asynchronous.
   Simulator* sim = sim_;
-  return store_.Watch(
+  XOAR_RETURN_IF_ERROR(store_.Watch(
       route, caller, path, token,
       [sim, cb = std::move(cb)](const XsWatchEvent& event) {
         sim->ScheduleAfter(kXsWatchLatency, [cb, event] { cb(event); });
-      });
+      }));
+  connections_[caller.value()].watches.emplace(path, token);
+  return Status::Ok();
 }
 
 Status XenStoreService::Unwatch(DomainId caller, std::string_view path,
                                 std::string_view token) {
   XOAR_ASSIGN_OR_RETURN(const XsShardedStore::Route route,
                         AdmitPath(caller, path));
-  return store_.Unwatch(route, caller, path, token);
+  XOAR_RETURN_IF_ERROR(store_.Unwatch(route, caller, path, token));
+  connections_[caller.value()].watches.erase(
+      {std::string(path), std::string(token)});
+  return Status::Ok();
 }
 
 StatusOr<XsStore::TxId> XenStoreService::TransactionStart(DomainId caller) {

@@ -22,10 +22,13 @@
 
 #include <cstdint>
 #include <functional>
+#include <set>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
+#include "src/base/backoff.h"
 #include "src/base/ids.h"
 #include "src/base/status.h"
 #include "src/base/units.h"
@@ -66,8 +69,6 @@ class XenStoreService {
   void DeployMonolithic(DomainId control_domain);
 
   DomainId logic_domain() const { return logic_domain_; }
-  DomainId state_domain() const { return state_domain_; }
-  const std::vector<DomainId>& state_domains() const { return state_domains_; }
   bool deployed() const { return logic_domain_.valid(); }
 
   XsShardedStore& store() { return store_; }
@@ -80,9 +81,19 @@ class XenStoreService {
   // refused connection releases whatever it had already taken.
   Status Connect(DomainId client);
   bool IsConnected(DomainId client) const;
-  // Tears down a client's connection (domain destroyed) and releases what
-  // Connect allocated: both ports, the grant and its mapping, the page.
+  // Tears down a client's connection (domain destroyed). As xenstored does
+  // for a departing connection, it drops the client's watches and aborts
+  // its open transactions, then releases what Connect allocated: both
+  // ports, the grant and its mapping, the page.
   void Disconnect(DomainId client);
+
+  // Runs `request` now and, while XenStore refuses it as UNAVAILABLE,
+  // again on the default backoff ladder (staying at its cap) until it is
+  // served or refused for another reason. For teardown steps, which must
+  // neither fail nor leak because XenStore-Logic happens to be restarting.
+  void RetryWhileUnavailable(std::function<Status()> request) {
+    RetryWhileUnavailable(std::move(request), ExponentialBackoff());
+  }
 
   // --- Request interface (checked against the connection + store ACLs) ---
 
@@ -127,7 +138,6 @@ class XenStoreService {
   // clients, exactly as after a Logic restart loses a connection.
   Status BeginStateShardRestart(int shard);
   Status CompleteStateShardRestart(int shard);
-  int state_shard_count() const { return store_.shard_count(); }
   bool state_shard_available(int shard) const {
     return shard >= 0 && shard < static_cast<int>(shard_available_.size()) &&
            shard_available_[shard];
@@ -154,6 +164,9 @@ class XenStoreService {
     GrantRef ring_gref;  // invalid in stock (foreign-map) mode
     EvtchnPort client_port;
     EvtchnPort server_port;
+    // The (path, token) of every watch the client registered, so that
+    // Disconnect drops them without walking every watch in the store.
+    std::set<std::pair<std::string, std::string>> watches;
   };
 
   // Takes what a connection needs — the ring page, its grant and the logic
@@ -181,6 +194,8 @@ class XenStoreService {
   Status AdmitShard(DomainId caller, int shard);
   void NoteRequestServed();
   void FinishLogicRestart();
+  void RetryWhileUnavailable(std::function<Status()> request,
+                             ExponentialBackoff backoff);
 
   Hypervisor* hv_;
   Simulator* sim_;
@@ -191,8 +206,6 @@ class XenStoreService {
   Counter* m_shard_rejects_;   // xs.shard.unavailable_rejects
   XsShardedStore store_;
   DomainId logic_domain_;
-  DomainId state_domain_;
-  std::vector<DomainId> state_domains_;
   bool monolithic_ = false;
   bool logic_available_ = false;
   RestartPolicy restart_policy_ = RestartPolicy::kNever;

@@ -362,6 +362,19 @@ int XsShardedStore::ShardOfTransaction(DomainId caller, TxId tx) const {
   return handle.ok() ? handle->shard : -1;
 }
 
+void XsShardedStore::AbortTransactionsOf(DomainId caller) {
+  for (auto it = tx_map_.begin(); it != tx_map_.end();) {
+    const TxHandle& handle = it->second;
+    if (handle.caller == caller) {
+      (void)shards_[handle.shard]->TransactionEnd(caller, handle.local,
+                                                  /*commit=*/false);
+      it = tx_map_.erase(it);
+    } else {
+      ++it;
+    }
+  }
+}
+
 // --- State shipping ---------------------------------------------------------
 
 std::vector<XsShardedStore::FlatNode> XsShardedStore::Serialize() const {

@@ -130,6 +130,9 @@ class XsShardedStore {
   // Shard `caller`'s live transaction `tx` is pinned to; -1 if there is no
   // such transaction of `caller`'s.
   int ShardOfTransaction(DomainId caller, TxId tx) const;
+  // Aborts every open transaction of `caller` (a departing client): a scan
+  // of the open transactions, whose handles name their caller.
+  void AbortTransactionsOf(DomainId caller);
 
   // --- State shipping across all shards ---
 

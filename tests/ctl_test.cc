@@ -169,7 +169,7 @@ TEST(DeviceEmulatorTest, XoarEmulatorConfinedToItsGuest) {
   ASSERT_TRUE(platform.Boot().ok());
   DomainId guest = *platform.CreateGuest(GuestSpec{.name = "hvm", .hvm = true});
   DomainId other = *platform.CreateGuest(GuestSpec{.name = "other"});
-  Toolstack::GuestRecord* record = platform.toolstack().guest(guest);
+  GuestRecord* record = platform.toolstack().guest(guest);
   ASSERT_NE(record->emulator, nullptr);
 
   // DMA emulation into its own guest works...
@@ -190,7 +190,7 @@ TEST(DeviceEmulatorTest, IoExitsRequireRunningEmulator) {
   XoarPlatform platform;
   ASSERT_TRUE(platform.Boot().ok());
   DomainId guest = *platform.CreateGuest(GuestSpec{.name = "hvm", .hvm = true});
-  Toolstack::GuestRecord* record = platform.toolstack().guest(guest);
+  GuestRecord* record = platform.toolstack().guest(guest);
   EXPECT_TRUE(record->emulator->HandleIoExit(EmulatedDevice::kSerialPort).ok());
   // Kill the QemuVM: emulation stops (guest would wedge, platform doesn't).
   ASSERT_TRUE(platform.hv()

@@ -321,7 +321,7 @@ TEST(DriverProtocolTest, FixedScenarioTraceIsPinned) {
   platform.Settle(kSecond);
 
   EXPECT_EQ(ok, issued);
-  EXPECT_EQ(sink.digest, 9734915621086660614u);
+  EXPECT_EQ(sink.digest, 10703579508085910630u);
   EXPECT_EQ(platform.sim().EventsExecuted(), 2818u);
   platform.obs().tracer().set_sink(nullptr);
 }
@@ -541,6 +541,9 @@ TEST_F(HostileFrontendTest, OverflowingProducerIsDetachedNeighbourUnaffected) {
   EXPECT_EQ(blkback_->requests_served(), served + 1);  // the neighbour's
   EXPECT_FALSE(blkback_->IsVbdConnected(bad_));
   EXPECT_TRUE(blkback_->IsVbdConnected(good_));
+  // The detach also removed what the backend advertised for the guest.
+  EXPECT_FALSE(platform_.xenstore().store().Exists(
+      blkback_->self(), BackendGuestDir(blkback_->self(), bad_, kVbdType)));
 }
 
 // The same check guards NetBack's tx ring: 32 valid frames behind a

@@ -23,6 +23,7 @@
 #include "src/base/strings.h"
 #include "src/base/units.h"
 #include "src/core/xoar_platform.h"
+#include "src/ctl/monolithic_platform.h"
 #include "src/fault/fault.h"
 #include "src/fleet/fleet.h"
 #include "src/fleet/scenarios.h"
@@ -409,18 +410,32 @@ TEST(FleetDeterminismTest, EvacuationCampaignExportIsByteIdentical) {
 // --- Image-churn regressions (the BlkBack reclamation this fleet forced) ---
 
 TEST(FleetChurnTest, CreateDestroyChurnNeverFillsTheDisk) {
-  XoarPlatform platform;
-  ASSERT_TRUE(platform.Boot().ok());
-  // 30 cycles x 15 GB default images is ~450 GB of cumulative image
-  // traffic against a 320 GB disk: without DeleteImage on the destroy
-  // path (the pre-fleet bump allocator), this fails around iteration 21
-  // with RESOURCE_EXHAUSTED — exactly how migration churn killed hosts.
-  for (int i = 0; i < 30; ++i) {
-    StatusOr<DomainId> guest =
-        platform.CreateGuest(SmallGuest(StrFormat("churn-%d", i), ""));
-    ASSERT_TRUE(guest.ok()) << "iteration " << i << ": "
-                            << guest.status().ToString();
-    ASSERT_TRUE(platform.DestroyGuest(*guest).ok()) << "iteration " << i;
+  XoarPlatform xoar;
+  MonolithicPlatform stock;
+  for (Platform* platform : std::vector<Platform*>{&xoar, &stock}) {
+    SCOPED_TRACE(std::string(platform->name()));
+    ASSERT_TRUE(platform->Boot().ok());
+    platform->Settle();
+    const std::size_t live = platform->hv().LiveDomainCount();
+    const std::size_t nodes = platform->xenstore().store().NodeCount();
+    const std::size_t watches = platform->xenstore().store().WatchCount();
+    // 30 cycles x 15 GB default images is ~450 GB of cumulative image
+    // traffic against a 320 GB disk: without DeleteImage on the destroy
+    // path (the pre-fleet bump allocator), this fails around iteration 21
+    // with RESOURCE_EXHAUSTED — exactly how migration churn killed hosts.
+    for (int i = 0; i < 30; ++i) {
+      StatusOr<DomainId> guest =
+          platform->CreateGuest(SmallGuest(StrFormat("churn-%d", i), ""));
+      ASSERT_TRUE(guest.ok()) << "iteration " << i << ": "
+                              << guest.status().ToString();
+      ASSERT_TRUE(platform->DestroyGuest(*guest).ok()) << "iteration " << i;
+    }
+    platform->Settle();
+    // Nothing of a destroyed guest stays behind: no domain, no XenStore
+    // node of its own or of its backends, no watch.
+    EXPECT_EQ(platform->hv().LiveDomainCount(), live);
+    EXPECT_EQ(platform->xenstore().store().NodeCount(), nodes);
+    EXPECT_EQ(platform->xenstore().store().WatchCount(), watches);
   }
 }
 
@@ -437,20 +452,96 @@ TEST(FleetChurnTest, FailedCreateUnwindsWithoutLeakingADomainShell) {
   ASSERT_TRUE(b.ok()) << b.status().ToString();
 
   const std::size_t live = platform.hv().LiveDomainCount();
+  const std::size_t nodes = platform.xenstore().store().NodeCount();
   big.name = "big-c";
   StatusOr<DomainId> c = platform.CreateGuest(big);
   ASSERT_EQ(c.status().code(), StatusCode::kResourceExhausted);
-  // The BuildVm'd shell (and its image, VIF, and XenStore connection) must
-  // be unwound, not leaked: a fleet retries the create elsewhere, and a
-  // leaked 192 MB shell per retry is how a destination host ran itself
-  // out of memory.
+  // The BuildVm'd shell (and its image, VIF, XenStore connection and
+  // directories) must be unwound, not leaked: a fleet retries the create
+  // elsewhere, and a leaked 192 MB shell per retry is how a destination
+  // host ran itself out of memory.
   EXPECT_EQ(platform.hv().LiveDomainCount(), live);
+  EXPECT_EQ(platform.xenstore().store().NodeCount(), nodes);
 
   // Freeing one image makes the same create succeed — extents are
   // genuinely reclaimed, not just error-counted.
   ASSERT_TRUE(platform.DestroyGuest(*a).ok());
   StatusOr<DomainId> retry = platform.CreateGuest(big);
   EXPECT_TRUE(retry.ok()) << retry.status().ToString();
+}
+
+// A build that XenStore refuses part way (XenStore-Logic is restarting)
+// is undone: its domain, the domain's memory and anything it wrote go.
+TEST(FleetChurnTest, RefusedBuildLeavesNothingBehind) {
+  XoarPlatform platform;
+  ASSERT_TRUE(platform.Boot().ok());
+  platform.Settle();
+  const std::size_t live = platform.hv().LiveDomainCount();
+  const std::uint64_t free_pages = platform.hv().memory().free_pages();
+  const std::size_t nodes = platform.xenstore().store().NodeCount();
+  ASSERT_TRUE(platform.restarts().RestartNow("XenStore-Logic", true).ok());
+  StatusOr<DomainId> guest = platform.CreateGuest(SmallGuest("refused", ""));
+  EXPECT_EQ(guest.status().code(), StatusCode::kUnavailable);
+  platform.Settle(kSecond);
+  EXPECT_EQ(platform.hv().LiveDomainCount(), live);
+  EXPECT_EQ(platform.hv().memory().free_pages(), free_pages);
+  EXPECT_EQ(platform.xenstore().store().NodeCount(), nodes);
+}
+
+// A destroy takes the guest's XenStore watches and open transactions with
+// it: an abandoned transaction would pin the store's mutation log.
+TEST(FleetChurnTest, DestroyEndsTheGuestsWatchesAndTransactions) {
+  XoarPlatform platform;
+  ASSERT_TRUE(platform.Boot().ok());
+  platform.Settle();
+  const std::size_t watches = platform.xenstore().store().WatchCount();
+  StatusOr<DomainId> holder = platform.CreateGuest(SmallGuest("holder", ""));
+  ASSERT_TRUE(holder.ok()) << holder.status().ToString();
+  EXPECT_GT(platform.xenstore().store().WatchCount(), watches);
+  StatusOr<XsStore::TxId> tx = platform.xenstore().TransactionStart(*holder);
+  ASSERT_TRUE(tx.ok()) << tx.status().ToString();
+  ASSERT_TRUE(platform.DestroyGuest(*holder).ok());
+  EXPECT_EQ(platform.xenstore().store().WatchCount(), watches);
+  EXPECT_EQ(platform.xenstore().store().TransactionEnd(*holder, *tx, false)
+                .code(),
+            StatusCode::kNotFound);
+}
+
+// A destroy that XenStore refuses while XenStore-Logic restarts still
+// succeeds, and the guest's directories go once XenStore is back.
+TEST(FleetChurnTest, DestroyDuringLogicRestartRemovesDirectoriesLater) {
+  XoarPlatform platform;
+  ASSERT_TRUE(platform.Boot().ok());
+  platform.Settle();
+  const std::size_t nodes = platform.xenstore().store().NodeCount();
+  StatusOr<DomainId> guest = platform.CreateGuest(SmallGuest("late", ""));
+  ASSERT_TRUE(guest.ok()) << guest.status().ToString();
+  ASSERT_TRUE(platform.restarts().RestartNow("XenStore-Logic", true).ok());
+  ASSERT_TRUE(platform.DestroyGuest(*guest).ok());
+  EXPECT_GT(platform.xenstore().store().NodeCount(), nodes);
+  platform.Settle(kSecond);
+  EXPECT_EQ(platform.xenstore().store().NodeCount(), nodes);
+}
+
+// CheckInvariants counts every XenStore directory that a dead domain left
+// behind: a guest killed behind its toolstack's back keeps its
+// /local/domain/<id> and both backend entries.
+TEST(FleetInvariantTest, XenStoreDirectoriesOfDeadDomainsAreViolations) {
+  FleetConfig config;
+  config.hosts = 2;
+  FleetFixture fx(config);
+  ASSERT_TRUE(fx.Populate(2, 1).ok());
+  ASSERT_EQ(fx.fleet().EvacuateHost(1).failed, 0);
+  EXPECT_EQ(fx.fleet().CheckInvariants().violations(), 0u);
+
+  XoarPlatform& host = fx.fleet().host(1);
+  StatusOr<DomainId> stray = host.CreateGuest(SmallGuest("stray", ""));
+  ASSERT_TRUE(stray.ok()) << stray.status().ToString();
+  ASSERT_TRUE(host.hv().DestroyDomain(host.toolstack().self(), *stray).ok());
+  const Fleet::InvariantReport report = fx.fleet().CheckInvariants();
+  EXPECT_EQ(report.leaked_domains, 0u);
+  EXPECT_EQ(report.stale_xenstore_dirs, 3u);
+  EXPECT_EQ(report.violations(), 3u);
 }
 
 TEST(FleetChurnTest, DeleteImageRefusesWhileVbdStillBound) {

@@ -221,6 +221,34 @@ TEST_F(XsServiceTest, DisconnectReleasesWhatConnectAllocated) {
   }
 }
 
+// A departing client's watches and open transactions go with its
+// connection, as in xenstored: nothing fires for it any more, and its
+// transaction no longer exists to pin the store's mutation log.
+TEST_F(XsServiceTest, DisconnectDropsTheClientsWatchesAndTransactions) {
+  SetUpSharded();
+  const std::size_t watches_before = xs_->store().WatchCount();
+  int fired = 0;
+  const auto count = [&fired](const XsWatchEvent&) { ++fired; };
+  ASSERT_TRUE(xs_->Watch(guest_, TenantDir(guest_), "own", count).ok());
+  ASSERT_TRUE(xs_->Watch(guest_, "/local/domain", "all", count).ok());
+  ASSERT_TRUE(xs_->Watch(guest_b_, TenantDir(guest_b_), "b", count).ok());
+  ASSERT_TRUE(xs_->Unwatch(guest_b_, TenantDir(guest_b_), "b").ok());
+  StatusOr<XsStore::TxId> tx = xs_->TransactionStart(guest_);
+  ASSERT_TRUE(tx.ok());
+  ASSERT_TRUE(xs_->WriteTx(guest_, TenantDir(guest_) + "/pending", "1", *tx)
+                  .ok());
+  sim_.RunFor(kMillisecond);  // the registration fires
+  fired = 0;
+
+  xs_->Disconnect(guest_);
+  EXPECT_EQ(xs_->store().WatchCount(), watches_before);
+  EXPECT_EQ(xs_->store().TransactionEnd(guest_, *tx, false).code(),
+            StatusCode::kNotFound);
+  ASSERT_TRUE(xs_->Write(guest_b_, TenantDir(guest_b_) + "/x", "1").ok());
+  sim_.RunFor(kMillisecond);
+  EXPECT_EQ(fired, 0);
+}
+
 // A refused Connect releases what it took before the refusal. A guest the
 // IVC policy refuses has its ring page allocated before the grant to
 // XenStore-Logic is denied; a ring map that fails comes after the grant.
