@@ -11,9 +11,9 @@
 //    (was a linear scan over every registered watch per mutation)
 //  - disjoint-path transaction commit: per-path read/write-set validation
 //    (was a whole-store generation check that aborted on any activity)
-//  - many owners: a committing transaction and a snapshot checkpoint each
-//    used to copy the whole per-owner count map, O(owners); both are swept
-//    over 1..10^4 owners and must stay flat
+//  - many owners: a committing transaction used to copy the whole
+//    per-owner count map, O(owners); it is swept over 1..10^4 owners and
+//    must stay flat
 //  - wide directories: a transactional write and its commit copy the
 //    shared children map of every directory on the path; with the
 //    persistent AVL children map that is O(log fan-out) entries (was a
@@ -225,40 +225,6 @@ void BM_WatchDispatch(benchmark::State& state) {
   state.counters["fires"] = static_cast<double>(fires);
 }
 BENCHMARK(BM_WatchDispatch)->Arg(10)->Arg(100)->Arg(1000)->Arg(10000);
-
-// The XenStore-Logic restart checkpoint (§5.6): take a snapshot, then
-// re-attach to it. Requests are gated while Logic is down, so the contents
-// are unchanged and the restore is a no-op; the snapshot holds only the
-// copy-on-write root, so the pair is flat in the number of owners.
-void BM_SnapshotTakeRestore(benchmark::State& state) {
-  Obs obs;
-  XsStore store(&obs);
-  store.AddManagerDomain(kManager);
-  PopulateOwners(store, kOwnerSweepNodes, static_cast<int>(state.range(0)));
-  for (auto _ : state) {
-    XsStore::Snapshot snapshot = store.TakeSnapshot();
-    benchmark::DoNotOptimize(snapshot);
-    store.RestoreSnapshot(snapshot);
-  }
-}
-BENCHMARK(BM_SnapshotTakeRestore)
-    ->ArgName("owners")->Arg(1)->Arg(1000)->Arg(10000);
-
-// Rolling back over changed contents: the restore recounts the owner
-// counters from the tree, O(nodes). Only a restart completing over a
-// store that changed underneath it pays this; no guest request can.
-void BM_SnapshotRollback(benchmark::State& state) {
-  Obs obs;
-  XsStore store(&obs);
-  store.AddManagerDomain(kManager);
-  Populate(store, static_cast<int>(state.range(0)), kManager);
-  for (auto _ : state) {
-    XsStore::Snapshot snapshot = store.TakeSnapshot();
-    (void)store.Write(kManager, "/local/domain/0/scratch", "x");
-    store.RestoreSnapshot(snapshot);
-  }
-}
-BENCHMARK(BM_SnapshotRollback)->Arg(1000)->Arg(10000)->Arg(100000);
 
 }  // namespace
 }  // namespace xoar

@@ -349,8 +349,8 @@ Status XoarPlatform::Boot() {
       {[this] { (void)xs_->BeginLogicRestart(); },
        [this] { (void)xs_->CompleteLogicRestart(); }, nullptr}));
   // Each XenStore-State partition microreboots independently; the suspend
-  // hook checkpoints the shard (recovery box) and fails only that
-  // partition's requests, the resume hook re-attaches the contents.
+  // hook fails only that partition's requests, and the resume hook serves
+  // them again over the contents, which stayed in place.
   for (std::size_t i = 0; i < xenstore_state_doms_.size(); ++i) {
     const int shard = static_cast<int>(i);
     const std::string name =

@@ -42,10 +42,7 @@ StatusOr<DomainId> Builder::BuildVm(DomainId toolstack,
   if (!built.ok()) {
     // Undo the build, so a refused one leaks neither the domain and its
     // memory nor its connections and XenStore directory.
-    if (console_ != nullptr) {
-      console_->Disconnect(guest);
-    }
-    xs_->Disconnect(guest);
+    Disconnect(guest);
     (void)hv_->DestroyDomain(self_, guest);
     if (registered) {
       xs_->RetryWhileUnavailable(
@@ -134,6 +131,13 @@ Status Builder::Populate(DomainId toolstack, DomainId guest,
     XOAR_RETURN_IF_ERROR(hv_->PauseDomain(self_, guest));
   }
   return Status::Ok();
+}
+
+void Builder::Disconnect(DomainId guest) {
+  if (console_ != nullptr) {
+    console_->Disconnect(guest);
+  }
+  xs_->Disconnect(guest);
 }
 
 StatusOr<DomainId> Builder::BuildEmulatorDomain(DomainId toolstack,

@@ -63,6 +63,12 @@ class Builder {
   // exactly `guest` — the flag the hypervisor checks on DMA emulation.
   StatusOr<DomainId> BuildEmulatorDomain(DomainId toolstack, DomainId guest);
 
+  // Disconnects `guest` from the console and XenStore services a build
+  // connected it to, releasing their rings and dropping its watches and
+  // transactions. The guest must still be alive: its teardown, or an undone
+  // build, calls this before destroying it.
+  void Disconnect(DomainId guest);
+
   std::uint64_t builds() const { return builds_; }
 
  private:

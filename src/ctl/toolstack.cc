@@ -157,9 +157,10 @@ StatusOr<DomainId> Toolstack::CreateGuest(const GuestSpec& spec) {
 }
 
 Status Toolstack::Teardown(DomainId guest, const GuestRecord& record) {
-  // The guest's watches go first, so removing its directories fires
-  // nothing for it.
-  xs_->Disconnect(guest);
+  // The guest's console and XenStore connections go first, while it is
+  // alive; without its watches, removing its directories fires nothing for
+  // it.
+  builder_->Disconnect(guest);
   if (record.netback != nullptr) {
     shard_tags_[record.netback->self()][record.spec.constraint_tag] -= 1;
     (void)record.netback->DetachVif(guest);
@@ -173,7 +174,7 @@ Status Toolstack::Teardown(DomainId guest, const GuestRecord& record) {
     (void)record.blkback->DeleteImage(ImageName(guest));
   }
   if (record.qemu_domain.valid()) {
-    xs_->Disconnect(record.qemu_domain);
+    builder_->Disconnect(record.qemu_domain);
     (void)DestroyDomain(record.qemu_domain);
   }
   return DestroyDomain(guest);

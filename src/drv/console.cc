@@ -31,27 +31,8 @@ Status ConsoleBackend::ConnectGuest(DomainId guest, bool use_foreign_map) {
         StrFormat("dom%u already has a console", guest.value()));
   }
   GuestConsole console;
-  XOAR_ASSIGN_OR_RETURN(console.ring_pfn,
-                        hv_->memory().AllocatePages(guest, 1));
-  if (use_foreign_map) {
-    XOAR_ASSIGN_OR_RETURN(
-        MappedPage page,
-        // xoar-flow: allow(privilege_flow): stock-Dom0 baseline branch only — the deployed Xoar configuration takes the grant path below (§4.4)
-        hv_->ForeignMap(self_, guest, console.ring_pfn));
-    (void)page;
-  } else {
-    XOAR_ASSIGN_OR_RETURN(
-        console.ring_gref,
-        hv_->GrantAccess(guest, self_, console.ring_pfn, /*writable=*/true));
-    XOAR_ASSIGN_OR_RETURN(MappedPage page,
-                          hv_->MapGrant(self_, guest, console.ring_gref));
-    (void)page;
-  }
-  XOAR_ASSIGN_OR_RETURN(console.guest_port,
-                        hv_->EvtchnAllocUnbound(guest, self_));
-  XOAR_ASSIGN_OR_RETURN(
-      console.server_port,
-      hv_->EvtchnBindInterdomain(self_, guest, console.guest_port));
+  XOAR_RETURN_IF_ERROR(
+      console.ring.Establish(hv_, self_, guest, use_foreign_map));
   guests_.emplace(guest, std::move(console));
   return Status::Ok();
 }
@@ -60,7 +41,14 @@ bool ConsoleBackend::IsConnected(DomainId guest) const {
   return guests_.count(guest) > 0;
 }
 
-void ConsoleBackend::Disconnect(DomainId guest) { guests_.erase(guest); }
+void ConsoleBackend::Disconnect(DomainId guest) {
+  auto it = guests_.find(guest);
+  if (it == guests_.end()) {
+    return;
+  }
+  it->second.ring.Release(hv_, self_, guest);
+  guests_.erase(it);
+}
 
 Status ConsoleBackend::WriteFromGuest(DomainId guest, std::string_view text) {
   auto it = guests_.find(guest);

@@ -20,6 +20,7 @@
 #include "src/dev/serial.h"
 #include "src/hv/hypervisor.h"
 #include "src/sim/simulator.h"
+#include "src/xs/guest_ring.h"
 
 namespace xoar {
 
@@ -37,9 +38,12 @@ class ConsoleBackend {
 
   // Sets up a guest's virtual console ring. In stock mode the daemon
   // foreign-maps the guest page (Dom0 privilege); in Xoar mode it maps a
-  // grant the Builder pre-created.
+  // grant the Builder pre-created. A refused step releases what the
+  // earlier ones took.
   Status ConnectGuest(DomainId guest, bool use_foreign_map);
   bool IsConnected(DomainId guest) const;
+  // Releases the guest's ring (its ports, the grant mapping, the page) and
+  // forgets its transcript. The guest must still be alive.
   void Disconnect(DomainId guest);
 
   // Guest console output: appended to that guest's transcript.
@@ -54,10 +58,7 @@ class ConsoleBackend {
 
  private:
   struct GuestConsole {
-    Pfn ring_pfn;
-    GrantRef ring_gref;  // invalid when foreign-mapped
-    EvtchnPort guest_port;
-    EvtchnPort server_port;
+    GuestRing ring;
     std::string transcript;
   };
 

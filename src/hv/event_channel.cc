@@ -1,5 +1,7 @@
 #include "src/hv/event_channel.h"
 
+#include <algorithm>
+
 #include "src/base/log.h"
 #include "src/base/strings.h"
 
@@ -215,6 +217,16 @@ int EventChannelManager::CloseAll(DomainId domain) {
   // Free the row; next_port stays, so no port number is ever reused.
   std::vector<std::unique_ptr<Channel>>().swap(ports.channels);
   return closed;
+}
+
+std::size_t EventChannelManager::OpenPorts(DomainId domain) const {
+  if (domain.value() >= domains_.size()) {
+    return 0;
+  }
+  const auto& channels = domains_[domain.value()].channels;
+  return static_cast<std::size_t>(
+      std::count_if(channels.begin(), channels.end(),
+                    [](const auto& channel) { return channel != nullptr; }));
 }
 
 bool EventChannelManager::IsConnected(DomainId domain, EvtchnPort port) const {

@@ -95,6 +95,8 @@ class EventChannelManager {
 
   // True if the channel exists and is connected to a live peer.
   bool IsConnected(DomainId domain, EvtchnPort port) const;
+  // Ports of `domain` not yet closed, whatever their state.
+  std::size_t OpenPorts(DomainId domain) const;
 
   void set_send_fault_hook(SendFaultHook hook) {
     send_fault_hook_ = std::move(hook);

@@ -16,13 +16,14 @@
 // N path-prefix shards (src/xs/sharded_store.h, SCALING.md): each shard is
 // an independently microrebootable store, and a single State-shard restart
 // only stalls requests routed to that partition — tenants on the other
-// N-1 shards are served throughout.
+// N-1 shards are served throughout. The sharded store holds that shard
+// gate; this service holds the connections, the XenStore-Logic gate, the
+// fault hook and the request counters.
 #ifndef XOAR_SRC_XS_SERVICE_H_
 #define XOAR_SRC_XS_SERVICE_H_
 
 #include <cstdint>
 #include <functional>
-#include <set>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -33,13 +34,12 @@
 #include "src/base/status.h"
 #include "src/base/units.h"
 #include "src/hv/hypervisor.h"
+#include "src/xs/guest_ring.h"
 #include "src/xs/sharded_store.h"
 #include "src/xs/store.h"
 
 namespace xoar {
 
-// Latency of one XenStore request/response round trip over the ring.
-constexpr SimDuration kXsOpLatency = 20 * kMicrosecond;
 // Latency of a watch event delivery.
 constexpr SimDuration kXsWatchLatency = 30 * kMicrosecond;
 
@@ -60,9 +60,8 @@ class XenStoreService {
   // it on a live host is a reshard event, not a config tweak).
   void SetShardCount(int count);
 
-  // Xoar deployment: logic and state in separate shard domains.
-  void DeploySplit(DomainId logic_domain, DomainId state_domain);
-  // Cloud-density deployment: one State domain per store partition.
+  // Xoar deployment: logic and state in separate shard domains, one State
+  // domain per store partition.
   void DeploySplit(DomainId logic_domain,
                    const std::vector<DomainId>& state_domains);
   // Stock deployment: xenstored inside the control domain.
@@ -123,35 +122,34 @@ class XenStoreService {
   //
   // Split-phase; the caller (the RestartEngine, the Watchdog) owns the
   // timing. Begin takes the logic component down: requests meanwhile fail
-  // with UNAVAILABLE. Complete re-attaches it to the state component, where
-  // the store contents, watch registrations and connections survived.
+  // with UNAVAILABLE. Complete brings it back up. Logic holds no state of
+  // its own: the store contents, watch registrations and connections live
+  // on in the state component.
   Status BeginLogicRestart();
   Status CompleteLogicRestart();
   bool logic_available() const { return logic_available_; }
 
   // --- Microreboot of one XenStore-State shard ---
   //
-  // Only requests routed to the restarting partition fail UNAVAILABLE;
-  // tenants on the other shards are served throughout. The shard's
-  // contents survive (recovery-box snapshot taken at Begin); its tenants'
-  // watches and in-flight transactions are dropped and re-registered by
-  // clients, exactly as after a Logic restart loses a connection.
+  // The sharded store's gate (XsShardedStore::BeginShardRestart): only
+  // requests routed to the restarting partition fail UNAVAILABLE; tenants
+  // on the other shards are served throughout. The shard's contents stay
+  // where they are; its tenants' watches and in-flight transactions are
+  // dropped at completion. A monolithic deployment has no State shard to
+  // restart.
   Status BeginStateShardRestart(int shard);
   Status CompleteStateShardRestart(int shard);
-  bool state_shard_available(int shard) const {
-    return shard >= 0 && shard < static_cast<int>(shard_available_.size()) &&
-           shard_available_[shard];
-  }
   std::uint64_t state_shard_restarts() const { return state_shard_restarts_; }
 
   std::uint64_t requests_processed() const { return requests_processed_; }
   std::uint64_t logic_restarts() const { return logic_restarts_; }
 
   // Fault-injection hook (src/fault), consulted per request after the
-  // deployment/availability/connection gates — an injected timeout never
-  // masks a real precondition error (DESIGN.md §5c). Returning true fails
-  // the request with UNAVAILABLE, indistinguishable from a Logic outage to
-  // the caller, which is the point: clients retry both the same way.
+  // deployment/Logic/connection gates and before the shard gate — an
+  // injected timeout never masks a real precondition error (DESIGN.md
+  // §5c). Returning true fails the request with UNAVAILABLE,
+  // indistinguishable from a Logic outage to the caller, which is the
+  // point: clients retry both the same way.
   using RequestFaultHook = std::function<bool(DomainId caller)>;
   void set_request_fault_hook(RequestFaultHook hook) {
     request_fault_hook_ = std::move(hook);
@@ -160,40 +158,23 @@ class XenStoreService {
  private:
   struct Connection {
     bool open = false;
-    Pfn ring_pfn;
-    GrantRef ring_gref;  // invalid in stock (foreign-map) mode
-    EvtchnPort client_port;
-    EvtchnPort server_port;
+    GuestRing ring;  // foreign-mapped in stock mode
     // The (path, token) of every watch the client registered, so that
     // Disconnect drops them without walking every watch in the store.
-    std::set<std::pair<std::string, std::string>> watches;
+    XsShardedStore::WatchKeys watches;
   };
 
-  // Takes what a connection needs — the ring page, its grant and the logic
-  // domain's mapping of it (a foreign map in stock mode), the event-channel
-  // pair — recording each in `conn` as its step succeeds, so a refused step
-  // leaves in `conn` exactly what must be released.
-  Status Establish(DomainId client, Connection* conn);
-  // Releases what `conn` holds: closes its valid ports, unmaps and ends a
-  // valid grant, frees the page. Shared by Disconnect and a refused
-  // Connect.
-  void Release(DomainId client, const Connection& conn);
   // Records `conn` as the client's open connection, growing the table to
   // reach the client's index.
   void AddConnection(DomainId client, const Connection& conn);
-  // Gate every request: connection present, logic component up.
+  // Gate every request: deployed, logic component up, connection present,
+  // no injected fault. The store's shard gate comes after it.
   Status CheckRequest(DomainId caller);
-  Status CheckShard(int shard);
-  // Admits a request, gated on CheckRequest and the State partition it
-  // runs on, and counts it served. A path's request routes the path once
-  // and returns the route for the dispatch: a spanning path needs every
-  // shard up (its mutations fan out; its listings merge), a per-tenant
-  // path only its own shard.
-  StatusOr<XsShardedStore::Route> AdmitPath(DomainId caller,
-                                            std::string_view path);
-  Status AdmitShard(DomainId caller, int shard);
+  // Counts a request the store ran, unless its shard gate refused it
+  // (UNAVAILABLE, which the store answers for no other reason).
+  template <typename Result>
+  Result Served(Result result);
   void NoteRequestServed();
-  void FinishLogicRestart();
   void RetryWhileUnavailable(std::function<Status()> request,
                              ExponentialBackoff backoff);
 
@@ -203,7 +184,6 @@ class XenStoreService {
   Counter* m_requests_;        // xenstore.service.requests
   Counter* m_logic_restarts_;  // xenstore.service.logic_restarts
   Counter* m_shard_restarts_;  // xs.shard.restarts
-  Counter* m_shard_rejects_;   // xs.shard.unavailable_rejects
   XsShardedStore store_;
   DomainId logic_domain_;
   bool monolithic_ = false;
@@ -215,13 +195,6 @@ class XenStoreService {
   // hypervisor accepted its page, grant and port calls, or the client is
   // the service's own domain), so it never outgrows the host's domain ids.
   std::vector<Connection> connections_;
-  // State-component checkpoint taken when Logic goes down; Logic re-attaches
-  // to it on the way back up. Taking it is O(1) (copy-on-write root share);
-  // re-attaching is a no-op because requests were gated meanwhile.
-  XsShardedStore::Snapshot pre_restart_state_;
-  // Per-State-shard availability and recovery-box checkpoints.
-  std::vector<bool> shard_available_;
-  std::vector<XsStore::Snapshot> shard_pre_restart_;
   std::uint64_t requests_processed_ = 0;
   std::uint64_t logic_restarts_ = 0;
   std::uint64_t state_shard_restarts_ = 0;

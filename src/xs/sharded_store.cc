@@ -55,13 +55,15 @@ XsShardedStore::XsShardedStore(Obs* obs, int shard_count)
     : obs_(obs),
       m_shard_count_(obs->metrics().GetGauge("xs.shard.count")),
       m_fanouts_(obs->metrics().GetCounter("xs.shard.fanout_ops")),
-      m_reshards_(obs->metrics().GetCounter("xs.shard.reshards")) {
+      m_reshards_(obs->metrics().GetCounter("xs.shard.reshards")),
+      m_rejects_(obs->metrics().GetCounter("xs.shard.unavailable_rejects")) {
   if (shard_count < 1) {
     shard_count = 1;
   }
   for (int i = 0; i < shard_count; ++i) {
     shards_.push_back(std::make_unique<XsStore>(obs_));
   }
+  restarting_.assign(shards_.size(), false);
   m_shard_count_->Set(static_cast<double>(shards_.size()));
 }
 
@@ -108,6 +110,64 @@ bool XsShardedStore::IsSpanningPath(std::string_view path) {
   return RoutePath(path).spanning;
 }
 
+// --- The shard gate ---------------------------------------------------------
+
+Status XsShardedStore::CheckUp(int index) {
+  if (!restarting_[index]) {
+    return Status::Ok();
+  }
+  m_rejects_->Increment();
+  return UnavailableError(
+      StrFormat("XenStore-State shard %d is restarting", index));
+}
+
+StatusOr<XsShardedStore::Route> XsShardedStore::Admit(std::string_view path) {
+  const Route route = RouteFor(path);
+  if (!route.spanning) {
+    XOAR_RETURN_IF_ERROR(CheckUp(route.shard));
+    return route;
+  }
+  for (int i = 0; i < shard_count(); ++i) {
+    XOAR_RETURN_IF_ERROR(CheckUp(i));
+  }
+  return route;
+}
+
+StatusOr<XsStore*> XsShardedStore::Home(DomainId caller) {
+  const int index = ShardIndexForDomain(caller);
+  XOAR_RETURN_IF_ERROR(CheckUp(index));
+  return shards_[index].get();
+}
+
+Status XsShardedStore::BeginShardRestart(int index) {
+  if (index < 0 || index >= shard_count()) {
+    return InvalidArgumentError(
+        StrFormat("no such XenStore-State shard: %d", index));
+  }
+  if (restarting_[index]) {
+    return FailedPreconditionError(
+        StrFormat("XenStore-State shard %d already restarting", index));
+  }
+  restarting_[index] = true;
+  return Status::Ok();
+}
+
+Status XsShardedStore::CompleteShardRestart(int index) {
+  if (index < 0 || index >= shard_count()) {
+    return InvalidArgumentError(
+        StrFormat("no such XenStore-State shard: %d", index));
+  }
+  if (!restarting_[index]) {
+    return FailedPreconditionError(
+        StrFormat("XenStore-State shard %d is not restarting", index));
+  }
+  // The fresh shard has no watch registrations or live transactions —
+  // exactly 1/N of the tenants renegotiate, the rest never notice.
+  shards_[index]->DropVolatileState();
+  restarting_[index] = false;
+  return Status::Ok();
+}
+
 // --- Core operations --------------------------------------------------------
 
 template <typename Op>
@@ -126,29 +186,20 @@ Status XsShardedStore::FanOut(Op op) {
 StatusOr<std::string> XsShardedStore::Read(DomainId caller,
                                            std::string_view path, TxId tx) {
   if (tx != kNoTransaction) {
-    XOAR_ASSIGN_OR_RETURN(const TxHandle handle, FindTransaction(caller, tx));
-    return shards_[handle.shard]->Read(caller, path, handle.local);
+    XOAR_ASSIGN_OR_RETURN(XsStore * home, Home(caller));
+    return home->Read(caller, path, tx);
   }
-  return Read(RouteFor(path), caller, path);
-}
-
-StatusOr<std::string> XsShardedStore::Read(const Route& route,
-                                           DomainId caller,
-                                           std::string_view path) {
+  XOAR_ASSIGN_OR_RETURN(const Route route, Admit(path));
   return shards_[route.shard]->Read(caller, path);
 }
 
 Status XsShardedStore::Write(DomainId caller, std::string_view path,
                              std::string_view value, TxId tx) {
   if (tx != kNoTransaction) {
-    XOAR_ASSIGN_OR_RETURN(const TxHandle handle, FindTransaction(caller, tx));
-    return shards_[handle.shard]->Write(caller, path, value, handle.local);
+    XOAR_ASSIGN_OR_RETURN(XsStore * home, Home(caller));
+    return home->Write(caller, path, value, tx);
   }
-  return Write(RouteFor(path), caller, path, value);
-}
-
-Status XsShardedStore::Write(const Route& route, DomainId caller,
-                             std::string_view path, std::string_view value) {
+  XOAR_ASSIGN_OR_RETURN(const Route route, Admit(path));
   if (route.spanning) {
     return FanOut(
         [&](XsStore& shard) { return shard.Write(caller, path, value); });
@@ -158,14 +209,10 @@ Status XsShardedStore::Write(const Route& route, DomainId caller,
 
 Status XsShardedStore::Mkdir(DomainId caller, std::string_view path, TxId tx) {
   if (tx != kNoTransaction) {
-    XOAR_ASSIGN_OR_RETURN(const TxHandle handle, FindTransaction(caller, tx));
-    return shards_[handle.shard]->Mkdir(caller, path, handle.local);
+    XOAR_ASSIGN_OR_RETURN(XsStore * home, Home(caller));
+    return home->Mkdir(caller, path, tx);
   }
-  return Mkdir(RouteFor(path), caller, path);
-}
-
-Status XsShardedStore::Mkdir(const Route& route, DomainId caller,
-                             std::string_view path) {
+  XOAR_ASSIGN_OR_RETURN(const Route route, Admit(path));
   if (route.spanning) {
     return FanOut([&](XsStore& shard) { return shard.Mkdir(caller, path); });
   }
@@ -174,14 +221,10 @@ Status XsShardedStore::Mkdir(const Route& route, DomainId caller,
 
 Status XsShardedStore::Remove(DomainId caller, std::string_view path, TxId tx) {
   if (tx != kNoTransaction) {
-    XOAR_ASSIGN_OR_RETURN(const TxHandle handle, FindTransaction(caller, tx));
-    return shards_[handle.shard]->Remove(caller, path, handle.local);
+    XOAR_ASSIGN_OR_RETURN(XsStore * home, Home(caller));
+    return home->Remove(caller, path, tx);
   }
-  return Remove(RouteFor(path), caller, path);
-}
-
-Status XsShardedStore::Remove(const Route& route, DomainId caller,
-                              std::string_view path) {
+  XOAR_ASSIGN_OR_RETURN(const Route route, Admit(path));
   if (route.spanning) {
     return FanOut([&](XsStore& shard) { return shard.Remove(caller, path); });
   }
@@ -192,14 +235,10 @@ StatusOr<std::vector<std::string>> XsShardedStore::List(DomainId caller,
                                                         std::string_view path,
                                                         TxId tx) {
   if (tx != kNoTransaction) {
-    XOAR_ASSIGN_OR_RETURN(const TxHandle handle, FindTransaction(caller, tx));
-    return shards_[handle.shard]->List(caller, path, handle.local);
+    XOAR_ASSIGN_OR_RETURN(XsStore * home, Home(caller));
+    return home->List(caller, path, tx);
   }
-  return List(RouteFor(path), caller, path);
-}
-
-StatusOr<std::vector<std::string>> XsShardedStore::List(
-    const Route& route, DomainId caller, std::string_view path) {
+  XOAR_ASSIGN_OR_RETURN(const Route route, Admit(path));
   if (route.spanning && shards_.size() > 1) {
     // The spanning directory's children are scattered across partitions;
     // merge them (sorted, deduplicated — the spanning chain itself exists
@@ -226,9 +265,7 @@ StatusOr<std::vector<std::string>> XsShardedStore::List(
 
 bool XsShardedStore::Exists(DomainId caller, std::string_view path, TxId tx) {
   if (tx != kNoTransaction) {
-    const StatusOr<TxHandle> handle = FindTransaction(caller, tx);
-    return handle.ok() &&
-           shards_[handle->shard]->Exists(caller, path, handle->local);
+    return shards_[ShardIndexForDomain(caller)]->Exists(caller, path, tx);
   }
   const Route route = RouteFor(path);
   if (route.spanning && shards_.size() > 1) {
@@ -249,12 +286,7 @@ StatusOr<XsNodePerms> XsShardedStore::GetPerms(DomainId caller,
 
 Status XsShardedStore::SetPerms(DomainId caller, std::string_view path,
                                 const XsNodePerms& perms) {
-  return SetPerms(RouteFor(path), caller, path, perms);
-}
-
-Status XsShardedStore::SetPerms(const Route& route, DomainId caller,
-                                std::string_view path,
-                                const XsNodePerms& perms) {
+  XOAR_ASSIGN_OR_RETURN(const Route route, Admit(path));
   if (route.spanning && shards_.size() > 1) {
     return FanOut(
         [&](XsStore& shard) { return shard.SetPerms(caller, path, perms); });
@@ -266,12 +298,7 @@ Status XsShardedStore::SetPerms(const Route& route, DomainId caller,
 
 Status XsShardedStore::Watch(DomainId caller, std::string_view path,
                              std::string_view token, WatchCallback cb) {
-  return Watch(RouteFor(path), caller, path, token, std::move(cb));
-}
-
-Status XsShardedStore::Watch(const Route& route, DomainId caller,
-                             std::string_view path, std::string_view token,
-                             WatchCallback cb) {
+  XOAR_ASSIGN_OR_RETURN(const Route route, Admit(path));
   if (!route.spanning || shards_.size() == 1) {
     return shards_[route.shard]->Watch(caller, path, token, std::move(cb));
   }
@@ -301,11 +328,13 @@ Status XsShardedStore::Watch(const Route& route, DomainId caller,
 
 Status XsShardedStore::Unwatch(DomainId caller, std::string_view path,
                                std::string_view token) {
-  return Unwatch(RouteFor(path), caller, path, token);
+  XOAR_ASSIGN_OR_RETURN(const Route route, Admit(path));
+  return UnwatchRouted(route, caller, path, token);
 }
 
-Status XsShardedStore::Unwatch(const Route& route, DomainId caller,
-                               std::string_view path, std::string_view token) {
+Status XsShardedStore::UnwatchRouted(const Route& route, DomainId caller,
+                                     std::string_view path,
+                                     std::string_view token) {
   if (!route.spanning || shards_.size() == 1) {
     return shards_[route.shard]->Unwatch(caller, path, token);
   }
@@ -334,45 +363,20 @@ std::size_t XsShardedStore::WatchCount() const {
 
 StatusOr<XsShardedStore::TxId> XsShardedStore::TransactionStart(
     DomainId caller) {
-  const int shard = ShardIndexForDomain(caller);
-  XOAR_ASSIGN_OR_RETURN(TxId local, shards_[shard]->TransactionStart(caller));
-  const TxId id = next_tx_++;
-  tx_map_.emplace(id, TxHandle{caller, shard, local});
-  return id;
-}
-
-StatusOr<XsShardedStore::TxHandle> XsShardedStore::FindTransaction(
-    DomainId caller, TxId tx) const {
-  auto it = tx_map_.find(tx);
-  if (it == tx_map_.end() || it->second.caller != caller) {
-    return NotFoundError("no such transaction");
-  }
-  return it->second;
+  XOAR_ASSIGN_OR_RETURN(XsStore * home, Home(caller));
+  return home->TransactionStart(caller);
 }
 
 Status XsShardedStore::TransactionEnd(DomainId caller, TxId tx, bool commit) {
-  // A foreign attempt stops here, so it cannot retire the owner's handle.
-  XOAR_ASSIGN_OR_RETURN(const TxHandle handle, FindTransaction(caller, tx));
-  tx_map_.erase(tx);
-  return shards_[handle.shard]->TransactionEnd(caller, handle.local, commit);
+  XOAR_ASSIGN_OR_RETURN(XsStore * home, Home(caller));
+  return home->TransactionEnd(caller, tx, commit);
 }
 
-int XsShardedStore::ShardOfTransaction(DomainId caller, TxId tx) const {
-  const StatusOr<TxHandle> handle = FindTransaction(caller, tx);
-  return handle.ok() ? handle->shard : -1;
-}
-
-void XsShardedStore::AbortTransactionsOf(DomainId caller) {
-  for (auto it = tx_map_.begin(); it != tx_map_.end();) {
-    const TxHandle& handle = it->second;
-    if (handle.caller == caller) {
-      (void)shards_[handle.shard]->TransactionEnd(caller, handle.local,
-                                                  /*commit=*/false);
-      it = tx_map_.erase(it);
-    } else {
-      ++it;
-    }
+void XsShardedStore::DropClient(DomainId caller, const WatchKeys& watches) {
+  for (const auto& [path, token] : watches) {
+    (void)UnwatchRouted(RouteFor(path), caller, path, token);
   }
+  shards_[ShardIndexForDomain(caller)]->AbortTransactionsOf(caller);
 }
 
 // --- State shipping ---------------------------------------------------------
@@ -410,78 +414,30 @@ void XsShardedStore::Restore(const std::vector<FlatNode>& nodes) {
   }
 }
 
-XsShardedStore::Snapshot XsShardedStore::TakeSnapshot() const {
-  Snapshot snapshot;
-  snapshot.shards_.reserve(shards_.size());
-  for (const auto& shard : shards_) {
-    snapshot.shards_.push_back(shard->TakeSnapshot());
-  }
-  return snapshot;
-}
-
-void XsShardedStore::RestoreSnapshot(const Snapshot& snapshot) {
-  if (snapshot.shards_.size() != shards_.size()) {
-    return;  // taken under a different partitioning; not applicable
-  }
-  for (std::size_t i = 0; i < shards_.size(); ++i) {
-    shards_[i]->RestoreSnapshot(snapshot.shards_[i]);
-  }
-}
-
-XsStore::Snapshot XsShardedStore::TakeShardSnapshot(int index) const {
-  return shards_[index]->TakeSnapshot();
-}
-
-void XsShardedStore::RestoreShardSnapshot(int index,
-                                          const XsStore::Snapshot& snapshot) {
-  shards_[index]->RestoreSnapshot(snapshot);
-}
-
-void XsShardedStore::DropShardVolatileState(int index) {
-  shards_[index]->DropVolatileState();
-  for (auto it = tx_map_.begin(); it != tx_map_.end();) {
-    if (it->second.shard == index) {
-      it = tx_map_.erase(it);
-    } else {
-      ++it;
-    }
-  }
-}
-
 void XsShardedStore::Reshard(int new_shard_count) {
   if (new_shard_count < 1) {
     new_shard_count = 1;
   }
   const std::vector<FlatNode> contents = Serialize();
+  // A caller's home shard may change, so the new shards continue the
+  // highest id sequence: no caller's old id can name a new transaction.
+  TxId next_tx = kNoTransaction + 1;
+  for (const auto& shard : shards_) {
+    next_tx = std::max(next_tx, shard->next_tx());
+  }
   shards_.clear();
-  tx_map_.clear();
   for (int i = 0; i < new_shard_count; ++i) {
-    auto store = std::make_unique<XsStore>(obs_);
+    auto store = std::make_unique<XsStore>(obs_, next_tx);
     ApplyConfig(store.get());
     shards_.push_back(std::move(store));
   }
+  restarting_.assign(shards_.size(), false);
   Restore(contents);
   m_shard_count_->Set(static_cast<double>(shards_.size()));
   m_reshards_->Increment();
 }
 
 // --- Aggregated introspection ------------------------------------------------
-
-std::uint64_t XsShardedStore::generation() const {
-  std::uint64_t total = 0;
-  for (const auto& shard : shards_) {
-    total += shard->generation();
-  }
-  return total;
-}
-
-std::uint64_t XsShardedStore::op_count() const {
-  std::uint64_t total = 0;
-  for (const auto& shard : shards_) {
-    total += shard->op_count();
-  }
-  return total;
-}
 
 std::size_t XsShardedStore::NodeCount() const {
   std::size_t total = 0;

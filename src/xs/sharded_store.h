@@ -17,10 +17,14 @@
 //    every shard: mutations on them fan out so each partition keeps a
 //    complete ancestor chain; List() merges children across shards;
 //    reads resolve on shard 0.
-//  - Transactions are pinned to the caller's home shard (the shard its
-//    own /local/domain/<id> directory routes to) — snapshot isolation is
+//  - Transactions live on the caller's home shard (the shard its own
+//    /local/domain/<id> directory routes to) — snapshot isolation is
 //    per-partition, which is sufficient because a guest's transactional
 //    traffic is confined to its own subtree.
+//
+// The facade also holds the shard gate: while a shard's XenStore-State
+// domain restarts, every request that needs that shard is refused
+// UNAVAILABLE and the other shards serve on.
 //
 // With shard_count == 1 the facade is behavior-identical to a bare
 // XsStore, which keeps the stock (monolithic) platform unchanged.
@@ -28,11 +32,11 @@
 #define XOAR_SRC_XS_SHARDED_STORE_H_
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <set>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "src/base/ids.h"
@@ -47,6 +51,8 @@ class XsShardedStore {
   using TxId = XsStore::TxId;
   using WatchCallback = XsStore::WatchCallback;
   using FlatNode = XsStore::FlatNode;
+  // A departing client's watch registrations, as (path, token).
+  using WatchKeys = std::set<std::pair<std::string, std::string>>;
   static constexpr TxId kNoTransaction = XsStore::kNoTransaction;
 
   // `obs` receives `xs.shard.*` metrics and is handed to every shard.
@@ -56,19 +62,11 @@ class XsShardedStore {
   XsStore& shard(int index) { return *shards_[index]; }
   const XsStore& shard(int index) const { return *shards_[index]; }
 
-  // Where a path lives: a spanning prefix on every shard, any other path
-  // on one. A request routes its path once; the service's shard gate and
-  // the routed operations below both take the result.
-  struct Route {
-    bool spanning = false;  // "/", "/local" or "/local/domain"
-    int shard = 0;          // the path's shard; 0 for a spanning prefix
-  };
-  Route RouteFor(std::string_view path) const;
   // Shard a path routes to. Spanning prefixes report shard 0 (their reads
   // resolve there); IsSpanningPath distinguishes them.
   int ShardIndexForPath(std::string_view path) const;
   // The shard a domain's own /local/domain/<id> directory lives on — where
-  // its transactions are pinned.
+  // its transactions live.
   int ShardIndexForDomain(DomainId domain) const;
   // True for "/", "/local" and "/local/domain": ancestors of every
   // per-tenant subtree, present on all shards.
@@ -81,6 +79,11 @@ class XsShardedStore {
   void set_node_quota(std::size_t quota);
 
   // --- Core operations (XsStore-compatible surface) ---
+  //
+  // Each routes its path once and is refused UNAVAILABLE while a shard it
+  // needs restarts: a spanning path needs every shard, any other path its
+  // own. A transactional call (tx != kNoTransaction) runs on the caller's
+  // home shard, so it needs that shard. Exists and GetPerms are not gated.
 
   StatusOr<std::string> Read(DomainId caller, std::string_view path,
                              TxId tx = kNoTransaction);
@@ -105,34 +108,16 @@ class XsShardedStore {
                  std::string_view token);
   std::size_t WatchCount() const;
 
-  // The same operations outside a transaction, on a path already routed
-  // by RouteFor.
-  StatusOr<std::string> Read(const Route& route, DomainId caller,
-                             std::string_view path);
-  Status Write(const Route& route, DomainId caller, std::string_view path,
-               std::string_view value);
-  Status Mkdir(const Route& route, DomainId caller, std::string_view path);
-  Status Remove(const Route& route, DomainId caller, std::string_view path);
-  StatusOr<std::vector<std::string>> List(const Route& route, DomainId caller,
-                                          std::string_view path);
-  Status SetPerms(const Route& route, DomainId caller, std::string_view path,
-                  const XsNodePerms& perms);
-  Status Watch(const Route& route, DomainId caller, std::string_view path,
-               std::string_view token, WatchCallback cb);
-  Status Unwatch(const Route& route, DomainId caller, std::string_view path,
-                 std::string_view token);
-
-  // Transactions carry facade-level ids; each maps to (shard, local id),
-  // pinned at start to the caller's home shard. As in XsStore, an id is
-  // NOT_FOUND to every domain but the one that started it.
+  // A transaction lives on its caller's home shard and carries that
+  // shard's id. As in XsStore, an id is NOT_FOUND to every domain but the
+  // one that started it.
   StatusOr<TxId> TransactionStart(DomainId caller);
   Status TransactionEnd(DomainId caller, TxId tx, bool commit);
-  // Shard `caller`'s live transaction `tx` is pinned to; -1 if there is no
-  // such transaction of `caller`'s.
-  int ShardOfTransaction(DomainId caller, TxId tx) const;
-  // Aborts every open transaction of `caller` (a departing client): a scan
-  // of the open transactions, whose handles name their caller.
-  void AbortTransactionsOf(DomainId caller);
+  // Drops a departing client's `watches` and aborts its open transactions,
+  // whether or not their shards are up: a restarting shard drops them at
+  // completion anyway, and no other shard may keep a departed client's
+  // callbacks.
+  void DropClient(DomainId caller, const WatchKeys& watches);
 
   // --- State shipping across all shards ---
 
@@ -141,63 +126,60 @@ class XsShardedStore {
   // Replaces every shard's contents with the routed subset of `nodes`.
   void Restore(const std::vector<FlatNode>& nodes);
 
-  // O(1)-per-shard checkpoint of the whole sharded store.
-  class Snapshot {
-   public:
-    Snapshot() = default;
-    bool valid() const { return !shards_.empty(); }
+  // --- Microreboot of one shard (its XenStore-State domain) ---
+  //
+  // Begin refuses the shard's requests; Complete serves them again and
+  // drops the shard's volatile tenant state (watches, transactions). The
+  // contents stay where they are. Errors: INVALID_ARGUMENT for no such
+  // shard, FAILED_PRECONDITION for a shard already (or not) restarting.
+  Status BeginShardRestart(int index);
+  Status CompleteShardRestart(int index);
+  bool shard_available(int index) const {
+    return index >= 0 && index < shard_count() && !restarting_[index];
+  }
 
-   private:
-    friend class XsShardedStore;
-    std::vector<XsStore::Snapshot> shards_;
-  };
-  Snapshot TakeSnapshot() const;
-  void RestoreSnapshot(const Snapshot& snapshot);
-
-  // Per-shard microreboot support: checkpoint one partition, restore it,
-  // and drop its volatile tenant state (watches, transactions). The facade
-  // also forgets the dropped shard's transaction handles.
-  XsStore::Snapshot TakeShardSnapshot(int index) const;
-  void RestoreShardSnapshot(int index, const XsStore::Snapshot& snapshot);
-  void DropShardVolatileState(int index);
-
-  // Repartitions the store into `new_shard_count` shards. Contents, owner
-  // accounting, managers and the node quota survive; watches and live
-  // transactions are dropped (tenants re-register, as after a restart).
+  // Repartitions the store into `new_shard_count` shards, all available.
+  // Contents, owner accounting, managers and the node quota survive;
+  // watches and live transactions are dropped (tenants re-register, as
+  // after a restart), and no transaction id is issued again.
   void Reshard(int new_shard_count);
 
   // --- Aggregated introspection ---
 
-  std::uint64_t generation() const;
-  std::uint64_t op_count() const;
   std::size_t NodeCount() const;
   std::size_t NodesOwnedBy(DomainId domain) const;
   std::uint64_t cow_copies() const;
   std::uint64_t entries_visited() const;
 
  private:
-  struct TxHandle {
-    DomainId caller;
-    int shard;
-    TxId local;
+  // Where a path lives: a spanning prefix on every shard, any other path
+  // on one.
+  struct Route {
+    bool spanning = false;  // "/", "/local" or "/local/domain"
+    int shard = 0;          // the path's shard; 0 for a spanning prefix
   };
-
-  // `caller`'s own transaction `tx`; every transactional op resolves its id
-  // here, so a foreign id is answered exactly as an unknown one.
-  StatusOr<TxHandle> FindTransaction(DomainId caller, TxId tx) const;
+  Route RouteFor(std::string_view path) const;
+  // The route of `path` if every shard it needs is up.
+  StatusOr<Route> Admit(std::string_view path);
+  // `caller`'s home shard, if it is up.
+  StatusOr<XsStore*> Home(DomainId caller);
+  // UNAVAILABLE, counted as one reject, while shard `index` restarts.
+  Status CheckUp(int index);
 
   void ApplyConfig(XsStore* store);
   // Runs `op` on every shard as one fan-out; the first error wins.
   template <typename Op>
   Status FanOut(Op op);
+  Status UnwatchRouted(const Route& route, DomainId caller,
+                       std::string_view path, std::string_view token);
 
   Obs* obs_;
   Gauge* m_shard_count_;  // xs.shard.count
   Counter* m_fanouts_;    // xs.shard.fanout_ops
   Counter* m_reshards_;   // xs.shard.reshards
+  Counter* m_rejects_;    // xs.shard.unavailable_rejects
   std::vector<std::unique_ptr<XsStore>> shards_;
-  std::map<TxId, TxHandle> tx_map_;
-  TxId next_tx_ = 1;
+  std::vector<bool> restarting_;  // per shard
   std::set<DomainId> managers_;
   std::size_t node_quota_ = 0;
 };

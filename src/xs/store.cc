@@ -41,7 +41,7 @@ bool PathsOverlap(std::string_view mutated, std::string_view accessed) {
 }
 }  // namespace
 
-XsStore::XsStore(Obs* obs)
+XsStore::XsStore(Obs* obs, TxId next_tx)
     : obs_(obs),
       m_reads_(obs->metrics().GetCounter("xenstore.store.reads")),
       m_writes_(obs->metrics().GetCounter("xenstore.store.writes")),
@@ -51,15 +51,16 @@ XsStore::XsStore(Obs* obs)
           obs->metrics().GetCounter("xenstore.store.tx_committed")),
       m_tx_aborted_(obs->metrics().GetCounter("xenstore.store.tx_aborted")),
       m_watch_fires_(obs->metrics().GetCounter("xenstore.store.watch_fires")),
-      root_(std::make_shared<Node>()) {
+      root_(std::make_shared<Node>()),
+      next_tx_(next_tx) {
   root_->perms.owner = DomainId::Invalid();
 }
 
 XsStore::Node* XsStore::Detach(NodePtr& slot) {
   if (slot.use_count() > 1) {
-    // Shared with a snapshot or transaction: shallow-clone. Copying the
-    // children map is a root pointer copy, so the entries and the subtree
-    // stay shared until a deeper mutation detaches them too.
+    // Shared with a transaction: shallow-clone. Copying the children map
+    // is a root pointer copy, so the entries and the subtree stay shared
+    // until a deeper mutation detaches them too.
     slot = std::make_shared<Node>(*slot);
     ++work_.copies;
   }
@@ -256,7 +257,6 @@ Status XsStore::ApplyRemove(NodePtr& root, DomainId caller,
 
 StatusOr<std::string> XsStore::Read(DomainId caller, std::string_view path,
                                     TxId tx_id) {
-  ++op_count_;
   m_reads_->Increment();
   obs_->tracer().Op(TraceCategory::kXenStore, "xs_read", caller.value());
   std::string rebuilt;
@@ -277,7 +277,6 @@ StatusOr<std::string> XsStore::Read(DomainId caller, std::string_view path,
 
 Status XsStore::Write(DomainId caller, std::string_view path,
                       std::string_view value, TxId tx_id) {
-  ++op_count_;
   m_writes_->Increment();
   obs_->tracer().Op(TraceCategory::kXenStore, "xs_write", caller.value());
   std::string rebuilt;
@@ -297,7 +296,6 @@ Status XsStore::Write(DomainId caller, std::string_view path,
 }
 
 Status XsStore::Mkdir(DomainId caller, std::string_view path, TxId tx_id) {
-  ++op_count_;
   m_writes_->Increment();
   obs_->tracer().Op(TraceCategory::kXenStore, "xs_mkdir", caller.value());
   std::string rebuilt;
@@ -315,7 +313,6 @@ Status XsStore::Mkdir(DomainId caller, std::string_view path, TxId tx_id) {
 }
 
 Status XsStore::Remove(DomainId caller, std::string_view path, TxId tx_id) {
-  ++op_count_;
   m_writes_->Increment();
   obs_->tracer().Op(TraceCategory::kXenStore, "xs_remove", caller.value());
   std::string rebuilt;
@@ -337,7 +334,6 @@ Status XsStore::Remove(DomainId caller, std::string_view path, TxId tx_id) {
 StatusOr<std::vector<std::string>> XsStore::List(DomainId caller,
                                                  std::string_view path,
                                                  TxId tx_id) {
-  ++op_count_;
   m_lists_->Increment();
   obs_->tracer().Op(TraceCategory::kXenStore, "xs_list", caller.value());
   std::string rebuilt;
@@ -618,6 +614,20 @@ Status XsStore::TransactionEnd(DomainId caller, TxId tx, bool commit) {
   return Status::Ok();
 }
 
+void XsStore::AbortTransactionsOf(DomainId caller) {
+  for (auto it = transactions_.begin(); it != transactions_.end();) {
+    if (it->second.caller == caller) {
+      it = transactions_.erase(it);
+      m_tx_aborted_->Increment();
+    } else {
+      ++it;
+    }
+  }
+  if (transactions_.empty()) {
+    mutation_log_.clear();
+  }
+}
+
 Status XsStore::Replay(const Transaction& transaction) {
   // The saved root makes the tree side atomic: COW keeps it intact. Owner
   // changes accumulate in a local delta (quota checks see live + delta) and
@@ -694,27 +704,6 @@ void XsStore::Restore(const std::vector<FlatNode>& nodes) {
   ++generation_;
   if (!transactions_.empty()) {
     // A wholesale replacement invalidates every active transaction.
-    mutation_log_.emplace_back(generation_, "/");
-  }
-}
-
-XsStore::Snapshot XsStore::TakeSnapshot() const {
-  Snapshot snapshot;
-  snapshot.root_ = root_;  // O(1): shares the tree copy-on-write
-  return snapshot;
-}
-
-void XsStore::RestoreSnapshot(const Snapshot& snapshot) {
-  if (!snapshot.valid() || snapshot.root_ == root_) {
-    return;  // restoring the current state is a no-op
-  }
-  root_ = snapshot.root_;
-  // Only a restart completing over changed contents gets here; no guest
-  // request can, so the O(nodes) recount stays off the request path.
-  RecountOwners();
-  ++generation_;
-  if (!transactions_.empty()) {
-    // A rollback invalidates every active transaction.
     mutation_log_.emplace_back(generation_, "/");
   }
 }

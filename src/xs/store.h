@@ -12,10 +12,10 @@
 //  - Nodes, and the entries of each directory's children map (a persistent
 //    AVL tree, src/xs/cow_map.h), are held by shared_ptr under one
 //    copy-on-write rule: whatever another version still holds is copied,
-//    anything unshared is mutated in place. Starting a transaction (or
-//    taking a Snapshot) is an O(1) pointer copy; a later mutation copies
-//    O(depth x log fan-out) nodes and entries on its path, and one with
-//    nothing shared copies none (cow_copies() counts them).
+//    anything unshared is mutated in place. Starting a transaction is an
+//    O(1) pointer copy; a later mutation copies O(depth x log fan-out)
+//    nodes and entries on its path, and one with nothing shared copies
+//    none (cow_copies() counts them).
 //  - A request resolves its path once. Paths are capped at xenstored's
 //    3072 bytes and walked as string_view segments; a canonical one (every
 //    in-tree caller builds them) is used in place, and only another is
@@ -29,8 +29,8 @@
 //  - Per-owner node counts are maintained incrementally on create/remove/
 //    chown, so quota checks and NodesOwnedBy are O(log #owners) instead of
 //    a full-tree flatten. Nothing on a request or commit path copies them,
-//    and the counts are recounted from the tree only when Restore or a
-//    RestoreSnapshot actually replaces the contents (restart completion).
+//    and the counts are recounted from the tree only when Restore replaces
+//    the contents.
 //  - A commit that nothing raced (no mutation and no quota change since
 //    its transaction began) adopts the transaction's tree and owner delta:
 //    it walks no path. A raced commit replays the ops against the live
@@ -81,16 +81,14 @@ struct XsWatchEvent {
 };
 
 class XsStore {
- private:
-  struct Node;  // declared early so Snapshot can reference it
-
  public:
   using WatchCallback = std::function<void(const XsWatchEvent&)>;
   using TxId = std::uint32_t;
   static constexpr TxId kNoTransaction = 0;
 
   // `obs` receives `xenstore.store.*` counters and kXenStore trace events.
-  explicit XsStore(Obs* obs);
+  // `next_tx` is the first transaction id the store issues.
+  explicit XsStore(Obs* obs, TxId next_tx = kNoTransaction + 1);
 
   // Domains that bypass ACL checks (the store service itself, stock Dom0).
   void AddManagerDomain(DomainId domain) { managers_.insert(domain); }
@@ -151,6 +149,11 @@ class XsStore {
   // (caller should retry, as with real xenstored EAGAIN). Mutations on
   // disjoint paths do not conflict.
   Status TransactionEnd(DomainId caller, TxId tx, bool commit);
+  // Aborts every open transaction of `caller` (a departing client).
+  void AbortTransactionsOf(DomainId caller);
+  // The id the next TransactionStart issues. Ids only grow, so a caller's
+  // ended transaction id never names a later transaction.
+  TxId next_tx() const { return next_tx_; }
 
   // --- State shipping (XenStore-State protocol, §5.1) ---
 
@@ -166,32 +169,12 @@ class XsStore {
   // guest owning more nodes than the quota, and all of them come back.
   void Restore(const std::vector<FlatNode>& nodes);
 
-  // O(1) checkpoint of the whole store: it holds only the copy-on-write
-  // root, so taking one is a pointer copy whatever the number of nodes or
-  // owners. XenStore-Logic's microreboot rollback (§5.6) uses this instead
-  // of a full Serialize/Restore round trip.
-  class Snapshot {
-   public:
-    Snapshot() = default;
-    bool valid() const { return root_ != nullptr; }
-
-   private:
-    friend class XsStore;
-    std::shared_ptr<Node> root_;
-  };
-  Snapshot TakeSnapshot() const;
-  // Restoring the snapshot the store is already at is a no-op (the common
-  // case: requests are gated while a restart is in progress). Otherwise the
-  // contents revert, the owner counters are recounted from the restored
-  // tree (O(nodes)) and the generation advances.
-  void RestoreSnapshot(const Snapshot& snapshot);
-
   // Drops all volatile per-client state: active transactions (and the
   // mutation log that only serves them) and every watch registration. The
   // tree contents are untouched. This is what a microreboot of the State
-  // shard holding this partition does to its tenants (§3.3): the recovery
-  // box restores the contents, but in-flight transactions and watch
-  // registrations die with the shard and clients re-register.
+  // shard holding this partition does to its tenants (§3.3): the contents
+  // stay, but in-flight transactions and watch registrations die with the
+  // shard.
   void DropVolatileState() {
     transactions_.clear();
     mutation_log_.clear();
@@ -201,17 +184,17 @@ class XsStore {
   }
 
   std::uint64_t generation() const { return generation_; }
-  std::uint64_t op_count() const { return op_count_; }
   std::size_t NodeCount() const { return node_count_; }
   std::size_t NodesOwnedBy(DomainId domain) const;
   // Copy-on-write work so far: nodes cloned plus children-map entries
-  // copied because another version (transaction, snapshot) shared them.
+  // copied because another version (a transaction) shared them.
   std::uint64_t cow_copies() const { return work_.copies; }
   // Children-map entries every lookup and descent so far stepped on: the
   // nodes visited by path walks, O(log fan-out) entries per segment.
   std::uint64_t entries_visited() const { return work_.visits; }
 
  private:
+  struct Node;
   using NodePtr = std::shared_ptr<Node>;
   // Nodes per owning domain: the live counters, or a signed delta against
   // them (a transaction's view, a commit replay).
@@ -269,7 +252,7 @@ class XsStore {
   };
 
   // Makes `slot` exclusively owned (shallow-cloning if shared with a
-  // snapshot or transaction) and returns the now-mutable node.
+  // transaction) and returns the now-mutable node.
   Node* Detach(NodePtr& slot);
   const Node* Find(const Node* root, std::string_view path);
   // The one walk a mutation makes: copy-on-write down `path` as far as it
@@ -337,15 +320,13 @@ class XsStore {
   WatchNode watch_root_;
   std::size_t watch_count_ = 0;
   std::map<TxId, Transaction> transactions_;
-  TxId next_tx_ = 1;
+  TxId next_tx_;
   std::uint64_t generation_ = 0;
-  std::uint64_t op_count_ = 0;
   std::size_t node_quota_ = 0;
   std::uint64_t quota_sets_ = 0;  // set_node_quota calls so far
   // Incrementally maintained: #nodes per owning domain (no zero entries)
   // and their sum, the node total (root excluded). Kept in sync by create/
-  // remove/chown/commit; recounted when Restore/RestoreSnapshot replace
-  // the tree.
+  // remove/chown/commit; recounted when Restore replaces the tree.
   OwnerCounts owner_counts_;
   std::size_t node_count_ = 0;
   CowWork work_;  // behind cow_copies() and entries_visited()

@@ -321,7 +321,7 @@ TEST(DriverProtocolTest, FixedScenarioTraceIsPinned) {
   platform.Settle(kSecond);
 
   EXPECT_EQ(ok, issued);
-  EXPECT_EQ(sink.digest, 10703579508085910630u);
+  EXPECT_EQ(sink.digest, 391638557663090157u);
   EXPECT_EQ(platform.sim().EventsExecuted(), 2818u);
   platform.obs().tracer().set_sink(nullptr);
 }

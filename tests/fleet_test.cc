@@ -12,6 +12,7 @@
 #include <set>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <unistd.h>
@@ -436,6 +437,46 @@ TEST(FleetChurnTest, CreateDestroyChurnNeverFillsTheDisk) {
     EXPECT_EQ(platform->hv().LiveDomainCount(), live);
     EXPECT_EQ(platform->xenstore().store().NodeCount(), nodes);
     EXPECT_EQ(platform->xenstore().store().WatchCount(), watches);
+  }
+}
+
+// A destroyed guest's console goes with it: the Console Manager (Dom0's
+// console daemon on the stock platform) keeps no entry, no port and no
+// grant mapping for it.
+TEST(FleetChurnTest, DestroyReleasesTheGuestsConsole) {
+  XoarPlatform xoar;
+  MonolithicPlatform stock;
+  ASSERT_TRUE(xoar.Boot().ok());
+  ASSERT_TRUE(stock.Boot().ok());
+  const std::vector<std::pair<Platform*, ConsoleBackend*>> platforms = {
+      {&xoar, xoar.console()}, {&stock, &stock.console()}};
+  for (const auto& [platform, console] : platforms) {
+    SCOPED_TRACE(std::string(platform->name()));
+    platform->Settle();
+    MetricRegistry& metrics = platform->obs().metrics();
+    const auto mapped = [&metrics] {
+      return metrics.GetCounter("hv.grant.maps")->value() -
+             metrics.GetCounter("hv.grant.unmaps")->value();
+    };
+    const std::uint64_t mapped_before = mapped();
+    const std::size_t ports = platform->hv().evtchn().OpenPorts(console->self());
+    std::vector<DomainId> destroyed;
+    for (int i = 0; i < 20; ++i) {
+      StatusOr<DomainId> guest =
+          platform->CreateGuest(SmallGuest(StrFormat("tty-%d", i), ""));
+      ASSERT_TRUE(guest.ok()) << "iteration " << i << ": "
+                              << guest.status().ToString();
+      platform->Settle();
+      ASSERT_TRUE(console->IsConnected(*guest)) << "iteration " << i;
+      ASSERT_TRUE(platform->DestroyGuest(*guest).ok()) << "iteration " << i;
+      platform->Settle();
+      destroyed.push_back(*guest);
+    }
+    for (DomainId guest : destroyed) {
+      EXPECT_FALSE(console->IsConnected(guest)) << "dom" << guest.value();
+    }
+    EXPECT_EQ(platform->hv().evtchn().OpenPorts(console->self()), ports);
+    EXPECT_EQ(mapped(), mapped_before);
   }
 }
 

@@ -29,7 +29,7 @@ class XsServiceTest : public ::testing::Test {
     logic_ = NewDomain("xs-logic", true);
     state_ = NewDomain("xs-state", true);
     guest_ = NewDomain("guest", false);
-    xs_->DeploySplit(logic_, state_);
+    xs_->DeploySplit(logic_, {state_});
     EXPECT_TRUE(hv_->AllowDelegation(boot_, logic_, boot_).ok());
     EXPECT_TRUE(hv_->AuthorizeShardUse(boot_, guest_, logic_).ok());
   }
@@ -407,7 +407,7 @@ TEST_F(XsServiceTest, StateShardRestartStallsOnlyItsTenants) {
 
   const int shard_b = xs_->store().ShardIndexForDomain(guest_b_);
   ASSERT_TRUE(xs_->BeginStateShardRestart(shard_b).ok());
-  EXPECT_FALSE(xs_->state_shard_available(shard_b));
+  EXPECT_FALSE(xs_->store().shard_available(shard_b));
 
   // Mid-restart: only the restarting partition's tenants are stalled.
   EXPECT_EQ(xs_->Read(guest_b_, key_b).status().code(),
@@ -418,8 +418,8 @@ TEST_F(XsServiceTest, StateShardRestartStallsOnlyItsTenants) {
             StatusCode::kUnavailable);
 
   ASSERT_TRUE(xs_->CompleteStateShardRestart(shard_b).ok());
-  EXPECT_TRUE(xs_->state_shard_available(shard_b));
-  // Contents survived via the recovery-box snapshot taken at Begin.
+  EXPECT_TRUE(xs_->store().shard_available(shard_b));
+  // The contents stayed in place through the restart.
   EXPECT_EQ(*xs_->Read(guest_b_, key_b), "vb");
   EXPECT_EQ(xs_->state_shard_restarts(), 1u);
 }
@@ -476,6 +476,73 @@ TEST_F(XsServiceTest, StateShardRestartValidatesItsPreconditions) {
   ASSERT_TRUE(xs_->CompleteStateShardRestart(0).ok());
 }
 
+// A request the shard gate refuses was never served: it counts neither as
+// a request nor, under the per-request policy, as a Logic restart.
+TEST_F(XsServiceTest, ShardGateRefusalCountsNoRequestNorLogicRestart) {
+  SetUpSharded();
+  xs_->set_restart_policy(XenStoreService::RestartPolicy::kPerRequest);
+  const std::string key_a = TenantDir(guest_) + "/k";
+  const std::string key_b = TenantDir(guest_b_) + "/k";
+  ASSERT_TRUE(xs_->Write(guest_b_, key_b, "vb").ok());
+  auto tx_b = xs_->TransactionStart(guest_b_);
+  ASSERT_TRUE(tx_b.ok());
+  ASSERT_TRUE(
+      xs_->BeginStateShardRestart(xs_->store().ShardIndexForDomain(guest_b_))
+          .ok());
+  const std::uint64_t requests = xs_->requests_processed();
+  const std::uint64_t restarts = xs_->logic_restarts();
+  EXPECT_EQ(xs_->Read(guest_b_, key_b).status().code(),
+            StatusCode::kUnavailable);
+  EXPECT_EQ(xs_->Write(guest_b_, key_b, "x").code(), StatusCode::kUnavailable);
+  EXPECT_EQ(xs_->List(guest_, "/local/domain").status().code(),
+            StatusCode::kUnavailable);
+  EXPECT_EQ(xs_->TransactionStart(guest_b_).status().code(),
+            StatusCode::kUnavailable);
+  EXPECT_EQ(xs_->WriteTx(guest_b_, key_b, "x", *tx_b).code(),
+            StatusCode::kUnavailable);
+  EXPECT_EQ(xs_->requests_processed(), requests);
+  EXPECT_EQ(xs_->logic_restarts(), restarts);
+  // A request the store served counts, whatever it answered.
+  ASSERT_TRUE(xs_->Write(guest_, key_a, "va").ok());
+  EXPECT_EQ(xs_->Read(guest_, TenantDir(guest_) + "/missing").status().code(),
+            StatusCode::kNotFound);
+  EXPECT_EQ(xs_->requests_processed(), requests + 2);
+  EXPECT_EQ(xs_->logic_restarts(), restarts + 2);
+}
+
+// A transaction dies with its home shard's restart. Its id then names
+// nothing, not even the caller's next transaction. While the home shard
+// restarts, every transactional request of its tenants is refused
+// UNAVAILABLE, an unknown id's too.
+TEST_F(XsServiceTest, TransactionIdFromBeforeStateShardRestartIsNotFound) {
+  SetUpSharded();
+  const int home = xs_->store().ShardIndexForDomain(guest_b_);
+  const std::string key = TenantDir(guest_b_) + "/k";
+  auto old_tx = xs_->TransactionStart(guest_b_);
+  ASSERT_TRUE(old_tx.ok());
+  ASSERT_TRUE(xs_->WriteTx(guest_b_, key, "old", *old_tx).ok());
+  ASSERT_TRUE(xs_->BeginStateShardRestart(home).ok());
+  const XsStore::TxId never_issued = *old_tx + 100;
+  EXPECT_EQ(xs_->WriteTx(guest_b_, key, "x", never_issued).code(),
+            StatusCode::kUnavailable);
+  EXPECT_EQ(xs_->TransactionEnd(guest_b_, never_issued, true).code(),
+            StatusCode::kUnavailable);
+  ASSERT_TRUE(xs_->CompleteStateShardRestart(home).ok());
+
+  auto new_tx = xs_->TransactionStart(guest_b_);
+  ASSERT_TRUE(new_tx.ok());
+  EXPECT_NE(*new_tx, *old_tx);
+  ASSERT_TRUE(xs_->WriteTx(guest_b_, key, "new", *new_tx).ok());
+  EXPECT_EQ(xs_->WriteTx(guest_b_, key, "stale", *old_tx).code(),
+            StatusCode::kNotFound);
+  EXPECT_EQ(xs_->ReadTx(guest_b_, key, *old_tx).status().code(),
+            StatusCode::kNotFound);
+  EXPECT_EQ(xs_->TransactionEnd(guest_b_, *old_tx, true).code(),
+            StatusCode::kNotFound);
+  ASSERT_TRUE(xs_->TransactionEnd(guest_b_, *new_tx, true).ok());
+  EXPECT_EQ(*xs_->Read(guest_b_, key), "new");
+}
+
 TEST_F(XsServiceTest, MonolithicXenstoredHasNoRestartableStateShards) {
   SetUpMonolithic();
   EXPECT_EQ(xs_->BeginStateShardRestart(0).code(),
@@ -484,12 +551,14 @@ TEST_F(XsServiceTest, MonolithicXenstoredHasNoRestartableStateShards) {
 
 TEST_F(XsServiceTest, TransactionsPinnedToHomeShardInShardedDeployment) {
   SetUpSharded();
+  const int home = xs_->store().ShardIndexForDomain(guest_b_);
+  const std::string key = TenantDir(guest_b_) + "/k";
   auto tx = xs_->TransactionStart(guest_b_);
   ASSERT_TRUE(tx.ok());
-  EXPECT_EQ(xs_->store().ShardOfTransaction(guest_b_, *tx),
-            xs_->store().ShardIndexForDomain(guest_b_));
-  ASSERT_TRUE(
-      xs_->WriteTx(guest_b_, TenantDir(guest_b_) + "/k", "tv", *tx).ok());
+  ASSERT_TRUE(xs_->WriteTx(guest_b_, key, "tv", *tx).ok());
+  // The transaction lives on the home shard, under the id it was given.
+  EXPECT_EQ(*xs_->store().shard(home).Read(guest_b_, key, *tx), "tv");
+  EXPECT_FALSE(xs_->store().shard(1 - home).Exists(guest_b_, key, *tx));
   ASSERT_TRUE(xs_->TransactionEnd(guest_b_, *tx, true).ok());
   EXPECT_EQ(*xs_->Read(guest_b_, TenantDir(guest_b_) + "/k"), "tv");
 }

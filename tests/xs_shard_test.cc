@@ -1,6 +1,6 @@
 // Tests for the path-prefix sharded XenStore-State facade (SCALING.md):
-// routing, spanning-prefix fan-out and merge, transaction pinning,
-// per-shard snapshot/restore isolation, and resharding.
+// routing, spanning-prefix fan-out and merge, transaction pinning, the
+// shard gate of a per-shard restart, and resharding.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -32,6 +32,10 @@ class XsShardTest : public ::testing::Test {
 
   static std::string TenantDir(DomainId guest) {
     return StrFormat("/local/domain/%u", guest.value());
+  }
+
+  std::uint64_t Rejects() {
+    return obs_.metrics().GetCounter("xs.shard.unavailable_rejects")->value();
   }
 
   Obs obs_;
@@ -130,16 +134,25 @@ TEST_F(XsShardTest, SpanningWatchFiresOncePerEvent) {
 
 TEST_F(XsShardTest, TransactionsPinToCallersHomeShard) {
   const DomainId guest = NewTenant(5);
+  const int home = store_.ShardIndexForDomain(guest);
   auto tx = store_.TransactionStart(guest);
   ASSERT_TRUE(tx.ok());
-  EXPECT_EQ(store_.ShardOfTransaction(guest, *tx),
-            store_.ShardIndexForDomain(guest));
   ASSERT_TRUE(store_.Write(guest, "/local/domain/5/k", "txv", *tx).ok());
+  // The transaction lives on the home shard under the id it was given, and
+  // on no other shard.
+  EXPECT_EQ(*store_.shard(home).Read(guest, "/local/domain/5/k", *tx), "txv");
+  for (int i = 0; i < store_.shard_count(); ++i) {
+    EXPECT_EQ(store_.shard(i).Exists(guest, "/local/domain/5/k", *tx),
+              i == home)
+        << "shard " << i;
+  }
   // Not visible outside the transaction until commit.
   EXPECT_FALSE(store_.Exists(manager_, "/local/domain/5/k"));
   ASSERT_TRUE(store_.TransactionEnd(guest, *tx, true).ok());
   EXPECT_EQ(*store_.Read(manager_, "/local/domain/5/k"), "txv");
-  EXPECT_EQ(store_.ShardOfTransaction(guest, *tx), -1);  // handle retired
+  // Retired: the id names nothing any more.
+  EXPECT_EQ(store_.TransactionEnd(guest, *tx, true).code(),
+            StatusCode::kNotFound);
   // Only the home shard did copy-on-write work, and the facade sums it.
   EXPECT_GT(store_.shard(1).cow_copies(), 0u);
   EXPECT_EQ(store_.cow_copies(), store_.shard(1).cow_copies());
@@ -150,18 +163,6 @@ TEST_F(XsShardTest, TransactionsPinToCallersHomeShard) {
   }
   EXPECT_GT(store_.shard(1).entries_visited(), 0u);
   EXPECT_EQ(store_.entries_visited(), visits);
-}
-
-TEST_F(XsShardTest, ShardSnapshotRestoreIsolatesPartitions) {
-  ASSERT_TRUE(store_.Write(manager_, "/local/domain/1/k", "a1").ok());
-  ASSERT_TRUE(store_.Write(manager_, "/local/domain/2/k", "b1").ok());
-  const XsStore::Snapshot snap = store_.TakeShardSnapshot(1);
-  ASSERT_TRUE(store_.Write(manager_, "/local/domain/1/k", "a2").ok());
-  ASSERT_TRUE(store_.Write(manager_, "/local/domain/2/k", "b2").ok());
-  store_.RestoreShardSnapshot(1, snap);
-  // Shard 1 rolled back; shard 2 untouched by its neighbor's recovery.
-  EXPECT_EQ(*store_.Read(manager_, "/local/domain/1/k"), "a1");
-  EXPECT_EQ(*store_.Read(manager_, "/local/domain/2/k"), "b2");
 }
 
 TEST_F(XsShardTest, DropShardVolatileStateIsPerPartition) {
@@ -184,7 +185,9 @@ TEST_F(XsShardTest, DropShardVolatileStateIsPerPartition) {
   ASSERT_TRUE(tx_a.ok());
   ASSERT_TRUE(tx_b.ok());
 
-  store_.DropShardVolatileState(store_.ShardIndexForDomain(tenant_a));
+  const int shard_a = store_.ShardIndexForDomain(tenant_a);
+  ASSERT_TRUE(store_.BeginShardRestart(shard_a).ok());
+  ASSERT_TRUE(store_.CompleteShardRestart(shard_a).ok());
 
   // Only tenant A's shard lost its watches and transactions.
   EXPECT_EQ(store_.WatchCount(), 1u);
@@ -197,6 +200,134 @@ TEST_F(XsShardTest, DropShardVolatileStateIsPerPartition) {
   ASSERT_TRUE(store_.Write(tenant_b, TenantDir(tenant_b) + "/k", "1").ok());
   EXPECT_EQ(fires_a, before_a);      // dropped
   EXPECT_EQ(fires_b, before_b + 1);  // still registered
+}
+
+TEST_F(XsShardTest, RestartingShardRefusesItsRequestsOthersServe) {
+  const DomainId tenant_a = NewTenant(5);  // home shard 1
+  const DomainId tenant_b = NewTenant(6);  // home shard 2
+  const std::string key_a = TenantDir(tenant_a) + "/k";
+  const std::string key_b = TenantDir(tenant_b) + "/k";
+  ASSERT_TRUE(store_.Write(tenant_a, key_a, "a").ok());
+  ASSERT_TRUE(store_.Write(tenant_b, key_b, "b").ok());
+  auto tx_a = store_.TransactionStart(tenant_a);
+  ASSERT_TRUE(tx_a.ok());
+  const int shard_a = store_.ShardIndexForDomain(tenant_a);
+  const std::size_t nodes = store_.NodeCount();
+
+  ASSERT_TRUE(store_.BeginShardRestart(shard_a).ok());
+  EXPECT_FALSE(store_.shard_available(shard_a));
+  const std::uint64_t rejects = Rejects();
+  XsNodePerms perms;
+  perms.owner = tenant_a;
+  const std::vector<Status> refused = {
+      store_.Read(tenant_a, key_a).status(),
+      store_.Write(tenant_a, key_a, "x"),
+      store_.Mkdir(tenant_a, key_a + "/d"),
+      store_.Remove(tenant_a, key_a),
+      store_.List(tenant_a, TenantDir(tenant_a)).status(),
+      store_.SetPerms(tenant_a, key_a, perms),
+      store_.Watch(tenant_a, key_a, "t", [](const XsWatchEvent&) {}),
+      store_.Unwatch(tenant_a, key_a, "t"),
+      store_.TransactionStart(tenant_a).status(),
+      store_.Read(tenant_a, key_a, *tx_a).status(),
+      store_.Write(tenant_a, key_a, "x", *tx_a),
+      store_.TransactionEnd(tenant_a, *tx_a, true),
+  };
+  for (const Status& status : refused) {
+    EXPECT_EQ(status.code(), StatusCode::kUnavailable) << status;
+    EXPECT_EQ(status.message(),
+              StrFormat("XenStore-State shard %d is restarting", shard_a));
+  }
+  EXPECT_EQ(Rejects(), rejects + refused.size());
+  // Nothing reached the shard; Exists and GetPerms are not gated.
+  EXPECT_EQ(store_.NodeCount(), nodes);
+  EXPECT_EQ(store_.WatchCount(), 0u);
+  EXPECT_TRUE(store_.Exists(tenant_a, key_a));
+  EXPECT_TRUE(store_.GetPerms(tenant_a, key_a).ok());
+  // The neighbour's shard serves on, and refuses nothing.
+  EXPECT_EQ(*store_.Read(tenant_b, key_b), "b");
+  EXPECT_TRUE(store_.Write(tenant_b, key_b, "b2").ok());
+  EXPECT_EQ(Rejects(), rejects + refused.size());
+
+  ASSERT_TRUE(store_.CompleteShardRestart(shard_a).ok());
+  EXPECT_TRUE(store_.shard_available(shard_a));
+  // The contents stayed where they were.
+  EXPECT_EQ(*store_.Read(tenant_a, key_a), "a");
+}
+
+TEST_F(XsShardTest, SpanningRequestNeedsEveryShardUp) {
+  const DomainId tenant = NewTenant(5);  // home shard 1
+  for (int down = 0; down < store_.shard_count(); ++down) {
+    SCOPED_TRACE(testing::Message() << "shard " << down << " restarting");
+    ASSERT_TRUE(store_.BeginShardRestart(down).ok());
+    const std::uint64_t rejects = Rejects();
+    EXPECT_EQ(store_.List(manager_, "/local/domain").status().code(),
+              StatusCode::kUnavailable);
+    EXPECT_EQ(store_.Write(manager_, "/local", "v").code(),
+              StatusCode::kUnavailable);
+    EXPECT_EQ(store_
+                  .Watch(manager_, "/local/domain", "t",
+                         [](const XsWatchEvent&) {})
+                  .code(),
+              StatusCode::kUnavailable);
+    // One reject per refused request, however many shards it spans.
+    EXPECT_EQ(Rejects(), rejects + 3);
+    // A per-tenant path on another shard is still served.
+    EXPECT_EQ(store_.Write(tenant, TenantDir(tenant) + "/k", "v").ok(),
+              down != store_.ShardIndexForDomain(tenant));
+    ASSERT_TRUE(store_.CompleteShardRestart(down).ok());
+  }
+  EXPECT_TRUE(store_.List(manager_, "/local/domain").ok());
+  EXPECT_EQ(store_.WatchCount(), 0u);
+}
+
+TEST_F(XsShardTest, ShardRestartValidatesIndexAndState) {
+  EXPECT_EQ(store_.BeginShardRestart(-1).code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(store_.BeginShardRestart(store_.shard_count()).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(store_.CompleteShardRestart(7).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(store_.CompleteShardRestart(0).code(),
+            StatusCode::kFailedPrecondition);  // not restarting
+  ASSERT_TRUE(store_.BeginShardRestart(0).ok());
+  EXPECT_EQ(store_.BeginShardRestart(0).code(),
+            StatusCode::kFailedPrecondition);  // already restarting
+  ASSERT_TRUE(store_.CompleteShardRestart(0).ok());
+}
+
+// A transaction dies with its shard's restart and with a reshard, and its
+// id then names nothing: not the dead transaction, and not a new one the
+// caller starts afterwards.
+TEST_F(XsShardTest, TransactionIdFromBeforeARestartOrReshardIsNotFound) {
+  const DomainId guest = NewTenant(5);
+  const std::string key = TenantDir(guest) + "/k";
+  // The reshard comes first, while the old id is the first one issued: a
+  // new shard that restarted the sequence would hand it out again.
+  for (const bool reshard : {true, false}) {
+    SCOPED_TRACE(reshard ? "reshard" : "shard restart");
+    auto old_tx = store_.TransactionStart(guest);
+    ASSERT_TRUE(old_tx.ok());
+    ASSERT_TRUE(store_.Write(guest, key, "old", *old_tx).ok());
+    if (reshard) {
+      store_.Reshard(store_.shard_count() + 1);
+    } else {
+      const int home = store_.ShardIndexForDomain(guest);
+      ASSERT_TRUE(store_.BeginShardRestart(home).ok());
+      ASSERT_TRUE(store_.CompleteShardRestart(home).ok());
+    }
+    auto new_tx = store_.TransactionStart(guest);
+    ASSERT_TRUE(new_tx.ok());
+    EXPECT_NE(*new_tx, *old_tx);
+    ASSERT_TRUE(store_.Write(guest, key, "new", *new_tx).ok());
+    EXPECT_EQ(store_.Write(guest, key, "stale", *old_tx).code(),
+              StatusCode::kNotFound);
+    EXPECT_EQ(store_.Read(guest, key, *old_tx).status().code(),
+              StatusCode::kNotFound);
+    EXPECT_EQ(store_.TransactionEnd(guest, *old_tx, true).code(),
+              StatusCode::kNotFound);
+    ASSERT_TRUE(store_.TransactionEnd(guest, *new_tx, true).ok());
+    EXPECT_EQ(*store_.Read(guest, key), "new");
+  }
 }
 
 TEST_F(XsShardTest, ReshardPreservesContentsQuotaAndManagers) {
